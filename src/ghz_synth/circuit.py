@@ -23,6 +23,7 @@ __all__ = [
     "Operation",
     "Circuit",
     "MalformedCircuitError",
+    "Schedule",
     "depth",
     "count_2q",
     "count_measurements",
@@ -172,23 +173,40 @@ class Circuit:
         return cls(obj["n"], obj["cbits"], tuple(ops))
 
 
-def depth(c: Circuit) -> int:
-    """ASAP-schedule layer count (0 for an empty circuit)."""
-    c.validate()
-    last = [0] * c.qubit_count
-    cbit_layer: dict[int, int] = {}
-    max_layer = 0
-    for op in c.ops:
+class Schedule:
+    """Incremental ASAP list scheduler: the layer assignment behind depth().
+
+    last[q] is the layer of the latest operation on qubit q and depth the
+    highest layer so far. Synthesis emits operations as it builds them and
+    reads last[...] to pick the qubits that free up earliest.
+    """
+
+    def __init__(self, n: int):
+        self.last = [0] * n
+        self.depth = 0
+        self._cbit_layer: dict[int, int] = {}
+
+    def emit(self, op: Operation) -> None:
+        last = self.last
         qs = touched_qubits(op)
-        layer = 1 + max(last[q] for q in qs)
+        layer = 1 + max([last[q] for q in qs])
         if isinstance(op, CondX):
-            layer = max(layer, cbit_layer[op.cbit] + 1)
+            layer = max(layer, self._cbit_layer[op.cbit] + 1)
         for q in qs:
             last[q] = layer
         if isinstance(op, MeasureZ):
-            cbit_layer[op.cbit] = layer
-        max_layer = max(max_layer, layer)
-    return max_layer
+            self._cbit_layer[op.cbit] = layer
+        if layer > self.depth:
+            self.depth = layer
+
+
+def depth(c: Circuit) -> int:
+    """ASAP-schedule layer count (0 for an empty circuit)."""
+    c.validate()
+    schedule = Schedule(c.qubit_count)
+    for op in c.ops:
+        schedule.emit(op)
+    return schedule.depth
 
 
 def count_2q(c: Circuit) -> int:

@@ -170,8 +170,8 @@ def _cmd_bench(args) -> int:
 def _cmd_verify() -> int:
     results = selfcheck.run_all()
     failures = 0
-    for name, ok in results:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
+    for name, ok, reason in results:
+        print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f": {reason}" if reason else ""))
         failures += 0 if ok else 1
     if failures:
         print(f"{failures} of {len(results)} checks failed")

@@ -7,7 +7,7 @@ included neighbor. No measurements, no resets: exactly N - 1 CX gates.
 
 from __future__ import annotations
 
-from .circuit import CX, Circuit, Operation
+from .circuit import CX, Circuit, Operation, Schedule
 from .layouts import LayoutGraph
 from .merging import Star, build_star_ghz
 
@@ -31,15 +31,9 @@ def synthesize_growing(g: LayoutGraph, seed: int = 0) -> Circuit:
 
     star = Star(start, frozenset(g.neighbors(start)))
     ops: list[Operation] = build_star_ghz(star)
-
-    # incremental ASAP layer tracking, mirroring circuit.depth
-    last = [0] * n
-    last[start] = 1
-    layer = 1
-    for leaf in sorted(star.leaves):
-        layer += 1
-        last[start] = layer
-        last[leaf] = layer
+    schedule = Schedule(n)
+    for op in ops:
+        schedule.emit(op)
 
     included = star.nodes()
     while len(included) < n:
@@ -50,10 +44,8 @@ def synthesize_growing(g: LayoutGraph, seed: int = 0) -> Circuit:
         )
         for v in frontier:
             parents = [w for w in g.neighbors(v) if w in included]
-            u = min(parents, key=lambda w: (last[w], w))
+            u = min(parents, key=lambda w: (schedule.last[w], w))
             ops.append(CX(u, v))
-            lay = max(last[u], last[v]) + 1
-            last[u] = lay
-            last[v] = lay
+            schedule.emit(ops[-1])
         included |= set(frontier)
     return Circuit(qubit_count=n, cbit_count=0, ops=tuple(ops))

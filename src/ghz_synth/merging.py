@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset, touched_qubits
+from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset, Schedule
 from .layouts import LayoutGraph, average_degree
 
 __all__ = [
@@ -195,24 +195,6 @@ class MergePlan:
         return sum(len(r) for r in self.rounds)
 
 
-class _AsapTracker:
-    """Incremental mirror of circuit.depth's layer assignment."""
-
-    def __init__(self, n: int):
-        self.last = [0] * n
-        self.cbit_layer: dict[int, int] = {}
-
-    def emit(self, op: Operation) -> None:
-        qs = touched_qubits(op)
-        layer = 1 + max(self.last[q] for q in qs)
-        if isinstance(op, CondX):
-            layer = max(layer, self.cbit_layer[op.cbit] + 1)
-        for q in qs:
-            self.last[q] = layer
-        if isinstance(op, MeasureZ):
-            self.cbit_layer[op.cbit] = layer
-
-
 def merge_operations(merge: Merge, cbit: int) -> list[Operation]:
     """Operations fusing the absorbed component into the keeper.
 
@@ -249,12 +231,12 @@ def _assemble(g: LayoutGraph, stars: list[Star]) -> tuple[MergePlan, list[Operat
     if covered != set(range(g.node_count)):
         raise ValueError("stars do not cover every node")
 
-    tracker = _AsapTracker(g.node_count)
+    schedule = Schedule(g.node_count)
     ops: list[Operation] = []
     for star in stars:
         for op in build_star_ghz(star):
             ops.append(op)
-            tracker.emit(op)
+            schedule.emit(op)
 
     rounds: list[tuple[Merge, ...]] = []
     cbit = 0
@@ -297,13 +279,13 @@ def _assemble(g: LayoutGraph, stars: list[Star]) -> tuple[MergePlan, list[Operat
                 if (x in keeper and y in absorbed) or (x in absorbed and y in keeper)
             ]
             bridge = min(
-                cross, key=lambda e: (max(tracker.last[e[0]], tracker.last[e[1]]), e)
+                cross, key=lambda e: (max(schedule.last[e[0]], schedule.last[e[1]]), e)
             )
             merge = Merge(keeper=keeper, absorbed=absorbed, bridge=bridge)
             merges.append(merge)
             for op in merge_operations(merge, cbit):
                 ops.append(op)
-                tracker.emit(op)
+                schedule.emit(op)
             cbit += 1
         rounds.append(tuple(merges))
         for m in merges:

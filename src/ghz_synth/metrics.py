@@ -3,8 +3,11 @@
 hellinger_fidelity implements the product-sum form (sum_i sqrt(p_i q_i))^2,
 which is numerically stable on sparse supports. is_ghz decides whether a
 tableau's stabilizer group is exactly the n-qubit GHZ group
-<X..X, Z0 Z1, ..., Z_{n-2} Z_{n-1}> by checking membership in both
-directions with symplectic Gaussian elimination and sign tracking.
+<X..X, Z0 Z1, ..., Z_{n-2} Z_{n-1}> by checking, with Tableau.expectation,
+that each of those n generators has expectation +1. One direction suffices:
+the tableau's n stabilizer rows are independent, so its group has 2^n
+elements, as does the GHZ group, and containment of one in the other makes
+them equal.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stabilizer import Tableau, pauli_phase_exponents
+from .stabilizer import Tableau
 
 __all__ = [
     "Distribution",
@@ -89,86 +92,17 @@ def summarize(values) -> SummaryStats:
     )
 
 
-class _PauliBasis:
-    """Echelonized generating set of a stabilizer group with sign tracking.
-
-    Rows are Paulis in symplectic form (x|z) with phases stored as exponents
-    of i modulo 4 (0 -> +1, 2 -> -1). Membership of a candidate Pauli is
-    decided by reducing it against the pivots; it belongs to the group iff
-    the residual is exactly +identity.
-    """
-
-    def __init__(self, x: np.ndarray, z: np.ndarray, signs: np.ndarray):
-        self.n = x.shape[1]
-        self.m = np.concatenate([x, z], axis=1).astype(np.uint8)
-        self.phase = (2 * signs.astype(np.int64)) % 4
-        self.pivots: list[tuple[int, int]] = []  # (column, row)
-        self._echelonize()
-
-    def _mult_rows(self, rows: np.ndarray, p: int) -> None:
-        """row_i := row_p * row_i for each i in rows."""
-        n = self.n
-        g = pauli_phase_exponents(
-            self.m[p, :n], self.m[p, n:], self.m[rows, :n], self.m[rows, n:]
-        ).sum(axis=1)
-        self.phase[rows] = (self.phase[rows] + self.phase[p] + g) % 4
-        self.m[rows] ^= self.m[p]
-
-    def _echelonize(self) -> None:
-        rank = 0
-        for col in range(2 * self.n):
-            hits = np.flatnonzero(self.m[rank:, col]) + rank
-            if hits.size == 0:
-                continue
-            p = int(hits[0])
-            if p != rank:
-                self.m[[rank, p]] = self.m[[p, rank]]
-                self.phase[[rank, p]] = self.phase[[p, rank]]
-            others = np.flatnonzero(self.m[:, col].astype(bool))
-            others = others[others != rank]
-            if others.size:
-                self._mult_rows(others, rank)
-            self.pivots.append((col, rank))
-            rank += 1
-            if rank == self.m.shape[0]:
-                break
-
-    def contains(self, x: np.ndarray, z: np.ndarray, sign: int) -> bool:
-        n = self.n
-        vec = np.concatenate([x, z]).astype(np.uint8)
-        ph = (2 * int(sign)) % 4
-        for col, row in self.pivots:
-            if vec[col]:
-                g = pauli_phase_exponents(
-                    self.m[row, :n], self.m[row, n:], vec[:n], vec[n:]
-                ).sum()
-                ph = (ph + self.phase[row] + int(g)) % 4
-                vec ^= self.m[row]
-        return not vec.any() and ph == 0
-
-
-def _ghz_generators(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = np.zeros((n, n), dtype=np.uint8)
-    z = np.zeros((n, n), dtype=np.uint8)
-    x[0, :] = 1  # X on every qubit
-    for i in range(n - 1):
-        z[i + 1, i] = 1
-        z[i + 1, i + 1] = 1
-    return x, z, np.zeros(n, dtype=np.uint8)
-
-
 def is_ghz(t: Tableau, n: int) -> bool:
     """True iff the tableau's state is exactly the n-qubit GHZ state."""
     if t.n != n:
         raise ValueError(f"tableau has {t.n} qubits, expected {n}")
-    sx, sz, sr = t.stabilizer_rows()
-    gx, gz, gr = _ghz_generators(n)
-    state_basis = _PauliBasis(sx, sz, sr)
-    ghz_basis = _PauliBasis(gx, gz, gr)
-    for i in range(gx.shape[0]):
-        if not state_basis.contains(gx[i], gz[i], int(gr[i])):
-            return False
-    for i in range(n):
-        if not ghz_basis.contains(sx[i], sz[i], int(sr[i])):
+    if t.shots != 1:
+        raise ValueError("is_ghz is defined for single-shot tableaus")
+    if t.expectation(np.ones(n, dtype=np.uint8), 0)[0] != 1:
+        return False
+    for i in range(n - 1):
+        zz = np.zeros(n, dtype=np.uint8)
+        zz[i : i + 2] = 1
+        if t.expectation(0, zz)[0] != 1:
             return False
     return True

@@ -108,7 +108,12 @@ def check_depth_examples() -> bool:
     return depth(c1) == 3 and depth(c2) == 2
 
 
-def run_all() -> list[tuple[str, bool]]:
+def run_all() -> list[tuple[str, bool, str]]:
+    """Run every check; each result is (name, passed, reason).
+
+    The reason is empty unless the check raised, in which case it holds the
+    exception type and message.
+    """
     checks = [
         ("layout invariants (simple, connected)", check_layout_invariants),
         ("synthesis count identities", check_count_identities),
@@ -120,8 +125,7 @@ def run_all() -> list[tuple[str, bool]]:
     results = []
     for name, fn in checks:
         try:
-            ok = bool(fn())
-        except Exception:
-            ok = False
-        results.append((name, ok))
+            results.append((name, bool(fn()), ""))
+        except Exception as exc:
+            results.append((name, False, f"{type(exc).__name__}: {exc}"))
     return results

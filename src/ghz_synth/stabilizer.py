@@ -11,6 +11,10 @@ controlled X corrections, and measurement outcomes only ever touch the sign
 bits. So one (2n, n) x/z pair is shared by all shots while the signs are a
 (shots, 2n) matrix, which makes thousand-shot noisy sampling cheap.
 
+Tableau.expectation gives the per-shot expectation (+1, -1 or 0) of any
+Hermitian Pauli by the destabilizer method. It is the single Pauli-membership
+primitive: deterministic measurement outcomes and metrics.is_ghz both use it.
+
 Randomness contract (part of the reproducibility guarantee): each shot owns
 one PCG64 stream. Per operation the stream is consumed in fixed order:
 H/X take (error?, which-Pauli), CX takes (error?, which-Pauli-pair), CondX
@@ -174,19 +178,40 @@ class Tableau:
                 )
             self.r[:, p] = coins
             return coins.copy()
-        # deterministic: accumulate the product of stabilizers indicated by
-        # destabilizers that contain X_q
-        scratch_x = np.zeros(n, dtype=np.uint8)
-        scratch_z = np.zeros(n, dtype=np.uint8)
-        scratch_r = np.zeros(self.shots, dtype=np.uint8)
-        for i in np.flatnonzero(self.x[:n, q].astype(bool)):
-            p = int(i) + n
-            g = pauli_phase_exponents(self.x[p], self.z[p], scratch_x, scratch_z)
-            total = 2 * scratch_r.astype(np.int32) + 2 * self.r[:, p] + g.sum()
-            scratch_r = ((total % 4) // 2).astype(np.uint8)
-            scratch_x ^= self.x[p]
-            scratch_z ^= self.z[p]
-        return scratch_r
+        e_q = np.zeros(n, dtype=np.uint8)
+        e_q[q] = 1
+        return (self.expectation(0, e_q) < 0).astype(np.uint8)
+
+    def expectation(self, px, pz) -> np.ndarray:
+        """Per-shot expectation (+1, -1 or 0, as int8) of a Hermitian Pauli.
+
+        The Pauli is given by its x and z bits (length-n 0/1 arrays, or a
+        scalar 0), with Y on qubits where both are set and sign +1. It has
+        expectation 0 when it anticommutes with some stabilizer. Otherwise
+        it is +/- the product of the stabilizers whose destabilizer
+        anticommutes with it (Aaronson & Gottesman), and the sign of that
+        product is returned.
+        """
+        n = self.n
+        xs, zs = np.flatnonzero(px), np.flatnonzero(pz)
+        # row j anticommutes with P iff x_P . z_j + z_P . x_j is odd; XOR the
+        # columns on P's support instead of a dense product
+        anti = np.bitwise_xor.reduce(self.z[:, xs], axis=1) ^ np.bitwise_xor.reduce(
+            self.x[:, zs], axis=1
+        )
+        if anti[n:].any():
+            return np.zeros(self.shots, dtype=np.int8)
+        sel = n + np.flatnonzero(anti[:n])
+        sx, sz = self.x[sel], self.z[sel]
+        # a Hermitian row is i^(x.z) X^x Z^z, and moving Z^z1 past X^x2 gives
+        # (-1)^(z1.x2), so the ordered product of the selected rows is
+        # i^(y_rows - y_P) (-1)^cross P times their signs
+        y = np.count_nonzero(sx & sz) - np.count_nonzero(np.asarray(px) & np.asarray(pz))
+        z_before = np.bitwise_xor.accumulate(sz[:-1], axis=0)
+        cross = np.count_nonzero(sx[1:] & z_before)
+        const = ((y % 4) // 2 + cross) & 1
+        bits = np.bitwise_xor.reduce(self.r[:, sel], axis=1) ^ const
+        return 1 - 2 * bits.astype(np.int8)
 
     def is_deterministic(self, q: int) -> bool:
         """True when a Z-measurement of q has a definite outcome."""

@@ -106,6 +106,19 @@ def test_verify_subcommand(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_verify_prints_failure_reason(monkeypatch, capsys):
+    from ghz_synth import selfcheck
+
+    def boom():
+        raise RuntimeError("tableau exploded")
+
+    monkeypatch.setattr(selfcheck, "check_depth_examples", boom)
+    assert cli_main(["verify"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  ASAP depth hand-scheduled examples: RuntimeError: tableau exploded" in out
+    assert "1 of 6 checks failed" in out
+
+
 def test_unknown_flag_usage_error(capsys):
     assert cli_main(["layout", "--family", "grid", "--bogus"]) == 1
 

@@ -8,8 +8,9 @@ import pytest
 from ghz_synth.circuit import Circuit
 from ghz_synth.rng import derive_seed, make_rng
 from ghz_synth.stabilizer import InvalidForcingError, Tableau, sample_counts
+from ghz_synth.stabilizer import run
 from ghz_synth.statevector import run_dense
-from ghz_synth.testutil import random_clifford_circuit
+from ghz_synth.testutil import apply_pauli_dense, random_clifford_circuit
 
 
 class TestTableauInvariantsPerOp:
@@ -35,6 +36,38 @@ class TestTableauInvariantsPerOp:
                         coins = np.array([int(rng.integers(0, 2))], dtype=np.uint8)
                     tab.measure(q, coins)
                 tab.check_invariants()
+
+
+class TestExpectationAgainstDense:
+    def test_matches_dense_expectation_on_the_same_branch(self):
+        # uniformly random Paulis mostly anticommute with the state (exact 0);
+        # products of stabilizer rows give +/-1, and a destabilizer factor
+        # turns one of those into an anticommuting Pauli again
+        zeros = ones = 0
+        for i in range(40):
+            n = 2 + i % 5
+            c = random_clifford_circuit(n, 30, seed=derive_seed(44, i))
+            out = run(c, derive_seed(45, i))
+            state = run_dense(c, 0, forced_outcomes=out.outcome_log).state
+            tab = out.tableau
+            rng = make_rng(derive_seed(46, i))
+            for k in range(12):
+                if k % 3 == 0:
+                    px, pz = rng.integers(0, 2, size=(2, n), dtype=np.uint8)
+                else:
+                    pick = rng.integers(0, 2, size=2 * n).astype(bool)
+                    if k % 3 == 1:
+                        pick[:n] = False
+                    px = np.bitwise_xor.reduce(tab.x[pick], axis=0)
+                    pz = np.bitwise_xor.reduce(tab.z[pick], axis=0)
+                want = np.vdot(state, apply_pauli_dense(state, px, pz, 0))
+                assert abs(want.imag) < 1e-10
+                got = tab.expectation(px, pz)
+                assert got.shape == (1,) and got.dtype == np.int8
+                assert abs(int(got[0]) - want.real) < 1e-10, (i, k, px, pz)
+                zeros += got[0] == 0
+                ones += got[0] != 0
+        assert zeros > 50 and ones > 50
 
 
 def dense_readout_distribution(c: Circuit, max_events: int = 12) -> dict[str, float]:

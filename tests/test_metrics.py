@@ -116,6 +116,30 @@ class TestIsGhz:
         out = run(synthesize_growing(g), seed=0)
         assert is_ghz(out.tableau, 20)
 
+    @pytest.mark.parametrize("protocol", ["growing", "merging"])
+    def test_grid_32x32(self, protocol):
+        from ghz_synth.circuit import X
+        from ghz_synth.growing import synthesize_growing
+        from ghz_synth.layouts import rect_grid
+        from ghz_synth.merging import HighestDegree, synthesize_merging
+
+        g = rect_grid(32, 32)
+        if protocol == "growing":
+            c = synthesize_growing(g)
+        else:
+            c = synthesize_merging(g, HighestDegree())
+        assert is_ghz(run(c, seed=0, max_qubits=1024).tableau, 1024)
+        flipped = Circuit(c.qubit_count, c.cbit_count, c.ops + (X(517),))
+        assert not is_ghz(run(flipped, seed=0, max_qubits=1024).tableau, 1024)
+
+    def test_rejects_bad_arguments(self):
+        from ghz_synth.stabilizer import Tableau
+
+        with pytest.raises(ValueError):
+            is_ghz(run(Circuit(3, 0, ()), seed=0).tableau, 4)
+        with pytest.raises(ValueError):
+            is_ghz(Tableau(3, shots=2), 3)
+
 
 class TestSummarize:
     def test_constant(self):

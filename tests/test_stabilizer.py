@@ -9,6 +9,7 @@ from ghz_synth.stabilizer import (
     CapacityError,
     InvalidForcingError,
     NoiseModel,
+    Tableau,
     run,
     sample_counts,
 )
@@ -49,6 +50,20 @@ class TestGates:
             c = random_clifford_circuit(6, 40, seed=derive_seed(31, i))
             out = run(c, seed=i)
             out.tableau.check_invariants()
+
+
+class TestExpectation:
+    def test_masked_flip_changes_one_shot(self):
+        # Bell pair in two shots, then X on qubit 1 in shot 0 only
+        tab = Tableau(2, shots=2)
+        tab.apply_h(0)
+        tab.apply_cx(0, 1)
+        tab.apply_x(1, np.array([1, 0], dtype=np.uint8))
+        zz = tab.expectation(0, np.array([1, 1], dtype=np.uint8))
+        xx = tab.expectation(np.array([1, 1], dtype=np.uint8), 0)
+        assert zz.tolist() == [-1, 1]
+        assert xx.tolist() == [1, 1]
+        assert tab.expectation(0, np.array([1, 0], dtype=np.uint8)).tolist() == [0, 0]
 
 
 class TestMeasurement:
