@@ -223,9 +223,15 @@ def _run_item(item: _WorkItem) -> BenchmarkRecord:
 
 
 def worker_count() -> int:
+    """Worker processes for run_sweep: GHZ_SYNTH_THREADS if set, else the CPU count."""
     env = os.environ.get("GHZ_SYNTH_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(
+                f"GHZ_SYNTH_THREADS must be an integer, got {env!r}"
+            ) from None
     return os.cpu_count() or 1
 
 

@@ -10,7 +10,7 @@ measurement that produced its control bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 __all__ = [
@@ -134,43 +134,55 @@ class Circuit:
                 dead.discard(op.q)
 
     def to_json(self) -> str:
-        ops = []
-        for op in self.ops:
-            if isinstance(op, H):
-                ops.append({"tag": "h", "q": op.q})
-            elif isinstance(op, X):
-                ops.append({"tag": "x", "q": op.q})
-            elif isinstance(op, CX):
-                ops.append({"tag": "cx", "control": op.control, "target": op.target})
-            elif isinstance(op, MeasureZ):
-                ops.append({"tag": "measure_z", "q": op.q, "cbit": op.cbit})
-            elif isinstance(op, Reset):
-                ops.append({"tag": "reset", "q": op.q})
-            elif isinstance(op, CondX):
-                ops.append({"tag": "cond_x", "targets": list(op.targets), "cbit": op.cbit})
+        ops = [
+            {"tag": _TAGS[type(op)], **{f: getattr(op, f) for f in _FIELDS[type(op)]}}
+            for op in self.ops
+        ]
         return json.dumps({"n": self.qubit_count, "cbits": self.cbit_count, "ops": ops})
 
     @classmethod
     def from_json(cls, text: str) -> "Circuit":
+        """Parse and validate a circuit; MalformedCircuitError names the bad field."""
         obj = json.loads(text)
         ops: list[Operation] = []
-        for rec in obj["ops"]:
-            tag = rec["tag"]
-            if tag == "h":
-                ops.append(H(rec["q"]))
-            elif tag == "x":
-                ops.append(X(rec["q"]))
-            elif tag == "cx":
-                ops.append(CX(rec["control"], rec["target"]))
-            elif tag == "measure_z":
-                ops.append(MeasureZ(rec["q"], rec["cbit"]))
-            elif tag == "reset":
-                ops.append(Reset(rec["q"]))
-            elif tag == "cond_x":
-                ops.append(CondX(tuple(rec["targets"]), rec["cbit"]))
-            else:
-                raise ValueError(f"unknown op tag {tag!r}")
-        return cls(obj["n"], obj["cbits"], tuple(ops))
+        for i, rec in enumerate(_field(obj, "ops", "", list)):
+            path = f"ops[{i}]"
+            tag = _field(rec, "tag", path, str)
+            if tag not in _OPS_BY_TAG:
+                raise MalformedCircuitError(f"{path}.tag: unknown op tag {tag!r}")
+            op_type = _OPS_BY_TAG[tag]
+            ops.append(op_type(*(_field(rec, f, path, _KINDS[f]) for f in _FIELDS[op_type])))
+        circuit = cls(_field(obj, "n", "", int), _field(obj, "cbits", "", int), tuple(ops))
+        circuit.validate()
+        return circuit
+
+
+# JSON tag of each operation type; a record's other keys are the op's fields
+_TAGS = {H: "h", X: "x", CX: "cx", MeasureZ: "measure_z", Reset: "reset", CondX: "cond_x"}
+_OPS_BY_TAG = {tag: op_type for op_type, tag in _TAGS.items()}
+_FIELDS = {op_type: tuple(f.name for f in fields(op_type)) for op_type in _TAGS}
+_KINDS = {"q": int, "control": int, "target": int, "cbit": int, "targets": tuple}
+
+
+def _field(rec, key: str, path: str, kind: type):
+    """rec[key], checked to be of the given kind; a tuple kind reads a list of ints."""
+    where = f"{path}.{key}" if path else key
+    if not isinstance(rec, dict):
+        raise MalformedCircuitError(f"{path or 'circuit'}: expected an object")
+    if key not in rec:
+        raise MalformedCircuitError(f"{where}: missing field")
+    value = rec[key]
+    if kind is tuple:
+        if not isinstance(value, list) or not all(_is_int(v) for v in value):
+            raise MalformedCircuitError(f"{where}: expected a list of integers")
+        return tuple(value)
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
+        raise MalformedCircuitError(f"{where}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Schedule:

@@ -4,12 +4,20 @@ The tableau follows Aaronson & Gottesman (Phys. Rev. A 70, 052328): rows
 0..n-1 are destabilizers, rows n..2n-1 stabilizers, each row a Pauli in
 binary symplectic form (x bits, z bits) with a sign bit.
 
-Shots are simulated in a single batch. The key observation is that H/X/CX
-update the x/z bit matrices identically for every shot, measurement collapse
-performs the same row operations for every shot, and Pauli noise, classically
-controlled X corrections, and measurement outcomes only ever touch the sign
-bits. So one (2n, n) x/z pair is shared by all shots while the signs are a
-(shots, 2n) matrix, which makes thousand-shot noisy sampling cheap.
+Shots are simulated in a single batch. H/X/CX update the x/z bit matrices
+identically for every shot, measurement collapse performs the same row
+operations for every shot, and Pauli noise, classically controlled X
+corrections and measurement outcomes only ever touch the sign bits. So one
+(2n, n) x/z pair is shared by all shots, and everything per-shot is
+bit-packed, the layout of Stim (Gidney, Quantum 5, 497, 2021): shot s is bit
+s % 64 of word s // 64 of a uint64 vector. The signs are a
+(2n, ceil(shots / 64)) word matrix; coins, noise masks, outcomes and
+classical bits are word vectors. The phase of a row product depends only on
+the shared x/z bits, so every sign update is a word-wide XOR and
+thousand-shot noisy sampling costs little more than one run. Bits past the
+last shot are padding: don't-care in the signs, zero in every other vector.
+Only the API edge unpacks (SimOutcome, expectation, stabilizer_rows and the
+readout histogram).
 
 Tableau.expectation gives the per-shot expectation (+1, -1 or 0) of any
 Hermitian Pauli by the destabilizer method. It is the single Pauli-membership
@@ -29,7 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -80,32 +88,47 @@ class NoiseModel:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
-def pauli_phase_exponents(
-    x1: np.ndarray, z1: np.ndarray, x2: np.ndarray, z2: np.ndarray
-) -> np.ndarray:
-    """Per-qubit i-exponent when the Pauli (x1, z1) left-multiplies (x2, z2).
+_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+_PLUS_MINUS = np.array([1, -1], dtype=np.int8)  # expectation of a sign bit
 
-    The standard g function of the tableau formalism: 0 for an identity left
-    factor, and +/-1 when the product of two non-commuting literals absorbs
-    a factor of i (e.g. X*Z = -iY).
+
+def _pack(bits: np.ndarray, words: int) -> np.ndarray:
+    """Pack a length-shots 0/1 vector into `words` uint64 words.
+
+    Shot s lands at bit s % 64 of word s // 64; the padding bits are zero.
     """
-    x1, z1 = x1.astype(np.int32), z1.astype(np.int32)
-    x2, z2 = x2.astype(np.int32), z2.astype(np.int32)
-    g = np.where((x1 == 1) & (z1 == 1), z2 - x2, 0)
-    g = g + np.where((x1 == 1) & (z1 == 0), z2 * (2 * x2 - 1), 0)
-    g = g + np.where((x1 == 0) & (z1 == 1), x2 * (1 - 2 * z2), 0)
-    return g
+    buf = np.zeros(8 * words, dtype=np.uint8)
+    packed = np.packbits(np.asarray(bits, dtype=bool), bitorder="little")
+    buf[: packed.size] = packed
+    return buf.view("<u8")
+
+
+def _unpack(words: np.ndarray, shots: int) -> np.ndarray:
+    """The 0/1 bits (uint8) of the first `shots` shots, along the last axis."""
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=shots, bitorder="little")
+
+
+def _spread(bits: np.ndarray) -> np.ndarray:
+    """One column of all-ones words on the rows where bits is 1."""
+    return np.negative(bits, dtype=np.uint64)[:, None]
 
 
 class Tableau:
-    """Batched stabilizer tableau: shared x/z bits, per-shot sign bits."""
+    """Batched stabilizer tableau: shared x/z bits, bit-packed per-shot signs.
+
+    r has shape (2n, words) with words = ceil(shots / 64); per-shot vectors
+    passed to or returned by flip and measure use the same packing.
+    """
 
     def __init__(self, n: int, shots: int = 1):
         self.n = n
         self.shots = shots
+        self.words = -(-shots // 64)
         self.x = np.zeros((2 * n, n), dtype=np.uint8)
         self.z = np.zeros((2 * n, n), dtype=np.uint8)
-        self.r = np.zeros((shots, 2 * n), dtype=np.uint8)
+        self.r = np.zeros((2 * n, self.words), dtype=np.uint64)
+        self.live = _pack(np.ones(shots, dtype=bool), self.words)
         idx = np.arange(n)
         self.x[idx, idx] = 1          # destabilizer i = X_i
         self.z[n + idx, idx] = 1      # stabilizer i = Z_i
@@ -113,54 +136,81 @@ class Tableau:
     # -- Clifford gates (x/z updates shared across shots) --
 
     def apply_h(self, q: int) -> None:
-        self.r ^= self.x[:, q] & self.z[:, q]
+        self._negate(self.x[:, q] & self.z[:, q])
         self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
 
     def apply_cx(self, a: int, b: int) -> None:
-        self.r ^= self.x[:, a] & self.z[:, b] & (self.x[:, b] ^ self.z[:, a] ^ 1)
+        self._negate(self.x[:, a] & self.z[:, b] & (self.x[:, b] ^ self.z[:, a] ^ 1))
         self.x[:, b] ^= self.x[:, a]
         self.z[:, a] ^= self.z[:, b]
+
+    def _negate(self, rows: np.ndarray) -> None:
+        """Flip the sign of every marked row in every shot."""
+        # a GHZ preparation never sets an H or CX phase bit; count_nonzero is
+        # the cheapest test, well below ndarray.any() on short vectors
+        if np.count_nonzero(rows):
+            self.r ^= _spread(rows)
 
     # -- Pauli gates / errors: sign flips only --
 
     def apply_x(self, q: int, mask: Optional[np.ndarray] = None) -> None:
-        self._flip(self.z[:, q], mask)
+        """X on qubit q in every shot, or in the shots where the 0/1 mask is 1."""
+        self.flip(q, self._words(mask), None)
 
     def apply_z(self, q: int, mask: Optional[np.ndarray] = None) -> None:
-        self._flip(self.x[:, q], mask)
+        self.flip(q, None, self._words(mask))
 
     def apply_y(self, q: int, mask: Optional[np.ndarray] = None) -> None:
-        self._flip(self.x[:, q] ^ self.z[:, q], mask)
+        words = self._words(mask)
+        self.flip(q, words, words)
 
-    def _flip(self, rows: np.ndarray, mask: Optional[np.ndarray]) -> None:
-        if mask is None:
-            self.r ^= rows
-        else:
-            self.r ^= mask.astype(np.uint8)[:, None] & rows
+    def _words(self, mask: Optional[np.ndarray]) -> np.ndarray:
+        return self.live if mask is None else _pack(mask, self.words)
+
+    def flip(
+        self, q: int, x_words: Optional[np.ndarray], z_words: Optional[np.ndarray]
+    ) -> None:
+        """X on qubit q in the shots set in x_words, Z in those set in z_words.
+
+        Both are packed words (None for no shot); a shot in both gets Y. X
+        flips the sign of every row with a Z part on q, Z of every row with
+        an X part, so Y flips the rows with exactly one of them.
+        """
+        for words, rows in ((x_words, self.z[:, q]), (z_words, self.x[:, q])):
+            if words is not None and np.count_nonzero(words):
+                np.bitwise_xor(self.r, words, out=self.r, where=rows.view(bool)[:, None])
 
     # -- Pauli products with phase tracking --
 
     def _rowmult(self, rows: np.ndarray, p: int) -> None:
-        """row_i := row_p * row_i for every i in rows, with sign update."""
-        gsum = pauli_phase_exponents(
-            self.x[p], self.z[p], self.x[rows], self.z[rows]
-        ).sum(axis=1)
-        total = 2 * self.r[:, rows].astype(np.int32) + 2 * self.r[:, p : p + 1] + gsum
-        total %= 4
-        self.r[:, rows] = (total // 2).astype(np.uint8)
-        self.x[rows] ^= self.x[p]
-        self.z[rows] ^= self.z[p]
+        """row_i := row_p * row_i for every i in rows, with sign update.
+
+        The product picks up i^g with g summed over qubits: 0 where the two
+        literals commute, +1 for X*Y, Y*Z and Z*X, -1 for the reverse order.
+        Mod 4 an anticommuting qubit adds 1 + 2m, where m = x1^z1^x2^z2^(x1&z2)
+        is 1 exactly for the -1 cases, so g = A + 2M (mod 4) for A
+        anticommuting qubits, M of them -1. g depends only on the shared x/z
+        bits, so in every shot the new sign is r_i ^ r_p ^ ((g mod 4) >> 1).
+        """
+        x1, z1, x2, z2 = self.x[p], self.z[p], self.x[rows], self.z[rows]
+        x1z2 = x1 & z2
+        anti = x1z2 ^ (z1 & x2)
+        minus = anti & (x1 ^ z1 ^ x2 ^ z2 ^ x1z2)
+        half = (np.count_nonzero(anti, axis=1) >> 1) + np.count_nonzero(minus, axis=1)
+        self.r[rows] ^= self.r[p] ^ _spread((half & 1).astype(np.uint8))
+        self.x[rows] ^= x1
+        self.z[rows] ^= z1
 
     def measure(self, q: int, coins: Optional[np.ndarray]) -> np.ndarray:
         """Z-measurement of qubit q, collapsing in place.
 
-        Returns the per-shot outcome bits. `coins` supplies the per-shot fair
-        coin used when the outcome is random; pass None only when the caller
-        knows the outcome is deterministic.
+        Returns the per-shot outcomes as packed words. `coins` supplies the
+        packed per-shot fair coins used when the outcome is random; pass None
+        only when the caller knows the outcome is deterministic.
         """
         n = self.n
         stab_x = self.x[n:, q]
-        if stab_x.any():
+        if np.count_nonzero(stab_x):
             p = n + int(np.argmax(stab_x))
             rows = np.flatnonzero(self.x[:, q].astype(bool))
             rows = rows[rows != p]
@@ -168,7 +218,7 @@ class Tableau:
                 self._rowmult(rows, p)
             self.x[p - n] = self.x[p]
             self.z[p - n] = self.z[p]
-            self.r[:, p - n] = self.r[:, p]
+            self.r[p - n] = self.r[p]
             self.x[p] = 0
             self.z[p] = 0
             self.z[p, q] = 1
@@ -176,11 +226,11 @@ class Tableau:
                 raise InvalidForcingError(
                     f"measurement of qubit {q} is random but no coin was supplied"
                 )
-            self.r[:, p] = coins
-            return coins.copy()
+            self.r[p] = coins
+            return self.r[p].copy()
         e_q = np.zeros(n, dtype=np.uint8)
         e_q[q] = 1
-        return (self.expectation(0, e_q) < 0).astype(np.uint8)
+        return self._signs(0, e_q) & self.live
 
     def expectation(self, px, pz) -> np.ndarray:
         """Per-shot expectation (+1, -1 or 0, as int8) of a Hermitian Pauli.
@@ -192,6 +242,16 @@ class Tableau:
         anticommutes with it (Aaronson & Gottesman), and the sign of that
         product is returned.
         """
+        signs = self._signs(px, pz)
+        if signs is None:
+            return np.zeros(self.shots, dtype=np.int8)
+        return _PLUS_MINUS[_unpack(signs, self.shots)]
+
+    def _signs(self, px, pz) -> Optional[np.ndarray]:
+        """Packed per-shot sign bits of expectation(px, pz), None where it is 0.
+
+        The padding bits are not cleared.
+        """
         n = self.n
         xs, zs = np.flatnonzero(px), np.flatnonzero(pz)
         # row j anticommutes with P iff x_P . z_j + z_P . x_j is odd; XOR the
@@ -199,8 +259,8 @@ class Tableau:
         anti = np.bitwise_xor.reduce(self.z[:, xs], axis=1) ^ np.bitwise_xor.reduce(
             self.x[:, zs], axis=1
         )
-        if anti[n:].any():
-            return np.zeros(self.shots, dtype=np.int8)
+        if np.count_nonzero(anti[n:]):
+            return None
         sel = n + np.flatnonzero(anti[:n])
         sx, sz = self.x[sel], self.z[sel]
         # a Hermitian row is i^(x.z) X^x Z^z, and moving Z^z1 past X^x2 gives
@@ -209,20 +269,21 @@ class Tableau:
         y = np.count_nonzero(sx & sz) - np.count_nonzero(np.asarray(px) & np.asarray(pz))
         z_before = np.bitwise_xor.accumulate(sz[:-1], axis=0)
         cross = np.count_nonzero(sx[1:] & z_before)
-        const = ((y % 4) // 2 + cross) & 1
-        bits = np.bitwise_xor.reduce(self.r[:, sel], axis=1) ^ const
-        return 1 - 2 * bits.astype(np.int8)
+        signs = np.bitwise_xor.reduce(self.r[sel], axis=0)
+        if ((y % 4) // 2 + cross) & 1:
+            signs ^= _ONES
+        return signs
 
     def is_deterministic(self, q: int) -> bool:
         """True when a Z-measurement of q has a definite outcome."""
-        return not self.x[self.n :, q].any()
+        return not np.count_nonzero(self.x[self.n :, q])
 
     def stabilizer_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x, z, sign) of the n stabilizer generators for a 1-shot tableau."""
         if self.shots != 1:
             raise ValueError("stabilizer_rows is defined for single-shot tableaus")
         n = self.n
-        return self.x[n:].copy(), self.z[n:].copy(), self.r[0, n:].copy()
+        return self.x[n:].copy(), self.z[n:].copy(), _unpack(self.r[n:], 1)[:, 0]
 
     def check_invariants(self) -> None:
         """Assert the symplectic commutation structure of the rows.
@@ -295,87 +356,74 @@ def _draw_budget(c: Circuit, noisy: bool) -> int:
     return t
 
 
-class _Draws:
-    """Columns of pre-drawn uniforms, one row per shot, consumed in order."""
-
-    def __init__(self, table: np.ndarray):
-        self.table = table
-        self.pos = 0
-
-    def next(self) -> np.ndarray:
-        col = self.table[:, self.pos]
-        self.pos += 1
-        return col
+def _check_capacity(c: Circuit, max_qubits: int) -> None:
+    if c.qubit_count > max_qubits:
+        raise CapacityError(f"{c.qubit_count} qubits exceeds the maximum of {max_qubits}")
 
 
 def _batched_run(
     c: Circuit,
-    draws: _Draws,
+    draws: Iterator[np.ndarray],
     shots: int,
     noise: Optional[NoiseModel],
     forced: Sequence[Optional[int]] = (),
     terminal_readout: bool = False,
-    max_qubits: int = MAX_QUBITS,
-) -> tuple[Tableau, np.ndarray, list[np.ndarray], Optional[np.ndarray]]:
+) -> tuple[Tableau, np.ndarray, list[np.ndarray]]:
     """Shared engine for run() and sample_counts().
 
-    Returns (tableau, cbits(shots, cbit_count), outcome log columns,
-    readout bits or None).
+    draws yields the pre-drawn uniforms one row at a time, one column per
+    shot, in the order of the randomness contract. Returns (tableau,
+    classical bits, outcome log) with every per-shot value in packed words:
+    cbits has one row per classical bit, followed by one per qubit when
+    terminal_readout appends the readout, and the log has one word vector
+    per measurement event.
     """
     n = c.qubit_count
-    if n > max_qubits:
-        raise CapacityError(f"{n} qubits exceeds the maximum of {max_qubits}")
     c.validate()
     tab = Tableau(n, shots)
-    cbits = np.zeros((shots, max(c.cbit_count, 1)), dtype=np.uint8)
+    words = tab.words
+    ops = list(c.ops)
+    if terminal_readout:
+        ops += [MeasureZ(q, c.cbit_count + q) for q in range(n)]
+    cbits = np.zeros((c.cbit_count + (n if terminal_readout else 0), words), dtype=np.uint64)
     log: list[np.ndarray] = []
     event = 0
 
-    ops = list(c.ops)
-    readout_bits = None
-    if terminal_readout:
-        ops += [MeasureZ(q, c.cbit_count + q) for q in range(n)]
-        cbits = np.zeros((shots, c.cbit_count + n), dtype=np.uint8)
-
-    def depolarize1(q: int, u_err: np.ndarray, u_which: np.ndarray, fire: np.ndarray):
-        mask = fire & (u_err < noise.p1)
-        if not mask.any():
+    def depolarize1(q: int, fire: Optional[np.ndarray] = None):
+        u_err, u_which = next(draws), next(draws)
+        hit = _pack(u_err < noise.p1, words)
+        if fire is not None:
+            hit &= fire
+        if not np.count_nonzero(hit):
             return
-        which = np.minimum((u_which * 3).astype(np.int64), 2)
-        tab.apply_x(q, mask & (which == 0))
-        tab.apply_y(q, mask & (which == 1))
-        tab.apply_z(q, mask & (which == 2))
+        which = np.minimum((u_which * 3).astype(np.int64), 2)  # X, Y, Z
+        tab.flip(q, hit & _pack(which <= 1, words), hit & _pack(which >= 1, words))
 
-    def depolarize2(a: int, b: int, u_err: np.ndarray, u_which: np.ndarray):
-        mask = u_err < noise.p2
-        if not mask.any():
+    def depolarize2(a: int, b: int):
+        u_err, u_which = next(draws), next(draws)
+        hit = _pack(u_err < noise.p2, words)
+        if not np.count_nonzero(hit):
             return
         which = np.minimum((u_which * 15).astype(np.int64), 14) + 1
-        pa, pb = which // 4, which % 4
-        for q, pq in ((a, pa), (b, pb)):
-            tab.apply_x(q, mask & (pq == 1))
-            tab.apply_y(q, mask & (pq == 2))
-            tab.apply_z(q, mask & (pq == 3))
-
-    all_shots = np.ones(shots, dtype=bool)
+        for q, pq in ((a, which // 4), (b, which % 4)):  # 0..3 = I, X, Y, Z
+            x_part, z_part = _pack((pq == 1) | (pq == 2), words), _pack(pq >= 2, words)
+            tab.flip(q, hit & x_part, hit & z_part)
 
     def measure_event(q: int) -> np.ndarray:
         nonlocal event
-        u_coin = draws.next()
+        u_coin = next(draws)
+        want = forced[event] if event < len(forced) else None
+        want_words = None if want is None else tab.live * np.uint64(want)
         if tab.is_deterministic(q):
             outcome = tab.measure(q, None)
         else:
-            coins = (u_coin < 0.5).astype(np.uint8)
-            if event < len(forced) and forced[event] is not None:
-                coins = np.full(shots, forced[event], dtype=np.uint8)
+            coins = _pack(u_coin < 0.5, words) if want is None else want_words
             outcome = tab.measure(q, coins)
-        if event < len(forced) and forced[event] is not None:
-            want = int(forced[event])
-            if not (outcome == want).all():
-                raise InvalidForcingError(
-                    f"measurement event {event} on qubit {q} is deterministically "
-                    f"{int(outcome[0])}, cannot force {want}"
-                )
+        if want is not None and not np.array_equal(outcome, want_words):
+            raise InvalidForcingError(
+                f"measurement event {event} on qubit {q} is deterministically "
+                f"{int(outcome[0] & 1)}, cannot force {int(want)}"
+            )
         log.append(outcome)
         event += 1
         return outcome
@@ -384,41 +432,33 @@ def _batched_run(
         if isinstance(op, H):
             tab.apply_h(op.q)
             if noise is not None:
-                depolarize1(op.q, draws.next(), draws.next(), all_shots)
+                depolarize1(op.q)
         elif isinstance(op, X):
             tab.apply_x(op.q)
             if noise is not None:
-                depolarize1(op.q, draws.next(), draws.next(), all_shots)
+                depolarize1(op.q)
         elif isinstance(op, CX):
             tab.apply_cx(op.control, op.target)
             if noise is not None:
-                depolarize2(op.control, op.target, draws.next(), draws.next())
+                depolarize2(op.control, op.target)
         elif isinstance(op, CondX):
-            fire = cbits[:, op.cbit].astype(bool)
+            fire = cbits[op.cbit]
             for t in op.targets:
-                tab.apply_x(t, fire.astype(np.uint8))
+                tab.flip(t, fire, None)
                 if noise is not None:
-                    depolarize1(t, draws.next(), draws.next(), fire)
+                    depolarize1(t, fire)
         elif isinstance(op, MeasureZ):
             outcome = measure_event(op.q)
-            recorded = outcome
             if noise is not None:
-                flips = (draws.next() < noise.pm).astype(np.uint8)
-                recorded = outcome ^ flips
-            cbits[:, op.cbit] = recorded
+                outcome = outcome ^ _pack(next(draws) < noise.pm, words)
+            cbits[op.cbit] = outcome
         elif isinstance(op, Reset):
-            outcome = measure_event(op.q)
-            tab.apply_x(op.q, outcome)
+            # an X where the outcome is 1 resets to |0>, a reset error adds one more
+            flip = measure_event(op.q)
             if noise is not None:
-                err = (draws.next() < noise.pr).astype(np.uint8)
-                tab.apply_x(op.q, err)
-
-    if terminal_readout:
-        readout_bits = cbits[:, c.cbit_count :]
-        cbits = cbits[:, : c.cbit_count]
-    elif c.cbit_count == 0:
-        cbits = cbits[:, :0]
-    return tab, cbits, log, readout_bits
+                flip = flip ^ _pack(next(draws) < noise.pr, words)
+            tab.flip(op.q, flip, None)
+    return tab, cbits, log
 
 
 def run(
@@ -436,15 +476,14 @@ def run(
     events unforced). Forcing an outcome the state assigns probability zero
     raises InvalidForcingError.
     """
+    _check_capacity(c, max_qubits)
     budget = _draw_budget(c, noise is not None)
-    table = make_rng(seed).random((1, budget))
-    tab, cbits, log, _ = _batched_run(
-        c, _Draws(table), 1, noise, forced=forced_outcomes, max_qubits=max_qubits
-    )
+    table = make_rng(seed).random((budget, 1))
+    tab, cbits, log = _batched_run(c, iter(table), 1, noise, forced=forced_outcomes)
     return SimOutcome(
         tableau=tab,
-        cbits=[int(b) for b in cbits[0]],
-        outcome_log=[int(col[0]) for col in log],
+        cbits=_unpack(cbits, 1)[:, 0].tolist(),
+        outcome_log=_unpack(np.array(log, dtype=np.uint64).reshape(-1, 1), 1)[:, 0].tolist(),
     )
 
 
@@ -464,16 +503,21 @@ def sample_counts(
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    _check_capacity(c, max_qubits)
     # terminal readout adds one measurement event per qubit
     per_meas = 2 if noise is not None else 1
     budget = _draw_budget(c, noise is not None) + per_meas * c.qubit_count
-    table = np.empty((shots, budget))
-    for s in range(shots):
-        table[s] = make_rng(derive_seed(seed, "shot", s)).random(budget)
-    _, _, _, readout = _batched_run(
-        c, _Draws(table), shots, noise, terminal_readout=True
-    )
-    digits = readout.astype("u1") + ord("0")
-    strings = digits.tobytes().decode("ascii")
+    # each shot's stream fills a row of a 64-shot block, written into the
+    # table's columns one block at a time so that the writes stay contiguous
+    table = np.empty((budget, shots))
+    block = np.empty((64, budget))
+    for start in range(0, shots, 64):
+        width = min(64, shots - start)
+        for i in range(width):
+            make_rng(derive_seed(seed, "shot", start + i)).random(out=block[i])
+        table[:, start : start + width] = block[:width].T
+    _, cbits, _ = _batched_run(c, iter(table), shots, noise, terminal_readout=True)
+    readout = _unpack(cbits[c.cbit_count :], shots).T  # (shots, n)
+    strings = (readout + ord("0")).tobytes().decode("ascii")
     n = c.qubit_count
     return Counter(strings[i * n : (i + 1) * n] for i in range(shots))

@@ -7,6 +7,7 @@ from ghz_synth.bench import (
     aggregate_csv,
     raw_csv,
     run_sweep,
+    worker_count,
     write_outputs,
 )
 from ghz_synth.merging import HighestDegree, ScalingFactor
@@ -172,3 +173,16 @@ class TestCsv:
         )
         line = raw_csv([rec]).splitlines()[1]
         assert "0.333333333" in line
+
+
+class TestWorkerCount:
+    def test_env_caps_workers(self, monkeypatch):
+        monkeypatch.setenv("GHZ_SYNTH_THREADS", "3")
+        assert worker_count() == 3
+        monkeypatch.setenv("GHZ_SYNTH_THREADS", "0")
+        assert worker_count() == 1
+
+    def test_bad_env_names_variable_and_value(self, monkeypatch):
+        monkeypatch.setenv("GHZ_SYNTH_THREADS", "abc")
+        with pytest.raises(ValueError, match=r"GHZ_SYNTH_THREADS must be an integer, got 'abc'"):
+            worker_count()

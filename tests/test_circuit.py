@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ghz_synth.circuit import (
@@ -151,6 +153,32 @@ class TestJson:
             Reset(2), CX(0, 2),
         )
         assert Circuit.from_json(c.to_json()) == c
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"cbits": 0, "ops": []}, "n"),
+            ({"n": 2, "ops": []}, "cbits"),
+            ({"n": 2, "cbits": 0}, "ops"),
+            ({"n": 2, "cbits": 0, "ops": [{"tag": "cx", "control": 0}]}, r"ops\[0\]\.target"),
+            ({"n": 2, "cbits": 0, "ops": [{"q": 0}]}, r"ops\[0\]\.tag"),
+            ({"n": 2, "cbits": 0, "ops": [{"tag": "h", "q": 0}, {"tag": "zz"}]}, r"ops\[1\]\.tag"),
+            ({"n": 2, "cbits": 0, "ops": [{"tag": "h", "q": "0"}]}, r"ops\[0\]\.q"),
+            ({"n": True, "cbits": 0, "ops": []}, "n"),
+            ({"n": 2, "cbits": 1, "ops": [{"tag": "cond_x", "targets": 1, "cbit": 0}]},
+             r"ops\[0\]\.targets"),
+            ({"n": 2, "cbits": 0, "ops": [7]}, r"ops\[0\]"),
+            ([], "circuit"),
+        ],
+    )
+    def test_malformed_document_names_field(self, doc, path):
+        with pytest.raises(MalformedCircuitError, match=f"^{path}: "):
+            Circuit.from_json(json.dumps(doc))
+
+    def test_from_json_validates(self):
+        text = json.dumps({"n": 2, "cbits": 0, "ops": [{"tag": "h", "q": 2}]})
+        with pytest.raises(MalformedCircuitError, match="qubit 2 out of range"):
+            Circuit.from_json(text)
 
 
 class TestQasm:

@@ -144,3 +144,28 @@ def test_bad_strategy_usage_error(tmp_path, capsys):
     code = cli_main(["synth", "--protocol", "merge", "--strategy", "nonsense",
                      "--layout", str(layout)])
     assert code == 1
+
+
+def test_simulate_malformed_circuit_runtime_error(tmp_path, capsys):
+    missing_n = tmp_path / "no_n.json"
+    missing_n.write_text(json.dumps({"cbits": 0, "ops": []}))
+    missing_target = tmp_path / "no_target.json"
+    missing_target.write_text(
+        json.dumps({"n": 2, "cbits": 0, "ops": [{"tag": "cx", "control": 0}]})
+    )
+    for path, field in ((missing_n, "n"), (missing_target, "ops[0].target")):
+        assert cli_main(["simulate", "--circuit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {field}: missing field\n"
+
+
+def test_bench_bad_threads_env_runtime_error(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "family": "erdos_renyi", "sizes": [5], "protocols": [{"protocol": "growing"}],
+        "samples": 1, "er_p": 0.5, "seed": 4,
+    }))
+    monkeypatch.setenv("GHZ_SYNTH_THREADS", "abc")
+    code = cli_main(["bench", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "GHZ_SYNTH_THREADS must be an integer, got 'abc'" in capsys.readouterr().err

@@ -2,14 +2,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghz_synth.circuit import CX, Circuit, CondX, H, MeasureZ, Reset, X
-from ghz_synth.rng import derive_seed
+from ghz_synth.rng import derive_seed, make_rng
 from ghz_synth.stabilizer import (
     CapacityError,
     InvalidForcingError,
     NoiseModel,
     Tableau,
+    _pack,
+    _unpack,
     run,
     sample_counts,
 )
@@ -64,6 +68,60 @@ class TestExpectation:
         assert zz.tolist() == [-1, 1]
         assert xx.tolist() == [1, 1]
         assert tab.expectation(0, np.array([1, 0], dtype=np.uint8)).tolist() == [0, 0]
+
+    def test_masked_flip_across_word_boundaries(self):
+        # 130 shots span three words, the last holding two shots and padding
+        tab = Tableau(3, shots=130)
+        tab.apply_h(0)
+        tab.apply_cx(0, 1)
+        tab.apply_cx(0, 2)
+        mask = np.zeros(130, dtype=np.uint8)
+        mask[[0, 5, 63, 64, 100, 127, 128, 129]] = 1
+        mask[make_rng(3).random(130) < 0.3] = 1
+        tab.apply_x(1, mask)
+        z0z1 = tab.expectation(0, np.array([1, 1, 0], dtype=np.uint8))
+        z1z2 = tab.expectation(0, np.array([0, 1, 1], dtype=np.uint8))
+        z0z2 = tab.expectation(0, np.array([1, 0, 1], dtype=np.uint8))
+        assert z0z1.shape == (130,)
+        assert np.array_equal(z0z1, 1 - 2 * mask.astype(np.int8))
+        assert np.array_equal(z1z2, z0z1)
+        assert (z0z2 == 1).all()
+        assert (tab.expectation(np.ones(3, dtype=np.uint8), 0) == 1).all()
+
+    def test_batch_matches_one_tableau_per_shot(self):
+        # random H / CX / masked Pauli / measurement sequences on 130 shots:
+        # every shot of the batch must equal a one-shot tableau that applies
+        # that shot's Paulis and coins, signs included (H and CX phases too)
+        shots, n = 130, 5
+        for i in range(4):
+            rng = make_rng(derive_seed(81, i))
+            batch = Tableau(n, shots)
+            singles = [Tableau(n) for _ in range(shots)]
+            for _ in range(80):
+                kind = int(rng.integers(0, 6))
+                q, other = (int(v) for v in rng.choice(n, size=2, replace=False))
+                if kind == 0:
+                    for t in [batch] + singles:
+                        t.apply_h(q)
+                elif kind == 1:
+                    for t in [batch] + singles:
+                        t.apply_cx(q, other)
+                elif kind < 5:
+                    mask = (rng.random(shots) < 0.4).astype(np.uint8)
+                    name = ("apply_x", "apply_y", "apply_z")[kind - 2]
+                    getattr(batch, name)(q, mask)
+                    for s in np.flatnonzero(mask):
+                        getattr(singles[s], name)(q)
+                else:
+                    coins = rng.integers(0, 2, size=shots).astype(np.uint8)
+                    random = not batch.is_deterministic(q)
+                    batch.measure(q, _pack(coins, batch.words) if random else None)
+                    for s, t in enumerate(singles):
+                        t.measure(q, coins[s : s + 1] if random else None)
+            signs = _unpack(batch.r, shots)
+            for s, t in enumerate(singles):
+                assert np.array_equal(t.x, batch.x) and np.array_equal(t.z, batch.z)
+                assert np.array_equal(signs[:, s], t.r[:, 0] & 1), (i, s)
 
 
 class TestMeasurement:
@@ -140,6 +198,23 @@ class TestCapacityAndErrors:
         with pytest.raises(CapacityError):
             run(Circuit(513, 0, ()), seed=0)
 
+    def test_sample_counts_honours_max_qubits(self, monkeypatch):
+        from ghz_synth import stabilizer
+        from ghz_synth.growing import synthesize_growing
+        from ghz_synth.layouts import rect_grid
+
+        c = synthesize_growing(rect_grid(24, 24))
+        counts = sample_counts(c, 4, seed=1, max_qubits=1024)
+        assert sum(counts.values()) == 4
+        assert set(counts) <= {"0" * 576, "1" * 576}
+
+        def no_draws(seed):
+            raise AssertionError("drew random numbers before the capacity check")
+
+        monkeypatch.setattr(stabilizer, "make_rng", no_draws)
+        with pytest.raises(CapacityError):
+            sample_counts(c, 4, seed=1)
+
     def test_malformed_circuit_rejected(self):
         from ghz_synth.circuit import MalformedCircuitError
 
@@ -187,6 +262,33 @@ class TestSampleCounts:
         replay = Counter()
         for s in range(48):
             out = run(ext, derive_seed(55, "shot", s), noise=noise)
+            replay["".join(map(str, out.cbits[c.cbit_count:]))] += 1
+        assert counts == replay
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        shots=st.sampled_from([1, 63, 64, 65, 130]),
+        n=st.integers(4, 9),
+        graph_seed=st.integers(0, 2**32),
+        seed=st.integers(0, 2**32),
+    )
+    def test_packed_shots_match_single_shot_replay(self, shots, n, graph_seed, seed):
+        # heavy noise so that readout flips, reset errors and noisy CondX
+        # corrections all occur, on shot counts around the 64-shot word size
+        from ghz_synth.layouts import connected_erdos_renyi
+        from ghz_synth.merging import ScalingFactor, synthesize_merging
+
+        c = synthesize_merging(connected_erdos_renyi(n, 0.4, seed=graph_seed), ScalingFactor(0.7))
+        noise = NoiseModel(p1=0.05, p2=0.1, pm=0.1, pr=0.1)
+        counts = sample_counts(c, shots, seed=seed, noise=noise)
+        ext = Circuit(
+            c.qubit_count,
+            c.cbit_count + c.qubit_count,
+            c.ops + tuple(MeasureZ(q, c.cbit_count + q) for q in range(c.qubit_count)),
+        )
+        replay = Counter()
+        for s in range(shots):
+            out = run(ext, derive_seed(seed, "shot", s), noise=noise)
             replay["".join(map(str, out.cbits[c.cbit_count:]))] += 1
         assert counts == replay
 
