@@ -55,6 +55,7 @@ from .metrics import (
     is_ghz,
     summarize,
 )
+from .schema import InputError
 from .stabilizer import (
     CapacityError,
     InvalidForcingError,

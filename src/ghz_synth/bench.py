@@ -14,10 +14,10 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
-from . import layouts
+from . import layouts, schema
 from .circuit import count_2q, count_measurements, depth
 from .growing import synthesize_growing
 from .merging import (
@@ -94,29 +94,43 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
+        """Parse a sweep config; InputError names the missing or mistyped field."""
         obj = json.loads(text)
+
+        def get(key: str, kind: type, *default):
+            return schema.field(obj, key, "", kind, *default, root="config")
+
+        family, sizes = get("family", str), get("sizes", tuple)
         protocols = []
-        for p in obj["protocols"]:
-            strategy = p.get("strategy")
-            protocols.append(
-                ProtocolSpec(
-                    protocol=p["protocol"],
-                    strategy=strategy_from_json(strategy) if strategy else None,
-                )
-            )
-        noise = obj.get("noise")
+        for i, p in enumerate(get("protocols", list)):
+            path = f"protocols[{i}]"
+            protocol = schema.field(p, "protocol", path, str)
+            strategy = schema.field(p, "strategy", path, dict, None)
+            if strategy is not None:
+                strategy = strategy_from_json(strategy, f"{path}.strategy")
+            try:
+                protocols.append(ProtocolSpec(protocol, strategy))
+            except ValueError as exc:
+                raise schema.InputError(f"{path}: {exc}") from None
+        noise = get("noise", dict, None)
+        if noise:
+            known = [f.name for f in fields(NoiseModel)]
+            for key in noise:
+                if key not in known:
+                    raise schema.InputError(f"noise.{key}: unknown noise parameter")
+            noise = NoiseModel(**{k: schema.field(noise, k, "noise", float) for k in noise})
         return cls(
-            family=obj["family"],
-            sizes=tuple(int(s) for s in obj["sizes"]),
+            family=family,
+            sizes=sizes,
             protocols=tuple(protocols),
-            samples=int(obj.get("samples", 100)),
-            shots=int(obj.get("shots", 4096)),
-            er_p=float(obj.get("er_p", 0.5)),
-            grid_rows=int(obj.get("grid_rows", 12)),
-            grid_cols=int(obj.get("grid_cols", 9)),
-            noise=NoiseModel(**noise) if noise else None,
-            compute_fidelity=bool(obj.get("compute_fidelity", False)),
-            seed=int(obj.get("seed", 0)),
+            samples=get("samples", int, 100),
+            shots=get("shots", int, 4096),
+            er_p=get("er_p", float, 0.5),
+            grid_rows=get("grid_rows", int, 12),
+            grid_cols=get("grid_cols", int, 9),
+            noise=noise or None,
+            compute_fidelity=get("compute_fidelity", bool, False),
+            seed=get("seed", int, 0),
         )
 
     def to_json(self) -> str:

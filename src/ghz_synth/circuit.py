@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass, fields
 from typing import Union
 
+from .schema import InputError, field
+
 __all__ = [
     "H",
     "X",
@@ -31,8 +33,8 @@ __all__ = [
 ]
 
 
-class MalformedCircuitError(ValueError):
-    """A circuit violates a structural invariant."""
+class MalformedCircuitError(InputError):
+    """A circuit violates a structural invariant or its JSON form is malformed."""
 
 
 @dataclass(frozen=True)
@@ -165,24 +167,7 @@ _KINDS = {"q": int, "control": int, "target": int, "cbit": int, "targets": tuple
 
 
 def _field(rec, key: str, path: str, kind: type):
-    """rec[key], checked to be of the given kind; a tuple kind reads a list of ints."""
-    where = f"{path}.{key}" if path else key
-    if not isinstance(rec, dict):
-        raise MalformedCircuitError(f"{path or 'circuit'}: expected an object")
-    if key not in rec:
-        raise MalformedCircuitError(f"{where}: missing field")
-    value = rec[key]
-    if kind is tuple:
-        if not isinstance(value, list) or not all(_is_int(v) for v in value):
-            raise MalformedCircuitError(f"{where}: expected a list of integers")
-        return tuple(value)
-    if not (_is_int(value) if kind is int else isinstance(value, kind)):
-        raise MalformedCircuitError(f"{where}: expected {kind.__name__}, got {value!r}")
-    return value
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return field(rec, key, path, kind, error=MalformedCircuitError, root="circuit")
 
 
 class Schedule:

@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
+from . import schema
 from .rng import make_rng
 
 __all__ = [
@@ -95,8 +96,14 @@ class LayoutGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "LayoutGraph":
+        """Parse a layout; InputError names the missing or mistyped field."""
         obj = json.loads(text)
-        return cls(obj["n"], tuple((int(u), int(v)) for u, v in obj["edges"]))
+        n = schema.field(obj, "n", "", int, root="layout")
+        edges = schema.field(obj, "edges", "", list, root="layout")
+        for i, e in enumerate(edges):
+            if not (isinstance(e, list) and len(e) == 2 and all(map(schema.is_int, e))):
+                raise schema.InputError(f"edges[{i}]: expected a pair of integers, got {e!r}")
+        return cls(n, tuple(map(tuple, edges)))
 
 
 def _from_edge_set(n: int, edges) -> LayoutGraph:

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from . import schema
 from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset, Schedule
 from .layouts import LayoutGraph, average_degree
 
@@ -81,15 +82,16 @@ def strategy_to_json(strategy: StarSelectionStrategy) -> dict:
     raise TypeError(f"unknown strategy {strategy!r}")
 
 
-def strategy_from_json(obj: dict) -> StarSelectionStrategy:
-    kind = obj["strategy"]
+def strategy_from_json(obj: dict, path: str = "strategy") -> StarSelectionStrategy:
+    """Inverse of strategy_to_json; InputError names the bad field below path."""
+    kind = schema.field(obj, "strategy", path, str)
     if kind == "highest_degree":
         return HighestDegree()
     if kind == "scaling_factor":
-        return ScalingFactor(float(obj["f"]))
+        return ScalingFactor(schema.field(obj, "f", path, float))
     if kind == "absolute_size":
-        return AbsoluteSize(int(obj["s"]))
-    raise ValueError(f"unknown strategy kind {kind!r}")
+        return AbsoluteSize(schema.field(obj, "s", path, int))
+    raise schema.InputError(f"{path}.strategy: unknown strategy kind {kind!r}")
 
 
 def strategy_label(strategy: Optional[StarSelectionStrategy]) -> str:

@@ -23,26 +23,33 @@ Tableau.expectation gives the per-shot expectation (+1, -1 or 0) of any
 Hermitian Pauli by the destabilizer method. It is the single Pauli-membership
 primitive: deterministic measurement outcomes and metrics.is_ghz both use it.
 
-Randomness contract (part of the reproducibility guarantee): each shot owns
-one PCG64 stream. Per operation the stream is consumed in fixed order:
-H/X take (error?, which-Pauli), CX takes (error?, which-Pauli-pair), CondX
-takes (error?, which-Pauli) per target, MeasureZ and Reset take one
-measurement coin followed by (readout-flip) / (reset-error). The error draws
-exist only when a noise model is supplied; the coin is consumed whether or
-not the outcome turns out to be deterministic. Under this contract a batched
-run is bit-identical to independent single-shot runs.
+Randomness contract (part of the reproducibility guarantee): each shot
+owns one 64-bit key and reads the counter-based stream of rng.CounterStream,
+whose draw t is a fixed function of (key, t). Draw indices are assigned per
+operation in fixed program order, the same whatever the outcomes: H/X take
+(error?, which-Pauli), CX takes (error?, which-Pauli-pair), CondX takes
+(error?, which-Pauli) per target, MeasureZ and Reset take one measurement
+coin followed by (readout-flip) / (reset-error). The error draws exist only
+when a noise model is supplied. A draw nobody reads is never computed: the
+coin of a deterministic or forced measurement, the draws of an error whose
+probability is zero, and the which-Pauli draw of a shot that did not err. Shot s of
+sample_counts(seed=m) has key derive_seed(m, "shot", s) and run(c, seed)
+has key seed, so a batched shot is bit-identical to the single-shot run
+with its key.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .circuit import CX, Circuit, CondX, H, MeasureZ, Reset, X
-from .rng import derive_seed, make_rng
+from .rng import CounterStream, check_seed, shot_keys
+from .rng import make_rng  # noqa: F401  unused here; kept for callers that patch it
 
 __all__ = [
     "NoiseModel",
@@ -337,23 +344,6 @@ class SimOutcome:
     tableau: Tableau
     cbits: list[int]
     outcome_log: list[int]
-    readout: Optional[str] = None
-
-
-def _draw_budget(c: Circuit, noisy: bool) -> int:
-    t = 0
-    for op in c.ops:
-        if isinstance(op, (H, X)):
-            t += 2 if noisy else 0
-        elif isinstance(op, CX):
-            t += 2 if noisy else 0
-        elif isinstance(op, CondX):
-            t += 2 * len(op.targets) if noisy else 0
-        elif isinstance(op, MeasureZ):
-            t += 2 if noisy else 1
-        elif isinstance(op, Reset):
-            t += 2 if noisy else 1
-    return t
 
 
 def _check_capacity(c: Circuit, max_qubits: int) -> None:
@@ -361,9 +351,22 @@ def _check_capacity(c: Circuit, max_qubits: int) -> None:
         raise CapacityError(f"{c.qubit_count} qubits exceeds the maximum of {max_qubits}")
 
 
+def _lanes_in(words: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """Whether each of the given shots is set in the packed words."""
+    bits = words[lanes >> 6] >> (lanes & 63).astype(np.uint64)
+    return (bits & np.uint64(1)).astype(bool)
+
+
+def _pack_lanes(lanes: np.ndarray, shots: int) -> np.ndarray:
+    """Packed words with exactly the given shots set."""
+    bits = np.zeros(shots, dtype=bool)
+    bits[lanes] = True
+    return _pack(bits, -(-shots // 64))
+
+
 def _batched_run(
     c: Circuit,
-    draws: Iterator[np.ndarray],
+    stream: CounterStream,
     shots: int,
     noise: Optional[NoiseModel],
     forced: Sequence[Optional[int]] = (),
@@ -371,12 +374,12 @@ def _batched_run(
 ) -> tuple[Tableau, np.ndarray, list[np.ndarray]]:
     """Shared engine for run() and sample_counts().
 
-    draws yields the pre-drawn uniforms one row at a time, one column per
-    shot, in the order of the randomness contract. Returns (tableau,
-    classical bits, outcome log) with every per-shot value in packed words:
-    cbits has one row per classical bit, followed by one per qubit when
-    terminal_readout appends the readout, and the log has one word vector
-    per measurement event.
+    stream has one lane per shot. Draw indices are handed out in the order of
+    the randomness contract whether or not the draw is read, and only the
+    draws read are computed. Returns (tableau, classical bits, outcome log)
+    with every per-shot value in packed words: cbits has one row per
+    classical bit, followed by one per qubit when terminal_readout appends
+    the readout, and the log has one word vector per measurement event.
     """
     n = c.qubit_count
     c.validate()
@@ -387,38 +390,49 @@ def _batched_run(
         ops += [MeasureZ(q, c.cbit_count + q) for q in range(n)]
     cbits = np.zeros((c.cbit_count + (n if terminal_readout else 0), words), dtype=np.uint64)
     log: list[np.ndarray] = []
+    slots = itertools.count()  # index of the next draw
     event = 0
 
-    def depolarize1(q: int, fire: Optional[np.ndarray] = None):
-        u_err, u_which = next(draws), next(draws)
-        hit = _pack(u_err < noise.p1, words)
-        if fire is not None:
-            hit &= fire
-        if not np.count_nonzero(hit):
-            return
-        which = np.minimum((u_which * 3).astype(np.int64), 2)  # X, Y, Z
-        tab.flip(q, hit & _pack(which <= 1, words), hit & _pack(which >= 1, words))
+    def below(p: float) -> np.ndarray:
+        """Packed words of the shots whose next draw is below p."""
+        t = next(slots)
+        if p <= 0:
+            return np.zeros(words, dtype=np.uint64)
+        return _pack(stream.uniforms(t) < p, words)
 
-    def depolarize2(a: int, b: int):
-        u_err, u_which = next(draws), next(draws)
-        hit = _pack(u_err < noise.p2, words)
-        if not np.count_nonzero(hit):
+    def depolarize(qs: tuple[int, ...], p: float, fire: Optional[np.ndarray] = None):
+        """Pauli error with probability p, uniform over the 4**k - 1 non-identity ones.
+
+        Takes an error draw and a choice draw; the choice is read only in
+        the shots that erred (and, for a CondX, fired).
+        """
+        t_err, t_which = next(slots), next(slots)
+        if p <= 0:
             return
-        which = np.minimum((u_which * 15).astype(np.int64), 14) + 1
-        for q, pq in ((a, which // 4), (b, which % 4)):  # 0..3 = I, X, Y, Z
-            x_part, z_part = _pack((pq == 1) | (pq == 2), words), _pack(pq >= 2, words)
-            tab.flip(q, hit & x_part, hit & z_part)
+        lanes = np.flatnonzero(stream.uniforms(t_err) < p)
+        if fire is not None:
+            lanes = lanes[_lanes_in(fire, lanes)]
+        if not lanes.size:
+            return
+        choices = 4 ** len(qs) - 1
+        u = stream.uniforms(t_which, lanes)
+        code = np.minimum((u * choices).astype(np.int64), choices - 1) + 1
+        for i, q in enumerate(qs):
+            pauli = (code >> 2 * (len(qs) - 1 - i)) & 3  # 0..3 = I, X, Y, Z
+            x_part, z_part = lanes[(pauli == 1) | (pauli == 2)], lanes[pauli >= 2]
+            tab.flip(q, _pack_lanes(x_part, shots), _pack_lanes(z_part, shots))
 
     def measure_event(q: int) -> np.ndarray:
         nonlocal event
-        u_coin = next(draws)
+        t_coin = next(slots)
         want = forced[event] if event < len(forced) else None
         want_words = None if want is None else tab.live * np.uint64(want)
         if tab.is_deterministic(q):
             outcome = tab.measure(q, None)
         else:
-            coins = _pack(u_coin < 0.5, words) if want is None else want_words
-            outcome = tab.measure(q, coins)
+            if want is None:
+                want_words = _pack(stream.uniforms(t_coin) < 0.5, words)
+            outcome = tab.measure(q, want_words)
         if want is not None and not np.array_equal(outcome, want_words):
             raise InvalidForcingError(
                 f"measurement event {event} on qubit {q} is deterministically "
@@ -432,31 +446,31 @@ def _batched_run(
         if isinstance(op, H):
             tab.apply_h(op.q)
             if noise is not None:
-                depolarize1(op.q)
+                depolarize((op.q,), noise.p1)
         elif isinstance(op, X):
             tab.apply_x(op.q)
             if noise is not None:
-                depolarize1(op.q)
+                depolarize((op.q,), noise.p1)
         elif isinstance(op, CX):
             tab.apply_cx(op.control, op.target)
             if noise is not None:
-                depolarize2(op.control, op.target)
+                depolarize((op.control, op.target), noise.p2)
         elif isinstance(op, CondX):
             fire = cbits[op.cbit]
             for t in op.targets:
                 tab.flip(t, fire, None)
                 if noise is not None:
-                    depolarize1(t, fire)
+                    depolarize((t,), noise.p1, fire)
         elif isinstance(op, MeasureZ):
             outcome = measure_event(op.q)
             if noise is not None:
-                outcome = outcome ^ _pack(next(draws) < noise.pm, words)
+                outcome = outcome ^ below(noise.pm)
             cbits[op.cbit] = outcome
         elif isinstance(op, Reset):
             # an X where the outcome is 1 resets to |0>, a reset error adds one more
             flip = measure_event(op.q)
             if noise is not None:
-                flip = flip ^ _pack(next(draws) < noise.pr, words)
+                flip = flip ^ below(noise.pr)
             tab.flip(op.q, flip, None)
     return tab, cbits, log
 
@@ -477,9 +491,8 @@ def run(
     raises InvalidForcingError.
     """
     _check_capacity(c, max_qubits)
-    budget = _draw_budget(c, noise is not None)
-    table = make_rng(seed).random((budget, 1))
-    tab, cbits, log = _batched_run(c, iter(table), 1, noise, forced=forced_outcomes)
+    stream = CounterStream(np.array([check_seed(seed)], dtype=np.uint64))
+    tab, cbits, log = _batched_run(c, stream, 1, noise, forced=forced_outcomes)
     return SimOutcome(
         tableau=tab,
         cbits=_unpack(cbits, 1)[:, 0].tolist(),
@@ -497,26 +510,16 @@ def sample_counts(
     """Sample terminal all-qubit readout histograms.
 
     Appends a Z-measurement of every qubit (qubit 0 is the leftmost bit of
-    the returned keys) and runs `shots` independent simulations; shot s uses
-    the PCG64 stream seeded with derive_seed(seed, "shot", s), so any single
-    shot can be reproduced with run() on the extended circuit.
+    the returned keys) and runs `shots` independent simulations; shot s draws
+    from the counter-based stream keyed by derive_seed(seed, "shot", s), so
+    any single shot can be reproduced with run() on the extended circuit and
+    that seed.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     _check_capacity(c, max_qubits)
-    # terminal readout adds one measurement event per qubit
-    per_meas = 2 if noise is not None else 1
-    budget = _draw_budget(c, noise is not None) + per_meas * c.qubit_count
-    # each shot's stream fills a row of a 64-shot block, written into the
-    # table's columns one block at a time so that the writes stay contiguous
-    table = np.empty((budget, shots))
-    block = np.empty((64, budget))
-    for start in range(0, shots, 64):
-        width = min(64, shots - start)
-        for i in range(width):
-            make_rng(derive_seed(seed, "shot", start + i)).random(out=block[i])
-        table[:, start : start + width] = block[:width].T
-    _, cbits, _ = _batched_run(c, iter(table), shots, noise, terminal_readout=True)
+    stream = CounterStream(shot_keys(seed, shots))
+    _, cbits, _ = _batched_run(c, stream, shots, noise, terminal_readout=True)
     readout = _unpack(cbits[c.cbit_count :], shots).T  # (shots, n)
     strings = (readout + ord("0")).tobytes().decode("ascii")
     n = c.qubit_count

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ghz_synth.circuit import Circuit
 from ghz_synth.cli import cli_main
 
@@ -169,3 +171,52 @@ def test_bench_bad_threads_env_runtime_error(tmp_path, monkeypatch, capsys):
     code = cli_main(["bench", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert "GHZ_SYNTH_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+def test_synth_malformed_layout_runtime_error(tmp_path, capsys):
+    cases = [
+        ({"edges": [[0, 1]]}, "n: missing field"),
+        ({"n": 3}, "edges: missing field"),
+        ({"n": 3, "edges": [[0, 1], [1]]}, "edges[1]: expected a pair of integers, got [1]"),
+        ([], "layout: expected an object"),
+    ]
+    for i, (doc, message) in enumerate(cases):
+        path = tmp_path / f"layout{i}.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["synth", "--protocol", "grow", "--layout", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_bench_malformed_config_runtime_error(tmp_path, capsys):
+    base = {"family": "erdos_renyi", "sizes": [5], "protocols": [{"protocol": "growing"}]}
+    cases = [
+        ({k: v for k, v in base.items() if k != "protocols"}, "protocols: missing field"),
+        ({**base, "protocols": [{}]}, "protocols[0].protocol: missing field"),
+        ({**base, "protocols": [{"protocol": "bogus"}]},
+         "protocols[0]: unknown protocol 'bogus'"),
+        ({**base, "protocols": [{"protocol": "merging",
+                                 "strategy": {"strategy": "scaling_factor"}}]},
+         "protocols[0].strategy.f: missing field"),
+        ({**base, "noise": {"p9": 0.1}}, "noise.p9: unknown noise parameter"),
+        ({**base, "noise": {"p1": "high"}}, "noise.p1: expected a number, got 'high'"),
+        ({**base, "samples": "3"}, "samples: expected int, got '3'"),
+        ({**base, "sizes": 5}, "sizes: expected a list of integers"),
+    ]
+    for i, (doc, message) in enumerate(cases):
+        path = tmp_path / f"sweep{i}.json"
+        path.write_text(json.dumps(doc))
+        code = cli_main(["bench", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_loader_errors_are_input_errors():
+    from ghz_synth import InputError, LayoutGraph, MalformedCircuitError, SweepConfig
+
+    with pytest.raises(InputError, match=r"^n: missing field$"):
+        LayoutGraph.from_json("{}")
+    with pytest.raises(InputError, match=r"^family: missing field$"):
+        SweepConfig.from_json("{}")
+    assert issubclass(MalformedCircuitError, InputError)
+    assert issubclass(InputError, ValueError)

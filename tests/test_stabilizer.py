@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghz_synth.circuit import CX, Circuit, CondX, H, MeasureZ, Reset, X
+from ghz_synth.rng import CounterStream, shot_keys
 from ghz_synth.rng import derive_seed, make_rng
 from ghz_synth.stabilizer import (
     CapacityError,
@@ -321,3 +322,71 @@ class TestNoiseChannels:
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
             NoiseModel(p1=1.5)
+
+
+class TestCounterDraws:
+    """Where the engine reads the counter-based stream (see rng.CounterStream)."""
+
+    def test_coin_is_draw_zero_of_the_shot_key(self):
+        c = circ(1, 0, H(0))
+        keys = shot_keys(21, 300)
+        coins = CounterStream(keys).uniforms(0) < 0.5
+        counts = sample_counts(c, 300, seed=21)
+        assert counts == Counter({"1": int(coins.sum()), "0": int((~coins).sum())})
+        for s in (0, 1, 299):
+            assert run(circ(1, 1, H(0), MeasureZ(0, 0)), int(keys[s])).cbits == [int(coins[s])]
+
+    def test_skipped_draws_keep_their_index(self):
+        # the deterministic first measurement owns draw 0 without reading it,
+        # so the random second one reads draw 1
+        c = circ(2, 2, MeasureZ(0, 0), H(1), MeasureZ(1, 1))
+        for seed in range(40):
+            u = CounterStream(np.array([seed], dtype=np.uint64)).uniforms(1)[0]
+            assert run(c, seed).cbits == [0, int(u < 0.5)]
+
+    def test_which_pauli_is_the_draw_after_the_error(self):
+        # X then a certain error: X or Y undo it, Z leaves |1>; the
+        # measurement's coin and readout flip are draws 2 and 3
+        c = circ(1, 1, X(0), MeasureZ(0, 0))
+        noise = NoiseModel(p1=1.0)
+        for seed in range(60):
+            u = CounterStream(np.array([seed], dtype=np.uint64)).uniforms(1)[0]
+            assert run(c, seed, noise=noise).cbits == [int(u * 3 >= 2)]
+
+    def test_no_draw_before_capacity_check(self, monkeypatch):
+        from ghz_synth import stabilizer
+        from ghz_synth.growing import synthesize_growing
+        from ghz_synth.layouts import rect_grid
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew random numbers before the capacity check")
+
+        monkeypatch.setattr(stabilizer, "shot_keys", no_draws)
+        monkeypatch.setattr(stabilizer, "CounterStream", no_draws)
+        c = synthesize_growing(rect_grid(24, 24))
+        with pytest.raises(CapacityError):
+            sample_counts(c, 4, seed=1)
+        with pytest.raises(CapacityError):
+            run(c, seed=1)
+
+    def test_run_rejects_out_of_range_seed(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="64-bit"):
+                run(circ(1, 0, H(0)), seed)
+
+    def test_noisy_eagle_sampling_memory(self):
+        import tracemalloc
+
+        from ghz_synth.layouts import eagle_127
+        from ghz_synth.merging import HighestDegree, synthesize_merging
+
+        c = synthesize_merging(eagle_127(), HighestDegree())
+        noise = NoiseModel(p1=0.001, p2=0.01, pm=0.01, pr=0.01)
+        tracemalloc.start()
+        try:
+            counts = sample_counts(c, 4096, seed=3, noise=noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(counts.values()) == 4096
+        assert peak < 16 * 2**20
