@@ -31,6 +31,7 @@ from .layouts import (
     average_degree,
     connected_erdos_renyi,
     eagle_127,
+    heavy_hex,
     random_connected_subgraph,
     rect_grid,
 )

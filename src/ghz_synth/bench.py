@@ -22,11 +22,11 @@ from .circuit import count_2q, count_measurements, depth
 from .growing import synthesize_growing
 from .merging import (
     StarSelectionStrategy,
+    _circuit_from_stars,
     select_stars,
     strategy_from_json,
     strategy_label,
     strategy_to_json,
-    synthesize_merging,
 )
 from .metrics import counts_to_distribution, ghz_ideal_distribution, hellinger_fidelity
 from .rng import derive_seed
@@ -208,8 +208,8 @@ def _run_item(item: _WorkItem) -> BenchmarkRecord:
     if spec.protocol == "growing":
         circ = synthesize_growing(g, seed)
     else:
-        circ = synthesize_merging(g, spec.strategy, seed)
         stars = select_stars(g, spec.strategy)
+        circ = _circuit_from_stars(g, stars)
         mean_star_size = sum(s.size for s in stars) / len(stars)
         avg_deg = float(layouts.average_degree(g))
         mean_degree = sum(s.degree for s in stars) / len(stars)

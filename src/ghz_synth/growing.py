@@ -1,8 +1,11 @@
 """Unitary GHZ synthesis by breadth-first expansion.
 
-Starts with a star GHZ state at the highest-degree node and repeatedly
-entangles every frontier node into the state with a CX from an already
-included neighbor. No measurements, no resets: exactly N - 1 CX gates.
+Starts with a star GHZ state at the highest-degree node and then walks the
+breadth-first layers outward: each layer is the sorted set of not-yet-included
+neighbors of the previous one, and every node of it is entangled into the
+state with a CX from an already included neighbor. An `included` bytearray
+marks the earlier layers, so the walk touches each edge a constant number of
+times. No measurements, no resets: exactly N - 1 CX gates.
 """
 
 from __future__ import annotations
@@ -35,17 +38,19 @@ def synthesize_growing(g: LayoutGraph, seed: int = 0) -> Circuit:
     for op in ops:
         schedule.emit(op)
 
-    included = star.nodes()
-    while len(included) < n:
-        frontier = sorted(
-            v
-            for v in range(n)
-            if v not in included and any(w in included for w in g.neighbors(v))
-        )
+    adj = [g.neighbors(u) for u in range(n)]
+    included = bytearray(n)
+    for u in star.nodes():
+        included[u] = 1
+    layer = sorted(star.leaves)
+    while layer:
+        frontier = sorted({v for w in layer for v in adj[w] if not included[v]})
         for v in frontier:
-            parents = [w for w in g.neighbors(v) if w in included]
+            parents = [w for w in adj[v] if included[w]]
             u = min(parents, key=lambda w: (schedule.last[w], w))
             ops.append(CX(u, v))
             schedule.emit(ops[-1])
-        included |= set(frontier)
+        for v in frontier:
+            included[v] = 1
+        layer = frontier
     return Circuit(qubit_count=n, cbit_count=0, ops=tuple(ops))

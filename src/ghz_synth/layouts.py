@@ -1,5 +1,6 @@
-"""Connectivity-graph layouts: the IBM Eagle chip, rectangular grids, and
-connected Erdős–Rényi random graphs, plus random connected subgraph sampling.
+"""Connectivity-graph layouts: the IBM Eagle chip, procedural heavy-hex
+lattices, rectangular grids, and connected Erdős–Rényi random graphs, plus
+random connected subgraph sampling.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .rng import make_rng
 __all__ = [
     "LayoutGraph",
     "eagle_127",
+    "heavy_hex",
     "rect_grid",
     "connected_erdos_renyi",
     "random_connected_subgraph",
@@ -126,6 +128,46 @@ def eagle_127() -> LayoutGraph:
         u, v = line.split()
         edges.append((int(u), int(v)))
     return _from_edge_set(127, edges)
+
+
+def heavy_hex(rows: int, cols: int) -> LayoutGraph:
+    """Heavy-hex lattice of `rows` chains of `cols` qubits.
+
+    A bridge qubit joins chains r and r + 1 at every column c with
+    c = 0 (mod 4) when r is even and c = 2 (mod 4) when r is odd. Corner
+    qubits that no bridge reaches (degree 1) are dropped. Qubits are numbered
+    row by row: each chain left to right, then the bridges below it. This is
+    the IBM numbering: heavy_hex(7, 15) equals eagle_127() edge for edge.
+    """
+    if rows < 1 or cols < 3:
+        raise ValueError(f"heavy-hex needs rows >= 1 and cols >= 3, got {rows}x{cols}")
+
+    def bridged(r: int, c: int) -> bool:
+        return 0 <= r < rows - 1 and c % 4 == 2 * (r % 2)
+
+    edges = []
+    n = 0
+    above: dict[int, int] = {}  # column -> qubit of the previous chain
+    bridges: list[tuple[int, int]] = []  # (column, bridge qubit) below it
+    for r in range(rows):
+        chain: dict[int, int] = {}
+        for c in range(cols):
+            corner = r in (0, rows - 1) and c in (0, cols - 1)
+            if corner and not (bridged(r - 1, c) or bridged(r, c)):
+                continue
+            chain[c] = n
+            n += 1
+            if c - 1 in chain:
+                edges.append((chain[c - 1], chain[c]))
+        for c, b in bridges:
+            edges += [(above[c], b), (b, chain[c])]
+        bridges = []
+        for c in range(cols):
+            if bridged(r, c):
+                bridges.append((c, n))
+                n += 1
+        above = chain
+    return _from_edge_set(n, edges)
 
 
 def rect_grid(rows: int, cols: int) -> LayoutGraph:

@@ -15,6 +15,7 @@ is unused.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -135,41 +136,47 @@ def select_stars(g: LayoutGraph, strategy: StarSelectionStrategy) -> list[Star]:
     HighestDegree, residual degree closest to the target for the other
     strategies; ties fall to the lowest node index) and removes the star from
     the residual. Isolated residual nodes end up as single-node stars.
+
+    Centers come from a lazy-deletion binary heap of (key, node) entries: a
+    node gets a fresh entry whenever its residual degree drops, and popped
+    entries of removed nodes or with an outdated key are discarded. Each
+    edge lowers a residual degree at most twice, so the selection runs in
+    O((N + E) log N).
     """
-    target: Optional[int] = None
+    n = g.node_count
     if isinstance(strategy, ScalingFactor):
         target = _round_half_away(strategy.f * float(average_degree(g)))
     elif isinstance(strategy, AbsoluteSize):
         target = strategy.s - 1
+    else:
+        # no residual degree reaches n, so "closest to n" is "highest", and
+        # a star keeps all of the center's residual neighbors
+        target = n
 
-    alive = [True] * g.node_count
-    residual_deg = [g.degree(u) for u in range(g.node_count)]
-    remaining = g.node_count
+    adj = [g.neighbors(u) for u in range(n)]
+    alive = [True] * n
+    residual_deg = [len(ns) for ns in adj]
+    heap = [(abs(d - target), u) for u, d in enumerate(residual_deg)]
+    heapq.heapify(heap)
     stars: list[Star] = []
-    while remaining > 0:
-        best = None
-        for u in range(g.node_count):
-            if not alive[u]:
-                continue
-            if target is None:
-                key = (-residual_deg[u], u)
-            else:
-                key = (abs(residual_deg[u] - target), u)
-            if best is None or key < best[0]:
-                best = (key, u)
-        center = best[1]
-        neighbors = [v for v in g.neighbors(center) if alive[v]]
-        if target is not None:
-            neighbors = neighbors[: min(len(neighbors), target)]
-        star = Star(center, frozenset(neighbors))
+    while heap:
+        key, center = heapq.heappop(heap)
+        if not alive[center] or key != abs(residual_deg[center] - target):
+            continue
+        leaves = [v for v in adj[center] if alive[v]][:target]
+        star = Star(center, frozenset(leaves))
         stars.append(star)
-        for u in star.nodes():
-            alive[u] = False
-            remaining -= 1
-            for w in g.neighbors(u):
+        alive[center] = False
+        for v in leaves:
+            alive[v] = False
+        touched = set()
+        for u in (center, *leaves):
+            for w in adj[u]:
                 if alive[w]:
                     residual_deg[w] -= 1
-    assert remaining == 0
+                    touched.add(w)
+        for w in touched:
+            heapq.heappush(heap, (abs(residual_deg[w] - target), w))
     return stars
 
 
@@ -223,45 +230,63 @@ def _assemble(g: LayoutGraph, stars: list[Star]) -> tuple[MergePlan, list[Operat
     minimum node index). The bridge is the cross edge whose endpoints free
     up earliest under ASAP scheduling (ties: lexicographic), which lets
     consecutive merge rounds pipeline instead of serializing on hot qubits.
-    """
-    components = [frozenset(star.nodes()) for star in stars]
-    covered: set[int] = set()
-    for comp in components:
-        if covered & comp:
-            raise ValueError("stars do not partition the node set")
-        covered |= comp
-    if covered != set(range(g.node_count)):
-        raise ValueError("stars do not cover every node")
 
-    schedule = Schedule(g.node_count)
+    Components are labels in a comp_of list, with a member list and a
+    smallest member per label. A merge relabels the absorbed side, the
+    smaller one, so each node is relabelled O(log N) times in all. Each round
+    makes one pass over the edges that crossed components in the previous
+    round, bucketing those that still do by component pair; the bucket keys
+    give the component adjacency and each bucket the bridge candidates of
+    its pair. A round costs O(N + E) besides sorting its components, so
+    layouts contracted in O(log N) rounds, such as grids and heavy-hex
+    lattices, take O((N + E) log N) in all.
+    """
+    n = g.node_count
+    members = [sorted(star.nodes()) for star in stars]
+    covered: set[int] = set()
+    for m in members:
+        if not covered.isdisjoint(m):
+            raise ValueError("stars do not partition the node set")
+        covered.update(m)
+    if covered != set(range(n)):
+        raise ValueError("stars do not cover every node")
+    comp_of = [0] * n
+    for i, m in enumerate(members):
+        for u in m:
+            comp_of[u] = i
+    low = [m[0] for m in members]
+
+    schedule = Schedule(n)
     ops: list[Operation] = []
     for star in stars:
         for op in build_star_ghz(star):
             ops.append(op)
             schedule.emit(op)
+    last = schedule.last
 
     rounds: list[tuple[Merge, ...]] = []
     cbit = 0
-    while len(components) > 1:
-        comp_of = {}
-        for i, comp in enumerate(components):
-            for u in comp:
-                comp_of[u] = i
-        adjacency: dict[int, set[int]] = {i: set() for i in range(len(components))}
-        for u, v in g.edges:
-            cu, cv = comp_of[u], comp_of[v]
+    components = len(stars)
+    edges = g.edges
+    while components > 1:
+        cross: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for e in edges:
+            cu, cv = comp_of[e[0]], comp_of[e[1]]
             if cu != cv:
-                adjacency[cu].add(cv)
-                adjacency[cv].add(cu)
+                cross.setdefault((cu, cv) if cu < cv else (cv, cu), []).append(e)
+        adjacency: dict[int, list[int]] = {}
+        for a, b in cross:
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
         matched: set[int] = set()
         pairs: list[tuple[int, int]] = []
-        for i in sorted(range(len(components)), key=lambda i: min(components[i])):
+        for i in sorted(adjacency, key=low.__getitem__):
             if i in matched:
                 continue
             candidates = [j for j in adjacency[i] if j not in matched]
             if not candidates:
                 continue
-            j = min(candidates, key=lambda j: min(components[j]))
+            j = min(candidates, key=low.__getitem__)
             matched.update((i, j))
             pairs.append((i, j))
         if not pairs:
@@ -270,29 +295,34 @@ def _assemble(g: LayoutGraph, stars: list[Star]) -> tuple[MergePlan, list[Operat
             raise AssertionError("no adjacent components found; graph disconnected?")
         merges = []
         for i, j in pairs:
-            a, b = components[i], components[j]
-            if len(a) < len(b) or (len(a) == len(b) and min(a) < min(b)):
-                absorbed, keeper = a, b
+            a, b = len(members[i]), len(members[j])
+            if a < b or (a == b and low[i] < low[j]):
+                absorbed, keeper = i, j
             else:
-                absorbed, keeper = b, a
-            cross = [
-                (x, y) if x in keeper else (y, x)
-                for x, y in g.edges
-                if (x in keeper and y in absorbed) or (x in absorbed and y in keeper)
+                absorbed, keeper = j, i
+            bridges = [
+                (x, y) if comp_of[x] == keeper else (y, x)
+                for x, y in cross[(i, j) if i < j else (j, i)]
             ]
-            bridge = min(
-                cross, key=lambda e: (max(schedule.last[e[0]], schedule.last[e[1]]), e)
+            bridge = min(bridges, key=lambda e: (max(last[e[0]], last[e[1]]), e))
+            merge = Merge(
+                keeper=frozenset(members[keeper]),
+                absorbed=frozenset(members[absorbed]),
+                bridge=bridge,
             )
-            merge = Merge(keeper=keeper, absorbed=absorbed, bridge=bridge)
             merges.append(merge)
             for op in merge_operations(merge, cbit):
                 ops.append(op)
                 schedule.emit(op)
             cbit += 1
+            for u in members[absorbed]:
+                comp_of[u] = keeper
+            members[keeper].extend(members[absorbed])
+            members[absorbed] = []
+            low[keeper] = min(low[keeper], low[absorbed])
         rounds.append(tuple(merges))
-        for m in merges:
-            components = [c for c in components if c != m.keeper and c != m.absorbed]
-            components.append(m.keeper | m.absorbed)
+        components -= len(merges)
+        edges = [e for bucket in cross.values() for e in bucket]
     return MergePlan(rounds=tuple(rounds)), ops
 
 
@@ -322,7 +352,10 @@ def synthesize_merging(
     del seed
     if not g.is_connected():
         raise ValueError("layout graph must be connected")
-    stars = select_stars(g, strategy)
+    return _circuit_from_stars(g, select_stars(g, strategy))
+
+
+def _circuit_from_stars(g: LayoutGraph, stars: list[Star]) -> Circuit:
+    """The merging circuit of an already selected star partition of g."""
     _, ops = _assemble(g, stars)
-    cbit_count = sum(1 for op in ops if isinstance(op, MeasureZ))
-    return Circuit(qubit_count=g.node_count, cbit_count=cbit_count, ops=tuple(ops))
+    return Circuit(qubit_count=g.node_count, cbit_count=len(stars) - 1, ops=tuple(ops))

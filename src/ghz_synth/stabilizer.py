@@ -49,7 +49,6 @@ import numpy as np
 
 from .circuit import CX, Circuit, CondX, H, MeasureZ, Reset, X
 from .rng import CounterStream, check_seed, shot_keys
-from .rng import make_rng  # noqa: F401  unused here; kept for callers that patch it
 
 __all__ = [
     "NoiseModel",

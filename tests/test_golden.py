@@ -1,0 +1,132 @@
+"""Golden circuits: SHA-256 of Circuit.to_json() for fixed layouts and variants.
+
+The digests were computed with the original quadratic synthesizers (full
+scans per star, per merge and per BFS layer). Any rewrite of the synthesis
+loops must keep every tie-break, so every digest here must stay unchanged.
+"""
+
+import hashlib
+
+import pytest
+
+from ghz_synth.growing import synthesize_growing
+from ghz_synth.layouts import (
+    connected_erdos_renyi,
+    eagle_127,
+    random_connected_subgraph,
+    rect_grid,
+)
+from ghz_synth.merging import AbsoluteSize, HighestDegree, ScalingFactor, synthesize_merging
+
+LAYOUTS = {
+    "eagle_127": lambda: eagle_127(),
+    "grid_12x9": lambda: rect_grid(12, 9),
+    "grid_16x32": lambda: rect_grid(16, 32),
+    "grid_64x64": lambda: rect_grid(64, 64),
+    "eagle_sub_30_s1": lambda: random_connected_subgraph(eagle_127(), 30, 1)[0],
+    "eagle_sub_64_s2": lambda: random_connected_subgraph(eagle_127(), 64, 2)[0],
+    "eagle_sub_100_s3": lambda: random_connected_subgraph(eagle_127(), 100, 3)[0],
+    "er_20_p0.3_s1": lambda: connected_erdos_renyi(20, 0.3, 1),
+    "er_60_p0.1_s2": lambda: connected_erdos_renyi(60, 0.1, 2),
+    "er_100_p0.5_s3": lambda: connected_erdos_renyi(100, 0.5, 3),
+}
+
+VARIANTS = {
+    "growing": synthesize_growing,
+    "highest_degree": lambda g: synthesize_merging(g, HighestDegree()),
+    "scaling_factor=0.7": lambda g: synthesize_merging(g, ScalingFactor(0.7)),
+    "absolute_size=4": lambda g: synthesize_merging(g, AbsoluteSize(4)),
+}
+
+GOLDEN = {
+    ("eagle_127", "growing"):
+        "d7a3f63177ea33164c2559a261b287266e83e3ab5228ea2ae958ff156aacfc83",
+    ("eagle_127", "highest_degree"):
+        "58d89c6aa8e96c00bc23ea0fe5daf2c1733ea4765974baf1db289c87a476036b",
+    ("eagle_127", "scaling_factor=0.7"):
+        "51e739edde3be4b7b8389e78431cd024bba4b61ef6c45067e42a50313a8b5813",
+    ("eagle_127", "absolute_size=4"):
+        "58d89c6aa8e96c00bc23ea0fe5daf2c1733ea4765974baf1db289c87a476036b",
+    ("grid_12x9", "growing"):
+        "a8ef6fa08e5b35b383a91f44d900d84f90665dbceec8935d51bddd6a2074bcbd",
+    ("grid_12x9", "highest_degree"):
+        "de020750b03aec9fc0dbe15e3a65b365532c0ce603d437406d0d8f971298d011",
+    ("grid_12x9", "scaling_factor=0.7"):
+        "9f26731f53bda35b2ae27ee034671c4cb2b83e517af1eae060ecc77a13c13594",
+    ("grid_12x9", "absolute_size=4"):
+        "9f26731f53bda35b2ae27ee034671c4cb2b83e517af1eae060ecc77a13c13594",
+    ("grid_16x32", "growing"):
+        "04944f172ad984231bd7c557996384f64b1bc9ea9ccf7b8688ddbd789f8585d2",
+    ("grid_16x32", "highest_degree"):
+        "2e9df4aa88ce5a52e010eb8d22489ddabf0802274094c63320ab0c08c3a0d6e0",
+    ("grid_16x32", "scaling_factor=0.7"):
+        "ab26b18bf232a4753ee0ef312e98f9383bda06e89bcbb3977af71ed7fa78e857",
+    ("grid_16x32", "absolute_size=4"):
+        "ab26b18bf232a4753ee0ef312e98f9383bda06e89bcbb3977af71ed7fa78e857",
+    ("grid_64x64", "growing"):
+        "caf04befeef25bab4eff0d42e508a23d3bc3f62d0cf69d523f3f435f3e0f1d66",
+    ("grid_64x64", "highest_degree"):
+        "b4f0cda74b6295d8546706ca0bdf4dae438f8e4b44143b013f409ef3fa1cd668",
+    ("grid_64x64", "scaling_factor=0.7"):
+        "26ea5528a0733bc23c26d988ab3e01273db698752af45b3e6bc92a4312ce97f8",
+    ("grid_64x64", "absolute_size=4"):
+        "26ea5528a0733bc23c26d988ab3e01273db698752af45b3e6bc92a4312ce97f8",
+    ("eagle_sub_30_s1", "growing"):
+        "35bc89f566c044ad5d0b172497280e918c59065a052ab6bb23390b9e4737de85",
+    ("eagle_sub_30_s1", "highest_degree"):
+        "cfdd18070649f4a3d2806214b27c725c412f8f183be8694d6ec15008c7d721f8",
+    ("eagle_sub_30_s1", "scaling_factor=0.7"):
+        "4d103ea7a187cca35da4f0e5ab615b9c7ca11ea492586a783d8d9e8be2e0477e",
+    ("eagle_sub_30_s1", "absolute_size=4"):
+        "cfdd18070649f4a3d2806214b27c725c412f8f183be8694d6ec15008c7d721f8",
+    ("eagle_sub_64_s2", "growing"):
+        "e992be49ddc9fd7be82c80729e4796e225c2163375fd0185079644cc4af98648",
+    ("eagle_sub_64_s2", "highest_degree"):
+        "627c8666622602724c2bcc7b3a3c8a2fb9fe3dfba8565b490ac8f174e02401d9",
+    ("eagle_sub_64_s2", "scaling_factor=0.7"):
+        "75ab1c9be2bb719743bb05ed2533fd8328c3d1310d0111d8afe4f89fbbdbd216",
+    ("eagle_sub_64_s2", "absolute_size=4"):
+        "627c8666622602724c2bcc7b3a3c8a2fb9fe3dfba8565b490ac8f174e02401d9",
+    ("eagle_sub_100_s3", "growing"):
+        "113221aea566ba652f25a4a9dc00a2714320b3de8cefe81d65a54957e133e62b",
+    ("eagle_sub_100_s3", "highest_degree"):
+        "6e942ac2cc06470f9646b4355409f9e6cdbe26215d5f2a90ef05a5234eddfa2c",
+    ("eagle_sub_100_s3", "scaling_factor=0.7"):
+        "24d3dfb490e2797d0ec1c5a95aaf7ef9fdc3946362450ecf48de7dd54398dbc2",
+    ("eagle_sub_100_s3", "absolute_size=4"):
+        "6e942ac2cc06470f9646b4355409f9e6cdbe26215d5f2a90ef05a5234eddfa2c",
+    ("er_20_p0.3_s1", "growing"):
+        "0812b62fafc7a3a014ca28284ac647dd6542854901f405f5744d950f5a29b9e9",
+    ("er_20_p0.3_s1", "highest_degree"):
+        "fb2bd283b900c925e6d3a41dc489b94c373cf35044a54d7cea56ea078456835d",
+    ("er_20_p0.3_s1", "scaling_factor=0.7"):
+        "6bc462cbab2149b5df9f8c736f9841b26bc6010a0b335f108d1b3b9ec30e97e2",
+    ("er_20_p0.3_s1", "absolute_size=4"):
+        "732f9f969cbd6a679977ef9468bddca1f69053c6633feaec0ece5ef0610a144b",
+    ("er_60_p0.1_s2", "growing"):
+        "e1285b53be5311158a924c53c5e8c7703c2e679a58009f6c50a3b2922306d40c",
+    ("er_60_p0.1_s2", "highest_degree"):
+        "b464ae27c937c246fb2a9cc872348cd50febbe42e07f365c6ee47ba7a2025d0b",
+    ("er_60_p0.1_s2", "scaling_factor=0.7"):
+        "c685f6c64abd5d3a64de2ead5f5ac76a5377bb9a5aebb47f612015f04684a498",
+    ("er_60_p0.1_s2", "absolute_size=4"):
+        "ef9a56fe0dcd8a54b03361b60cadef27dc0a37a3924b086c6b4047f1f04b377f",
+    ("er_100_p0.5_s3", "growing"):
+        "42fe3dc4f011d842afd52a2e1960b7ddd0132f2b83c0a6a653b6e9d9c3507f9b",
+    ("er_100_p0.5_s3", "highest_degree"):
+        "783e2902d26a67b281aeff05d4aade6f42e9131c415c15a4b837abccd6bda0b7",
+    ("er_100_p0.5_s3", "scaling_factor=0.7"):
+        "34fd2156e3d1ef3af0c06fd06eecb0fe4de39cfe38b463af326f05837739e8a9",
+    ("er_100_p0.5_s3", "absolute_size=4"):
+        "df7e717175341981e9c64de85779bc513fd2be137a9f0c46b0903bae79d78ff3",
+}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_to_json_digest(layout):
+    g = LAYOUTS[layout]()
+    got = {
+        variant: hashlib.sha256(synth(g).to_json().encode()).hexdigest()
+        for variant, synth in VARIANTS.items()
+    }
+    assert got == {variant: GOLDEN[layout, variant] for variant in VARIANTS}

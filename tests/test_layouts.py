@@ -8,6 +8,7 @@ from ghz_synth.layouts import (
     average_degree,
     connected_erdos_renyi,
     eagle_127,
+    heavy_hex,
     random_connected_subgraph,
     rect_grid,
 )
@@ -75,6 +76,31 @@ class TestRectGrid:
 
     def test_connected(self):
         assert bfs_connected(rect_grid(7, 3))
+
+
+class TestHeavyHex:
+    def test_7x15_is_eagle(self):
+        assert heavy_hex(7, 15).edges == eagle_127().edges
+        assert heavy_hex(7, 15) == eagle_127()
+
+    def test_one_cell_numbering(self):
+        # chains 0-4, 7-11 and 13-15 (corners (2,0), (2,4) dropped),
+        # bridges 5 and 6 below chain 0, bridge 12 below chain 1
+        assert heavy_hex(3, 5).edges == (
+            (0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 6), (5, 7), (6, 11),
+            (7, 8), (8, 9), (9, 10), (9, 12), (10, 11), (12, 14), (13, 14), (14, 15),
+        )
+
+    @pytest.mark.parametrize("rows,cols", [(1, 3), (2, 3), (3, 3), (4, 7), (9, 23), (12, 18)])
+    def test_connected_degree_at_most_three(self, rows, cols):
+        g = heavy_hex(rows, cols)
+        assert bfs_connected(g)
+        assert max(g.degree(u) for u in range(g.node_count)) <= 3
+
+    @pytest.mark.parametrize("rows,cols", [(0, 15), (3, 2), (-1, 5)])
+    def test_small_dimensions_rejected(self, rows, cols):
+        with pytest.raises(ValueError):
+            heavy_hex(rows, cols)
 
 
 class TestConnectedErdosRenyi:
