@@ -86,15 +86,18 @@ class SweepConfig:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise schema.InputError(f"family: unknown family {self.family!r}")
         if not self.sizes or any(s < 1 for s in self.sizes):
-            raise ValueError("sizes must be >= 1")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+            raise schema.InputError("sizes: every size must be >= 1")
+        for name in ("samples", "shots", "grid_rows", "grid_cols"):
+            if getattr(self, name) < 1:
+                raise schema.InputError(f"{name}: must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.er_p <= 1.0:
+            raise schema.InputError(f"er_p: must lie in [0, 1], got {self.er_p}")
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
-        """Parse a sweep config; InputError names the missing or mistyped field."""
+        """Parse a sweep config; InputError names the missing, mistyped or bad field."""
         obj = json.loads(text)
 
         def get(key: str, kind: type, *default):
@@ -108,17 +111,15 @@ class SweepConfig:
             strategy = schema.field(p, "strategy", path, dict, None)
             if strategy is not None:
                 strategy = strategy_from_json(strategy, f"{path}.strategy")
-            try:
-                protocols.append(ProtocolSpec(protocol, strategy))
-            except ValueError as exc:
-                raise schema.InputError(f"{path}: {exc}") from None
+            protocols.append(schema.construct(path, ProtocolSpec, protocol, strategy))
         noise = get("noise", dict, None)
         if noise:
             known = [f.name for f in fields(NoiseModel)]
             for key in noise:
                 if key not in known:
                     raise schema.InputError(f"noise.{key}: unknown noise parameter")
-            noise = NoiseModel(**{k: schema.field(noise, k, "noise", float) for k in noise})
+            params = {k: schema.field(noise, k, "noise", float) for k in noise}
+            noise = schema.construct("noise", NoiseModel, **params)
         return cls(
             family=family,
             sizes=sizes,
@@ -206,7 +207,7 @@ def _run_item(item: _WorkItem) -> BenchmarkRecord:
     mean_star_size = None
     scaling_factor = None
     if spec.protocol == "growing":
-        circ = synthesize_growing(g, seed)
+        circ = synthesize_growing(g)
     else:
         stars = select_stars(g, spec.strategy)
         circ = _circuit_from_stars(g, stars)

@@ -1,10 +1,11 @@
 """Circuit intermediate representation.
 
-Operations are plain immutable records; a circuit is an ordered list of them
-plus qubit/classical-bit counts. Depth is computed by ASAP list scheduling:
-every operation occupies one layer on each qubit it touches, and a
-classically controlled X cannot share or precede the layer of the
-measurement that produced its control bit.
+Operations are plain immutable records; a circuit is an ordered tuple of them
+plus qubit/classical-bit counts, valid by construction: it checks its
+invariants once, when it is built, and no consumer checks them again. Depth
+is computed by ASAP list scheduling: every operation occupies one layer on
+each qubit it touches, and a classically controlled X cannot share or
+precede the layer of the measurement that produced its control bit.
 """
 
 from __future__ import annotations
@@ -91,43 +92,50 @@ def touched_qubits(op: Operation) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Circuit:
+    """A dynamic circuit, valid by construction: it runs `validate` once, when built."""
+
     qubit_count: int
     cbit_count: int
     ops: tuple[Operation, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "ops", tuple(self.ops))
+        self.validate()
+
     def validate(self) -> None:
         """Raise MalformedCircuitError if any invariant is violated.
 
-        Checks index ranges, CX control != target, CondX target lists,
-        single-writer classical bits read only after being written, and the
-        convention that a measured qubit is untouched until it is reset.
+        Checks n >= 1 and cbits >= 0, index ranges, CX control != target,
+        CondX target lists, single-writer classical bits read only after
+        being written, and that a measured qubit is untouched until reset.
         """
+        if self.qubit_count < 1:
+            raise MalformedCircuitError(f"n: must be >= 1, got {self.qubit_count}")
+        if self.cbit_count < 0:
+            raise MalformedCircuitError(f"cbits: must be >= 0, got {self.cbit_count}")
         writes: dict[int, int] = {}
         dead: set[int] = set()
         for i, op in enumerate(self.ops):
             for q in touched_qubits(op):
                 if not 0 <= q < self.qubit_count:
                     raise MalformedCircuitError(f"op {i}: qubit {q} out of range")
+                if q in dead and not isinstance(op, Reset):
+                    raise MalformedCircuitError(
+                        f"op {i}: qubit {q} used after measurement without reset"
+                    )
             if isinstance(op, CX) and op.control == op.target:
                 raise MalformedCircuitError(f"op {i}: CX control equals target")
+            if isinstance(op, (MeasureZ, CondX)) and not 0 <= op.cbit < self.cbit_count:
+                raise MalformedCircuitError(f"op {i}: cbit {op.cbit} out of range")
             if isinstance(op, CondX):
                 if not op.targets:
                     raise MalformedCircuitError(f"op {i}: CondX with no targets")
                 if len(set(op.targets)) != len(op.targets):
                     raise MalformedCircuitError(f"op {i}: CondX duplicate targets")
-                if not 0 <= op.cbit < self.cbit_count:
-                    raise MalformedCircuitError(f"op {i}: cbit {op.cbit} out of range")
                 if writes.get(op.cbit, 0) != 1:
                     raise MalformedCircuitError(
                         f"op {i}: cbit {op.cbit} must be written by exactly one "
                         f"earlier measurement, saw {writes.get(op.cbit, 0)}"
-                    )
-            if isinstance(op, MeasureZ) and not 0 <= op.cbit < self.cbit_count:
-                raise MalformedCircuitError(f"op {i}: cbit {op.cbit} out of range")
-            for q in touched_qubits(op):
-                if q in dead and not isinstance(op, Reset):
-                    raise MalformedCircuitError(
-                        f"op {i}: qubit {q} used after measurement without reset"
                     )
             if isinstance(op, MeasureZ):
                 writes[op.cbit] = writes.get(op.cbit, 0) + 1
@@ -144,7 +152,7 @@ class Circuit:
 
     @classmethod
     def from_json(cls, text: str) -> "Circuit":
-        """Parse and validate a circuit; MalformedCircuitError names the bad field."""
+        """Parse a circuit; MalformedCircuitError names the bad field."""
         obj = json.loads(text)
         ops: list[Operation] = []
         for i, rec in enumerate(_field(obj, "ops", "", list)):
@@ -154,9 +162,7 @@ class Circuit:
                 raise MalformedCircuitError(f"{path}.tag: unknown op tag {tag!r}")
             op_type = _OPS_BY_TAG[tag]
             ops.append(op_type(*(_field(rec, f, path, _KINDS[f]) for f in _FIELDS[op_type])))
-        circuit = cls(_field(obj, "n", "", int), _field(obj, "cbits", "", int), tuple(ops))
-        circuit.validate()
-        return circuit
+        return cls(_field(obj, "n", "", int), _field(obj, "cbits", "", int), ops)
 
 
 # JSON tag of each operation type; a record's other keys are the op's fields
@@ -164,6 +170,9 @@ _TAGS = {H: "h", X: "x", CX: "cx", MeasureZ: "measure_z", Reset: "reset", CondX:
 _OPS_BY_TAG = {tag: op_type for op_type, tag in _TAGS.items()}
 _FIELDS = {op_type: tuple(f.name for f in fields(op_type)) for op_type in _TAGS}
 _KINDS = {"q": int, "control": int, "target": int, "cbit": int, "targets": tuple}
+# OpenQASM 3 statement of each operation type but CondX, formatted with the op
+_QASM = {H: "h q[{0.q}];", X: "x q[{0.q}];", CX: "cx q[{0.control}], q[{0.target}];",
+         MeasureZ: "c[{0.cbit}] = measure q[{0.q}];", Reset: "reset q[{0.q}];"}
 
 
 def _field(rec, key: str, path: str, kind: type):
@@ -199,7 +208,6 @@ class Schedule:
 
 def depth(c: Circuit) -> int:
     """ASAP-schedule layer count (0 for an empty circuit)."""
-    c.validate()
     schedule = Schedule(c.qubit_count)
     for op in c.ops:
         schedule.emit(op)
@@ -216,23 +224,14 @@ def count_measurements(c: Circuit) -> int:
 
 def export_qasm(c: Circuit) -> str:
     """Emit an OpenQASM 3 subset. Output is deterministic for equal input."""
-    c.validate()
     lines = ['OPENQASM 3.0;', 'include "stdgates.inc";']
     if c.cbit_count > 0:
         lines.append(f"bit[{c.cbit_count}] c;")
     lines.append(f"qubit[{c.qubit_count}] q;")
     for op in c.ops:
-        if isinstance(op, H):
-            lines.append(f"h q[{op.q}];")
-        elif isinstance(op, X):
-            lines.append(f"x q[{op.q}];")
-        elif isinstance(op, CX):
-            lines.append(f"cx q[{op.control}], q[{op.target}];")
-        elif isinstance(op, MeasureZ):
-            lines.append(f"c[{op.cbit}] = measure q[{op.q}];")
-        elif isinstance(op, Reset):
-            lines.append(f"reset q[{op.q}];")
-        elif isinstance(op, CondX):
+        if isinstance(op, CondX):
             body = " ".join(f"x q[{t}];" for t in op.targets)
             lines.append(f"if (c[{op.cbit}] == 1) {{ {body} }}")
+        else:
+            lines.append(_QASM[type(op)].format(op))
     return "\n".join(lines) + "\n"

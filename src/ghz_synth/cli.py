@@ -15,19 +15,14 @@ from . import layouts, selfcheck
 from .bench import SweepConfig, run_sweep, worker_count, write_outputs
 from .circuit import Circuit, count_2q, count_measurements, depth, export_qasm
 from .growing import synthesize_growing
-from .merging import (
-    AbsoluteSize,
-    HighestDegree,
-    ScalingFactor,
-    StarSelectionStrategy,
-    synthesize_merging,
-)
+from .merging import strategy_from_label, synthesize_merging
 from .metrics import (
     counts_to_distribution,
     ghz_ideal_distribution,
     hellinger_fidelity,
     is_ghz,
 )
+from .schema import InputError
 from .stabilizer import NoiseModel, run, sample_counts
 
 
@@ -40,19 +35,6 @@ class _Parser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     pass
-
-
-def _parse_strategy(text: str) -> StarSelectionStrategy:
-    if text == "highest_degree":
-        return HighestDegree()
-    if text.startswith("scaling_factor="):
-        return ScalingFactor(float(text.split("=", 1)[1]))
-    if text.startswith("absolute_size="):
-        return AbsoluteSize(int(text.split("=", 1)[1]))
-    raise _UsageError(
-        f"unknown strategy {text!r}; expected highest_degree, "
-        "scaling_factor=<f>, or absolute_size=<s>"
-    )
 
 
 def _parse_noise(text: str) -> NoiseModel:
@@ -86,7 +68,6 @@ def _build_parser() -> _Parser:
     p_synth.add_argument("--layout", required=True, help="layout JSON file")
     p_synth.add_argument("--out", help="write circuit JSON here")
     p_synth.add_argument("--qasm", help="write OpenQASM 3 here")
-    p_synth.add_argument("--seed", type=int, default=0)
 
     p_sim = sub.add_parser("simulate", help="sample a circuit on the stabilizer simulator")
     p_sim.add_argument("--circuit", required=True, help="circuit JSON file")
@@ -121,12 +102,13 @@ def _cmd_layout(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    try:
+        strategy = strategy_from_label(args.strategy) if args.protocol == "merge" else None
+    except InputError as exc:
+        raise _UsageError(str(exc)) from None
     with open(args.layout) as f:
         g = layouts.LayoutGraph.from_json(f.read())
-    if args.protocol == "grow":
-        circ = synthesize_growing(g, args.seed)
-    else:
-        circ = synthesize_merging(g, _parse_strategy(args.strategy), args.seed)
+    circ = synthesize_growing(g) if strategy is None else synthesize_merging(g, strategy)
     if args.out:
         with open(args.out, "w") as f:
             f.write(circ.to_json() + "\n")

@@ -17,16 +17,14 @@ from .merging import Star, build_star_ghz
 __all__ = ["synthesize_growing"]
 
 
-def synthesize_growing(g: LayoutGraph, seed: int = 0) -> Circuit:
+def synthesize_growing(g: LayoutGraph) -> Circuit:
     """Synthesize the growing circuit for a connected layout.
 
     The start node is the highest-degree node (ties: lowest index). Frontier
     nodes are processed in breadth-first layers; each picks as parent the
     included neighbor whose qubit frees up earliest under ASAP scheduling
-    (ties: lowest index). Deterministic; the seed parameter exists for
-    interface uniformity and is unused.
+    (ties: lowest index). Deterministic.
     """
-    del seed
     if not g.is_connected():
         raise ValueError("layout graph must be connected")
     n = g.node_count
@@ -53,4 +51,4 @@ def synthesize_growing(g: LayoutGraph, seed: int = 0) -> Circuit:
         for v in frontier:
             included[v] = 1
         layer = frontier
-    return Circuit(qubit_count=n, cbit_count=0, ops=tuple(ops))
+    return Circuit(qubit_count=n, cbit_count=0, ops=ops)

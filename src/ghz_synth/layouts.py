@@ -30,7 +30,8 @@ class LayoutGraph:
     """Simple undirected connectivity graph on qubits 0..node_count-1.
 
     Edges are stored as a sorted tuple of (u, v) pairs with u < v. Instances
-    are immutable; adjacency is computed once on first use.
+    are immutable; adjacency is computed once on first use. A bad graph
+    raises InputError whose message starts with the JSON field, n or edges.
     """
 
     node_count: int
@@ -41,15 +42,15 @@ class LayoutGraph:
 
     def __post_init__(self):
         if self.node_count < 1:
-            raise ValueError("node_count must be >= 1")
+            raise schema.InputError(f"n: node count must be >= 1, got {self.node_count}")
         seen = set()
         for u, v in self.edges:
             if u == v:
-                raise ValueError(f"self-loop on node {u}")
+                raise schema.InputError(f"edges: self-loop on node {u}")
             if not (0 <= u < v < self.node_count):
-                raise ValueError(f"edge ({u}, {v}) out of range or unordered")
+                raise schema.InputError(f"edges: edge ({u}, {v}) out of range or unordered")
             if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
+                raise schema.InputError(f"edges: duplicate edge ({u}, {v})")
             seen.add((u, v))
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
@@ -98,7 +99,7 @@ class LayoutGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "LayoutGraph":
-        """Parse a layout; InputError names the missing or mistyped field."""
+        """Parse a layout; InputError names the missing, mistyped or bad field."""
         obj = json.loads(text)
         n = schema.field(obj, "n", "", int, root="layout")
         edges = schema.field(obj, "edges", "", list, root="layout")

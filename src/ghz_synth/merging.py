@@ -9,8 +9,7 @@ re-adds the measured qubit to the merged state.
 
 All choices (star order, leaf order, matching order, bridge edges) are
 tie-broken by lowest node index, so synthesis is a pure function of the
-layout and strategy; the seed parameter exists for interface uniformity and
-is unused.
+layout and strategy.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ __all__ = [
     "strategy_to_json",
     "strategy_from_json",
     "strategy_label",
+    "strategy_from_label",
     "select_stars",
     "build_star_ghz",
     "plan_merges",
@@ -55,8 +55,8 @@ class ScalingFactor:
     f: float
 
     def __post_init__(self):
-        if self.f <= 0:
-            raise ValueError("scaling factor must be positive")
+        if not 0 < self.f < math.inf:
+            raise ValueError(f"scaling factor must be positive and finite, got {self.f}")
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,9 @@ def strategy_from_json(obj: dict, path: str = "strategy") -> StarSelectionStrate
     if kind == "highest_degree":
         return HighestDegree()
     if kind == "scaling_factor":
-        return ScalingFactor(schema.field(obj, "f", path, float))
+        return schema.construct(path, ScalingFactor, schema.field(obj, "f", path, float))
     if kind == "absolute_size":
-        return AbsoluteSize(schema.field(obj, "s", path, int))
+        return schema.construct(path, AbsoluteSize, schema.field(obj, "s", path, int))
     raise schema.InputError(f"{path}.strategy: unknown strategy kind {kind!r}")
 
 
@@ -106,6 +106,24 @@ def strategy_label(strategy: Optional[StarSelectionStrategy]) -> str:
     if isinstance(strategy, AbsoluteSize):
         return f"absolute_size={strategy.s}"
     raise TypeError(f"unknown strategy {strategy!r}")
+
+
+def strategy_from_label(label: str) -> StarSelectionStrategy:
+    """Inverse of strategy_label for a merging strategy; InputError on a bad label."""
+    kind, _, value = label.partition("=")
+    try:
+        if label == "highest_degree":
+            return HighestDegree()
+        if kind == "scaling_factor":
+            return ScalingFactor(float(value))
+        if kind == "absolute_size":
+            return AbsoluteSize(int(value))
+    except ValueError as exc:
+        raise schema.InputError(f"strategy {label!r}: {exc}") from None
+    raise schema.InputError(
+        f"unknown strategy {label!r}; expected highest_degree, "
+        "scaling_factor=<f>, or absolute_size=<s>"
+    )
 
 
 @dataclass(frozen=True)
@@ -337,19 +355,12 @@ def plan_merges(g: LayoutGraph, stars: list[Star]) -> MergePlan:
     return plan
 
 
-def synthesize_merging(
-    g: LayoutGraph,
-    strategy: StarSelectionStrategy,
-    seed: int = 0,
-) -> Circuit:
+def synthesize_merging(g: LayoutGraph, strategy: StarSelectionStrategy) -> Circuit:
     """Synthesize the full merging circuit for a connected layout.
 
     The noiseless output state is exactly the N-qubit GHZ state; the circuit
     contains (#stars - 1) measurements and N - 1 + (#stars - 1) CX gates.
-    The seed is accepted for interface uniformity but the construction is
-    deterministic.
     """
-    del seed
     if not g.is_connected():
         raise ValueError("layout graph must be connected")
     return _circuit_from_stars(g, select_stars(g, strategy))
@@ -358,4 +369,4 @@ def synthesize_merging(
 def _circuit_from_stars(g: LayoutGraph, stars: list[Star]) -> Circuit:
     """The merging circuit of an already selected star partition of g."""
     _, ops = _assemble(g, stars)
-    return Circuit(qubit_count=g.node_count, cbit_count=len(stars) - 1, ops=tuple(ops))
+    return Circuit(qubit_count=g.node_count, cbit_count=len(stars) - 1, ops=ops)

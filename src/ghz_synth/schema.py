@@ -3,16 +3,18 @@
 The circuit, layout and sweep-config loaders read every field through
 `field`, so a missing or mistyped field raises InputError (a ValueError)
 whose message starts with the field's path in the document, such as
-`ops[0].target` or `protocols[1].strategy.f`.
+`ops[0].target` or `protocols[1].strategy.f`. A value out of range names its
+field too: the top-level constructors start their messages with it, and
+nested objects are built through `construct`, which prefixes their path.
 """
 
 from __future__ import annotations
 
-__all__ = ["InputError", "field", "is_int"]
+__all__ = ["InputError", "field", "construct", "is_int"]
 
 
 class InputError(ValueError):
-    """A JSON document lacks a field or has one of the wrong kind."""
+    """A JSON document lacks a field or has one of the wrong kind or range."""
 
 
 _REQUIRED = object()
@@ -53,6 +55,14 @@ def field(
     if not (is_int(value) if kind is int else isinstance(value, kind)):
         raise error(f"{where}: expected {kind.__name__}, got {value!r}")
     return value
+
+
+def construct(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs); a ValueError it raises becomes an InputError under path."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def is_int(value) -> bool:

@@ -2,13 +2,15 @@
 
 Every check is deterministic and fast; together they cover layout
 invariants, synthesis count identities, exact GHZ preparation for both
-protocols, merge corrections on both measurement branches, and agreement
-between the stabilizer tableau and the dense state vector.
+protocols, merge corrections on both measurement branches, agreement
+between the stabilizer tableau and the dense state vector, and the rejection
+of malformed circuits when they are built.
 """
 
 from __future__ import annotations
 
 from . import layouts
+from .circuit import CX, Circuit, CondX, H, MalformedCircuitError
 from .circuit import count_2q, count_measurements, depth
 from .growing import synthesize_growing
 from .merging import HighestDegree, ScalingFactor, select_stars, synthesize_merging
@@ -101,11 +103,19 @@ def check_tableau_vs_dense() -> bool:
 
 
 def check_depth_examples() -> bool:
-    from .circuit import CX, Circuit, H
-
     c1 = Circuit(3, 0, (H(0), CX(0, 1), CX(0, 2)))
     c2 = Circuit(4, 0, (H(0), CX(0, 1), CX(2, 3)))
     return depth(c1) == 3 and depth(c2) == 2
+
+
+def check_malformed_rejected() -> bool:
+    for n, cbits, ops in ((2, 1, (CondX((1,), 0),)), (2, -1, ())):
+        try:
+            Circuit(n, cbits, ops)
+        except MalformedCircuitError:
+            continue
+        return False
+    return True
 
 
 def run_all() -> list[tuple[str, bool, str]]:
@@ -121,6 +131,7 @@ def run_all() -> list[tuple[str, bool, str]]:
         ("merge corrections on both branches", check_merge_branches),
         ("tableau agrees with dense state vector", check_tableau_vs_dense),
         ("ASAP depth hand-scheduled examples", check_depth_examples),
+        ("malformed circuits are rejected when built", check_malformed_rejected),
     ]
     results = []
     for name, fn in checks:

@@ -381,7 +381,6 @@ def _batched_run(
     the readout, and the log has one word vector per measurement event.
     """
     n = c.qubit_count
-    c.validate()
     tab = Tableau(n, shots)
     words = tab.words
     ops = list(c.ops)

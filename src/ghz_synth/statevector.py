@@ -111,7 +111,6 @@ def run_dense(
         raise CapacityError(
             f"{c.qubit_count} qubits exceeds the dense maximum of {MAX_DENSE_QUBITS}"
         )
-    c.validate()
     rng = make_rng(seed)
     st = _DenseState(c.qubit_count)
     cbits = [0] * c.cbit_count

@@ -55,7 +55,7 @@ def random_clifford_circuit(n_qubits: int, n_ops: int, seed: int) -> Circuit:
             targets = tuple(sorted(int(q) for q in rng.choice(live, size=k, replace=False)))
             cbit = int(rng.choice(cbits_written))
             ops.append(CondX(targets, cbit))
-    return Circuit(n_qubits, cbit_count, tuple(ops))
+    return Circuit(n_qubits, cbit_count, ops)
 
 
 def apply_pauli_dense(

@@ -91,10 +91,10 @@ def exactness_runs():
     t0 = time.monotonic()
     results = []
     for family, n, s, g in _exactness_layouts():
-        variants = [("growing", None, synthesize_growing(g, derive_seed(MASTER, s)))]
+        variants = [("growing", None, synthesize_growing(g))]
         for strategy in MERGING_STRATEGIES:
             variants.append(
-                ("merging", strategy, synthesize_merging(g, strategy, derive_seed(MASTER, s)))
+                ("merging", strategy, synthesize_merging(g, strategy))
             )
         for protocol, strategy, circ in variants:
             out = run(circ, derive_seed(MASTER, "sim", family, n, s, str(strategy)))

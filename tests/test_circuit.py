@@ -17,7 +17,11 @@ from ghz_synth.circuit import (
     export_qasm,
     touched_qubits,
 )
+from ghz_synth.layouts import eagle_127, rect_grid
+from ghz_synth.merging import HighestDegree, synthesize_merging
 from ghz_synth.rng import make_rng
+from ghz_synth.stabilizer import run, sample_counts
+from ghz_synth.statevector import run_dense
 
 
 def circ(n, cbits, *ops):
@@ -143,6 +147,44 @@ class TestValidation:
     def test_reset_revives_qubit(self):
         c = circ(2, 1, MeasureZ(0, 0), Reset(0), H(0))
         assert depth(c) == 3
+
+
+class TestValidByConstruction:
+    def test_validated_once_when_built_and_never_by_consumers(self, monkeypatch):
+        calls = []
+        validate = Circuit.validate
+
+        def counting(self):
+            calls.append(self)
+            validate(self)
+
+        monkeypatch.setattr(Circuit, "validate", counting)
+        c = synthesize_merging(eagle_127(), HighestDegree())
+        assert calls == [c]
+        depth(c), export_qasm(c), count_2q(c)
+        run(c, seed=1)
+        sample_counts(c, 64, seed=1)
+        small = synthesize_merging(rect_grid(3, 4), HighestDegree())
+        run_dense(small, seed=1)
+        assert calls == [c, small]
+
+    @pytest.mark.parametrize("n, cbits, field", [(0, 0, "n"), (2, -1, "cbits")])
+    def test_bad_counts_rejected_in_both_forms(self, n, cbits, field):
+        with pytest.raises(MalformedCircuitError, match=f"^{field}: "):
+            Circuit(n, cbits, ())
+        text = json.dumps({"n": n, "cbits": cbits, "ops": []})
+        with pytest.raises(MalformedCircuitError, match=f"^{field}: "):
+            Circuit.from_json(text)
+
+    def test_invalid_ops_raise_at_construction(self):
+        ops = (H(0), MeasureZ(0, 0), CX(0, 1))
+        with pytest.raises(MalformedCircuitError, match="used after measurement"):
+            Circuit(2, 1, ops)
+
+    def test_ops_stored_as_tuple(self):
+        c = Circuit(2, 0, [H(0)])
+        assert type(c.ops) is tuple
+        assert c == Circuit(2, 0, (H(0),))
 
 
 class TestJson:

@@ -118,7 +118,7 @@ def test_verify_prints_failure_reason(monkeypatch, capsys):
     assert cli_main(["verify"]) == 2
     out = capsys.readouterr().out
     assert "FAIL  ASAP depth hand-scheduled examples: RuntimeError: tableau exploded" in out
-    assert "1 of 6 checks failed" in out
+    assert "1 of 7 checks failed" in out
 
 
 def test_unknown_flag_usage_error(capsys):
@@ -143,9 +143,15 @@ def test_bad_strategy_usage_error(tmp_path, capsys):
     layout = tmp_path / "l.json"
     cli_main(["layout", "--family", "grid", "--rows", "1", "--cols", "3",
               "--out", str(layout)])
-    code = cli_main(["synth", "--protocol", "merge", "--strategy", "nonsense",
-                     "--layout", str(layout)])
-    assert code == 1
+    capsys.readouterr()
+    for strategy in ("nonsense", "scaling_factor=abc", "scaling_factor=-1",
+                     "absolute_size=0", "absolute_size=2.5", "scaling_factor=inf",
+                     "scaling_factor=nan"):
+        code = cli_main(["synth", "--protocol", "merge", "--strategy", strategy,
+                         "--layout", str(layout)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_simulate_malformed_circuit_runtime_error(tmp_path, capsys):
@@ -179,6 +185,8 @@ def test_synth_malformed_layout_runtime_error(tmp_path, capsys):
         ({"n": 3}, "edges: missing field"),
         ({"n": 3, "edges": [[0, 1], [1]]}, "edges[1]: expected a pair of integers, got [1]"),
         ([], "layout: expected an object"),
+        ({"n": 0, "edges": []}, "n: node count must be >= 1, got 0"),
+        ({"n": 3, "edges": [[1, 1]]}, "edges: self-loop on node 1"),
     ]
     for i, (doc, message) in enumerate(cases):
         path = tmp_path / f"layout{i}.json"
@@ -201,6 +209,15 @@ def test_bench_malformed_config_runtime_error(tmp_path, capsys):
         ({**base, "noise": {"p1": "high"}}, "noise.p1: expected a number, got 'high'"),
         ({**base, "samples": "3"}, "samples: expected int, got '3'"),
         ({**base, "sizes": 5}, "sizes: expected a list of integers"),
+        ({**base, "shots": 0}, "shots: must be >= 1, got 0"),
+        ({**base, "er_p": 3}, "er_p: must lie in [0, 1], got 3.0"),
+        ({**base, "grid_rows": 0}, "grid_rows: must be >= 1, got 0"),
+        ({**base, "family": "foo"}, "family: unknown family 'foo'"),
+        ({**base, "sizes": [0]}, "sizes: every size must be >= 1"),
+        ({**base, "protocols": [{"protocol": "merging",
+                                 "strategy": {"strategy": "absolute_size", "s": 0}}]},
+         "protocols[0].strategy: absolute star size must be >= 1"),
+        ({**base, "noise": {"p1": 2}}, "noise: p1 must lie in [0, 1], got 2.0"),
     ]
     for i, (doc, message) in enumerate(cases):
         path = tmp_path / f"sweep{i}.json"

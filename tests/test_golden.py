@@ -1,14 +1,18 @@
-"""Golden circuits: SHA-256 of Circuit.to_json() for fixed layouts and variants.
+"""Golden circuits: SHA-256 of Circuit.to_json() and export_qasm() for fixed
+layouts and variants.
 
-The digests were computed with the original quadratic synthesizers (full
+The JSON digests were computed with the original quadratic synthesizers (full
 scans per star, per merge and per BFS layer). Any rewrite of the synthesis
 loops must keep every tie-break, so every digest here must stay unchanged.
+The QASM digests were computed with the original if/elif exporter, so the
+statement table that replaced it must reproduce its output byte for byte.
 """
 
 import hashlib
 
 import pytest
 
+from ghz_synth.circuit import export_qasm
 from ghz_synth.growing import synthesize_growing
 from ghz_synth.layouts import (
     connected_erdos_renyi,
@@ -121,6 +125,89 @@ GOLDEN = {
         "df7e717175341981e9c64de85779bc513fd2be137a9f0c46b0903bae79d78ff3",
 }
 
+QASM_GOLDEN = {
+    ("eagle_127", "growing"):
+        "5c6690d63728e5e7cb080f79e6073c1f019e47cdf4e7e8a06713217038b6361a",
+    ("eagle_127", "highest_degree"):
+        "236fac1e8ff4ef4fe0a5aef0bbdd2c37c72a02a81cea71667ba60b39b9df66aa",
+    ("eagle_127", "scaling_factor=0.7"):
+        "7c284c8e6e08b9617439bbb44dd1687867baf2fab44707d8769a746bc5f4d8e8",
+    ("eagle_127", "absolute_size=4"):
+        "236fac1e8ff4ef4fe0a5aef0bbdd2c37c72a02a81cea71667ba60b39b9df66aa",
+    ("grid_12x9", "growing"):
+        "5e307d8675ab659d4d15c36d90314ebb947c95c5ac7abf35f37551555a92aa5f",
+    ("grid_12x9", "highest_degree"):
+        "29321e647c888a477dcc4fa60b10d055da58c36becbaef809bb0a8c5e508a87f",
+    ("grid_12x9", "scaling_factor=0.7"):
+        "94d45a69df8b0d864a3f52379c1a2006249e2f7aff09d49c2334f5e9c8072445",
+    ("grid_12x9", "absolute_size=4"):
+        "94d45a69df8b0d864a3f52379c1a2006249e2f7aff09d49c2334f5e9c8072445",
+    ("grid_16x32", "growing"):
+        "a6f46a3b33f8b8cda36d0fb4b2c38296508c9c6c9eaa804154da3463190598b3",
+    ("grid_16x32", "highest_degree"):
+        "e65155b794529035cb8af6f77463ac5df6ae0aa4b8b1bc85dfcc9307a92c22ea",
+    ("grid_16x32", "scaling_factor=0.7"):
+        "a41ebd9fb598b74415cd20237eddecb34165f0755d703801deb86d091b167be5",
+    ("grid_16x32", "absolute_size=4"):
+        "a41ebd9fb598b74415cd20237eddecb34165f0755d703801deb86d091b167be5",
+    ("grid_64x64", "growing"):
+        "69aebbb6a5e7da5f61f40551c265fecd3c07be575de28b389891a9305215a83b",
+    ("grid_64x64", "highest_degree"):
+        "e2f21e05c6e6d5f9590d912a6f962862fb234a80949d3cda8b3f752e8b599f49",
+    ("grid_64x64", "scaling_factor=0.7"):
+        "6e29a90969a45b821c3ccec1c3af54ba9061d7a49b46b1e264ceee0746987709",
+    ("grid_64x64", "absolute_size=4"):
+        "6e29a90969a45b821c3ccec1c3af54ba9061d7a49b46b1e264ceee0746987709",
+    ("eagle_sub_30_s1", "growing"):
+        "3171a219eb316eb703daf9f934d76213f2f4608ad5ff23190894ba3259f88dd5",
+    ("eagle_sub_30_s1", "highest_degree"):
+        "3b9eabb76ae312fdd5ddd8a6c1c4e8a842e853a4ba9148bfb4593f7497adcbe0",
+    ("eagle_sub_30_s1", "scaling_factor=0.7"):
+        "3cd34ac75db3f8d8f932e6966b09a353fde619c39c8f74bb2ddd1dc628e6e275",
+    ("eagle_sub_30_s1", "absolute_size=4"):
+        "3b9eabb76ae312fdd5ddd8a6c1c4e8a842e853a4ba9148bfb4593f7497adcbe0",
+    ("eagle_sub_64_s2", "growing"):
+        "3d0a6333cd936def8bcbd02b6ab4b4e3ff052ffa5e1105060711119cb8109283",
+    ("eagle_sub_64_s2", "highest_degree"):
+        "0e9d3c85eb70442c0f578b6c42040c61bda0d25ec29ffe84187bab548ad0b3e9",
+    ("eagle_sub_64_s2", "scaling_factor=0.7"):
+        "79048846737b637504c679db34fd4852cee58ed7cd1326d1bf33256862015795",
+    ("eagle_sub_64_s2", "absolute_size=4"):
+        "0e9d3c85eb70442c0f578b6c42040c61bda0d25ec29ffe84187bab548ad0b3e9",
+    ("eagle_sub_100_s3", "growing"):
+        "f2bffa1db05459c1e20917daab9292940aaeafa3a0030d6b19aa5bf2da49d98d",
+    ("eagle_sub_100_s3", "highest_degree"):
+        "a2a11e83dfcd1244e722f08e54c0f72cb7081c513002119d809917ff8601a0ab",
+    ("eagle_sub_100_s3", "scaling_factor=0.7"):
+        "e2c068a4ce73600f364776420357f61a5e3fe7a3b055bc5721832f7553efd461",
+    ("eagle_sub_100_s3", "absolute_size=4"):
+        "a2a11e83dfcd1244e722f08e54c0f72cb7081c513002119d809917ff8601a0ab",
+    ("er_20_p0.3_s1", "growing"):
+        "5659d8edc26bfc40066fa45ebf8b927e1bf23642996ef07b83c2af26b855d620",
+    ("er_20_p0.3_s1", "highest_degree"):
+        "7772c9322de05589ea379e20d7433d59c6060732bd026542d27e1417da9848d9",
+    ("er_20_p0.3_s1", "scaling_factor=0.7"):
+        "d8184a0e090f9a05ba6ce5d7e00c9630b3530a4b870668c41a4c392a73506c3b",
+    ("er_20_p0.3_s1", "absolute_size=4"):
+        "c522286f39fd35c3728a58867b5140c02cd63bcbccffa5cff5c47f0e54b1aaf7",
+    ("er_60_p0.1_s2", "growing"):
+        "a0133da6fb2ca065e592f8296387abaf852ddc0b940be69c01eae5817a3dda9d",
+    ("er_60_p0.1_s2", "highest_degree"):
+        "ab63a087bcd009143655e65244fbebae5ec60014184ebdd331cce5c9930c1e50",
+    ("er_60_p0.1_s2", "scaling_factor=0.7"):
+        "0ae9fa6a2e03e29f13bc5fb509efee80d8dbdf78f9a452051640c7e0afead19b",
+    ("er_60_p0.1_s2", "absolute_size=4"):
+        "a92c5593cd523be180f97a2087e11fdd7c8a961cf81ccc9364535e0af128f079",
+    ("er_100_p0.5_s3", "growing"):
+        "1928a93704dc13ab1edf2cfc06f69a19881727390201caa9ebd8e15f89753f7d",
+    ("er_100_p0.5_s3", "highest_degree"):
+        "8082001d937e408d5c0f43350d9bb7ad3fb8bec9cea5173e69ea597f03060659",
+    ("er_100_p0.5_s3", "scaling_factor=0.7"):
+        "c939e84f69b0c5ce8103f1475bc2659d6deeb14c3d87fb3ef6751b7114c52975",
+    ("er_100_p0.5_s3", "absolute_size=4"):
+        "49cc8f2093db1374a93169b69282907bd4824fee1fb6d86bc008907897083fb0",
+}
+
 
 @pytest.mark.parametrize("layout", list(LAYOUTS))
 def test_to_json_digest(layout):
@@ -130,3 +217,13 @@ def test_to_json_digest(layout):
         for variant, synth in VARIANTS.items()
     }
     assert got == {variant: GOLDEN[layout, variant] for variant in VARIANTS}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_export_qasm_digest(layout):
+    g = LAYOUTS[layout]()
+    got = {
+        variant: hashlib.sha256(export_qasm(synth(g)).encode()).hexdigest()
+        for variant, synth in VARIANTS.items()
+    }
+    assert got == {variant: QASM_GOLDEN[layout, variant] for variant in VARIANTS}

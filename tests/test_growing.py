@@ -92,7 +92,3 @@ class TestGrowing:
         g = LayoutGraph(4, ((0, 1), (2, 3)))
         with pytest.raises(ValueError):
             synthesize_growing(g)
-
-    def test_seed_is_inert(self):
-        g = connected_erdos_renyi(15, 0.3, seed=4)
-        assert synthesize_growing(g, 1) == synthesize_growing(g, 999)

@@ -13,6 +13,8 @@ from ghz_synth.merging import (
     plan_merges,
     select_stars,
     strategy_from_json,
+    strategy_from_label,
+    strategy_label,
     strategy_to_json,
     synthesize_merging,
 )
@@ -78,6 +80,7 @@ class TestSelectStars:
     def test_strategy_json_round_trip(self):
         for strategy in (HighestDegree(), ScalingFactor(1.3), AbsoluteSize(4)):
             assert strategy_from_json(strategy_to_json(strategy)) == strategy
+            assert strategy_from_label(strategy_label(strategy)) == strategy
         assert strategy_to_json(HighestDegree()) == {"strategy": "highest_degree"}
         assert strategy_to_json(ScalingFactor(1.3)) == {
             "strategy": "scaling_factor", "f": 1.3,
