@@ -193,16 +193,21 @@ def _make_layout(cfg: SweepConfig, n: int, sample: int) -> layouts.LayoutGraph:
 
 
 @dataclass(frozen=True)
-class _WorkItem:
+class _Cell:
+    """One (size, sample) cell: a layout and every protocol variant run on it."""
+
     cfg: SweepConfig
     n: int
     sample: int
-    spec: ProtocolSpec
 
 
-def _run_item(item: _WorkItem) -> BenchmarkRecord:
-    cfg, n, sample, spec = item.cfg, item.n, item.sample, item.spec
-    g = _make_layout(cfg, n, sample)
+def _run_cell(cell: _Cell) -> list[BenchmarkRecord]:
+    g = _make_layout(cell.cfg, cell.n, cell.sample)
+    return [_run_protocol(cell, spec, g) for spec in cell.cfg.protocols]
+
+
+def _run_protocol(cell: _Cell, spec: ProtocolSpec, g: layouts.LayoutGraph) -> BenchmarkRecord:
+    cfg, n, sample = cell.cfg, cell.n, cell.sample
     seed = derive_seed(cfg.seed, cfg.family, n, spec.protocol, spec.label, sample)
     mean_star_size = None
     scaling_factor = None
@@ -251,11 +256,11 @@ def worker_count() -> int:
 
 
 def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> list[BenchmarkRecord]:
-    """Run every (size, sample, protocol) cell of the sweep.
+    """Run every (size, sample, protocol) item of the sweep.
 
-    The layout of a (size, sample) cell is shared by all protocol variants,
-    so protocols are compared on identical graphs. Records come back in
-    canonical order regardless of worker count.
+    A (size, sample) cell builds its layout once and runs every protocol
+    variant on it, so protocols are compared on identical graphs. Records
+    come back in canonical order regardless of worker count.
     """
     source = _source_graph(cfg)
     if source is not None:
@@ -264,19 +269,15 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> list[Benchmark
             raise ValueError(
                 f"sizes {too_big} exceed the {source.node_count}-node source layout"
             )
-    items = [
-        _WorkItem(cfg, n, sample, spec)
-        for n in cfg.sizes
-        for spec in cfg.protocols
-        for sample in range(cfg.samples)
-    ]
+    cells = [_Cell(cfg, n, sample) for n in cfg.sizes for sample in range(cfg.samples)]
     if workers is None:
         workers = worker_count()
-    if workers > 1 and len(items) > 1:
+    if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_item, items, chunksize=8))
+            per_cell = list(pool.map(_run_cell, cells, chunksize=2))
     else:
-        records = [_run_item(item) for item in items]
+        per_cell = [_run_cell(cell) for cell in cells]
+    records = [r for cell_records in per_cell for r in cell_records]
     records.sort(key=lambda r: (r.family, r.n, r.protocol, r.strategy, r.sample))
     return records
 

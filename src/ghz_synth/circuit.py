@@ -77,17 +77,21 @@ Operation = Union[H, X, CX, MeasureZ, Reset, CondX]
 
 
 def touched_qubits(op: Operation) -> tuple[int, ...]:
-    if isinstance(op, (H, X)):
-        return (op.q,)
-    if isinstance(op, CX):
-        return (op.control, op.target)
-    if isinstance(op, MeasureZ):
-        return (op.q,)
-    if isinstance(op, Reset):
-        return (op.q,)
-    if isinstance(op, CondX):
-        return op.targets
-    raise TypeError(f"unknown operation {op!r}")
+    touched = _TOUCHED.get(type(op))
+    if touched is None:
+        raise TypeError(f"unknown operation {op!r}")
+    return touched(op)
+
+
+# qubits each operation type touches, one small function per type
+_TOUCHED = {
+    H: lambda op: (op.q,),
+    X: lambda op: (op.q,),
+    CX: lambda op: (op.control, op.target),
+    MeasureZ: lambda op: (op.q,),
+    Reset: lambda op: (op.q,),
+    CondX: lambda op: op.targets,
+}
 
 
 @dataclass(frozen=True)

@@ -38,11 +38,15 @@ class _UsageError(Exception):
 
 
 def _parse_noise(text: str) -> NoiseModel:
+    """p1,p2,pm,pr as a NoiseModel; any bad value is a usage error."""
     parts = text.split(",")
     if len(parts) != 4:
         raise _UsageError("--noise expects four comma-separated values: p1,p2,pm,pr")
-    p1, p2, pm, pr = (float(x) for x in parts)
-    return NoiseModel(p1=p1, p2=p2, pm=pm, pr=pr)
+    try:
+        p1, p2, pm, pr = (float(x) for x in parts)
+        return NoiseModel(p1=p1, p2=p2, pm=pm, pr=pr)
+    except ValueError as exc:
+        raise _UsageError(f"--noise: {exc}") from None
 
 
 def _build_parser() -> _Parser:
@@ -123,9 +127,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    noise = _parse_noise(args.noise) if args.noise else None
     with open(args.circuit) as f:
         circ = Circuit.from_json(f.read())
-    noise = _parse_noise(args.noise) if args.noise else None
     counts = sample_counts(circ, args.shots, args.seed, noise)
     n = circ.qubit_count
     fid = hellinger_fidelity(

@@ -11,6 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
+import numpy as np
+
 from . import schema
 from .rng import make_rng
 
@@ -30,8 +32,9 @@ class LayoutGraph:
     """Simple undirected connectivity graph on qubits 0..node_count-1.
 
     Edges are stored as a sorted tuple of (u, v) pairs with u < v. Instances
-    are immutable; adjacency is computed once on first use. A bad graph
-    raises InputError whose message starts with the JSON field, n or edges.
+    are immutable; adjacency and connectivity are computed once, on first
+    use. A bad graph raises InputError whose message starts with the JSON
+    field, n or edges.
     """
 
     node_count: int
@@ -39,20 +42,23 @@ class LayoutGraph:
     _adj: dict[int, tuple[int, ...]] = field(
         init=False, repr=False, compare=False, default=None
     )
+    _connected: bool = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.node_count < 1:
             raise schema.InputError(f"n: node count must be >= 1, got {self.node_count}")
-        seen = set()
-        for u, v in self.edges:
+        edges = tuple(sorted(self.edges))
+        prev = None  # sorted, so a duplicate sits right after its twin
+        for e in edges:
+            u, v = e
             if u == v:
                 raise schema.InputError(f"edges: self-loop on node {u}")
             if not (0 <= u < v < self.node_count):
                 raise schema.InputError(f"edges: edge ({u}, {v}) out of range or unordered")
-            if (u, v) in seen:
+            if e == prev:
                 raise schema.InputError(f"edges: duplicate edge ({u}, {v})")
-            seen.add((u, v))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+            prev = e
+        object.__setattr__(self, "edges", edges)
 
     @property
     def edge_count(self) -> int:
@@ -78,7 +84,12 @@ class LayoutGraph:
         return b in self.neighbors(a)
 
     def is_connected(self) -> bool:
-        """BFS reachability from node 0."""
+        """BFS reachability from node 0, run once per instance."""
+        if self._connected is None:
+            object.__setattr__(self, "_connected", self._reaches_all())
+        return self._connected
+
+    def _reaches_all(self) -> bool:
         seen = bytearray(self.node_count)
         seen[0] = 1
         frontier = [0]
@@ -109,16 +120,12 @@ class LayoutGraph:
         return cls(n, tuple(map(tuple, edges)))
 
 
-def _from_edge_set(n: int, edges) -> LayoutGraph:
-    return LayoutGraph(n, tuple(sorted((min(u, v), max(u, v)) for u, v in edges)))
-
-
 @lru_cache(maxsize=None)
 def eagle_127() -> LayoutGraph:
     """The 127-qubit IBM Eagle heavy-hex coupling map.
 
     Loaded from the edge list shipped with the package (one "u v" pair per
-    line), taken from the published Eagle r3 coupling map.
+    line, u < v), taken from the published Eagle r3 coupling map.
     """
     text = resources.files("ghz_synth.data").joinpath("eagle_r3_edges.txt").read_text()
     edges = []
@@ -128,7 +135,7 @@ def eagle_127() -> LayoutGraph:
             continue
         u, v = line.split()
         edges.append((int(u), int(v)))
-    return _from_edge_set(127, edges)
+    return LayoutGraph(127, tuple(edges))
 
 
 def heavy_hex(rows: int, cols: int) -> LayoutGraph:
@@ -168,7 +175,7 @@ def heavy_hex(rows: int, cols: int) -> LayoutGraph:
                 bridges.append((c, n))
                 n += 1
         above = chain
-    return _from_edge_set(n, edges)
+    return LayoutGraph(n, tuple(edges))
 
 
 def rect_grid(rows: int, cols: int) -> LayoutGraph:
@@ -183,7 +190,12 @@ def rect_grid(rows: int, cols: int) -> LayoutGraph:
                 edges.append((i, i + 1))
             if r + 1 < rows:
                 edges.append((i, i + cols))
-    return _from_edge_set(rows * cols, edges)
+    return LayoutGraph(rows * cols, tuple(edges))
+
+
+# Pairs per array draw in connected_erdos_renyi: bounds its working memory
+# (a few tens of bytes per pair) whatever n is; one block covers n <= 724.
+_ER_BLOCK_PAIRS = 1 << 18
 
 
 def connected_erdos_renyi(n: int, p: float, seed: int) -> LayoutGraph:
@@ -193,23 +205,36 @@ def connected_erdos_renyi(n: int, p: float, seed: int) -> LayoutGraph:
     node j < i) guarantees connectivity; every remaining pair is then joined
     independently with probability p. Identical (n, p, seed) reproduce the
     graph bit-for-bit.
+
+    The draw order is part of that contract. One PCG64 stream seeded with
+    `seed` first gives the tree: `integers(0, i)` for i = 1..n-1, in turn.
+    It then gives one uniform per non-tree pair, in row-major u < v order
+    ((0, 1), (0, 2), ..., (1, 2), ...), and the pair is an edge iff its
+    uniform is < p. The uniforms are drawn with `random(k)` over blocks of
+    whole rows, which yields the same stream as k scalar `random()` calls.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = make_rng(seed)
-    edges = set()
-    for i in range(1, n):
-        j = int(rng.integers(0, i))
-        edges.add((j, i))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) in edges:
-                continue
-            if rng.random() < p:
-                edges.add((u, v))
-    return _from_edge_set(n, edges)
+    parent = np.array([-1] + [int(rng.integers(0, i)) for i in range(1, n)])
+    rows = np.arange(n)
+    first = rows * (2 * n - rows - 1) // 2  # row-major index of pair (u, u + 1)
+    edges = []
+    u0 = 0
+    while u0 < n - 1:
+        # whole rows u0..u1-1, at most _ER_BLOCK_PAIRS pairs unless one row has more
+        u1 = int(np.searchsorted(first, first[u0] + _ER_BLOCK_PAIRS, side="right")) - 1
+        u1 = min(max(u1, u0 + 1), n - 1)
+        u = np.repeat(rows[u0:u1], n - 1 - rows[u0:u1])
+        v = np.arange(first[u0], first[u1]) - first[u] + u + 1
+        hit = parent[v] == u  # tree pairs: edges, with no draw
+        free = ~hit
+        hit[free] = rng.random(np.count_nonzero(free)) < p
+        edges += zip(u[hit].tolist(), v[hit].tolist())
+        u0 = u1
+    return LayoutGraph(n, tuple(edges))
 
 
 def random_connected_subgraph(
@@ -251,7 +276,7 @@ def random_connected_subgraph(
         for u, v in g.edges
         if u in chosen and v in chosen
     ]
-    return _from_edge_set(k, edges), mapping
+    return LayoutGraph(k, tuple(edges)), mapping
 
 
 def average_degree(g: LayoutGraph) -> Fraction:

@@ -1,14 +1,21 @@
-"""Helpers for randomized cross-validation of the two simulators."""
+"""Helpers for randomized cross-validation: of the two simulators, and of
+the array-drawn Erdős–Rényi generator against its scalar reference."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset, X
+from .layouts import LayoutGraph
 from .rng import make_rng
 from .stabilizer import Tableau
 
-__all__ = ["random_clifford_circuit", "apply_pauli_dense", "stabilizers_fix_state"]
+__all__ = [
+    "random_clifford_circuit",
+    "apply_pauli_dense",
+    "stabilizers_fix_state",
+    "scalar_erdos_renyi",
+]
 
 
 def random_clifford_circuit(n_qubits: int, n_ops: int, seed: int) -> Circuit:
@@ -99,3 +106,20 @@ def stabilizers_fix_state(tab: Tableau, state: np.ndarray, atol: float = 1e-10) 
         if not np.allclose(transformed, state, atol=atol):
             return False
     return True
+
+
+def scalar_erdos_renyi(n: int, p: float, seed: int) -> LayoutGraph:
+    """Reference for layouts.connected_erdos_renyi: one scalar draw per pair.
+
+    The same draw order, written as the plain loop: n-1 tree draws, then one
+    `random()` per non-tree pair in row-major u < v order.
+    """
+    rng = make_rng(seed)
+    edges = set()
+    for i in range(1, n):
+        edges.add((int(rng.integers(0, i)), i))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in edges and rng.random() < p:
+                edges.add((u, v))
+    return LayoutGraph(n, tuple(edges))

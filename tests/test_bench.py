@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from ghz_synth import bench
 from ghz_synth.bench import (
     BenchmarkRecord,
     ProtocolSpec,
@@ -10,7 +13,8 @@ from ghz_synth.bench import (
     worker_count,
     write_outputs,
 )
-from ghz_synth.merging import HighestDegree, ScalingFactor
+from ghz_synth.merging import AbsoluteSize, HighestDegree, ScalingFactor
+from ghz_synth.stabilizer import NoiseModel
 
 
 def small_config(**overrides):
@@ -71,6 +75,20 @@ class TestRunSweep:
                 if proto == "merging":
                     assert rec.n_2q - rec.n_meas == grow.n_2q
 
+    def test_layout_built_once_per_cell(self, monkeypatch):
+        calls = []
+        make_layout = bench._make_layout
+
+        def counting(cfg, n, sample):
+            calls.append((n, sample))
+            return make_layout(cfg, n, sample)
+
+        monkeypatch.setattr(bench, "_make_layout", counting)
+        cfg = small_config()
+        records = run_sweep(cfg, workers=1)
+        assert len(records) == len(cfg.sizes) * len(cfg.protocols) * cfg.samples
+        assert sorted(calls) == [(n, s) for n in cfg.sizes for s in range(cfg.samples)]
+
     def test_parallel_equals_serial(self):
         cfg = small_config(samples=3)
         serial = run_sweep(cfg, workers=1)
@@ -103,7 +121,34 @@ class TestRunSweep:
             assert r.fidelity is not None and r.fidelity > 0.9
 
 
+PROTOCOLS = (
+    ProtocolSpec("growing"),
+    ProtocolSpec("merging", HighestDegree()),
+    ProtocolSpec("merging", ScalingFactor(0.7)),
+    ProtocolSpec("merging", AbsoluteSize(4)),
+)
+PINNED_CONFIGS = (
+    SweepConfig(family="eagle_subgraph", sizes=(10, 30), protocols=PROTOCOLS,
+                samples=3, seed=17),
+    SweepConfig(family="rect_grid_subgraph", sizes=(12, 40), protocols=PROTOCOLS,
+                samples=3, grid_rows=8, grid_cols=8, seed=17),
+    SweepConfig(family="erdos_renyi", sizes=(8, 25), protocols=PROTOCOLS, samples=3,
+                er_p=0.3, seed=17, compute_fidelity=True, shots=64,
+                noise=NoiseModel(p1=0.001, p2=0.01, pm=0.01, pr=0.01)),
+)
+# SHA-256 of raw.csv + agg.csv of each config in turn, computed when every
+# (size, sample, protocol) item still built its own layout
+PINNED_CSV_SHA256 = "62a5071dfdc80894a9c57fce9955d9fad60c1b6a1d9bda72761f4fceb50cd478"
+
+
 class TestCsv:
+    def test_pinned_digest_multi_family(self):
+        digest = hashlib.sha256()
+        for cfg in PINNED_CONFIGS:
+            records = run_sweep(cfg, workers=1)
+            digest.update((raw_csv(records) + aggregate_csv(records)).encode())
+        assert digest.hexdigest() == PINNED_CSV_SHA256
+
     def test_empty_records_header_only(self):
         assert raw_csv([]).strip().count("\n") == 0
         assert aggregate_csv([]).strip().count("\n") == 0

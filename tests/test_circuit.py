@@ -148,6 +148,16 @@ class TestValidation:
         c = circ(2, 1, MeasureZ(0, 0), Reset(0), H(0))
         assert depth(c) == 3
 
+    def test_touched_qubits_per_op_type(self):
+        ops = (H(0), X(1), CX(2, 0), MeasureZ(3, 0), Reset(4), CondX((5, 1, 2), 0))
+        assert [touched_qubits(op) for op in ops] == [(0,), (1,), (2, 0), (3,), (4,), (5, 1, 2)]
+
+    def test_unknown_op_type_rejected(self):
+        with pytest.raises(TypeError, match="unknown operation"):
+            touched_qubits(("h", 0))
+        with pytest.raises(TypeError, match="unknown operation"):
+            circ(2, 0, H(0), "cx 0 1")
+
 
 class TestValidByConstruction:
     def test_validated_once_when_built_and_never_by_consumers(self, monkeypatch):

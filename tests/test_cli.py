@@ -154,6 +154,28 @@ def test_bad_strategy_usage_error(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_bad_noise_usage_error(tmp_path, capsys):
+    layout = tmp_path / "l.json"
+    circ = tmp_path / "c.json"
+    cli_main(["layout", "--family", "grid", "--rows", "1", "--cols", "3",
+              "--out", str(layout)])
+    cli_main(["synth", "--protocol", "grow", "--layout", str(layout), "--out", str(circ)])
+    capsys.readouterr()
+    for noise, message in (
+        ("a,0,0,0", "error: --noise: could not convert string to float: 'a'"),
+        ("2,0,0,0", "error: --noise: p1 must lie in [0, 1], got 2.0"),
+        ("0,0,nan,0", "error: --noise: pm must lie in [0, 1], got nan"),
+        ("0,0,0", "error: --noise expects four comma-separated values: p1,p2,pm,pr"),
+    ):
+        code = cli_main(["simulate", "--circuit", str(circ), "--noise", noise])
+        assert code == 1
+        assert capsys.readouterr().err == message + "\n"
+    # a bad flag value is reported before any file is read
+    code = cli_main(["simulate", "--circuit", str(tmp_path / "missing.json"),
+                     "--noise", "a,0,0,0"])
+    assert code == 1
+
+
 def test_simulate_malformed_circuit_runtime_error(tmp_path, capsys):
     missing_n = tmp_path / "no_n.json"
     missing_n.write_text(json.dumps({"cbits": 0, "ops": []}))

@@ -6,6 +6,11 @@ scans per star, per merge and per BFS layer). Any rewrite of the synthesis
 loops must keep every tie-break, so every digest here must stay unchanged.
 The QASM digests were computed with the original if/elif exporter, so the
 statement table that replaced it must reproduce its output byte for byte.
+
+The layout digests pin the graphs themselves: SHA-256 of LayoutGraph.to_json()
+for Erdős–Rényi graphs and random connected subgraphs, computed with the
+original generator that drew one scalar uniform per vertex pair. The
+array-drawn generator must reproduce every graph bit for bit.
 """
 
 import hashlib
@@ -207,6 +212,71 @@ QASM_GOLDEN = {
     ("er_100_p0.5_s3", "absolute_size=4"):
         "49cc8f2093db1374a93169b69282907bd4824fee1fb6d86bc008907897083fb0",
 }
+
+
+# (n, p): digest of the to_json() of connected_erdos_renyi(n, p, seed) for
+# seeds 0, 1 and 7, joined by newlines
+ER_SEEDS = (0, 1, 7)
+ER_GOLDEN = {
+    (1, 0.0): "2101ae211366db95827f19ec02684c15f27df4d9b53914a97733977614f950dc",
+    (1, 0.1): "2101ae211366db95827f19ec02684c15f27df4d9b53914a97733977614f950dc",
+    (1, 0.5): "2101ae211366db95827f19ec02684c15f27df4d9b53914a97733977614f950dc",
+    (1, 1.0): "2101ae211366db95827f19ec02684c15f27df4d9b53914a97733977614f950dc",
+    (2, 0.0): "327fe9a98907fd77de7758dc5cce2cae1f3bddf9eb305e9a79eaad20edba5777",
+    (2, 0.1): "327fe9a98907fd77de7758dc5cce2cae1f3bddf9eb305e9a79eaad20edba5777",
+    (2, 0.5): "327fe9a98907fd77de7758dc5cce2cae1f3bddf9eb305e9a79eaad20edba5777",
+    (2, 1.0): "327fe9a98907fd77de7758dc5cce2cae1f3bddf9eb305e9a79eaad20edba5777",
+    (3, 0.0): "d5195cad398bbd267af86b018157de52a608f22ad5dd92016f5ec3b8b54f179d",
+    (3, 0.1): "d5195cad398bbd267af86b018157de52a608f22ad5dd92016f5ec3b8b54f179d",
+    (3, 0.5): "af3c25c2d16912bbfb941955d2fbcf801a90b0023441722d6eaec896bff88f7d",
+    (3, 1.0): "5a17028ac8b2d5d0987d6c94b49b8f1269ecdd86a8346b578e76c89e846564f5",
+    (20, 0.0): "ae6b445872aa2933a0fe536c8e253ed7338fb8ab415deb7e33bb7dfb2226ba15",
+    (20, 0.1): "c5ff2f6f02404872779a5909632b57101a25cfe35b2c483920a9b9efe9133586",
+    (20, 0.5): "c8f2639949084396665a5047ec91af850a9f9aad99c1741c43cb8374b57a2f32",
+    (20, 1.0): "753720a50f5853aebbcd831b1d49c3601691e064bc2738c584006f1bd55ea7b3",
+    (60, 0.0): "a6e68caf317426e56ac4497946107cfeb0f52aeaca1345c1af91a9f9a0396eb8",
+    (60, 0.1): "aa60008589f750d03363bfe7bdea0a4211db5bec39c48f91dc91835f0017a9d7",
+    (60, 0.5): "921a795710da6e006dfea868dcd15444a030a386470d8316d1923d29263b3863",
+    (60, 1.0): "6b38c1a399c7ef161a2f2d3709dce5ffc0bbc8a9d9e904f03939067e2576ad79",
+    (100, 0.0): "538237a29ecb137397b1ef4e73137773b1b78a5717cb16b9cd1577079afe490f",
+    (100, 0.1): "65431f6706d371537f53e4266e46f197321a0e3389bea51200abfb92323a137b",
+    (100, 0.5): "26f6cd384cfc733f37ce50bc842bbd826ccd5c2339e97fb7ff55737845640d0d",
+    (100, 1.0): "98243345e790f10da11536d7527df397b8f011188c5cedf9c4c402cf066e94f2",
+    (300, 0.0): "6a8cb71340f7f90c7e4601c7418195ea317c1a5a5e1d96c40f6d63112800208d",
+    (300, 0.1): "57265d8e01f7533a54835d91118da1a052cd1f17c5d7bd9c6bea8c0686273f34",
+    (300, 0.5): "7b8b7ed366f5df6690b86d1de84fc7516cacb821a52457fa4d4fced74e1eaa63",
+    (300, 1.0): "65ad0b2193d037f79fcfe1c51b9fc5102053ffa97e3c2b858d50adbe33243c2f",
+}
+
+# (source, k, seed): digest of sub.to_json() + repr(mapping)
+SUBGRAPH_SOURCES = {
+    "eagle_127": eagle_127,
+    "grid_12x9": lambda: rect_grid(12, 9),
+    "er_60_p0.1_s2": lambda: connected_erdos_renyi(60, 0.1, 2),
+}
+SUBGRAPH_GOLDEN = {
+    ("eagle_127", 1, 4): "dec7d97f8d865bcea23354874e50011232e5be2928cdbf0bf751782acaf2cd34",
+    ("eagle_127", 17, 4): "b2c5a7063f34296d9d6e6f38de1c266a0bcf8d1248c09a33a857af9b83be2fb9",
+    ("eagle_127", 127, 4): "67f8b7240c378b9023234d39eb73c7ba38e4135a71e85cb53153648e17073d67",
+    ("grid_12x9", 50, 6): "3380ed4c425213c6be5560270b00e2ec6be45767a47079c938fae2e05bb0953b",
+    ("er_60_p0.1_s2", 25, 3): "327702095d079554c64e0031ffa3fba179bf18a663ba69ec46803f1b106c6485",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n,p", list(ER_GOLDEN))
+def test_erdos_renyi_digest(n, p):
+    text = "\n".join(connected_erdos_renyi(n, p, seed).to_json() for seed in ER_SEEDS)
+    assert _sha256(text) == ER_GOLDEN[n, p]
+
+
+@pytest.mark.parametrize("source,k,seed", list(SUBGRAPH_GOLDEN))
+def test_random_connected_subgraph_digest(source, k, seed):
+    sub, mapping = random_connected_subgraph(SUBGRAPH_SOURCES[source](), k, seed)
+    assert _sha256(sub.to_json() + repr(mapping)) == SUBGRAPH_GOLDEN[source, k, seed]
 
 
 @pytest.mark.parametrize("layout", list(LAYOUTS))

@@ -2,7 +2,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ghz_synth import layouts
 from ghz_synth.layouts import (
     LayoutGraph,
     average_degree,
@@ -12,6 +15,7 @@ from ghz_synth.layouts import (
     random_connected_subgraph,
     rect_grid,
 )
+from ghz_synth.testutil import scalar_erdos_renyi
 
 
 def bfs_connected(g: LayoutGraph) -> bool:
@@ -128,6 +132,23 @@ class TestConnectedErdosRenyi:
         b = connected_erdos_renyi(30, 0.2, seed=2)
         assert a.edges != b.edges
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 70),
+        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_matches_scalar_reference(self, n, p, seed):
+        assert connected_erdos_renyi(n, p, seed).edges == scalar_erdos_renyi(n, p, seed).edges
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 40, 10_000])
+    def test_blocks_draw_the_same_stream(self, monkeypatch, block):
+        # rows are split into blocks of at most `block` pairs (one row if it
+        # has more); the graph must not depend on where the blocks fall
+        monkeypatch.setattr(layouts, "_ER_BLOCK_PAIRS", block)
+        for n, p, seed in ((2, 0.5, 0), (31, 0.3, 5), (64, 0.7, 11)):
+            assert connected_erdos_renyi(n, p, seed).edges == scalar_erdos_renyi(n, p, seed).edges
+
 
 class TestRandomConnectedSubgraph:
     def test_full_size_is_whole_graph(self):
@@ -188,6 +209,33 @@ class TestLayoutGraphInvariants:
     def test_rejects_duplicate(self):
         with pytest.raises(ValueError):
             LayoutGraph(3, ((0, 1), (0, 1)))
+
+    @pytest.mark.parametrize("edges,message", [
+        (((1, 1),), "edges: self-loop on node 1"),
+        (((0, 3),), r"edges: edge \(0, 3\) out of range or unordered"),
+        (((2, 1),), r"edges: edge \(2, 1\) out of range or unordered"),
+        (((0, 2), (0, 1), (1, 2), (0, 2)), r"edges: duplicate edge \(0, 2\)"),
+    ])
+    def test_error_messages_name_the_edge(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            LayoutGraph(3, edges)
+
+    def test_edges_stored_sorted(self):
+        assert LayoutGraph(4, ((2, 3), (0, 1), (1, 3))).edges == ((0, 1), (1, 3), (2, 3))
+
+    def test_connectivity_computed_once(self, monkeypatch):
+        calls = []
+        reaches_all = LayoutGraph._reaches_all
+
+        def counting(self):
+            calls.append(self)
+            return reaches_all(self)
+
+        monkeypatch.setattr(LayoutGraph, "_reaches_all", counting)
+        g, split = rect_grid(3, 3), LayoutGraph(3, ((0, 1),))
+        for _ in range(3):
+            assert g.is_connected() and not split.is_connected()
+        assert len(calls) == 2
 
     def test_json_round_trip(self):
         g = connected_erdos_renyi(12, 0.3, seed=4)

@@ -1,14 +1,19 @@
-"""Synthesis at about 16k qubits: both protocols meet their count identities.
+"""Synthesis at about 16k qubits: both protocols meet their count identities;
+and a dense Erdős–Rényi graph on 2000 nodes, pinned by digest.
 
-No timing is asserted; the test exists so that a synthesis loop that turns
-quadratic again makes the suite take minutes instead of about a second.
+No timing is asserted; the tests exist so that a synthesis loop that turns
+quadratic again makes the suite take minutes instead of about a second, and
+a return to one scalar draw per vertex pair (about 4 s at 2000 nodes, against
+about 0.4 s for the array draws) shows as a slow suite.
 """
+
+import hashlib
 
 import pytest
 
 from ghz_synth.circuit import count_2q, count_measurements
 from ghz_synth.growing import synthesize_growing
-from ghz_synth.layouts import heavy_hex, rect_grid
+from ghz_synth.layouts import connected_erdos_renyi, heavy_hex, rect_grid
 from ghz_synth.merging import HighestDegree, synthesize_merging
 
 LAYOUTS = {
@@ -26,3 +31,12 @@ def test_count_identities(layout):
     grown = synthesize_growing(g)
     assert count_2q(grown) == g.node_count - 1
     assert count_measurements(grown) == 0
+
+
+def test_dense_erdos_renyi_2000():
+    g = connected_erdos_renyi(2000, 0.5, 0)
+    assert g.edge_count == 1_000_132
+    # computed with the scalar per-pair generator, before the array draws
+    assert hashlib.sha256(g.to_json().encode()).hexdigest() == (
+        "273360a6fe05120ecefed159da48e1551b777e96a35f438cc193c5cf9828761e"
+    )
