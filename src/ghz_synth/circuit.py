@@ -1,20 +1,22 @@
 """Circuit intermediate representation.
 
 Operations are plain immutable records; a circuit is an ordered tuple of them
-plus qubit/classical-bit counts, valid by construction: it checks its
-invariants once, when it is built, and no consumer checks them again. Depth
-is computed by ASAP list scheduling: every operation occupies one layer on
-each qubit it touches, and a classically controlled X cannot share or
-precede the layer of the measurement that produced its control bit.
+plus qubit/classical-bit counts, valid by construction. The ASAP `Schedule`
+is the one place that knows an operation's rules: it checks each operation
+and places it, in one pass. Every operation occupies one layer on each qubit
+it touches, and a classically controlled X cannot share or precede the layer
+of the measurement that produced its control bit. A circuit runs its
+operations through one Schedule when it is built, and keeps the depth that
+walk found, so no consumer checks or schedules it again.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Union
 
-from .schema import InputError, field
+from . import schema
 
 __all__ = [
     "H",
@@ -34,7 +36,7 @@ __all__ = [
 ]
 
 
-class MalformedCircuitError(InputError):
+class MalformedCircuitError(schema.InputError):
     """A circuit violates a structural invariant or its JSON form is malformed."""
 
 
@@ -101,51 +103,27 @@ class Circuit:
     qubit_count: int
     cbit_count: int
     ops: tuple[Operation, ...]
+    _depth: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
         self.validate()
 
     def validate(self) -> None:
-        """Raise MalformedCircuitError if any invariant is violated.
+        """Raise MalformedCircuitError if any invariant is violated; keep the depth.
 
-        Checks n >= 1 and cbits >= 0, index ranges, CX control != target,
-        CondX target lists, single-writer classical bits read only after
-        being written, and that a measured qubit is untouched until reset.
+        Checks n >= 1 and cbits >= 0, then emits every op through one
+        Schedule, which checks each op's rules (see `Schedule.emit`); its
+        highest layer is the depth that `depth` returns.
         """
         if self.qubit_count < 1:
             raise MalformedCircuitError(f"n: must be >= 1, got {self.qubit_count}")
         if self.cbit_count < 0:
             raise MalformedCircuitError(f"cbits: must be >= 0, got {self.cbit_count}")
-        writes: dict[int, int] = {}
-        dead: set[int] = set()
-        for i, op in enumerate(self.ops):
-            for q in touched_qubits(op):
-                if not 0 <= q < self.qubit_count:
-                    raise MalformedCircuitError(f"op {i}: qubit {q} out of range")
-                if q in dead and not isinstance(op, Reset):
-                    raise MalformedCircuitError(
-                        f"op {i}: qubit {q} used after measurement without reset"
-                    )
-            if isinstance(op, CX) and op.control == op.target:
-                raise MalformedCircuitError(f"op {i}: CX control equals target")
-            if isinstance(op, (MeasureZ, CondX)) and not 0 <= op.cbit < self.cbit_count:
-                raise MalformedCircuitError(f"op {i}: cbit {op.cbit} out of range")
-            if isinstance(op, CondX):
-                if not op.targets:
-                    raise MalformedCircuitError(f"op {i}: CondX with no targets")
-                if len(set(op.targets)) != len(op.targets):
-                    raise MalformedCircuitError(f"op {i}: CondX duplicate targets")
-                if writes.get(op.cbit, 0) != 1:
-                    raise MalformedCircuitError(
-                        f"op {i}: cbit {op.cbit} must be written by exactly one "
-                        f"earlier measurement, saw {writes.get(op.cbit, 0)}"
-                    )
-            if isinstance(op, MeasureZ):
-                writes[op.cbit] = writes.get(op.cbit, 0) + 1
-                dead.add(op.q)
-            elif isinstance(op, Reset):
-                dead.discard(op.q)
+        schedule = Schedule(self.qubit_count, self.cbit_count)
+        for op in self.ops:
+            schedule.emit(op)
+        object.__setattr__(self, "_depth", max(schedule.last))
 
     def to_json(self) -> str:
         ops = [
@@ -180,42 +158,80 @@ _QASM = {H: "h q[{0.q}];", X: "x q[{0.q}];", CX: "cx q[{0.control}], q[{0.target
 
 
 def _field(rec, key: str, path: str, kind: type):
-    return field(rec, key, path, kind, error=MalformedCircuitError, root="circuit")
+    return schema.field(rec, key, path, kind, error=MalformedCircuitError, root="circuit")
 
 
 class Schedule:
-    """Incremental ASAP list scheduler: the layer assignment behind depth().
+    """Incremental ASAP list scheduler that checks each operation as it places it.
 
-    last[q] is the layer of the latest operation on qubit q and depth the
-    highest layer so far. Synthesis emits operations as it builds them and
-    reads last[...] to pick the qubits that free up earliest.
+    The one place that knows the operations' rules and layers, for a circuit
+    on n qubits and cbits classical bits. last[q] is the layer of the latest
+    operation on qubit q, so max(last) is the depth so far, and emitted is
+    the number of operations placed. Synthesis emits operations as it builds
+    them and reads last[...] to pick the qubits that free up earliest, so it
+    fails at the operation that broke a rule.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, cbits: int):
+        self.n, self.cbits = n, cbits
         self.last = [0] * n
-        self.depth = 0
-        self._cbit_layer: dict[int, int] = {}
+        self.emitted = 0
+        self._writes: dict[int, list[int]] = {}  # cbit -> layer of each measurement of it
+        self._dead: set[int] = set()  # qubits measured and not reset since
 
     def emit(self, op: Operation) -> None:
-        last = self.last
+        """Place op one layer after everything it waits for, or raise.
+
+        MalformedCircuitError names the op's index and the first rule it
+        breaks, in this order: each touched qubit is in range and, unless
+        op is a Reset, not measured since its last reset; a CX's control
+        differs from its target; a MeasureZ's or CondX's cbit is in range;
+        a CondX has targets, none twice, and its bit was written by exactly
+        one earlier measurement. A CondX also waits for that measurement.
+        """
+        i, kind, n, last, dead = self.emitted, type(op), self.n, self.last, self._dead
         qs = touched_qubits(op)
-        layer = 1 + max([last[q] for q in qs])
-        if isinstance(op, CondX):
-            layer = max(layer, self._cbit_layer[op.cbit] + 1)
+        layer = 1
+        for q in qs:
+            if not 0 <= q < n:
+                raise MalformedCircuitError(f"op {i}: qubit {q} out of range")
+            if q in dead and kind is not Reset:
+                raise MalformedCircuitError(
+                    f"op {i}: qubit {q} used after measurement without reset"
+                )
+            if last[q] >= layer:
+                layer = last[q] + 1
+        if kind is CX:
+            if op.control == op.target:
+                raise MalformedCircuitError(f"op {i}: CX control equals target")
+        elif kind is MeasureZ or kind is CondX:
+            if not 0 <= op.cbit < self.cbits:
+                raise MalformedCircuitError(f"op {i}: cbit {op.cbit} out of range")
+            if kind is MeasureZ:
+                self._writes.setdefault(op.cbit, []).append(layer)
+                dead.add(op.q)
+            elif not qs:
+                raise MalformedCircuitError(f"op {i}: CondX with no targets")
+            elif len(set(qs)) != len(qs):
+                raise MalformedCircuitError(f"op {i}: CondX duplicate targets")
+            elif len(writes := self._writes.get(op.cbit, ())) != 1:
+                raise MalformedCircuitError(f"op {i}: cbit {op.cbit} must be written by exactly "
+                                            f"one earlier measurement, saw {len(writes)}")
+            elif writes[0] >= layer:
+                layer = writes[0] + 1
+        elif kind is Reset:
+            dead.discard(op.q)
         for q in qs:
             last[q] = layer
-        if isinstance(op, MeasureZ):
-            self._cbit_layer[op.cbit] = layer
-        if layer > self.depth:
-            self.depth = layer
+        self.emitted = i + 1
 
 
 def depth(c: Circuit) -> int:
-    """ASAP-schedule layer count (0 for an empty circuit)."""
-    schedule = Schedule(c.qubit_count)
-    for op in c.ops:
-        schedule.emit(op)
-    return schedule.depth
+    """ASAP-schedule layer count (0 for an empty circuit).
+
+    The circuit found it once, when it was built, so this does not schedule.
+    """
+    return c._depth
 
 
 def count_2q(c: Circuit) -> int:

@@ -22,8 +22,9 @@ from .metrics import (
     hellinger_fidelity,
     is_ghz,
 )
+from .rng import check_seed
 from .schema import InputError
-from .stabilizer import NoiseModel, run, sample_counts
+from .stabilizer import NoiseModel, check_shots, run, sample_counts
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,6 +48,18 @@ def _parse_noise(text: str) -> NoiseModel:
         return NoiseModel(p1=p1, p2=p2, pm=pm, pr=pr)
     except ValueError as exc:
         raise _UsageError(f"--noise: {exc}") from None
+
+
+def _check_flags(check, *values):
+    """check(*values), whose range errors start with the bad parameter's name.
+
+    The parameters are named as their flags, so such an error is a usage
+    error about that flag.
+    """
+    try:
+        return check(*values)
+    except ValueError as exc:
+        raise _UsageError(f"--{exc}") from None
 
 
 def _build_parser() -> _Parser:
@@ -91,11 +104,11 @@ def _cmd_layout(args) -> int:
     if args.family == "eagle":
         g = layouts.eagle_127()
     elif args.family == "grid":
-        g = layouts.rect_grid(args.rows, args.cols)
+        g = _check_flags(layouts.rect_grid, args.rows, args.cols)
     else:
         if args.n is None:
             raise _UsageError("--n is required for the er family")
-        g = layouts.connected_erdos_renyi(args.n, args.p, args.seed)
+        g = _check_flags(layouts.connected_erdos_renyi, args.n, args.p, args.seed)
     text = g.to_json()
     if args.out:
         with open(args.out, "w") as f:
@@ -128,6 +141,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_simulate(args) -> int:
     noise = _parse_noise(args.noise) if args.noise else None
+    _check_flags(check_shots, args.shots)
+    _check_flags(check_seed, args.seed)
     with open(args.circuit) as f:
         circ = Circuit.from_json(f.read())
     counts = sample_counts(circ, args.shots, args.seed, noise)

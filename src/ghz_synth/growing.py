@@ -32,7 +32,7 @@ def synthesize_growing(g: LayoutGraph) -> Circuit:
 
     star = Star(start, frozenset(g.neighbors(start)))
     ops: list[Operation] = build_star_ghz(star)
-    schedule = Schedule(n)
+    schedule = Schedule(n, 0)
     for op in ops:
         schedule.emit(op)
 

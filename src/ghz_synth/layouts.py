@@ -179,9 +179,13 @@ def heavy_hex(rows: int, cols: int) -> LayoutGraph:
 
 
 def rect_grid(rows: int, cols: int) -> LayoutGraph:
-    """rows x cols lattice; node (r, c) has index r*cols + c."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"grid dimensions must be >= 1, got {rows}x{cols}")
+    """rows x cols lattice; node (r, c) has index r*cols + c.
+
+    A range error's message starts with the bad parameter's name.
+    """
+    for name, size in (("rows", rows), ("cols", cols)):
+        if size < 1:
+            raise ValueError(f"{name}: must be >= 1, got {size}")
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -212,11 +216,13 @@ def connected_erdos_renyi(n: int, p: float, seed: int) -> LayoutGraph:
     ((0, 1), (0, 2), ..., (1, 2), ...), and the pair is an edge iff its
     uniform is < p. The uniforms are drawn with `random(k)` over blocks of
     whole rows, which yields the same stream as k scalar `random()` calls.
+
+    A range error's message starts with the bad parameter's name.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n: must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+        raise ValueError(f"p: must lie in [0, 1], got {p}")
     rng = make_rng(seed)
     parent = np.array([-1] + [int(rng.integers(0, i)) for i in range(1, n)])
     rows = np.arange(n)

@@ -274,7 +274,7 @@ def _assemble(g: LayoutGraph, stars: list[Star]) -> tuple[MergePlan, list[Operat
             comp_of[u] = i
     low = [m[0] for m in members]
 
-    schedule = Schedule(n)
+    schedule = Schedule(n, len(stars) - 1)
     ops: list[Operation] = []
     for star in stars:
         for op in build_star_ghz(star):

@@ -34,7 +34,7 @@ _FEW_LANES = 8
 def check_seed(seed: int) -> int:
     """The seed itself, if it is a 64-bit unsigned integer; else ValueError."""
     if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        raise ValueError(f"seed: must be a 64-bit unsigned integer, got {seed}")
     return seed
 
 

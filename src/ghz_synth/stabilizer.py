@@ -58,6 +58,7 @@ __all__ = [
     "InvalidForcingError",
     "run",
     "sample_counts",
+    "check_shots",
     "MAX_QUBITS",
 ]
 
@@ -498,6 +499,13 @@ def run(
     )
 
 
+def check_shots(shots: int) -> int:
+    """The shot count itself, if it is at least 1; else ValueError."""
+    if shots < 1:
+        raise ValueError(f"shots: must be >= 1, got {shots}")
+    return shots
+
+
 def sample_counts(
     c: Circuit,
     shots: int,
@@ -513,8 +521,7 @@ def sample_counts(
     any single shot can be reproduced with run() on the extended circuit and
     that seed.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    check_shots(shots)
     _check_capacity(c, max_qubits)
     stream = CounterStream(shot_keys(seed, shots))
     _, cbits, _ = _batched_run(c, stream, shots, noise, terminal_readout=True)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ghz_synth import circuit
 from ghz_synth.circuit import (
     CX,
     Circuit,
@@ -10,6 +11,7 @@ from ghz_synth.circuit import (
     MalformedCircuitError,
     MeasureZ,
     Reset,
+    Schedule,
     X,
     count_2q,
     count_measurements,
@@ -195,6 +197,41 @@ class TestValidByConstruction:
         c = Circuit(2, 0, [H(0)])
         assert type(c.ops) is tuple
         assert c == Circuit(2, 0, (H(0),))
+
+
+class TestOneWalk:
+    def test_depth_found_when_built_and_not_rescheduled(self, monkeypatch):
+        calls = []
+        touched = circuit.touched_qubits
+
+        def counting(op):
+            calls.append(op)
+            return touched(op)
+
+        monkeypatch.setattr(circuit, "touched_qubits", counting)
+        ops = (H(0), CX(0, 1), MeasureZ(1, 0), CondX((2,), 0), Reset(1))
+        c = Circuit(3, 1, ops)
+        assert calls == list(ops)
+        assert depth(c) == 4
+        assert calls == list(ops)
+
+    def test_depth_stays_out_of_equality_and_repr(self):
+        c = circ(2, 0, H(0), CX(0, 1))
+        assert c == Circuit(2, 0, (H(0), CX(0, 1)))
+        assert "_depth" not in repr(c)
+
+    def test_schedule_rejects_negative_qubit(self):
+        with pytest.raises(MalformedCircuitError, match=r"^op 0: qubit -1 out of range$"):
+            Schedule(3, 0).emit(H(-1))
+
+    def test_schedule_names_op_reading_unwritten_bit(self):
+        schedule = Schedule(2, 1)
+        schedule.emit(H(0))
+        with pytest.raises(
+            MalformedCircuitError,
+            match=r"^op 1: cbit 0 must be written by exactly one earlier measurement, saw 0$",
+        ):
+            schedule.emit(CondX((1,), 0))
 
 
 class TestJson:

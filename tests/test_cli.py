@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +263,52 @@ def test_loader_errors_are_input_errors():
         SweepConfig.from_json("{}")
     assert issubclass(MalformedCircuitError, InputError)
     assert issubclass(InputError, ValueError)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["layout", "--family", "er", "--n", "5", "--p", "2"], "--p: must lie in [0, 1], got 2.0"),
+    (["layout", "--family", "er", "--n", "5", "--p", "nan"], "--p: must lie in [0, 1], got nan"),
+    (["layout", "--family", "er", "--n", "0"], "--n: must be >= 1, got 0"),
+    (["layout", "--family", "er", "--n", "5", "--seed", "-1"],
+     "--seed: must be a 64-bit unsigned integer, got -1"),
+    (["layout", "--family", "grid", "--rows", "0"], "--rows: must be >= 1, got 0"),
+    (["layout", "--family", "grid", "--cols", "0"], "--cols: must be >= 1, got 0"),
+])
+def test_bad_layout_flag_usage_error(argv, message, capsys):
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_bad_simulate_flag_usage_error(tmp_path, capsys):
+    circ = tmp_path / "c.json"
+    circ.write_text(Circuit(2, 0, ()).to_json())
+    for flags, message in (
+        (["--shots", "0"], "--shots: must be >= 1, got 0"),
+        (["--seed", "-1"], "--seed: must be a 64-bit unsigned integer, got -1"),
+        (["--seed", "18446744073709551616"],
+         "--seed: must be a 64-bit unsigned integer, got 18446744073709551616"),
+        (["--seed", "-1", "--noise", "0.1,0,0,0"],
+         "--seed: must be a 64-bit unsigned integer, got -1"),
+    ):
+        assert cli_main(["simulate", "--circuit", str(circ), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    # a bad flag value is reported before any file is read
+    assert cli_main(["simulate", "--circuit", str(tmp_path / "missing.json"),
+                     "--shots", "0"]) == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def ghz_synth(*argv):
+        return subprocess.run([sys.executable, "-m", "ghz_synth", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    ok = ghz_synth("layout", "--family", "grid", "--rows", "2", "--cols", "2")
+    assert ok.returncode == 0
+    assert json.loads(ok.stdout)["n"] == 4
+    bad = ghz_synth("layout", "--family", "grid", "--rows", "0")
+    assert bad.returncode == 1
+    assert bad.stderr == "error: --rows: must be >= 1, got 0\n"

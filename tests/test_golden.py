@@ -11,13 +11,31 @@ The layout digests pin the graphs themselves: SHA-256 of LayoutGraph.to_json()
 for Erdős–Rényi graphs and random connected subgraphs, computed with the
 original generator that drew one scalar uniform per vertex pair. The
 array-drawn generator must reproduce every graph bit for bit.
+
+The validation digest pins which op sequences a Circuit accepts, the depth
+of each accepted one and the exact error of each rejected one. It was
+computed with the separate `Circuit.validate` loop and `depth` walk, before
+the per-op checks moved into `Schedule.emit`.
 """
 
 import hashlib
+import random
+import re
 
 import pytest
 
-from ghz_synth.circuit import export_qasm
+from ghz_synth.circuit import (
+    CX,
+    Circuit,
+    CondX,
+    H,
+    MalformedCircuitError,
+    MeasureZ,
+    Reset,
+    X,
+    depth,
+    export_qasm,
+)
 from ghz_synth.growing import synthesize_growing
 from ghz_synth.layouts import (
     connected_erdos_renyi,
@@ -297,3 +315,73 @@ def test_export_qasm_digest(layout):
         for variant, synth in VARIANTS.items()
     }
     assert got == {variant: QASM_GOLDEN[layout, variant] for variant in VARIANTS}
+
+
+# SHA-256 of the outcome lines of VALIDATION_CORPUS_SIZE random op sequences,
+# joined by newlines. The seed is one whose corpus reaches the rarest message,
+# a read of a twice-measured bit (`saw 2`).
+VALIDATION_CORPUS_SEED = 6
+VALIDATION_CORPUS_SIZE = 3000
+VALIDATION_GOLDEN = "a52cbce3c4259165feaf7823bcffa631fc358c11057fbae1eadb0b38958afd1b"
+# every message a per-op check can raise, with its numbers as \d+
+VALIDATION_TEMPLATES = (
+    r"MalformedCircuitError: op \d+: qubit \d+ out of range",
+    r"MalformedCircuitError: op \d+: qubit -1 out of range",
+    r"MalformedCircuitError: op \d+: qubit \d+ used after measurement without reset",
+    r"MalformedCircuitError: op \d+: CX control equals target",
+    r"MalformedCircuitError: op \d+: cbit \d+ out of range",
+    r"MalformedCircuitError: op \d+: cbit -1 out of range",
+    r"MalformedCircuitError: op \d+: CondX with no targets",
+    r"MalformedCircuitError: op \d+: CondX duplicate targets",
+    r"MalformedCircuitError: op \d+: cbit \d+ must be written by exactly one earlier "
+    r"measurement, saw 0",
+    r"MalformedCircuitError: op \d+: cbit \d+ must be written by exactly one earlier "
+    r"measurement, saw 2",
+    r"TypeError: unknown operation .+",
+    r"ok \d+",
+)
+NON_OPS = ("cx 0 1", ("h", 0), None, 7)
+
+
+def _index(rng: random.Random, size: int) -> int:
+    """An index in -1..size: in range, when there is a range, nine times in ten."""
+    if size and rng.random() < 0.9:
+        return rng.randrange(size)
+    return rng.choice((-1, size))
+
+
+def _random_op(rng: random.Random, n: int, cbits: int):
+    if rng.random() < 0.02:
+        return rng.choice(NON_OPS)
+    kind = rng.choice((H, X, CX, MeasureZ, Reset, CondX))
+    if kind is CX:
+        return CX(_index(rng, n), _index(rng, n))
+    if kind is MeasureZ:
+        return MeasureZ(_index(rng, n), _index(rng, cbits))
+    if kind is CondX:
+        targets = tuple(_index(rng, n) for _ in range(rng.randrange(4)))
+        return CondX(targets, _index(rng, cbits))
+    return kind(_index(rng, n))
+
+
+def _validation_outcomes() -> list[str]:
+    """`ok <depth>` or `<ExcType>: <message>` for each sequence of the corpus."""
+    rng = random.Random(VALIDATION_CORPUS_SEED)
+    lines = []
+    for _ in range(VALIDATION_CORPUS_SIZE):
+        n, cbits = rng.randint(1, 4), rng.randint(0, 2)
+        ops = [_random_op(rng, n, cbits) for _ in range(rng.randint(0, 8))]
+        try:
+            lines.append(f"ok {depth(Circuit(n, cbits, ops))}")
+        except (MalformedCircuitError, TypeError) as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
+    return lines
+
+
+def test_validation_corpus_digest():
+    lines = _validation_outcomes()
+    assert _sha256("\n".join(lines)) == VALIDATION_GOLDEN
+    # the digest covers both sides: every message and enough accepted circuits
+    for template in VALIDATION_TEMPLATES:
+        assert any(re.fullmatch(template, line) for line in lines), template
+    assert sum(line.startswith("ok ") for line in lines) >= 0.2 * len(lines)
