@@ -4,24 +4,31 @@ The tableau follows Aaronson & Gottesman (Phys. Rev. A 70, 052328): rows
 0..n-1 are destabilizers, rows n..2n-1 stabilizers, each row a Pauli in
 binary symplectic form (x bits, z bits) with a sign bit.
 
-Shots are simulated in a single batch. H/X/CX update the x/z bit matrices
+Everything is bit-packed into uint64 words, the layouts of Stim (Gidney,
+Quantum 5, 497, 2021). The x/z bits are stored by column: x[q] and z[q] are
+qubit q's x and z bits over the 2n rows, row i at bit i % 64 of word i // 64,
+so x and z have shape (n, ceil(2n / 64)). H swaps two word rows and CX XORs
+them; a measurement collapse XORs one row mask into the columns on the
+pivot row's support and computes the product phases bit-sliced, for all
+rows at once, in word operations.
+
+Shots are simulated in a single batch. H/X/CX update the x/z bits
 identically for every shot, measurement collapse performs the same row
 operations for every shot, and Pauli noise, classically controlled X
 corrections and measurement outcomes only ever touch the sign bits. So one
-(2n, n) x/z pair is shared by all shots, and everything per-shot is
-bit-packed, the layout of Stim (Gidney, Quantum 5, 497, 2021): shot s is bit
-s % 64 of word s // 64 of a uint64 vector. The signs are a
+x/z pair is shared by all shots, and everything per-shot is packed by shot:
+shot s is bit s % 64 of word s // 64 of a uint64 vector. The signs are a
 (2n, ceil(shots / 64)) word matrix; coins, noise masks, outcomes and
 classical bits are word vectors. The phase of a row product depends only on
 the shared x/z bits, so every sign update is a word-wide XOR and
 thousand-shot noisy sampling costs little more than one run. Bits past the
-last shot are padding: don't-care in the signs, zero in every other vector.
-Only the API edge unpacks (SimOutcome, expectation, stabilizer_rows and the
-readout histogram).
+last row or shot are padding: don't-care in the signs, zero everywhere else.
+Only the API edge unpacks per-shot bits (SimOutcome, expectation and the
+readout histogram) or whole rows (stabilizer_rows).
 
 Tableau.expectation gives the per-shot expectation (+1, -1 or 0) of any
 Hermitian Pauli by the destabilizer method. It is the single Pauli-membership
-primitive: deterministic measurement outcomes and metrics.is_ghz both use it.
+primitive: its sign computation also gives deterministic measurement outcomes.
 
 Randomness contract (part of the reproducibility guarantee): each shot
 owns one 64-bit key and reads the counter-based stream of rng.CounterStream,
@@ -40,6 +47,7 @@ with its key.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -116,47 +124,59 @@ def _unpack(words: np.ndarray, shots: int) -> np.ndarray:
     return np.unpackbits(octets, axis=-1, count=shots, bitorder="little")
 
 
-def _spread(bits: np.ndarray) -> np.ndarray:
-    """One column of all-ones words on the rows where bits is 1."""
-    return np.negative(bits, dtype=np.uint64)[:, None]
+def _first_bit(words: np.ndarray) -> int:
+    """Index of the lowest set bit of a nonzero packed vector."""
+    w = int(words.nonzero()[0][0])
+    v = int(words[w])
+    return 64 * w + (v & -v).bit_length() - 1
 
 
 class Tableau:
-    """Batched stabilizer tableau: shared x/z bits, bit-packed per-shot signs.
+    """Batched stabilizer tableau: packed x/z columns, packed per-shot signs.
 
-    r has shape (2n, words) with words = ceil(shots / 64); per-shot vectors
-    passed to or returned by flip and measure use the same packing.
+    x and z have shape (n, ceil(2n / 64)): x[q] holds qubit q's x bits over
+    the 2n rows, row i at bit i % 64 of word i // 64 (z likewise). They are
+    the two halves of one (2, n, ceil(2n / 64)) array xz, so an update that
+    treats x and z alike is one operation on xz. stab_mask is the packed
+    mask of the stabilizer rows n..2n-1. r has shape (2n, words) with
+    words = ceil(shots / 64); per-shot vectors passed to or returned by
+    flip and measure use the same packing.
     """
 
     def __init__(self, n: int, shots: int = 1):
         self.n = n
         self.shots = shots
         self.words = -(-shots // 64)
-        self.x = np.zeros((2 * n, n), dtype=np.uint8)
-        self.z = np.zeros((2 * n, n), dtype=np.uint8)
+        row_words = -(-2 * n // 64)
+        self.stab_mask = _pack(np.arange(2 * n) >= n, row_words)
+        self.xz = np.zeros((2, n, row_words), dtype=np.uint64)
+        self.x, self.z = self.xz
         self.r = np.zeros((2 * n, self.words), dtype=np.uint64)
         self.live = _pack(np.ones(shots, dtype=bool), self.words)
         idx = np.arange(n)
-        self.x[idx, idx] = 1          # destabilizer i = X_i
-        self.z[n + idx, idx] = 1      # stabilizer i = Z_i
+        stab = n + idx
+        one = np.uint64(1)
+        self.x[idx, idx >> 6] = one << (idx & 63).astype(np.uint64)  # destabilizer i = X_i
+        self.z[idx, stab >> 6] = one << (stab & 63).astype(np.uint64)  # stabilizer i = Z_i
+
+    def copy(self) -> Tableau:
+        """An independent copy of the tableau."""
+        new = copy.copy(self)
+        new.xz, new.r = self.xz.copy(), self.r.copy()
+        new.x, new.z = new.xz
+        return new
 
     # -- Clifford gates (x/z updates shared across shots) --
 
     def apply_h(self, q: int) -> None:
-        self._negate(self.x[:, q] & self.z[:, q])
-        self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
+        self._flip_rows(self.x[q] & self.z[q], self.live)
+        self.xz[:, q] = self.xz[::-1, q]  # swap; numpy buffers the overlapping source
 
     def apply_cx(self, a: int, b: int) -> None:
-        self._negate(self.x[:, a] & self.z[:, b] & (self.x[:, b] ^ self.z[:, a] ^ 1))
-        self.x[:, b] ^= self.x[:, a]
-        self.z[:, a] ^= self.z[:, b]
-
-    def _negate(self, rows: np.ndarray) -> None:
-        """Flip the sign of every marked row in every shot."""
-        # a GHZ preparation never sets an H or CX phase bit; count_nonzero is
-        # the cheapest test, well below ndarray.any() on short vectors
-        if np.count_nonzero(rows):
-            self.r ^= _spread(rows)
+        xa, xb, za, zb = self.x[a], self.x[b], self.z[a], self.z[b]
+        self._flip_rows(xa & zb & ~(xb ^ za), self.live)
+        xb ^= xa
+        za ^= zb
 
     # -- Pauli gates / errors: sign flips only --
 
@@ -183,30 +203,64 @@ class Tableau:
         flips the sign of every row with a Z part on q, Z of every row with
         an X part, so Y flips the rows with exactly one of them.
         """
-        for words, rows in ((x_words, self.z[:, q]), (z_words, self.x[:, q])):
-            if words is not None and np.count_nonzero(words):
-                np.bitwise_xor(self.r, words, out=self.r, where=rows.view(bool)[:, None])
+        for words, rows in ((x_words, self.z[q]), (z_words, self.x[q])):
+            if words is not None:
+                self._flip_rows(rows, words)
+
+    def flip_x(self, qs: Sequence[int], words: np.ndarray) -> None:
+        """X on every qubit of qs in the shots set in the packed words.
+
+        A row's sign flips iff it has a Z part on an odd number of them.
+        """
+        self._flip_rows(np.bitwise_xor.reduce(self.z[list(qs)], axis=0), words)
+
+    def _flip_rows(self, rows: np.ndarray, words: np.ndarray) -> None:
+        """Flip the sign of every row of the packed row mask in the shots set in words.
+
+        Only those rows, and only the words from the first to the last
+        nonzero word of the shot mask, are touched: a noise event usually
+        hits a few shots.
+        """
+        # most phase masks are empty (a GHZ preparation never sets an H, CX or
+        # row-product phase bit); count_nonzero is the cheapest test, well
+        # below ndarray.any() on short vectors
+        if not np.count_nonzero(rows):
+            return
+        hit = words.nonzero()[0]
+        if hit.size:
+            span = slice(hit[0], hit[-1] + 1)
+            self.r[_unpack(rows, 2 * self.n).nonzero()[0], span] ^= words[span]
 
     # -- Pauli products with phase tracking --
 
-    def _rowmult(self, rows: np.ndarray, p: int) -> None:
-        """row_i := row_p * row_i for every i in rows, with sign update.
+    def _rowmult(self, rows: np.ndarray, p: int, supp: np.ndarray, p_bits: np.ndarray) -> None:
+        """row_i := row_p * row_i for every row i of the packed mask, with sign update.
+
+        supp lists the qubits on row p's support and p_bits (2, len(supp))
+        holds row p's x and z bits on them.
 
         The product picks up i^g with g summed over qubits: 0 where the two
         literals commute, +1 for X*Y, Y*Z and Z*X, -1 for the reverse order.
         Mod 4 an anticommuting qubit adds 1 + 2m, where m = x1^z1^x2^z2^(x1&z2)
         is 1 exactly for the -1 cases, so g = A + 2M (mod 4) for A
-        anticommuting qubits, M of them -1. g depends only on the shared x/z
-        bits, so in every shot the new sign is r_i ^ r_p ^ ((g mod 4) >> 1).
+        anticommuting qubits, M of them -1, and the sign flips iff bit 1 of
+        A, which is the parity of the pairs of anticommuting qubits, differs
+        from the parity of M. Only qubits on row p's support contribute. g
+        depends only on the shared x/z bits, so in every shot the new sign is
+        r_i ^ r_p ^ that bit.
         """
-        x1, z1, x2, z2 = self.x[p], self.z[p], self.x[rows], self.z[rows]
+        ones = np.negative(p_bits[:, :, None])  # all-ones words where row p has x / z
+        x1, z1 = ones
+        x2z2 = self.xz[:, supp]
+        x2, z2 = x2z2
         x1z2 = x1 & z2
         anti = x1z2 ^ (z1 & x2)
         minus = anti & (x1 ^ z1 ^ x2 ^ z2 ^ x1z2)
-        half = (np.count_nonzero(anti, axis=1) >> 1) + np.count_nonzero(minus, axis=1)
-        self.r[rows] ^= self.r[p] ^ _spread((half & 1).astype(np.uint8))
-        self.x[rows] ^= x1
-        self.z[rows] ^= z1
+        pairs = anti[1:] & np.bitwise_xor.accumulate(anti[:-1], axis=0)
+        phase = np.bitwise_xor.reduce(pairs, axis=0) ^ np.bitwise_xor.reduce(minus, axis=0)
+        self._flip_rows(rows, self.r[p])
+        self._flip_rows(phase & rows, self.live)
+        self.xz[:, supp] = x2z2 ^ (ones & rows)
 
     def measure(self, q: int, coins: Optional[np.ndarray]) -> np.ndarray:
         """Z-measurement of qubit q, collapsing in place.
@@ -216,28 +270,36 @@ class Tableau:
         only when the caller knows the outcome is deterministic.
         """
         n = self.n
-        stab_x = self.x[n:, q]
+        col = self.x[q]
+        stab_x = col & self.stab_mask
         if np.count_nonzero(stab_x):
-            p = n + int(np.argmax(stab_x))
-            rows = np.flatnonzero(self.x[:, q].astype(bool))
-            rows = rows[rows != p]
-            if rows.size:
-                self._rowmult(rows, p)
-            self.x[p - n] = self.x[p]
-            self.z[p - n] = self.z[p]
-            self.r[p - n] = self.r[p]
-            self.x[p] = 0
-            self.z[p] = 0
-            self.z[p, q] = 1
+            p = _first_bit(stab_x)
+            w, b = p >> 6, np.uint64(p & 63)
+            # row p's bits are read once, from one strided word column; later
+            # updates of row p touch its support only
+            bits = (self.xz[:, :, w] >> b) & np.uint64(1)
+            supp = (bits[0] | bits[1]).nonzero()[0]
+            p_bits = bits[:, supp]
+            rows = col.copy()
+            rows[w] ^= np.uint64(1) << b
+            if np.count_nonzero(rows):
+                self._rowmult(rows, p, supp, p_bits)
+            # row p - n := row p, then row p := Z_q
+            d = p - n
+            dw, db = d >> 6, np.uint64(d & 63)
+            self.xz[:, :, dw] &= ~(np.uint64(1) << db)
+            self.xz[:, supp, dw] |= p_bits << db
+            self.xz[:, supp, w] &= ~(np.uint64(1) << b)
+            self.z[q, w] |= np.uint64(1) << b
+            self.r[d] = self.r[p]
             if coins is None:
                 raise InvalidForcingError(
                     f"measurement of qubit {q} is random but no coin was supplied"
                 )
             self.r[p] = coins
             return self.r[p].copy()
-        e_q = np.zeros(n, dtype=np.uint8)
-        e_q[q] = 1
-        return self._signs(0, e_q) & self.live
+        # the rows anticommuting with Z_q are those with an x part on q
+        return self._signs(col, 0) & self.live
 
     def expectation(self, px, pz) -> np.ndarray:
         """Per-shot expectation (+1, -1 or 0, as int8) of a Hermitian Pauli.
@@ -249,86 +311,56 @@ class Tableau:
         anticommutes with it (Aaronson & Gottesman), and the sign of that
         product is returned.
         """
-        signs = self._signs(px, pz)
+        # row j anticommutes with P iff x_P . z_j + z_P . x_j is odd: XOR the
+        # columns on P's support, for all rows at once
+        xs, zs = np.flatnonzero(px), np.flatnonzero(pz)
+        anti = np.bitwise_xor.reduce(self.z[xs], axis=0)
+        anti ^= np.bitwise_xor.reduce(self.x[zs], axis=0)
+        signs = self._signs(anti, np.count_nonzero(np.asarray(px) & np.asarray(pz)))
         if signs is None:
             return np.zeros(self.shots, dtype=np.int8)
         return _PLUS_MINUS[_unpack(signs, self.shots)]
 
-    def _signs(self, px, pz) -> Optional[np.ndarray]:
-        """Packed per-shot sign bits of expectation(px, pz), None where it is 0.
+    def _signs(self, anti: np.ndarray, y_p: int) -> Optional[np.ndarray]:
+        """Packed per-shot sign bits of the expectation of a Pauli P, None where it is 0.
 
-        The padding bits are not cleared.
+        anti is the packed mask of the rows that anticommute with P, and P
+        has y_p Y parts. The padding bits are not cleared.
         """
         n = self.n
-        xs, zs = np.flatnonzero(px), np.flatnonzero(pz)
-        # row j anticommutes with P iff x_P . z_j + z_P . x_j is odd; XOR the
-        # columns on P's support instead of a dense product
-        anti = np.bitwise_xor.reduce(self.z[:, xs], axis=1) ^ np.bitwise_xor.reduce(
-            self.x[:, zs], axis=1
-        )
-        if np.count_nonzero(anti[n:]):
+        if np.count_nonzero(anti & self.stab_mask):
             return None
-        sel = n + np.flatnonzero(anti[:n])
-        sx, sz = self.x[sel], self.z[sel]
+        sel = n + _unpack(anti, n).nonzero()[0]
+        signs = np.bitwise_xor.reduce(self.r[sel], axis=0)
+        if sel.size < 2:
+            return signs  # P is +/- one stabilizer row (or the identity): no phase
+        # gather the selected rows' bits: (qubits, rows) each
+        sx, sz = (self.xz[:, :, sel >> 6] >> (sel & 63).astype(np.uint64)) & np.uint64(1)
         # a Hermitian row is i^(x.z) X^x Z^z, and moving Z^z1 past X^x2 gives
         # (-1)^(z1.x2), so the ordered product of the selected rows is
         # i^(y_rows - y_P) (-1)^cross P times their signs
-        y = np.count_nonzero(sx & sz) - np.count_nonzero(np.asarray(px) & np.asarray(pz))
-        z_before = np.bitwise_xor.accumulate(sz[:-1], axis=0)
-        cross = np.count_nonzero(sx[1:] & z_before)
-        signs = np.bitwise_xor.reduce(self.r[sel], axis=0)
+        y = np.count_nonzero(sx & sz) - y_p
+        z_before = np.bitwise_xor.accumulate(sz[:, :-1], axis=1)
+        cross = np.count_nonzero(sx[:, 1:] & z_before)
         if ((y % 4) // 2 + cross) & 1:
             signs ^= _ONES
         return signs
 
     def is_deterministic(self, q: int) -> bool:
         """True when a Z-measurement of q has a definite outcome."""
-        return not np.count_nonzero(self.x[self.n :, q])
+        return not np.count_nonzero(self.x[q] & self.stab_mask)
 
     def stabilizer_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x, z, sign) of the n stabilizer generators for a 1-shot tableau."""
+        """(x, z, sign) of the n stabilizer generators for a 1-shot tableau.
+
+        x and z are (n, n) uint8 with one row per generator, one column per
+        qubit.
+        """
         if self.shots != 1:
             raise ValueError("stabilizer_rows is defined for single-shot tableaus")
         n = self.n
-        return self.x[n:].copy(), self.z[n:].copy(), _unpack(self.r[n:], 1)[:, 0]
-
-    def check_invariants(self) -> None:
-        """Assert the symplectic commutation structure of the rows.
-
-        Stabilizer i must anticommute with destabilizer i and commute with
-        every other row; the stabilizer rows must be independent.
-        """
-        n = self.n
-        xz = np.concatenate([self.x, self.z], axis=1).astype(np.uint8)
-        # symplectic product of rows a, b: x_a.z_b + z_a.x_b mod 2
-        sym = (self.x @ self.z.T + self.z @ self.x.T) % 2
-        expected = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-        idx = np.arange(n)
-        expected[idx, idx + n] = 1
-        expected[idx + n, idx] = 1
-        if not np.array_equal(sym % 2, expected):
-            raise AssertionError("tableau commutation relations violated")
-        if _gf2_rank(xz[n:]) != n:
-            raise AssertionError("stabilizer rows are dependent")
-
-
-def _gf2_rank(mat: np.ndarray) -> int:
-    m = mat.copy().astype(np.uint8)
-    rank = 0
-    rows, cols = m.shape
-    for c in range(cols):
-        pivots = np.flatnonzero(m[rank:, c]) + rank
-        if pivots.size == 0:
-            continue
-        p = pivots[0]
-        m[[rank, p]] = m[[p, rank]]
-        hit = np.flatnonzero(m[:, c].astype(bool))
-        hit = hit[hit != rank]
-        m[hit] ^= m[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+        x, z = np.ascontiguousarray(_unpack(self.xz, 2 * n)[:, :, n:].transpose(0, 2, 1))
+        return x, z, _unpack(self.r[n:], 1)[:, 0]
 
 
 @dataclass
@@ -455,10 +487,11 @@ def _batched_run(
             if noise is not None:
                 depolarize((op.control, op.target), noise.p2)
         elif isinstance(op, CondX):
+            # sign flips commute, so all targets flip at once before their errors
             fire = cbits[op.cbit]
-            for t in op.targets:
-                tab.flip(t, fire, None)
-                if noise is not None:
+            tab.flip_x(op.targets, fire)
+            if noise is not None:
+                for t in op.targets:
                     depolarize((t,), noise.p1, fire)
         elif isinstance(op, MeasureZ):
             outcome = measure_event(op.q)
@@ -523,7 +556,7 @@ def sample_counts(
     """
     check_shots(shots)
     _check_capacity(c, max_qubits)
-    stream = CounterStream(shot_keys(seed, shots))
+    stream = CounterStream(shot_keys(check_seed(seed), shots))
     _, cbits, _ = _batched_run(c, stream, shots, noise, terminal_readout=True)
     readout = _unpack(cbits[c.cbit_count :], shots).T  # (shots, n)
     strings = (readout + ord("0")).tobytes().decode("ascii")

@@ -1,5 +1,6 @@
 """Helpers for randomized cross-validation: of the two simulators, and of
-the array-drawn Erdős–Rényi generator against its scalar reference."""
+the array-drawn Erdős–Rényi generator against its scalar reference; plus the
+tableau's structural checks, which only tests run."""
 
 from __future__ import annotations
 
@@ -8,13 +9,15 @@ import numpy as np
 from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset, X
 from .layouts import LayoutGraph
 from .rng import make_rng
-from .stabilizer import Tableau
+from .stabilizer import Tableau, _unpack
 
 __all__ = [
     "random_clifford_circuit",
     "apply_pauli_dense",
     "stabilizers_fix_state",
     "scalar_erdos_renyi",
+    "tableau_bits",
+    "check_invariants",
 ]
 
 
@@ -106,6 +109,53 @@ def stabilizers_fix_state(tab: Tableau, state: np.ndarray, atol: float = 1e-10) 
         if not np.allclose(transformed, state, atol=atol):
             return False
     return True
+
+
+def tableau_bits(tab: Tableau) -> tuple[np.ndarray, np.ndarray]:
+    """The tableau's x and z bits row-major: two (2n, n) uint8 arrays, one row per
+    destabilizer (0..n-1) and stabilizer (n..2n-1), one column per qubit."""
+    x, z = np.ascontiguousarray(_unpack(tab.xz, 2 * tab.n).transpose(0, 2, 1))
+    return x, z
+
+
+def check_invariants(tab: Tableau) -> None:
+    """Assert the symplectic commutation structure of the tableau's rows.
+
+    Stabilizer i must anticommute with destabilizer i and commute with
+    every other row; the stabilizer rows must be independent.
+    """
+    n = tab.n
+    x, z = tableau_bits(tab)
+    xz = np.concatenate([x, z], axis=1)
+    # symplectic product of rows a, b: x_a.z_b + z_a.x_b mod 2
+    sym = (x @ z.T + z @ x.T) % 2
+    expected = np.zeros((2 * n, 2 * n), dtype=np.uint8)
+    idx = np.arange(n)
+    expected[idx, idx + n] = 1
+    expected[idx + n, idx] = 1
+    if not np.array_equal(sym % 2, expected):
+        raise AssertionError("tableau commutation relations violated")
+    if _gf2_rank(xz[n:]) != n:
+        raise AssertionError("stabilizer rows are dependent")
+
+
+def _gf2_rank(mat: np.ndarray) -> int:
+    m = mat.copy().astype(np.uint8)
+    rank = 0
+    rows, cols = m.shape
+    for c in range(cols):
+        pivots = np.flatnonzero(m[rank:, c]) + rank
+        if pivots.size == 0:
+            continue
+        p = pivots[0]
+        m[[rank, p]] = m[[p, rank]]
+        hit = np.flatnonzero(m[:, c].astype(bool))
+        hit = hit[hit != rank]
+        m[hit] ^= m[rank]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
 
 
 def scalar_erdos_renyi(n: int, p: float, seed: int) -> LayoutGraph:

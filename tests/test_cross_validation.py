@@ -10,7 +10,12 @@ from ghz_synth.rng import derive_seed, make_rng
 from ghz_synth.stabilizer import InvalidForcingError, Tableau, sample_counts
 from ghz_synth.stabilizer import run
 from ghz_synth.statevector import run_dense
-from ghz_synth.testutil import apply_pauli_dense, random_clifford_circuit
+from ghz_synth.testutil import (
+    apply_pauli_dense,
+    check_invariants,
+    random_clifford_circuit,
+    tableau_bits,
+)
 
 
 class TestTableauInvariantsPerOp:
@@ -35,7 +40,7 @@ class TestTableauInvariantsPerOp:
                     if not tab.is_deterministic(q):
                         coins = np.array([int(rng.integers(0, 2))], dtype=np.uint8)
                     tab.measure(q, coins)
-                tab.check_invariants()
+                check_invariants(tab)
 
 
 class TestExpectationAgainstDense:
@@ -58,8 +63,9 @@ class TestExpectationAgainstDense:
                     pick = rng.integers(0, 2, size=2 * n).astype(bool)
                     if k % 3 == 1:
                         pick[:n] = False
-                    px = np.bitwise_xor.reduce(tab.x[pick], axis=0)
-                    pz = np.bitwise_xor.reduce(tab.z[pick], axis=0)
+                    x, z = tableau_bits(tab)
+                    px = np.bitwise_xor.reduce(x[pick], axis=0)
+                    pz = np.bitwise_xor.reduce(z[pick], axis=0)
                 want = np.vdot(state, apply_pauli_dense(state, px, pz, 0))
                 assert abs(want.imag) < 1e-10
                 got = tab.expectation(px, pz)

@@ -16,12 +16,21 @@ The validation digest pins which op sequences a Circuit accepts, the depth
 of each accepted one and the exact error of each rejected one. It was
 computed with the separate `Circuit.validate` loop and `depth` walk, before
 the per-op checks moved into `Schedule.emit`.
+
+The simulator digests pin what the stabilizer simulator samples: the `run`
+classical bits, outcome log and stabilizer rows, and the noiseless and noisy
+`sample_counts` histograms, on synthesized GHZ circuits and on random
+Clifford + measure + reset + CondX circuits whose 2n tableau rows end just
+before, at and just after a 64-bit word boundary. They were computed with the
+row-major uint8 tableau, before the x/z columns were bit-packed; the packed
+tableau must reproduce every run and every sample bit for bit.
 """
 
 import hashlib
 import random
 import re
 
+import numpy as np
 import pytest
 
 from ghz_synth.circuit import (
@@ -44,6 +53,9 @@ from ghz_synth.layouts import (
     rect_grid,
 )
 from ghz_synth.merging import AbsoluteSize, HighestDegree, ScalingFactor, synthesize_merging
+from ghz_synth.rng import derive_seed
+from ghz_synth.stabilizer import NoiseModel, run, sample_counts
+from ghz_synth.testutil import random_clifford_circuit
 
 LAYOUTS = {
     "eagle_127": lambda: eagle_127(),
@@ -385,3 +397,90 @@ def test_validation_corpus_digest():
     for template in VALIDATION_TEMPLATES:
         assert any(re.fullmatch(template, line) for line in lines), template
     assert sum(line.startswith("ok ") for line in lines) >= 0.2 * len(lines)
+
+
+SIM_CIRCUITS = {
+    "eagle_127/growing": lambda: synthesize_growing(eagle_127()),
+    "eagle_127/highest_degree": lambda: synthesize_merging(eagle_127(), HighestDegree()),
+    "grid_16x32/growing": lambda: synthesize_growing(rect_grid(16, 32)),
+    "grid_16x32/highest_degree": lambda: synthesize_merging(rect_grid(16, 32), HighestDegree()),
+    **{
+        f"random_{n}": (lambda n=n: random_clifford_circuit(n, 8 * n, seed=derive_seed(91, n)))
+        for n in (63, 64, 65, 129)
+    },
+}
+SIM_SHOTS = 1024
+SIM_NOISE = NoiseModel(0.001, 0.01, 0.01, 0.01)
+# circuit: (run, noiseless sample_counts, noisy sample_counts) digests; the run
+# has seed derive_seed(92, circuit), the samples derive_seed(93, circuit)
+SIM_GOLDEN = {
+    "eagle_127/growing": (
+        "c27d5cf5a7af26a48488936a4091251f0682e5b8bb30b685a0bcac213dae3fb6",
+        "cb186d6abde0cec469fdd31b3514d78d421bdfb08942d9956b1dc9412b850841",
+        "aa79cd38468b2f29ecb48f1b1842d04ee7904ac1ede11134336fd9422aadc3eb",
+    ),
+    "eagle_127/highest_degree": (
+        "31526a849988e86e7427d50b1325513276036d03e79501c88dbaf27bcc7f90d1",
+        "77c7401d8c9f6fc581f344fea19193957dcf31ed85eb8c40193e58521fb0dca3",
+        "61402e65cb23e223063437e0621e415446120ef8196b32d8dfea658be4bbae4d",
+    ),
+    "grid_16x32/growing": (
+        "6cd28711149c5cd1e25567ec21f364decbd16b347d47c9b517d97de8915461b4",
+        "3eea0aefd850f4399bacb0c82a471a7198b47cce7be72e6ddaefbb4e295d9fb8",
+        "b825ffab959a07a710226dbdcd16d78024069e0d0a83f00e407e6f8051336ff4",
+    ),
+    "grid_16x32/highest_degree": (
+        "d0c97e66a354ff87712391bbe2d674c29d169230f89ad57e2e8ac72a3d289142",
+        "4c08a23e481cad29976d2d79dec4d10eaa60d3d8d5f7844a5f65877ffe38fda4",
+        "ceafda568448a40dbc692bb5a35fe90b5bc15e811b608621ab776d1c9843c31e",
+    ),
+    "random_63": (
+        "853043692644d7591121f3076891bf341cd558080665d9318e00e53e555ed482",
+        "8dd93aa6f681aa751174982c62edae227bb63d75633cc335cb946b4d090a565f",
+        "029a158d72d4418a5f7806b1c2a679953e76b1fc01693d4d991cd01bc17efe8b",
+    ),
+    "random_64": (
+        "2627ff955a9f45d012d41ba0efb35f7465333dedacbb45a24b5980b31a7dc2a1",
+        "c431183bbc087be674e5868226730385a3a8abbe305910288627ae830db5073d",
+        "dd99b2f625a4536a2776a9ebd111529d2d80ff9ccdc358cc2ac89f15d0eefc32",
+    ),
+    "random_65": (
+        "72b706fe09ff870f44fccd2a3e6b35a0d572269f8ebd6f38046b1caaeb684154",
+        "0ead3e0a48650e6505c7eb5b3388a9368d6416b42160dc5404c60bb12aeb4ee5",
+        "f102ebbeedb45efba2ed683b1602e52cefe7735f5d876a9bc2a780ac4a6e8182",
+    ),
+    "random_129": (
+        "80f1b1b2801c3cf368a46ef65922ee798279c78a41df567fd66d9aefb923a459",
+        "fd9e53110cfd92ffbde9034f6fecda8fa864e1656c59eb4a936a5a047b5e959d",
+        "110ffd70f7726bcd81b2212557854a35bf08779d1a51b74e5bba9d1d3865772e",
+    ),
+}
+
+
+def _sha256_bytes(*parts: bytes) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(SIM_CIRCUITS))
+def test_simulator_digest(name):
+    c = SIM_CIRCUITS[name]()
+    out = run(c, seed=derive_seed(92, name))
+    sx, sz, sr = out.tableau.stabilizer_rows()
+    assert sx.dtype == sz.dtype == sr.dtype == np.uint8
+    assert sx.shape == sz.shape == (c.qubit_count, c.qubit_count)
+    got = [
+        _sha256_bytes(
+            repr(out.cbits).encode(),
+            repr(out.outcome_log).encode(),
+            sx.tobytes(),
+            sz.tobytes(),
+            sr.tobytes(),
+        )
+    ]
+    for noise in (None, SIM_NOISE):
+        counts = sample_counts(c, SIM_SHOTS, derive_seed(93, name), noise)
+        got.append(_sha256(repr(sorted(counts.items()))))
+    assert tuple(got) == SIM_GOLDEN[name]

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from ghz_synth.circuit import CX, Circuit, H
+from ghz_synth.circuit import CX, Circuit, H, X
 from ghz_synth.metrics import (
     counts_to_distribution,
     ghz_ideal_distribution,
@@ -9,7 +10,7 @@ from ghz_synth.metrics import (
     summarize,
 )
 from ghz_synth.rng import make_rng
-from ghz_synth.stabilizer import run
+from ghz_synth.stabilizer import Tableau, run
 
 
 class TestHellinger:
@@ -94,8 +95,6 @@ class TestIsGhz:
         assert is_ghz(out.tableau, 1)
 
     def test_wrong_sign_rejected(self):
-        from ghz_synth.circuit import X
-
         # X on one leaf gives (|001> + |110>)/sqrt2: same group up to signs
         out = run(Circuit(3, 0, (H(0), CX(0, 1), CX(0, 2), X(2))), seed=0)
         assert not is_ghz(out.tableau, 3)
@@ -118,27 +117,70 @@ class TestIsGhz:
 
     @pytest.mark.parametrize("protocol", ["growing", "merging"])
     def test_grid_32x32(self, protocol):
-        from ghz_synth.circuit import X
-        from ghz_synth.growing import synthesize_growing
-        from ghz_synth.layouts import rect_grid
-        from ghz_synth.merging import HighestDegree, synthesize_merging
+        _check_grid(32, 32, protocol, flip=517)
 
-        g = rect_grid(32, 32)
-        if protocol == "growing":
-            c = synthesize_growing(g)
-        else:
-            c = synthesize_merging(g, HighestDegree())
-        assert is_ghz(run(c, seed=0, max_qubits=1024).tableau, 1024)
-        flipped = Circuit(c.qubit_count, c.cbit_count, c.ops + (X(517),))
-        assert not is_ghz(run(flipped, seed=0, max_qubits=1024).tableau, 1024)
+    @pytest.mark.parametrize("protocol", ["growing", "merging"])
+    def test_grid_64x64(self, protocol):
+        _check_grid(64, 64, protocol, flip=2080)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129])
+    def test_chain_faults_match_expectation_criterion(self, n):
+        # the GHZ chain and its single faults, at sizes whose 2n tableau rows
+        # end around 64-bit word boundaries
+        chain = [H(0)] + [CX(i, i + 1) for i in range(n - 1)]
+        variants = [chain]
+        for k in sorted({0, n // 2, n - 1}):
+            variants.append(chain + [X(k)])
+            variants.append(chain + [H(k), X(k), H(k)])  # Z
+            variants.append(chain + [H(k)])
+        for j in sorted({0, (n - 2) // 2, n - 2}) if n > 1 else ():
+            variants.append(chain[: j + 1] + chain[j + 2 :])  # drop CX(j, j+1)
+            variants.append(chain[: j + 1] + [CX(j + 1, j)] + chain[j + 2 :])
+        for i, ops in enumerate(variants):
+            tab = run(Circuit(n, 0, tuple(ops)), seed=0).tableau
+            got = is_ghz(tab, n)
+            assert got == _ghz_by_expectation(tab, n), (n, i)
+            # X on the one qubit of |+> leaves it; every other fault breaks GHZ
+            assert got == (i == 0 or (n == 1 and i == 1)), (n, i)
 
     def test_rejects_bad_arguments(self):
-        from ghz_synth.stabilizer import Tableau
-
         with pytest.raises(ValueError):
             is_ghz(run(Circuit(3, 0, ()), seed=0).tableau, 4)
         with pytest.raises(ValueError):
             is_ghz(Tableau(3, shots=2), 3)
+
+
+def _check_grid(rows: int, cols: int, protocol: str, flip: int) -> None:
+    """is_ghz holds on the synthesized grid circuit and fails after one more X."""
+    from ghz_synth.growing import synthesize_growing
+    from ghz_synth.layouts import rect_grid
+    from ghz_synth.merging import HighestDegree, synthesize_merging
+
+    n = rows * cols
+    g = rect_grid(rows, cols)
+    if protocol == "growing":
+        c = synthesize_growing(g)
+    else:
+        c = synthesize_merging(g, HighestDegree())
+    assert is_ghz(run(c, seed=0, max_qubits=n).tableau, n)
+    flipped = Circuit(c.qubit_count, c.cbit_count, c.ops + (X(flip),))
+    assert not is_ghz(run(flipped, seed=0, max_qubits=n).tableau, n)
+
+
+def _ghz_by_expectation(t: Tableau, n: int) -> bool:
+    """Reference criterion: X^n and each Z_i Z_{i+1} have expectation +1.
+
+    The tableau's n stabilizer rows are independent, so its group has 2^n
+    elements, as does the GHZ group it then contains: the two are equal.
+    """
+    if t.expectation(np.ones(n, dtype=np.uint8), 0)[0] != 1:
+        return False
+    for i in range(n - 1):
+        zz = np.zeros(n, dtype=np.uint8)
+        zz[i : i + 2] = 1
+        if t.expectation(0, zz)[0] != 1:
+            return False
+    return True
 
 
 class TestSummarize:

@@ -18,7 +18,7 @@ from ghz_synth.stabilizer import (
     run,
     sample_counts,
 )
-from ghz_synth.testutil import random_clifford_circuit
+from ghz_synth.testutil import check_invariants, random_clifford_circuit, tableau_bits
 
 
 def circ(n, cbits, *ops):
@@ -54,7 +54,7 @@ class TestGates:
         for i in range(30):
             c = random_clifford_circuit(6, 40, seed=derive_seed(31, i))
             out = run(c, seed=i)
-            out.tableau.check_invariants()
+            check_invariants(out.tableau)
 
 
 class TestExpectation:
@@ -120,8 +120,10 @@ class TestExpectation:
                     for s, t in enumerate(singles):
                         t.measure(q, coins[s : s + 1] if random else None)
             signs = _unpack(batch.r, shots)
+            bx, bz = tableau_bits(batch)
             for s, t in enumerate(singles):
-                assert np.array_equal(t.x, batch.x) and np.array_equal(t.z, batch.z)
+                tx, tz = tableau_bits(t)
+                assert np.array_equal(tx, bx) and np.array_equal(tz, bz)
                 assert np.array_equal(signs[:, s], t.r[:, 0] & 1), (i, s)
 
 
@@ -368,6 +370,15 @@ class TestCounterDraws:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="64-bit"):
                 run(circ(1, 0, H(0)), seed)
+
+    def test_sample_counts_rejects_out_of_range_seed(self):
+        c = circ(2, 0, H(0), CX(0, 1))
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError) as from_run:
+                run(c, seed)
+            with pytest.raises(ValueError) as from_sample:
+                sample_counts(c, 8, seed)
+            assert str(from_sample.value) == str(from_run.value)
 
     def test_noisy_eagle_sampling_memory(self):
         import tracemalloc
