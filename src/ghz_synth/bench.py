@@ -10,11 +10,11 @@ and re-running a config reproduces the CSV byte for byte.
 
 from __future__ import annotations
 
-import io
 import json
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional
 
 from . import layouts, schema
@@ -28,7 +28,9 @@ from .merging import (
     strategy_label,
     strategy_to_json,
 )
-from .metrics import counts_to_distribution, ghz_ideal_distribution, hellinger_fidelity
+from .metrics import (
+    counts_to_distribution, ghz_ideal_distribution, hellinger_fidelity, summarize,
+)
 from .rng import derive_seed
 from .stabilizer import NoiseModel, sample_counts
 
@@ -69,9 +71,25 @@ class ProtocolSpec:
     def label(self) -> str:
         return strategy_label(self.strategy)
 
+    def to_json(self) -> dict:
+        if self.strategy is None:
+            return {"protocol": self.protocol}
+        return {"protocol": self.protocol, "strategy": strategy_to_json(self.strategy)}
+
+    @classmethod
+    def from_json(cls, obj, path: str) -> "ProtocolSpec":
+        """Parse one protocols[i] entry; InputError names the bad field below path."""
+        protocol = schema.field(obj, "protocol", path, str)
+        strategy = schema.field(obj, "strategy", path, dict, None)
+        if strategy is not None:
+            strategy = strategy_from_json(strategy, f"{path}.strategy")
+        return schema.construct(path, cls, protocol, strategy)
+
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """One sweep; the field defaults are the defaults of its JSON form too."""
+
     family: str
     sizes: tuple[int, ...]
     protocols: tuple[ProtocolSpec, ...]
@@ -89,6 +107,17 @@ class SweepConfig:
             raise schema.InputError(f"family: unknown family {self.family!r}")
         if not self.sizes or any(s < 1 for s in self.sizes):
             raise schema.InputError("sizes: every size must be >= 1")
+        twice = sorted(s for s, k in Counter(self.sizes).items() if k > 1)
+        if twice:
+            raise schema.InputError(f"sizes: {twice} listed more than once")
+        if not self.protocols:
+            raise schema.InputError("protocols: must list at least one protocol")
+        # variants with one label would share their derived seeds and CSV rows
+        keys = [(p.protocol, p.label) for p in self.protocols]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise schema.InputError(f"protocols[{i}]: repeats protocols[{keys.index(key)}]"
+                                        f" ({', '.join(filter(None, key))})")
         for name in ("samples", "shots", "grid_rows", "grid_cols"):
             if getattr(self, name) < 1:
                 raise schema.InputError(f"{name}: must be >= 1, got {getattr(self, name)}")
@@ -97,21 +126,20 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
-        """Parse a sweep config; InputError names the missing, mistyped or bad field."""
+        """Parse a sweep config; InputError names the missing, mistyped or bad field.
+
+        Every field with a default may be left out, and reads as its default.
+        """
         obj = json.loads(text)
 
         def get(key: str, kind: type, *default):
             return schema.field(obj, key, "", kind, *default, root="config")
 
         family, sizes = get("family", str), get("sizes", tuple)
-        protocols = []
-        for i, p in enumerate(get("protocols", list)):
-            path = f"protocols[{i}]"
-            protocol = schema.field(p, "protocol", path, str)
-            strategy = schema.field(p, "strategy", path, dict, None)
-            if strategy is not None:
-                strategy = strategy_from_json(strategy, f"{path}.strategy")
-            protocols.append(schema.construct(path, ProtocolSpec, protocol, strategy))
+        protocols = tuple(
+            ProtocolSpec.from_json(p, f"protocols[{i}]")
+            for i, p in enumerate(get("protocols", list))
+        )
         noise = get("noise", dict, None)
         if noise:
             known = [f.name for f in fields(NoiseModel)]
@@ -120,43 +148,17 @@ class SweepConfig:
                     raise schema.InputError(f"noise.{key}: unknown noise parameter")
             params = {k: schema.field(noise, k, "noise", float) for k in noise}
             noise = schema.construct("noise", NoiseModel, **params)
-        return cls(
-            family=family,
-            sizes=sizes,
-            protocols=tuple(protocols),
-            samples=get("samples", int, 100),
-            shots=get("shots", int, 4096),
-            er_p=get("er_p", float, 0.5),
-            grid_rows=get("grid_rows", int, 12),
-            grid_cols=get("grid_cols", int, 9),
-            noise=noise or None,
-            compute_fidelity=get("compute_fidelity", bool, False),
-            seed=get("seed", int, 0),
-        )
+        defaulted = {
+            f.name: get(f.name, type(f.default), f.default)
+            for f in fields(cls)
+            if f.default is not MISSING and f.name != "noise"
+        }
+        return cls(family, sizes, protocols, noise=noise or None, **defaulted)
 
     def to_json(self) -> str:
-        obj = {
-            "family": self.family,
-            "sizes": list(self.sizes),
-            "protocols": [
-                {"protocol": p.protocol, **(
-                    {"strategy": strategy_to_json(p.strategy)} if p.strategy else {}
-                )}
-                for p in self.protocols
-            ],
-            "samples": self.samples,
-            "shots": self.shots,
-            "er_p": self.er_p,
-            "grid_rows": self.grid_rows,
-            "grid_cols": self.grid_cols,
-            "compute_fidelity": self.compute_fidelity,
-            "seed": self.seed,
-        }
-        if self.noise is not None:
-            obj["noise"] = {
-                "p1": self.noise.p1, "p2": self.noise.p2,
-                "pm": self.noise.pm, "pr": self.noise.pr,
-            }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["protocols"] = [p.to_json() for p in self.protocols]
+        obj["noise"] = None if self.noise is None else asdict(self.noise)
         return json.dumps(obj, indent=2)
 
 
@@ -209,18 +211,17 @@ def _run_cell(cell: _Cell) -> list[BenchmarkRecord]:
 def _run_protocol(cell: _Cell, spec: ProtocolSpec, g: layouts.LayoutGraph) -> BenchmarkRecord:
     cfg, n, sample = cell.cfg, cell.n, cell.sample
     seed = derive_seed(cfg.seed, cfg.family, n, spec.protocol, spec.label, sample)
-    mean_star_size = None
-    scaling_factor = None
+    mean_star_size = scaling_factor = fidelity = None
     if spec.protocol == "growing":
         circ = synthesize_growing(g)
     else:
         stars = select_stars(g, spec.strategy)
         circ = _circuit_from_stars(g, stars)
-        mean_star_size = sum(s.size for s in stars) / len(stars)
+        # the stars partition the n nodes, and a star's degree is its size - 1
+        mean_star_size = n / len(stars)
         avg_deg = float(layouts.average_degree(g))
-        mean_degree = sum(s.degree for s in stars) / len(stars)
+        mean_degree = (n - len(stars)) / len(stars)
         scaling_factor = mean_degree / avg_deg if avg_deg > 0 else 0.0
-    fidelity = None
     if cfg.compute_fidelity:
         counts = sample_counts(circ, cfg.shots, seed, cfg.noise)
         fidelity = hellinger_fidelity(
@@ -249,9 +250,7 @@ def worker_count() -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            raise ValueError(
-                f"GHZ_SYNTH_THREADS must be an integer, got {env!r}"
-            ) from None
+            raise ValueError(f"GHZ_SYNTH_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -285,6 +284,8 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> list[Benchmark
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, int):
@@ -292,60 +293,32 @@ def _fmt(value) -> str:
     return format(float(value), ".9g")
 
 
+_RECORD_FIELDS = [f.name for f in fields(BenchmarkRecord)]
+# the figures of merit: every record field after the seed
+_METRICS = _RECORD_FIELDS[_RECORD_FIELDS.index("seed") + 1 :]
+
+
 def raw_csv(records: list[BenchmarkRecord]) -> str:
-    out = io.StringIO()
-    out.write(",".join(RAW_COLUMNS) + "\n")
-    for r in records:
-        out.write(
-            ",".join(
-                [
-                    r.family, str(r.n), r.protocol, r.strategy, str(r.sample),
-                    str(r.seed), str(r.depth), str(r.n_2q), str(r.n_meas),
-                    _fmt(r.mean_star_size), _fmt(r.scaling_factor), _fmt(r.fidelity),
-                ]
-            )
-            + "\n"
-        )
-    return out.getvalue()
+    """One row per record: its fields in declaration order, under RAW_COLUMNS."""
+    rows = [RAW_COLUMNS]
+    rows += [[_fmt(getattr(r, name)) for name in _RECORD_FIELDS] for r in records]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def aggregate_csv(records: list[BenchmarkRecord]) -> str:
-    """Per-point mean/std/max/count for each figure of merit."""
-    from .metrics import summarize
-
+    """Per-point mean/std/max/count of each figure of merit that has values."""
     groups: dict[tuple, list[BenchmarkRecord]] = {}
     for r in records:
         groups.setdefault((r.family, r.n, r.protocol, r.strategy), []).append(r)
-    out = io.StringIO()
-    out.write(",".join(AGG_COLUMNS) + "\n")
+    rows = [AGG_COLUMNS]
     for key in sorted(groups):
-        rows = groups[key]
-        metrics: list[tuple[str, list[float]]] = [
-            ("depth", [r.depth for r in rows]),
-            ("n_2q", [r.n_2q for r in rows]),
-            ("n_meas", [r.n_meas for r in rows]),
-        ]
-        for name, getter in (
-            ("mean_star_size", lambda r: r.mean_star_size),
-            ("scaling_factor", lambda r: r.scaling_factor),
-            ("fidelity", lambda r: r.fidelity),
-        ):
-            values = [getter(r) for r in rows if getter(r) is not None]
+        for metric in _METRICS:
+            values = [getattr(r, metric) for r in groups[key]]
+            values = [v for v in values if v is not None]
             if values:
-                metrics.append((name, values))
-        for metric, values in metrics:
-            stats = summarize(values)
-            out.write(
-                ",".join(
-                    [
-                        key[0], str(key[1]), key[2], key[3], metric,
-                        _fmt(stats.mean), _fmt(stats.std), _fmt(stats.max),
-                        str(stats.count),
-                    ]
-                )
-                + "\n"
-            )
-    return out.getvalue()
+                stats = summarize(values)
+                rows.append([*key, metric, stats.mean, stats.std, stats.max, stats.count])
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def write_outputs(records: list[BenchmarkRecord], out_dir: str) -> tuple[str, str]:

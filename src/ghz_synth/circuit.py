@@ -112,12 +112,13 @@ class Circuit:
     def validate(self) -> None:
         """Raise MalformedCircuitError if any invariant is violated; keep the depth.
 
-        Checks n >= 1 and cbits >= 0, then emits every op through one
-        Schedule, which checks each op's rules (see `Schedule.emit`); its
-        highest layer is the depth that `depth` returns.
+        Checks 1 <= n <= schema.MAX_N and cbits >= 0, then emits every op
+        through one Schedule, which checks each op's rules (see
+        `Schedule.emit`); its highest layer is the depth that `depth` returns.
         """
         if self.qubit_count < 1:
             raise MalformedCircuitError(f"n: must be >= 1, got {self.qubit_count}")
+        schema.check_max_n(self.qubit_count, MalformedCircuitError)
         if self.cbit_count < 0:
             raise MalformedCircuitError(f"cbits: must be >= 0, got {self.cbit_count}")
         schedule = Schedule(self.qubit_count, self.cbit_count)

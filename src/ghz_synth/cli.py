@@ -12,7 +12,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import layouts, selfcheck
-from .bench import SweepConfig, run_sweep, worker_count, write_outputs
+from .bench import ProtocolSpec, SweepConfig, run_sweep, worker_count, write_outputs
 from .circuit import Circuit, count_2q, count_measurements, depth, export_qasm
 from .growing import synthesize_growing
 from .merging import strategy_from_label, synthesize_merging
@@ -44,8 +44,7 @@ def _parse_noise(text: str) -> NoiseModel:
     if len(parts) != 4:
         raise _UsageError("--noise expects four comma-separated values: p1,p2,pm,pr")
     try:
-        p1, p2, pm, pr = (float(x) for x in parts)
-        return NoiseModel(p1=p1, p2=p2, pm=pm, pr=pr)
+        return NoiseModel(*map(float, parts))
     except ValueError as exc:
         raise _UsageError(f"--noise: {exc}") from None
 
@@ -79,8 +78,7 @@ def _build_parser() -> _Parser:
     p_synth.add_argument("--protocol", required=True, choices=["merge", "grow"])
     p_synth.add_argument(
         "--strategy",
-        default="highest_degree",
-        help="highest_degree | scaling_factor=<f> | absolute_size=<s> (merge only)",
+        help="highest_degree (default) | scaling_factor=<f> | absolute_size=<s> (merge only)",
     )
     p_synth.add_argument("--layout", required=True, help="layout JSON file")
     p_synth.add_argument("--out", help="write circuit JSON here")
@@ -119,13 +117,19 @@ def _cmd_layout(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    label = args.strategy
+    if label is None and args.protocol == "merge":
+        label = "highest_degree"
     try:
-        strategy = strategy_from_label(args.strategy) if args.protocol == "merge" else None
-    except InputError as exc:
-        raise _UsageError(str(exc)) from None
+        strategy = None if label is None else strategy_from_label(label)
+        spec = ProtocolSpec("merging" if args.protocol == "merge" else "growing", strategy)
+    except InputError as exc:  # names the label already
+        raise _UsageError(f"--strategy: {exc}") from None
+    except ValueError as exc:
+        raise _UsageError(f"--strategy: {label!r}: {exc}") from None
     with open(args.layout) as f:
         g = layouts.LayoutGraph.from_json(f.read())
-    circ = synthesize_growing(g) if strategy is None else synthesize_merging(g, strategy)
+    circ = synthesize_growing(g) if spec.strategy is None else synthesize_merging(g, spec.strategy)
     if args.out:
         with open(args.out, "w") as f:
             f.write(circ.to_json() + "\n")

@@ -47,6 +47,7 @@ class LayoutGraph:
     def __post_init__(self):
         if self.node_count < 1:
             raise schema.InputError(f"n: node count must be >= 1, got {self.node_count}")
+        schema.check_max_n(self.node_count)
         edges = tuple(sorted(self.edges))
         prev = None  # sorted, so a duplicate sits right after its twin
         for e in edges:

@@ -119,7 +119,7 @@ def strategy_from_label(label: str) -> StarSelectionStrategy:
         if kind == "absolute_size":
             return AbsoluteSize(int(value))
     except ValueError as exc:
-        raise schema.InputError(f"strategy {label!r}: {exc}") from None
+        raise schema.InputError(f"{label!r}: {exc}") from None
     raise schema.InputError(
         f"unknown strategy {label!r}; expected highest_degree, "
         "scaling_factor=<f>, or absolute_size=<s>"

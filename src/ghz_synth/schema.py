@@ -10,7 +10,7 @@ nested objects are built through `construct`, which prefixes their path.
 
 from __future__ import annotations
 
-__all__ = ["InputError", "field", "construct", "is_int"]
+__all__ = ["InputError", "field", "construct", "is_int", "MAX_N", "check_max_n"]
 
 
 class InputError(ValueError):
@@ -63,6 +63,17 @@ def construct(path: str, make, *args, **kwargs):
         return make(*args, **kwargs)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
+
+
+# Most qubits of a circuit or nodes of a layout: far above the 16k-qubit grids
+# the package targets, and low enough that no n-element list is gigabytes.
+MAX_N = 1 << 24
+
+
+def check_max_n(n: int, error: type = InputError) -> None:
+    """Raise error, naming the field n, if n exceeds MAX_N."""
+    if n > MAX_N:
+        raise error(f"n: must be <= {MAX_N}, got {n}")
 
 
 def is_int(value) -> bool:

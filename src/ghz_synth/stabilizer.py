@@ -50,7 +50,7 @@ from __future__ import annotations
 import copy
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -97,10 +97,10 @@ class NoiseModel:
     pr: float = 0.0
 
     def __post_init__(self):
-        for name in ("p1", "p2", "pm", "pr"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+                raise ValueError(f"{f.name} must lie in [0, 1], got {v}")
 
 
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
@@ -179,20 +179,6 @@ class Tableau:
         za ^= zb
 
     # -- Pauli gates / errors: sign flips only --
-
-    def apply_x(self, q: int, mask: Optional[np.ndarray] = None) -> None:
-        """X on qubit q in every shot, or in the shots where the 0/1 mask is 1."""
-        self.flip(q, self._words(mask), None)
-
-    def apply_z(self, q: int, mask: Optional[np.ndarray] = None) -> None:
-        self.flip(q, None, self._words(mask))
-
-    def apply_y(self, q: int, mask: Optional[np.ndarray] = None) -> None:
-        words = self._words(mask)
-        self.flip(q, words, words)
-
-    def _words(self, mask: Optional[np.ndarray]) -> np.ndarray:
-        return self.live if mask is None else _pack(mask, self.words)
 
     def flip(
         self, q: int, x_words: Optional[np.ndarray], z_words: Optional[np.ndarray]
@@ -479,7 +465,7 @@ def _batched_run(
             if noise is not None:
                 depolarize((op.q,), noise.p1)
         elif isinstance(op, X):
-            tab.apply_x(op.q)
+            tab.flip(op.q, tab.live, None)
             if noise is not None:
                 depolarize((op.q,), noise.p1)
         elif isinstance(op, CX):

@@ -1,6 +1,6 @@
 """Helpers for randomized cross-validation: of the two simulators, and of
 the array-drawn Erdős–Rényi generator against its scalar reference; plus the
-tableau's structural checks, which only tests run."""
+tableau's structural checks and masked Paulis, which only tests use."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset, X
 from .layouts import LayoutGraph
 from .rng import make_rng
-from .stabilizer import Tableau, _unpack
+from .stabilizer import Tableau, _pack, _unpack
 
 __all__ = [
     "random_clifford_circuit",
@@ -18,6 +18,7 @@ __all__ = [
     "scalar_erdos_renyi",
     "tableau_bits",
     "check_invariants",
+    "apply_pauli",
 ]
 
 
@@ -116,6 +117,13 @@ def tableau_bits(tab: Tableau) -> tuple[np.ndarray, np.ndarray]:
     destabilizer (0..n-1) and stabilizer (n..2n-1), one column per qubit."""
     x, z = np.ascontiguousarray(_unpack(tab.xz, 2 * tab.n).transpose(0, 2, 1))
     return x, z
+
+
+def apply_pauli(tab: Tableau, q: int, pauli: str, mask: np.ndarray | None = None) -> None:
+    """Pauli "x", "y" or "z" on qubit q in every shot, or in the shots where the
+    0/1 mask is 1: one `Tableau.flip` with the mask packed by shot."""
+    words = tab.live if mask is None else _pack(mask, tab.words)
+    tab.flip(q, words if pauli in "xy" else None, words if pauli in "yz" else None)
 
 
 def check_invariants(tab: Tableau) -> None:

@@ -1,4 +1,6 @@
 import hashlib
+import json
+from dataclasses import MISSING, fields
 
 import pytest
 
@@ -14,6 +16,7 @@ from ghz_synth.bench import (
     write_outputs,
 )
 from ghz_synth.merging import AbsoluteSize, HighestDegree, ScalingFactor
+from ghz_synth.schema import InputError
 from ghz_synth.stabilizer import NoiseModel
 
 
@@ -111,6 +114,25 @@ class TestRunSweep:
         records = run_sweep(cfg, workers=1)
         assert records[0].n == 127
 
+    def test_every_agg_row_counts_the_samples(self):
+        agg = aggregate_csv(run_sweep(small_config(samples=2), workers=1)).splitlines()[1:]
+        assert {row.split(",")[-1] for row in agg} == {"2"}
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(sizes=(5, 5)), r"^sizes: \[5\] listed more than once$"),
+        (dict(protocols=(ProtocolSpec("growing"), ProtocolSpec("growing"))),
+         r"^protocols\[1\]: repeats protocols\[0\] \(growing\)$"),
+        # one label, so one derived seed and one CSV key for both
+        (dict(protocols=(ProtocolSpec("merging", ScalingFactor(0.7)),
+                         ProtocolSpec("merging", ScalingFactor(0.7000001)))),
+         r"^protocols\[1\]: repeats protocols\[0\] \(merging, scaling_factor=0.7\)$"),
+        (dict(protocols=()), r"^protocols: must list at least one protocol$"),
+    ])
+    def test_duplicate_or_no_cells_rejected(self, overrides, message):
+        # sizes [5, 5] with growing twice once gave 8 records, each agg count 8
+        with pytest.raises(InputError, match=message):
+            run_sweep(small_config(samples=2, **overrides), workers=1)
+
     def test_fidelity_opt_in(self):
         cfg = SweepConfig(
             family="erdos_renyi", sizes=(4,), protocols=(ProtocolSpec("growing"),),
@@ -198,6 +220,30 @@ class TestCsv:
         cfg = small_config(noise=NoiseModel(p1=0.001, p2=0.01, pm=0.01, pr=0.01))
         back = SweepConfig.from_json(cfg.to_json())
         assert back == cfg
+
+    def test_config_json_round_trip_every_field_set(self):
+        cfg = SweepConfig(
+            family="rect_grid_subgraph", sizes=(3, 8), protocols=PROTOCOLS, samples=2,
+            shots=100, er_p=0.25, grid_rows=5, grid_cols=6,
+            noise=NoiseModel(p1=0.001, p2=0.01, pm=0.02, pr=0.03),
+            compute_fidelity=True, seed=99,
+        )
+        for f in fields(SweepConfig):
+            assert f.default is MISSING or getattr(cfg, f.name) != f.default, f.name
+        assert SweepConfig.from_json(cfg.to_json()) == cfg
+
+    def test_config_json_required_fields_only_loads_the_defaults(self):
+        doc = {"family": "erdos_renyi", "sizes": [5], "protocols": [{"protocol": "growing"}]}
+        cfg = SweepConfig.from_json(json.dumps(doc))
+        assert cfg == SweepConfig("erdos_renyi", (5,), (ProtocolSpec("growing"),))
+        for f in fields(SweepConfig):
+            if f.default is not MISSING:
+                assert getattr(cfg, f.name) == f.default, f.name
+
+    def test_protocol_spec_json_round_trip(self):
+        for spec in PROTOCOLS:
+            assert ProtocolSpec.from_json(spec.to_json(), "protocols[0]") == spec
+        assert ProtocolSpec("growing").to_json() == {"protocol": "growing"}
 
     def test_raw_columns(self):
         header = raw_csv([]).splitlines()[0]

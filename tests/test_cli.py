@@ -158,6 +158,41 @@ def test_bad_strategy_usage_error(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("protocol, strategy, message", [
+    ("grow", "nonsense", "unknown strategy 'nonsense'; expected highest_degree, "
+                         "scaling_factor=<f>, or absolute_size=<s>"),
+    ("grow", "highest_degree", "'highest_degree': growing takes no star selection strategy"),
+    ("grow", "absolute_size=3", "'absolute_size=3': growing takes no star selection strategy"),
+    ("merge", "nonsense", "unknown strategy 'nonsense'; expected highest_degree, "
+                          "scaling_factor=<f>, or absolute_size=<s>"),
+    ("merge", "scaling_factor=abc",
+     "'scaling_factor=abc': could not convert string to float: 'abc'"),
+    ("merge", "absolute_size=0", "'absolute_size=0': absolute star size must be >= 1"),
+    ("merge", "scaling_factor=-1",
+     "'scaling_factor=-1': scaling factor must be positive and finite, got -1.0"),
+])
+def test_synth_strategy_usage_error_names_flag(protocol, strategy, message, tmp_path, capsys):
+    # the flag is checked before the layout file is read
+    code = cli_main(["synth", "--protocol", protocol, "--strategy", strategy,
+                     "--layout", str(tmp_path / "missing.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --strategy: {message}\n"
+
+
+def test_synth_strategy_defaults_to_highest_degree_for_merge_only(tmp_path, capsys):
+    layout = tmp_path / "l.json"
+    cli_main(["layout", "--family", "grid", "--rows", "2", "--cols", "3",
+              "--out", str(layout)])
+    outputs = {}
+    for argv in (["merge"], ["merge", "--strategy", "highest_degree"], ["grow"]):
+        capsys.readouterr()
+        assert cli_main(["synth", "--protocol", *argv, "--layout", str(layout)]) == 0
+        outputs[" ".join(argv)] = capsys.readouterr().out
+    assert outputs["merge"] == outputs["merge --strategy highest_degree"]
+    assert "measurements=0" in outputs["grow"]
+    assert "measurements=0" not in outputs["merge"]
+
+
 def test_bad_noise_usage_error(tmp_path, capsys):
     layout = tmp_path / "l.json"
     circ = tmp_path / "c.json"
@@ -213,6 +248,8 @@ def test_synth_malformed_layout_runtime_error(tmp_path, capsys):
         ([], "layout: expected an object"),
         ({"n": 0, "edges": []}, "n: node count must be >= 1, got 0"),
         ({"n": 3, "edges": [[1, 1]]}, "edges: self-loop on node 1"),
+        ({"n": 2**24 + 1, "edges": []}, "n: must be <= 16777216, got 16777217"),
+        ({"n": 2**63, "edges": []}, "n: must be <= 16777216, got 9223372036854775808"),
     ]
     for i, (doc, message) in enumerate(cases):
         path = tmp_path / f"layout{i}.json"
@@ -244,6 +281,16 @@ def test_bench_malformed_config_runtime_error(tmp_path, capsys):
                                  "strategy": {"strategy": "absolute_size", "s": 0}}]},
          "protocols[0].strategy: absolute star size must be >= 1"),
         ({**base, "noise": {"p1": 2}}, "noise: p1 must lie in [0, 1], got 2.0"),
+        ({**base, "sizes": [5, 7, 5]}, "sizes: [5] listed more than once"),
+        ({**base, "protocols": []}, "protocols: must list at least one protocol"),
+        ({**base, "protocols": [{"protocol": "growing"}, {"protocol": "growing"}]},
+         "protocols[1]: repeats protocols[0] (growing)"),
+        # distinct factors with one label would share seeds and CSV rows
+        ({**base, "protocols": [
+            {"protocol": "merging", "strategy": {"strategy": "scaling_factor", "f": 0.7}},
+            {"protocol": "growing"},
+            {"protocol": "merging", "strategy": {"strategy": "scaling_factor", "f": 0.7000001}},
+        ]}, "protocols[2]: repeats protocols[0] (merging, scaling_factor=0.7)"),
     ]
     for i, (doc, message) in enumerate(cases):
         path = tmp_path / f"sweep{i}.json"

@@ -11,6 +11,7 @@ from ghz_synth.stabilizer import InvalidForcingError, Tableau, sample_counts
 from ghz_synth.stabilizer import run
 from ghz_synth.statevector import run_dense
 from ghz_synth.testutil import (
+    apply_pauli,
     apply_pauli_dense,
     check_invariants,
     random_clifford_circuit,
@@ -30,7 +31,7 @@ class TestTableauInvariantsPerOp:
                 if kind == "h":
                     tab.apply_h(int(rng.integers(0, n)))
                 elif kind == "x":
-                    tab.apply_x(int(rng.integers(0, n)))
+                    apply_pauli(tab, int(rng.integers(0, n)), "x")
                 elif kind == "cx":
                     a, b = rng.choice(n, size=2, replace=False)
                     tab.apply_cx(int(a), int(b))

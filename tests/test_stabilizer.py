@@ -18,7 +18,12 @@ from ghz_synth.stabilizer import (
     run,
     sample_counts,
 )
-from ghz_synth.testutil import check_invariants, random_clifford_circuit, tableau_bits
+from ghz_synth.testutil import (
+    apply_pauli,
+    check_invariants,
+    random_clifford_circuit,
+    tableau_bits,
+)
 
 
 def circ(n, cbits, *ops):
@@ -63,7 +68,7 @@ class TestExpectation:
         tab = Tableau(2, shots=2)
         tab.apply_h(0)
         tab.apply_cx(0, 1)
-        tab.apply_x(1, np.array([1, 0], dtype=np.uint8))
+        apply_pauli(tab, 1, "x", np.array([1, 0], dtype=np.uint8))
         zz = tab.expectation(0, np.array([1, 1], dtype=np.uint8))
         xx = tab.expectation(np.array([1, 1], dtype=np.uint8), 0)
         assert zz.tolist() == [-1, 1]
@@ -79,7 +84,7 @@ class TestExpectation:
         mask = np.zeros(130, dtype=np.uint8)
         mask[[0, 5, 63, 64, 100, 127, 128, 129]] = 1
         mask[make_rng(3).random(130) < 0.3] = 1
-        tab.apply_x(1, mask)
+        apply_pauli(tab, 1, "x", mask)
         z0z1 = tab.expectation(0, np.array([1, 1, 0], dtype=np.uint8))
         z1z2 = tab.expectation(0, np.array([0, 1, 1], dtype=np.uint8))
         z0z2 = tab.expectation(0, np.array([1, 0, 1], dtype=np.uint8))
@@ -109,10 +114,10 @@ class TestExpectation:
                         t.apply_cx(q, other)
                 elif kind < 5:
                     mask = (rng.random(shots) < 0.4).astype(np.uint8)
-                    name = ("apply_x", "apply_y", "apply_z")[kind - 2]
-                    getattr(batch, name)(q, mask)
+                    pauli = "xyz"[kind - 2]
+                    apply_pauli(batch, q, pauli, mask)
                     for s in np.flatnonzero(mask):
-                        getattr(singles[s], name)(q)
+                        apply_pauli(singles[s], q, pauli)
                 else:
                     coins = rng.integers(0, 2, size=shots).astype(np.uint8)
                     random = not batch.is_deterministic(q)
