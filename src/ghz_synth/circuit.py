@@ -112,7 +112,7 @@ class Circuit:
     def validate(self) -> None:
         """Raise MalformedCircuitError if any invariant is violated; keep the depth.
 
-        Checks 1 <= n <= schema.MAX_N and cbits >= 0, then emits every op
+        Checks 1 <= n <= schema.MAX_N and 0 <= cbits <= schema.MAX_N, then emits every op
         through one Schedule, which checks each op's rules (see
         `Schedule.emit`); its highest layer is the depth that `depth` returns.
         """
@@ -121,6 +121,7 @@ class Circuit:
         schema.check_max_n(self.qubit_count, MalformedCircuitError)
         if self.cbit_count < 0:
             raise MalformedCircuitError(f"cbits: must be >= 0, got {self.cbit_count}")
+        schema.check_max_n(self.cbit_count, MalformedCircuitError, "cbits")
         schedule = Schedule(self.qubit_count, self.cbit_count)
         for op in self.ops:
             schedule.emit(op)

@@ -107,10 +107,8 @@ def is_ghz(t: Tableau, n: int) -> bool:
     """
     if t.n != n:
         raise ValueError(f"tableau has {t.n} qubits, expected {n}")
-    if t.shots != 1:
-        raise ValueError("is_ghz is defined for single-shot tableaus")
     u = t.copy()
     for i in range(n - 2, -1, -1):
         u.apply_cx(i, i + 1)
     u.apply_h(0)
-    return not np.count_nonzero(u.x & u.stab_mask) and not np.count_nonzero(u.r[n:] & u.live)
+    return not np.count_nonzero(u.x & u.stab_mask) and not np.count_nonzero(u.r & u.stab_mask)

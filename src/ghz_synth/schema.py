@@ -65,15 +65,16 @@ def construct(path: str, make, *args, **kwargs):
         raise InputError(f"{path}: {exc}") from None
 
 
-# Most qubits of a circuit or nodes of a layout: far above the 16k-qubit grids
-# the package targets, and low enough that no n-element list is gigabytes.
+# Most qubits or classical bits of a circuit or nodes of a layout: far above
+# the 16k-qubit grids the package targets, and low enough that no n-element
+# list is gigabytes.
 MAX_N = 1 << 24
 
 
-def check_max_n(n: int, error: type = InputError) -> None:
-    """Raise error, naming the field n, if n exceeds MAX_N."""
+def check_max_n(n: int, error: type = InputError, name: str = "n") -> None:
+    """Raise error, naming the field (n unless given), if n exceeds MAX_N."""
     if n > MAX_N:
-        raise error(f"n: must be <= {MAX_N}, got {n}")
+        raise error(f"{name}: must be <= {MAX_N}, got {n}")
 
 
 def is_int(value) -> bool:

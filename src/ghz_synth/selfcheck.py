@@ -3,20 +3,23 @@
 Every check is deterministic and fast; together they cover layout
 invariants, synthesis count identities, exact GHZ preparation for both
 protocols, merge corrections on both measurement branches, agreement
-between the stabilizer tableau and the dense state vector, and the rejection
-of malformed circuits when they are built.
+between the stabilizer tableau and the dense state vector, noisy sampling
+that replays shot for shot as single runs, and the rejection of malformed
+circuits when they are built.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import layouts
-from .circuit import CX, Circuit, CondX, H, MalformedCircuitError
+from .circuit import CX, Circuit, CondX, H, MalformedCircuitError, MeasureZ
 from .circuit import count_2q, count_measurements, depth
 from .growing import synthesize_growing
 from .merging import HighestDegree, ScalingFactor, select_stars, synthesize_merging
 from .metrics import is_ghz
 from .rng import derive_seed
-from .stabilizer import run
+from .stabilizer import NoiseModel, run, sample_counts
 from .statevector import ghz_state, run_dense, state_fidelity
 from .testutil import random_clifford_circuit, stabilizers_fix_state
 
@@ -102,6 +105,26 @@ def check_tableau_vs_dense() -> bool:
     return True
 
 
+def check_shot_replay() -> bool:
+    """Shot s of a heavy-noise sample_counts is run() with key derive_seed(m, "shot", s).
+
+    70 shots cross a 64-shot word; the merging circuit has mid-circuit
+    measurements, corrections and resets, and the noise flips readouts and
+    resets as well as gates. run() replays the circuit with its terminal
+    readout appended, one shot at a time.
+    """
+    circ = synthesize_merging(layouts.rect_grid(2, 4), ScalingFactor(1.0))
+    noise = NoiseModel(p1=0.05, p2=0.1, pm=0.1, pr=0.1)
+    shots, n, k = 70, circ.qubit_count, circ.cbit_count
+    counts = sample_counts(circ, shots, SEED, noise)
+    readout = Circuit(n, k + n, circ.ops + tuple(MeasureZ(q, k + q) for q in range(n)))
+    replay = Counter(
+        "".join(map(str, run(readout, derive_seed(SEED, "shot", s), noise).cbits[k:]))
+        for s in range(shots)
+    )
+    return count_measurements(circ) > 0 and counts == replay
+
+
 def check_depth_examples() -> bool:
     c1 = Circuit(3, 0, (H(0), CX(0, 1), CX(0, 2)))
     c2 = Circuit(4, 0, (H(0), CX(0, 1), CX(2, 3)))
@@ -130,6 +153,7 @@ def run_all() -> list[tuple[str, bool, str]]:
         ("noiseless synthesis yields exact GHZ", check_exact_ghz),
         ("merge corrections on both branches", check_merge_branches),
         ("tableau agrees with dense state vector", check_tableau_vs_dense),
+        ("noisy sampled shots replay as single runs", check_shot_replay),
         ("ASAP depth hand-scheduled examples", check_depth_examples),
         ("malformed circuits are rejected when built", check_malformed_rejected),
     ]

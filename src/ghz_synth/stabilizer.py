@@ -1,4 +1,4 @@
-"""Exact Clifford simulation on a stabilizer tableau.
+"""Exact Clifford simulation on a stabilizer tableau, sampled by Pauli frames.
 
 The tableau follows Aaronson & Gottesman (Phys. Rev. A 70, 052328): rows
 0..n-1 are destabilizers, rows n..2n-1 stabilizers, each row a Pauli in
@@ -7,27 +7,37 @@ binary symplectic form (x bits, z bits) with a sign bit.
 Everything is bit-packed into uint64 words, the layouts of Stim (Gidney,
 Quantum 5, 497, 2021). The x/z bits are stored by column: x[q] and z[q] are
 qubit q's x and z bits over the 2n rows, row i at bit i % 64 of word i // 64,
-so x and z have shape (n, ceil(2n / 64)). H swaps two word rows and CX XORs
-them; a measurement collapse XORs one row mask into the columns on the
-pivot row's support and computes the product phases bit-sliced, for all
+so x and z have shape (n, ceil(2n / 64)), and the 2n signs are packed by row
+the same way. H swaps two word rows and CX XORs them, each with a one-word-op
+sign update; a measurement collapse XORs one row mask into the columns on
+the pivot row's support and computes the product phases bit-sliced, for all
 rows at once, in word operations.
 
-Shots are simulated in a single batch. H/X/CX update the x/z bits
-identically for every shot, measurement collapse performs the same row
-operations for every shot, and Pauli noise, classically controlled X
-corrections and measurement outcomes only ever touch the sign bits. So one
-x/z pair is shared by all shots, and everything per-shot is packed by shot:
-shot s is bit s % 64 of word s // 64 of a uint64 vector. The signs are a
-(2n, ceil(shots / 64)) word matrix; coins, noise masks, outcomes and
-classical bits are word vectors. The phase of a row product depends only on
-the shared x/z bits, so every sign update is a word-wide XOR and
-thousand-shot noisy sampling costs little more than one run. Bits past the
-last row or shot are padding: don't-care in the signs, zero everywhere else.
-Only the API edge unpacks per-shot bits (SimOutcome, expectation and the
-readout histogram) or whole rows (stabilizer_rows).
+A Tableau is one shot. Many shots are sampled with Pauli frames (Gidney
+2021): the engine walks one reference tableau through the circuit and keeps
+beside it one Pauli frame per shot, such that shot s's state is the
+reference state with X^a Z^b applied, a and b being shot s's frame bits.
+The frames are two (n, ceil(shots / 64)) word matrices packed by shot (shot
+s at bit s % 64 of word s // 64), as are the coins, noise masks, outcomes
+and classical bits. H swaps a qubit's two frame rows, CX XORs two of them,
+and an error, CondX or reset correction XORs its shots into one row, each in
+O(shots / 64) words whatever n is. A random measurement reports each shot's
+coin; where that differs from the reference's outcome as seen through the
+shot's frame, the shot is on the other branch, which the reference's pivot
+stabilizer from before the collapse maps onto the reference's, so that row
+is multiplied into the shot's frame. A deterministic measurement reports the
+reference's outcome XOR the frame's x bit. The reference takes shot 0's
+coins, so a noiseless single shot never touches its frame. run is this
+engine over one shot with the frame folded into the reference's signs at
+the end, and every sampled shot equals that run, down to all 2n signs.
+A deterministic measurement leaves the tableau unchanged, so the terminal
+readout of sample_counts takes the reference's outcomes of each run of
+deterministic readouts from one GF(2) matrix product. Bits past the last row
+or shot are padding and stay zero. Only the API edge unpacks per-shot bits
+(SimOutcome and the readout histogram) or whole rows (stabilizer_rows).
 
-Tableau.expectation gives the per-shot expectation (+1, -1 or 0) of any
-Hermitian Pauli by the destabilizer method. It is the single Pauli-membership
+Tableau.expectation gives the expectation (+1, -1 or 0) of any Hermitian
+Pauli by the destabilizer method. It is the single Pauli-membership
 primitive: its sign computation also gives deterministic measurement outcomes.
 
 Randomness contract (part of the reproducibility guarantee): each shot
@@ -103,14 +113,17 @@ class NoiseModel:
                 raise ValueError(f"{f.name} must lie in [0, 1], got {v}")
 
 
+_ONE = np.uint64(1)
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-_PLUS_MINUS = np.array([1, -1], dtype=np.int8)  # expectation of a sign bit
+# all-ones where the Pauli I, X, Y, Z (0..3) has an x part / a z part
+_HAS_X = np.array([0, _ONES, _ONES, 0], dtype=np.uint64)
+_HAS_Z = np.array([0, 0, _ONES, _ONES], dtype=np.uint64)
 
 
 def _pack(bits: np.ndarray, words: int) -> np.ndarray:
-    """Pack a length-shots 0/1 vector into `words` uint64 words.
+    """Pack a 0/1 vector into `words` uint64 words.
 
-    Shot s lands at bit s % 64 of word s // 64; the padding bits are zero.
+    Entry i lands at bit i % 64 of word i // 64; the padding bits are zero.
     """
     buf = np.zeros(8 * words, dtype=np.uint8)
     packed = np.packbits(np.asarray(bits, dtype=bool), bitorder="little")
@@ -118,10 +131,10 @@ def _pack(bits: np.ndarray, words: int) -> np.ndarray:
     return buf.view("<u8")
 
 
-def _unpack(words: np.ndarray, shots: int) -> np.ndarray:
-    """The 0/1 bits (uint8) of the first `shots` shots, along the last axis."""
+def _unpack(words: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` bits (uint8 0/1) of packed words, along the last axis."""
     octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return np.unpackbits(octets, axis=-1, count=shots, bitorder="little")
+    return np.unpackbits(octets, axis=-1, count=count, bitorder="little")
 
 
 def _first_bit(words: np.ndarray) -> int:
@@ -131,33 +144,34 @@ def _first_bit(words: np.ndarray) -> int:
     return 64 * w + (v & -v).bit_length() - 1
 
 
+def _bits_at(words: np.ndarray, i) -> np.ndarray:
+    """Bit i (an int or an index array) of packed words, over the leading axes."""
+    i = np.asarray(i)
+    return (words[..., i >> 6] >> (i & 63).astype(np.uint64)) & _ONE
+
+
 class Tableau:
-    """Batched stabilizer tableau: packed x/z columns, packed per-shot signs.
+    """Single-shot stabilizer tableau: packed x/z columns and packed signs.
 
     x and z have shape (n, ceil(2n / 64)): x[q] holds qubit q's x bits over
     the 2n rows, row i at bit i % 64 of word i // 64 (z likewise). They are
     the two halves of one (2, n, ceil(2n / 64)) array xz, so an update that
-    treats x and z alike is one operation on xz. stab_mask is the packed
-    mask of the stabilizer rows n..2n-1. r has shape (2n, words) with
-    words = ceil(shots / 64); per-shot vectors passed to or returned by
-    flip and measure use the same packing.
+    treats x and z alike is one operation on xz. r holds the 2n sign bits in
+    the same packing and stab_mask the mask of the stabilizer rows n..2n-1,
+    so every sign update is one word operation.
     """
 
-    def __init__(self, n: int, shots: int = 1):
+    def __init__(self, n: int):
         self.n = n
-        self.shots = shots
-        self.words = -(-shots // 64)
         row_words = -(-2 * n // 64)
         self.stab_mask = _pack(np.arange(2 * n) >= n, row_words)
         self.xz = np.zeros((2, n, row_words), dtype=np.uint64)
         self.x, self.z = self.xz
-        self.r = np.zeros((2 * n, self.words), dtype=np.uint64)
-        self.live = _pack(np.ones(shots, dtype=bool), self.words)
+        self.r = np.zeros(row_words, dtype=np.uint64)
         idx = np.arange(n)
         stab = n + idx
-        one = np.uint64(1)
-        self.x[idx, idx >> 6] = one << (idx & 63).astype(np.uint64)  # destabilizer i = X_i
-        self.z[idx, stab >> 6] = one << (stab & 63).astype(np.uint64)  # stabilizer i = Z_i
+        self.x[idx, idx >> 6] = _ONE << (idx & 63).astype(np.uint64)  # destabilizer i = X_i
+        self.z[idx, stab >> 6] = _ONE << (stab & 63).astype(np.uint64)  # stabilizer i = Z_i
 
     def copy(self) -> Tableau:
         """An independent copy of the tableau."""
@@ -166,56 +180,32 @@ class Tableau:
         new.x, new.z = new.xz
         return new
 
-    # -- Clifford gates (x/z updates shared across shots) --
+    # -- Clifford gates --
 
     def apply_h(self, q: int) -> None:
-        self._flip_rows(self.x[q] & self.z[q], self.live)
+        self.r ^= self.x[q] & self.z[q]
         self.xz[:, q] = self.xz[::-1, q]  # swap; numpy buffers the overlapping source
 
     def apply_cx(self, a: int, b: int) -> None:
         xa, xb, za, zb = self.x[a], self.x[b], self.z[a], self.z[b]
-        self._flip_rows(xa & zb & ~(xb ^ za), self.live)
+        self.r ^= xa & zb & ~(xb ^ za)
         xb ^= xa
         za ^= zb
 
-    # -- Pauli gates / errors: sign flips only --
+    # -- Pauli gates: sign flips only --
 
-    def flip(
-        self, q: int, x_words: Optional[np.ndarray], z_words: Optional[np.ndarray]
-    ) -> None:
-        """X on qubit q in the shots set in x_words, Z in those set in z_words.
+    def flip(self, qs: Sequence[int], x: bool, z: bool) -> None:
+        """X (x), Z (z) or Y (both) on every qubit of qs.
 
-        Both are packed words (None for no shot); a shot in both gets Y. X
-        flips the sign of every row with a Z part on q, Z of every row with
-        an X part, so Y flips the rows with exactly one of them.
+        X on q flips the sign of every row with a Z part on q, Z of every row
+        with an X part, so a row's sign flips iff it has such a part on an
+        odd number of the qubits, for X and Z each.
         """
-        for words, rows in ((x_words, self.z[q]), (z_words, self.x[q])):
-            if words is not None:
-                self._flip_rows(rows, words)
-
-    def flip_x(self, qs: Sequence[int], words: np.ndarray) -> None:
-        """X on every qubit of qs in the shots set in the packed words.
-
-        A row's sign flips iff it has a Z part on an odd number of them.
-        """
-        self._flip_rows(np.bitwise_xor.reduce(self.z[list(qs)], axis=0), words)
-
-    def _flip_rows(self, rows: np.ndarray, words: np.ndarray) -> None:
-        """Flip the sign of every row of the packed row mask in the shots set in words.
-
-        Only those rows, and only the words from the first to the last
-        nonzero word of the shot mask, are touched: a noise event usually
-        hits a few shots.
-        """
-        # most phase masks are empty (a GHZ preparation never sets an H, CX or
-        # row-product phase bit); count_nonzero is the cheapest test, well
-        # below ndarray.any() on short vectors
-        if not np.count_nonzero(rows):
-            return
-        hit = words.nonzero()[0]
-        if hit.size:
-            span = slice(hit[0], hit[-1] + 1)
-            self.r[_unpack(rows, 2 * self.n).nonzero()[0], span] ^= words[span]
+        qs = list(qs)
+        if x:
+            self.r ^= np.bitwise_xor.reduce(self.z[qs], axis=0)
+        if z:
+            self.r ^= np.bitwise_xor.reduce(self.x[qs], axis=0)
 
     # -- Pauli products with phase tracking --
 
@@ -231,9 +221,8 @@ class Tableau:
         is 1 exactly for the -1 cases, so g = A + 2M (mod 4) for A
         anticommuting qubits, M of them -1, and the sign flips iff bit 1 of
         A, which is the parity of the pairs of anticommuting qubits, differs
-        from the parity of M. Only qubits on row p's support contribute. g
-        depends only on the shared x/z bits, so in every shot the new sign is
-        r_i ^ r_p ^ that bit.
+        from the parity of M. Only qubits on row p's support contribute, and
+        the new sign is r_i ^ r_p ^ that bit.
         """
         ones = np.negative(p_bits[:, :, None])  # all-ones words where row p has x / z
         x1, z1 = ones
@@ -244,51 +233,57 @@ class Tableau:
         minus = anti & (x1 ^ z1 ^ x2 ^ z2 ^ x1z2)
         pairs = anti[1:] & np.bitwise_xor.accumulate(anti[:-1], axis=0)
         phase = np.bitwise_xor.reduce(pairs, axis=0) ^ np.bitwise_xor.reduce(minus, axis=0)
-        self._flip_rows(rows, self.r[p])
-        self._flip_rows(phase & rows, self.live)
+        if (int(self.r[p >> 6]) >> (p & 63)) & 1:
+            phase ^= _ONES
+        self.r ^= phase & rows
         self.xz[:, supp] = x2z2 ^ (ones & rows)
 
-    def measure(self, q: int, coins: Optional[np.ndarray]) -> np.ndarray:
+    def measure(self, q: int, coin: Optional[int]) -> tuple[int, Optional[tuple]]:
         """Z-measurement of qubit q, collapsing in place.
 
-        Returns the per-shot outcomes as packed words. `coins` supplies the
-        packed per-shot fair coins used when the outcome is random; pass None
-        only when the caller knows the outcome is deterministic.
+        Returns (outcome, kick). When the outcome is random it is `coin`
+        (pass None only when the caller knows the outcome is deterministic),
+        and kick is the pivot stabilizer from before the collapse, as (the
+        qubits of its support, its (2, len(support)) x/z bits on them): the
+        Pauli that maps the post-measurement state of the other outcome onto
+        this one. A deterministic measurement leaves the tableau unchanged
+        and returns kick None.
         """
         n = self.n
         col = self.x[q]
         stab_x = col & self.stab_mask
-        if np.count_nonzero(stab_x):
-            p = _first_bit(stab_x)
-            w, b = p >> 6, np.uint64(p & 63)
-            # row p's bits are read once, from one strided word column; later
-            # updates of row p touch its support only
-            bits = (self.xz[:, :, w] >> b) & np.uint64(1)
-            supp = (bits[0] | bits[1]).nonzero()[0]
-            p_bits = bits[:, supp]
-            rows = col.copy()
-            rows[w] ^= np.uint64(1) << b
-            if np.count_nonzero(rows):
-                self._rowmult(rows, p, supp, p_bits)
-            # row p - n := row p, then row p := Z_q
-            d = p - n
-            dw, db = d >> 6, np.uint64(d & 63)
-            self.xz[:, :, dw] &= ~(np.uint64(1) << db)
-            self.xz[:, supp, dw] |= p_bits << db
-            self.xz[:, supp, w] &= ~(np.uint64(1) << b)
-            self.z[q, w] |= np.uint64(1) << b
-            self.r[d] = self.r[p]
-            if coins is None:
-                raise InvalidForcingError(
-                    f"measurement of qubit {q} is random but no coin was supplied"
-                )
-            self.r[p] = coins
-            return self.r[p].copy()
-        # the rows anticommuting with Z_q are those with an x part on q
-        return self._signs(col, 0) & self.live
+        if not np.count_nonzero(stab_x):
+            # the rows anticommuting with Z_q are those with an x part on q
+            return int(self._signs(col[None], 0)[0]), None
+        if coin is None:
+            raise InvalidForcingError(
+                f"measurement of qubit {q} is random but no coin was supplied"
+            )
+        p = _first_bit(stab_x)
+        w, b = p >> 6, np.uint64(p & 63)
+        # row p's bits are read once, from one strided word column; later
+        # updates of row p touch its support only
+        bits = (self.xz[:, :, w] >> b) & _ONE
+        supp = (bits[0] | bits[1]).nonzero()[0]
+        p_bits = bits[:, supp]
+        rows = col.copy()
+        rows[w] ^= _ONE << b
+        if np.count_nonzero(rows):
+            self._rowmult(rows, p, supp, p_bits)
+        # row p - n := row p, then row p := Z_q with the coin as its sign
+        d = p - n
+        dw, db = d >> 6, np.uint64(d & 63)
+        self.xz[:, :, dw] &= ~(_ONE << db)
+        self.xz[:, supp, dw] |= p_bits << db
+        self.xz[:, supp, w] &= ~(_ONE << b)
+        self.z[q, w] |= _ONE << b
+        r_p = (int(self.r[w]) >> int(b)) & 1
+        self.r[dw] = (int(self.r[dw]) & ~(1 << int(db))) | (r_p << int(db))
+        self.r[w] = (int(self.r[w]) & ~(1 << int(b))) | (coin << int(b))
+        return coin, (supp, p_bits)
 
-    def expectation(self, px, pz) -> np.ndarray:
-        """Per-shot expectation (+1, -1 or 0, as int8) of a Hermitian Pauli.
+    def expectation(self, px, pz) -> int:
+        """Expectation (+1, -1 or 0) of a Hermitian Pauli.
 
         The Pauli is given by its x and z bits (length-n 0/1 arrays, or a
         scalar 0), with Y on qubits where both are set and sign +1. It has
@@ -302,51 +297,148 @@ class Tableau:
         xs, zs = np.flatnonzero(px), np.flatnonzero(pz)
         anti = np.bitwise_xor.reduce(self.z[xs], axis=0)
         anti ^= np.bitwise_xor.reduce(self.x[zs], axis=0)
-        signs = self._signs(anti, np.count_nonzero(np.asarray(px) & np.asarray(pz)))
-        if signs is None:
-            return np.zeros(self.shots, dtype=np.int8)
-        return _PLUS_MINUS[_unpack(signs, self.shots)]
+        if np.count_nonzero(anti & self.stab_mask):
+            return 0
+        y_p = np.count_nonzero(np.asarray(px) & np.asarray(pz))
+        return 1 - 2 * int(self._signs(anti[None], y_p)[0])
 
-    def _signs(self, anti: np.ndarray, y_p: int) -> Optional[np.ndarray]:
-        """Packed per-shot sign bits of the expectation of a Pauli P, None where it is 0.
+    def _signs(self, anti: np.ndarray, y_p) -> np.ndarray:
+        """Sign bits (uint8) of k Paulis that commute with every stabilizer.
 
-        anti is the packed mask of the rows that anticommute with P, and P
-        has y_p Y parts. The padding bits are not cleared.
+        anti (k, row words) holds, per Pauli P, the packed mask of the rows
+        that anticommute with P, all of them destabilizers; y_p is P's
+        number of Y parts (one int for all, or one per Pauli). P is +/- the
+        product of the stabilizers n + j whose destabilizer j is in its
+        mask. With A the (k, rows) 0/1 matrix of those choices, the sign is
+
+            A r + floor((A y - y_p mod 4) / 2) + A U A^T  (mod 2, per Pauli)
+
+        over the selected rows: r their signs, y their Y counts, U the strict
+        upper triangle of Z X^T mod 2 with Z, X their z and x bits, one row
+        each. A Hermitian row is i^(x.z) X^x Z^z, and moving Z^z1 past X^x2
+        gives (-1)^(z1.x2), so the ordered product of the chosen rows is
+        i^(y_rows - y_P) (-1)^cross P times their signs, cross counting
+        z_j . x_l over chosen pairs j < l. Only qubits where a chosen row
+        has an x part add to y or to Z X^T, so the products run over those
+        (none once every qubit is deterministic, as in a GHZ readout after
+        its first outcome: then P is a Z-product and there is no phase).
+        They are float64, exact since every entry stays below n^2 < 2^53.
         """
         n = self.n
-        if np.count_nonzero(anti & self.stab_mask):
-            return None
-        sel = n + _unpack(anti, n).nonzero()[0]
-        signs = np.bitwise_xor.reduce(self.r[sel], axis=0)
-        if sel.size < 2:
-            return signs  # P is +/- one stabilizer row (or the identity): no phase
-        # gather the selected rows' bits: (qubits, rows) each
-        sx, sz = (self.xz[:, :, sel >> 6] >> (sel & 63).astype(np.uint64)) & np.uint64(1)
-        # a Hermitian row is i^(x.z) X^x Z^z, and moving Z^z1 past X^x2 gives
-        # (-1)^(z1.x2), so the ordered product of the selected rows is
-        # i^(y_rows - y_P) (-1)^cross P times their signs
-        y = np.count_nonzero(sx & sz) - y_p
-        z_before = np.bitwise_xor.accumulate(sz[:, :-1], axis=1)
-        cross = np.count_nonzero(sx[:, 1:] & z_before)
-        if ((y % 4) // 2 + cross) & 1:
-            signs ^= _ONES
-        return signs
+        a = _unpack(anti, n)
+        sel = (a.any(axis=0) if len(a) > 1 else a[0].view(bool)).nonzero()[0]
+        rows = n + sel
+        a = a[:, sel]
+        signs = a @ _unpack(self.r, 2 * n)[rows]  # uint8 wraps, which keeps the parity
+        if sel.size < 2:  # each P is +/- one stabilizer row (or the identity): no phase
+            return signs & 1
+        sx = _bits_at(self.x, rows)  # (qubits, rows)
+        cols = sx.any(axis=1).nonzero()[0]
+        if not cols.size:
+            return signs & 1
+        sx = sx[cols].astype(np.float64)
+        sz = _bits_at(self.z[cols], rows).astype(np.float64)
+        a = a.astype(np.float64)
+        y = (sx * sz).sum(axis=0)
+        upper = np.triu((sz.T @ sx) % 2, 1)
+        phase = ((a @ y - y_p) % 4) // 2 + ((a @ upper) * a).sum(axis=1)
+        return (signs + phase.astype(np.int64)) & 1
 
     def is_deterministic(self, q: int) -> bool:
         """True when a Z-measurement of q has a definite outcome."""
         return not np.count_nonzero(self.x[q] & self.stab_mask)
 
     def stabilizer_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x, z, sign) of the n stabilizer generators for a 1-shot tableau.
+        """(x, z, sign) of the n stabilizer generators.
 
         x and z are (n, n) uint8 with one row per generator, one column per
         qubit.
         """
-        if self.shots != 1:
-            raise ValueError("stabilizer_rows is defined for single-shot tableaus")
         n = self.n
         x, z = np.ascontiguousarray(_unpack(self.xz, 2 * n)[:, :, n:].transpose(0, 2, 1))
-        return x, z, _unpack(self.r[n:], 1)[:, 0]
+        return x, z, _unpack(self.r, 2 * n)[n:]
+
+
+class PauliFrame:
+    """One reference tableau and one Pauli frame per shot (Gidney 2021).
+
+    Shot s's state is the reference state with X^a Z^b applied, up to a
+    global phase, where a and b are bit s of fx and fz: f has shape
+    (2, n, ceil(shots / 64)), f[0] = fx and f[1] = fz, one packed word row
+    per qubit, shot s at bit s % 64 of word s // 64. every has every shot's
+    bit set. The reference measures with shot 0's coin. While clean, every
+    frame is the identity, which every gate leaves so, and gate updates of
+    the frame are skipped.
+    """
+
+    def __init__(self, n: int, shots: int):
+        self.ref = Tableau(n)
+        words = -(-shots // 64)
+        self.every = _pack(np.ones(shots, dtype=bool), words)
+        self.f = np.zeros((2, n, words), dtype=np.uint64)
+        self.fx, self.fz = self.f
+        self.clean = True
+
+    def all_or_none(self, bit: int) -> np.ndarray:
+        """Packed words with every shot set if bit is 1, none if 0."""
+        return self.every * np.uint64(bit)
+
+    def apply_h(self, q: int) -> None:
+        self.ref.apply_h(q)
+        if not self.clean:
+            self.f[:, q] = self.f[::-1, q]
+
+    def apply_cx(self, a: int, b: int) -> None:
+        self.ref.apply_cx(a, b)
+        if not self.clean:
+            self.fx[b] ^= self.fx[a]
+            self.fz[a] ^= self.fz[b]
+
+    def error(self, q: int, word: np.ndarray, x_bits: np.ndarray, z_bits: np.ndarray) -> None:
+        """A Pauli error on qubit q in a few shots.
+
+        Shot word[i] * 64 + k gets X if bit k of x_bits[i] is set and Z if
+        that of z_bits[i] is (both: Y); word may repeat.
+        """
+        np.bitwise_xor.at(self.fx[q], word, x_bits)
+        np.bitwise_xor.at(self.fz[q], word, z_bits)
+        self.clean = False
+
+    def flip_x(self, qs: Sequence[int], words: np.ndarray, ref_bit: int) -> None:
+        """X on every qubit of qs in the shots set in words, and in the reference iff ref_bit."""
+        if ref_bit:
+            self.ref.flip(qs, True, False)
+        delta = words ^ self.all_or_none(ref_bit)
+        if np.count_nonzero(delta):
+            self.fx[list(qs)] ^= delta
+            self.clean = False
+
+    def measure(self, q: int, coins: Optional[np.ndarray]) -> tuple[np.ndarray, int]:
+        """Z-measurement of qubit q in every shot: (packed outcomes, reference outcome).
+
+        coins holds the packed per-shot fair coins, which are the outcomes
+        when the measurement is random; pass None only when the caller knows
+        it is deterministic.
+        """
+        ref, kick = self.ref.measure(q, None if coins is None else int(coins[0] & _ONE))
+        ref_words = self.all_or_none(ref)
+        if kick is None:
+            return ref_words ^ self.fx[q], ref
+        # a shot whose coin differs from the reference's outcome seen through
+        # its frame is on the other branch: the kick maps it onto the reference's
+        other = coins ^ self.fx[q] ^ ref_words
+        if np.count_nonzero(other):
+            supp, p_bits = kick
+            self.f[:, supp] ^= np.negative(p_bits)[:, :, None] & other
+            self.clean = False
+        return coins, ref
+
+    def fold(self, shot: int) -> Tableau:
+        """The tableau of one shot: the reference with the shot's frame folded into its signs."""
+        t = self.ref.copy()
+        fx, fz = _bits_at(self.f, shot).astype(bool)
+        t.r ^= np.bitwise_xor.reduce(t.z[fx], axis=0) ^ np.bitwise_xor.reduce(t.x[fz], axis=0)
+        return t
 
 
 @dataclass
@@ -369,53 +461,36 @@ def _check_capacity(c: Circuit, max_qubits: int) -> None:
         raise CapacityError(f"{c.qubit_count} qubits exceeds the maximum of {max_qubits}")
 
 
-def _lanes_in(words: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-    """Whether each of the given shots is set in the packed words."""
-    bits = words[lanes >> 6] >> (lanes & 63).astype(np.uint64)
-    return (bits & np.uint64(1)).astype(bool)
-
-
-def _pack_lanes(lanes: np.ndarray, shots: int) -> np.ndarray:
-    """Packed words with exactly the given shots set."""
-    bits = np.zeros(shots, dtype=bool)
-    bits[lanes] = True
-    return _pack(bits, -(-shots // 64))
-
-
-def _batched_run(
+def _simulate(
     c: Circuit,
     stream: CounterStream,
     shots: int,
     noise: Optional[NoiseModel],
     forced: Sequence[Optional[int]] = (),
     terminal_readout: bool = False,
-) -> tuple[Tableau, np.ndarray, list[np.ndarray]]:
+) -> tuple[PauliFrame, np.ndarray, list[np.ndarray]]:
     """Shared engine for run() and sample_counts().
 
     stream has one lane per shot. Draw indices are handed out in the order of
     the randomness contract whether or not the draw is read, and only the
-    draws read are computed. Returns (tableau, classical bits, outcome log)
+    draws read are computed. Returns (frame, classical bits, outcome log)
     with every per-shot value in packed words: cbits has one row per
     classical bit, followed by one per qubit when terminal_readout appends
-    the readout, and the log has one word vector per measurement event.
+    a Z-measurement of every qubit, and the log has one word vector per
+    measurement event.
     """
     n = c.qubit_count
-    tab = Tableau(n, shots)
-    words = tab.words
-    ops = list(c.ops)
-    if terminal_readout:
-        ops += [MeasureZ(q, c.cbit_count + q) for q in range(n)]
-    cbits = np.zeros((c.cbit_count + (n if terminal_readout else 0), words), dtype=np.uint64)
+    frame = PauliFrame(n, shots)
+    ref = frame.ref
+    cbits = np.zeros((c.cbit_count + (n if terminal_readout else 0), frame.every.size), np.uint64)
+    ref_cbits = [0] * len(cbits)  # the reference's (noiseless) classical bits
     log: list[np.ndarray] = []
     slots = itertools.count()  # index of the next draw
     event = 0
 
     def below(p: float) -> np.ndarray:
         """Packed words of the shots whose next draw is below p."""
-        t = next(slots)
-        if p <= 0:
-            return np.zeros(words, dtype=np.uint64)
-        return _pack(stream.uniforms(t) < p, words)
+        return stream.below(next(slots), p)
 
     def depolarize(qs: tuple[int, ...], p: float, fire: Optional[np.ndarray] = None):
         """Pauli error with probability p, uniform over the 4**k - 1 non-identity ones.
@@ -426,71 +501,95 @@ def _batched_run(
         t_err, t_which = next(slots), next(slots)
         if p <= 0:
             return
-        lanes = np.flatnonzero(stream.uniforms(t_err) < p)
+        hit = stream.below(t_err, p)
         if fire is not None:
-            lanes = lanes[_lanes_in(fire, lanes)]
-        if not lanes.size:
+            hit &= fire
+        if not np.count_nonzero(hit):
             return
+        lanes = _unpack(hit, shots).view(bool).nonzero()[0]  # nonzero is fastest on bool
         choices = 4 ** len(qs) - 1
         u = stream.uniforms(t_which, lanes)
         code = np.minimum((u * choices).astype(np.int64), choices - 1) + 1
+        word, bit = lanes >> 6, _ONE << (lanes & 63).astype(np.uint64)
         for i, q in enumerate(qs):
             pauli = (code >> 2 * (len(qs) - 1 - i)) & 3  # 0..3 = I, X, Y, Z
-            x_part, z_part = lanes[(pauli == 1) | (pauli == 2)], lanes[pauli >= 2]
-            tab.flip(q, _pack_lanes(x_part, shots), _pack_lanes(z_part, shots))
+            frame.error(q, word, bit & _HAS_X[pauli], bit & _HAS_Z[pauli])
 
-    def measure_event(q: int) -> np.ndarray:
+    def log_event(outcome: np.ndarray) -> None:
         nonlocal event
+        log.append(outcome)
+        event += 1
+
+    def measure_event(q: int) -> tuple[np.ndarray, int]:
         t_coin = next(slots)
         want = forced[event] if event < len(forced) else None
-        want_words = None if want is None else tab.live * np.uint64(want)
-        if tab.is_deterministic(q):
-            outcome = tab.measure(q, None)
+        want_words = None if want is None else frame.all_or_none(want)
+        if ref.is_deterministic(q):
+            outcome, ref_bit = frame.measure(q, None)
         else:
             if want is None:
-                want_words = _pack(stream.uniforms(t_coin) < 0.5, words)
-            outcome = tab.measure(q, want_words)
+                want_words = stream.below(t_coin, 0.5)
+            outcome, ref_bit = frame.measure(q, want_words)
         if want is not None and not np.array_equal(outcome, want_words):
             raise InvalidForcingError(
                 f"measurement event {event} on qubit {q} is deterministically "
-                f"{int(outcome[0] & 1)}, cannot force {int(want)}"
+                f"{int(outcome[0] & _ONE)}, cannot force {int(want)}"
             )
-        log.append(outcome)
-        event += 1
-        return outcome
+        log_event(outcome)
+        return outcome, ref_bit
 
-    for op in ops:
+    def store(cbit: int, outcome: np.ndarray, ref_bit: int) -> None:
+        """Record a measurement in cbit, after any readout flip."""
+        cbits[cbit] = outcome if noise is None else outcome ^ below(noise.pm)
+        ref_cbits[cbit] = ref_bit
+
+    for op in c.ops:
         if isinstance(op, H):
-            tab.apply_h(op.q)
+            frame.apply_h(op.q)
             if noise is not None:
                 depolarize((op.q,), noise.p1)
         elif isinstance(op, X):
-            tab.flip(op.q, tab.live, None)
+            frame.flip_x((op.q,), frame.every, 1)
             if noise is not None:
                 depolarize((op.q,), noise.p1)
         elif isinstance(op, CX):
-            tab.apply_cx(op.control, op.target)
+            frame.apply_cx(op.control, op.target)
             if noise is not None:
                 depolarize((op.control, op.target), noise.p2)
         elif isinstance(op, CondX):
-            # sign flips commute, so all targets flip at once before their errors
+            # the X corrections commute, so all targets flip at once before their errors
             fire = cbits[op.cbit]
-            tab.flip_x(op.targets, fire)
+            frame.flip_x(op.targets, fire, ref_cbits[op.cbit])
             if noise is not None:
                 for t in op.targets:
                     depolarize((t,), noise.p1, fire)
         elif isinstance(op, MeasureZ):
-            outcome = measure_event(op.q)
-            if noise is not None:
-                outcome = outcome ^ below(noise.pm)
-            cbits[op.cbit] = outcome
+            store(op.cbit, *measure_event(op.q))
         elif isinstance(op, Reset):
             # an X where the outcome is 1 resets to |0>, a reset error adds one more
-            flip = measure_event(op.q)
+            flip, ref_bit = measure_event(op.q)
             if noise is not None:
                 flip = flip ^ below(noise.pr)
-            tab.flip(op.q, flip, None)
-    return tab, cbits, log
+            frame.flip_x((op.q,), flip, ref_bit)
+    if terminal_readout:
+        q = 0
+        while q < n:
+            # the leading run of deterministic readouts leaves the tableau as
+            # it is: take the reference's outcomes from one product, then the
+            # shots' from their frames, drawing each qubit's coin and flip slots
+            random = np.flatnonzero((ref.x[q:] & ref.stab_mask).any(axis=1))
+            k = int(random[0]) if random.size else n - q
+            ref_bits = ref._signs(ref.x[q : q + k], 0) if k else ()
+            for j, bit in enumerate(ref_bits):
+                next(slots)  # the coin, never read
+                outcome = frame.all_or_none(bit) ^ frame.fx[q + j]
+                log_event(outcome)
+                store(c.cbit_count + q + j, outcome, int(bit))
+            q += k
+            if q < n:
+                store(c.cbit_count + q, *measure_event(q))
+                q += 1
+    return frame, cbits, log
 
 
 def run(
@@ -510,9 +609,9 @@ def run(
     """
     _check_capacity(c, max_qubits)
     stream = CounterStream(np.array([check_seed(seed)], dtype=np.uint64))
-    tab, cbits, log = _batched_run(c, stream, 1, noise, forced=forced_outcomes)
+    frame, cbits, log = _simulate(c, stream, 1, noise, forced=forced_outcomes)
     return SimOutcome(
-        tableau=tab,
+        tableau=frame.fold(0),
         cbits=_unpack(cbits, 1)[:, 0].tolist(),
         outcome_log=_unpack(np.array(log, dtype=np.uint64).reshape(-1, 1), 1)[:, 0].tolist(),
     )
@@ -543,8 +642,8 @@ def sample_counts(
     check_shots(shots)
     _check_capacity(c, max_qubits)
     stream = CounterStream(shot_keys(check_seed(seed), shots))
-    _, cbits, _ = _batched_run(c, stream, shots, noise, terminal_readout=True)
-    readout = _unpack(cbits[c.cbit_count :], shots).T  # (shots, n)
-    strings = (readout + ord("0")).tobytes().decode("ascii")
-    n = c.qubit_count
-    return Counter(strings[i * n : (i + 1) * n] for i in range(shots))
+    _, cbits, _ = _simulate(c, stream, shots, noise, terminal_readout=True)
+    # one ASCII row of '0'/'1' per shot, counted as bytes, decoded once per key
+    readout = np.ascontiguousarray(_unpack(cbits[c.cbit_count :], shots).T + ord("0"))
+    rows = readout.view(f"S{c.qubit_count}")[:, 0].tolist()
+    return Counter({row.decode("ascii"): k for row, k in Counter(rows).items()})

@@ -9,7 +9,7 @@ import numpy as np
 from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset, X
 from .layouts import LayoutGraph
 from .rng import make_rng
-from .stabilizer import Tableau, _pack, _unpack
+from .stabilizer import Tableau, _unpack
 
 __all__ = [
     "random_clifford_circuit",
@@ -119,11 +119,9 @@ def tableau_bits(tab: Tableau) -> tuple[np.ndarray, np.ndarray]:
     return x, z
 
 
-def apply_pauli(tab: Tableau, q: int, pauli: str, mask: np.ndarray | None = None) -> None:
-    """Pauli "x", "y" or "z" on qubit q in every shot, or in the shots where the
-    0/1 mask is 1: one `Tableau.flip` with the mask packed by shot."""
-    words = tab.live if mask is None else _pack(mask, tab.words)
-    tab.flip(q, words if pauli in "xy" else None, words if pauli in "yz" else None)
+def apply_pauli(tab: Tableau, q: int, pauli: str) -> None:
+    """Pauli "x", "y" or "z" on qubit q: one `Tableau.flip`."""
+    tab.flip((q,), pauli in "xy", pauli in "yz")
 
 
 def check_invariants(tab: Tableau) -> None:

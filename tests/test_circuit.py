@@ -22,6 +22,7 @@ from ghz_synth.circuit import (
 from ghz_synth.layouts import eagle_127, rect_grid
 from ghz_synth.merging import HighestDegree, synthesize_merging
 from ghz_synth.rng import make_rng
+from ghz_synth.schema import MAX_N
 from ghz_synth.stabilizer import run, sample_counts
 from ghz_synth.statevector import run_dense
 
@@ -180,7 +181,10 @@ class TestValidByConstruction:
         run_dense(small, seed=1)
         assert calls == [c, small]
 
-    @pytest.mark.parametrize("n, cbits, field", [(0, 0, "n"), (2, -1, "cbits")])
+    @pytest.mark.parametrize(
+        "n, cbits, field",
+        [(0, 0, "n"), (2, -1, "cbits"), (2, MAX_N + 1, "cbits"), (1, 2**63, "cbits")],
+    )
     def test_bad_counts_rejected_in_both_forms(self, n, cbits, field):
         with pytest.raises(MalformedCircuitError, match=f"^{field}: "):
             Circuit(n, cbits, ())

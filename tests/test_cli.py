@@ -110,6 +110,7 @@ def test_verify_subcommand(capsys):
     assert cli_main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    assert "PASS  noisy sampled shots replay as single runs" in out
 
 
 def test_verify_prints_failure_reason(monkeypatch, capsys):
@@ -122,7 +123,7 @@ def test_verify_prints_failure_reason(monkeypatch, capsys):
     assert cli_main(["verify"]) == 2
     out = capsys.readouterr().out
     assert "FAIL  ASAP depth hand-scheduled examples: RuntimeError: tableau exploded" in out
-    assert "1 of 7 checks failed" in out
+    assert "1 of 8 checks failed" in out
 
 
 def test_unknown_flag_usage_error(capsys):
@@ -226,6 +227,14 @@ def test_simulate_malformed_circuit_runtime_error(tmp_path, capsys):
         assert cli_main(["simulate", "--circuit", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {field}: missing field\n"
+
+
+def test_simulate_oversized_cbits_names_the_field(tmp_path, capsys):
+    # rejected when the circuit is built, before a classical-bit matrix is sized
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 1, "cbits": 2**63, "ops": []}))
+    assert cli_main(["simulate", "--circuit", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cbits: must be <= {2**24}, got {2**63}\n"
 
 
 def test_bench_bad_threads_env_runtime_error(tmp_path, monkeypatch, capsys):

@@ -23,7 +23,11 @@ classical bits, outcome log and stabilizer rows, and the noiseless and noisy
 Clifford + measure + reset + CondX circuits whose 2n tableau rows end just
 before, at and just after a 64-bit word boundary. They were computed with the
 row-major uint8 tableau, before the x/z columns were bit-packed; the packed
-tableau must reproduce every run and every sample bit for bit.
+tableau must reproduce every run and every sample bit for bit. The
+heavy-noise digests (a noisy run, and 1000 noisy shots, which leave padding
+in the last word) were computed with the batched per-shot sign engine,
+before Pauli-frame sampling replaced it; the frames must reproduce them bit
+for bit.
 """
 
 import hashlib
@@ -464,23 +468,57 @@ def _sha256_bytes(*parts: bytes) -> str:
     return digest.hexdigest()
 
 
+def _run_digest(out, n: int) -> str:
+    sx, sz, sr = out.tableau.stabilizer_rows()
+    assert sx.dtype == sz.dtype == sr.dtype == np.uint8
+    assert sx.shape == sz.shape == (n, n)
+    return _sha256_bytes(
+        repr(out.cbits).encode(),
+        repr(out.outcome_log).encode(),
+        sx.tobytes(),
+        sz.tobytes(),
+        sr.tobytes(),
+    )
+
+
 @pytest.mark.parametrize("name", list(SIM_CIRCUITS))
 def test_simulator_digest(name):
     c = SIM_CIRCUITS[name]()
-    out = run(c, seed=derive_seed(92, name))
-    sx, sz, sr = out.tableau.stabilizer_rows()
-    assert sx.dtype == sz.dtype == sr.dtype == np.uint8
-    assert sx.shape == sz.shape == (c.qubit_count, c.qubit_count)
-    got = [
-        _sha256_bytes(
-            repr(out.cbits).encode(),
-            repr(out.outcome_log).encode(),
-            sx.tobytes(),
-            sz.tobytes(),
-            sr.tobytes(),
-        )
-    ]
+    got = [_run_digest(run(c, seed=derive_seed(92, name)), c.qubit_count)]
     for noise in (None, SIM_NOISE):
         counts = sample_counts(c, SIM_SHOTS, derive_seed(93, name), noise)
         got.append(_sha256(repr(sorted(counts.items()))))
     assert tuple(got) == SIM_GOLDEN[name]
+
+
+# Heavy noise at a shot count that is not a multiple of 64: CondX corrections
+# that fire in some shots and err in fewer, reset errors, readout flips and
+# the padding lanes of the last word all occur. circuit: (noisy run, noisy
+# sample_counts) digests; the run has seed derive_seed(94, circuit), the
+# samples derive_seed(95, circuit).
+HEAVY_SHOTS = 1000
+HEAVY_NOISE = NoiseModel(0.1, 0.2, 0.1, 0.1)
+HEAVY_GOLDEN = {
+    "eagle_127/highest_degree": (
+        "43f1b999aaf67eb14ad05ba9d66a84d94cc28958972ab141dd407034413d74a1",
+        "0f79204d618599483e5cc5636dfcc05b0f4cb9476409d0dd402e976eb140a7a6",
+    ),
+    "random_65": (
+        "0cba8bcee33351c2d50650e57e46072e451278562dc564a4321ac955651e573c",
+        "c293fb91bd48c56b2e04c8ba651d7d836b83b7e0e037d16050863197b880c57e",
+    ),
+    "random_129": (
+        "7050739725eaa87555653ab01f679e304cd3ed2f648874454587119fbfd49a62",
+        "7266db8416bfe103ca6169d504971fc728de9402f479a33fcd15b883c1e9e361",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(HEAVY_GOLDEN))
+def test_heavy_noise_simulator_digest(name):
+    c = SIM_CIRCUITS[name]()
+    out = run(c, seed=derive_seed(94, name), noise=HEAVY_NOISE)
+    counts = sample_counts(c, HEAVY_SHOTS, derive_seed(95, name), HEAVY_NOISE)
+    assert sum(counts.values()) == HEAVY_SHOTS
+    got = (_run_digest(out, c.qubit_count), _sha256(repr(sorted(counts.items()))))
+    assert got == HEAVY_GOLDEN[name]

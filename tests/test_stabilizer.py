@@ -12,6 +12,7 @@ from ghz_synth.stabilizer import (
     CapacityError,
     InvalidForcingError,
     NoiseModel,
+    PauliFrame,
     Tableau,
     _pack,
     _unpack,
@@ -62,74 +63,102 @@ class TestGates:
             check_invariants(out.tableau)
 
 
+def frame_pauli(frame, q, pauli, mask):
+    """Pauli "x", "y" or "z" on qubit q in the shots where the 0/1 mask is 1."""
+    shots = np.flatnonzero(mask)
+    bits = np.uint64(1) << (shots % 64).astype(np.uint64)
+    frame.error(q, shots // 64, bits * (pauli in "xy"), bits * (pauli in "yz"))
+
+
+def shot_tableaus(frame, singles):
+    """Every shot of the frame folded into the reference; each must equal the
+    one-shot tableau of singles that applied that shot's Paulis and coins,
+    x/z bits and all 2n signs included (H and CX phases too)."""
+    shots = [frame.fold(s) for s in range(len(singles))]
+    for s, (got, want) in enumerate(zip(shots, singles)):
+        assert np.array_equal(got.xz, want.xz), s
+        assert np.array_equal(got.r, want.r), s
+    return shots
+
+
 class TestExpectation:
     def test_masked_flip_changes_one_shot(self):
         # Bell pair in two shots, then X on qubit 1 in shot 0 only
-        tab = Tableau(2, shots=2)
-        tab.apply_h(0)
-        tab.apply_cx(0, 1)
-        apply_pauli(tab, 1, "x", np.array([1, 0], dtype=np.uint8))
-        zz = tab.expectation(0, np.array([1, 1], dtype=np.uint8))
-        xx = tab.expectation(np.array([1, 1], dtype=np.uint8), 0)
-        assert zz.tolist() == [-1, 1]
-        assert xx.tolist() == [1, 1]
-        assert tab.expectation(0, np.array([1, 0], dtype=np.uint8)).tolist() == [0, 0]
+        frame = PauliFrame(2, 2)
+        singles = [Tableau(2) for _ in range(2)]
+        for t in [frame] + singles:
+            t.apply_h(0)
+            t.apply_cx(0, 1)
+        frame_pauli(frame, 1, "x", [1, 0])
+        apply_pauli(singles[0], 1, "x")
+        shots = shot_tableaus(frame, singles)
+        zz = [t.expectation(0, np.array([1, 1], dtype=np.uint8)) for t in shots]
+        xx = [t.expectation(np.array([1, 1], dtype=np.uint8), 0) for t in shots]
+        assert zz == [-1, 1]
+        assert xx == [1, 1]
+        assert [t.expectation(0, np.array([1, 0], dtype=np.uint8)) for t in shots] == [0, 0]
 
     def test_masked_flip_across_word_boundaries(self):
         # 130 shots span three words, the last holding two shots and padding
-        tab = Tableau(3, shots=130)
-        tab.apply_h(0)
-        tab.apply_cx(0, 1)
-        tab.apply_cx(0, 2)
+        frame = PauliFrame(3, 130)
+        singles = [Tableau(3) for _ in range(130)]
+        for t in [frame] + singles:
+            t.apply_h(0)
+            t.apply_cx(0, 1)
+            t.apply_cx(0, 2)
         mask = np.zeros(130, dtype=np.uint8)
         mask[[0, 5, 63, 64, 100, 127, 128, 129]] = 1
         mask[make_rng(3).random(130) < 0.3] = 1
-        apply_pauli(tab, 1, "x", mask)
-        z0z1 = tab.expectation(0, np.array([1, 1, 0], dtype=np.uint8))
-        z1z2 = tab.expectation(0, np.array([0, 1, 1], dtype=np.uint8))
-        z0z2 = tab.expectation(0, np.array([1, 0, 1], dtype=np.uint8))
-        assert z0z1.shape == (130,)
+        frame_pauli(frame, 1, "x", mask)
+        for s in np.flatnonzero(mask):
+            apply_pauli(singles[s], 1, "x")
+        shots = shot_tableaus(frame, singles)
+
+        def expect(px, pz):
+            return np.array([t.expectation(px, pz) for t in shots])
+
+        z0z1 = expect(0, np.array([1, 1, 0], dtype=np.uint8))
+        z1z2 = expect(0, np.array([0, 1, 1], dtype=np.uint8))
+        z0z2 = expect(0, np.array([1, 0, 1], dtype=np.uint8))
         assert np.array_equal(z0z1, 1 - 2 * mask.astype(np.int8))
         assert np.array_equal(z1z2, z0z1)
         assert (z0z2 == 1).all()
-        assert (tab.expectation(np.ones(3, dtype=np.uint8), 0) == 1).all()
+        assert (expect(np.ones(3, dtype=np.uint8), 0) == 1).all()
 
     def test_batch_matches_one_tableau_per_shot(self):
         # random H / CX / masked Pauli / measurement sequences on 130 shots:
-        # every shot of the batch must equal a one-shot tableau that applies
-        # that shot's Paulis and coins, signs included (H and CX phases too)
+        # every shot of the frame must equal a one-shot tableau that applies
+        # that shot's Paulis and coins, outcomes and signs included
         shots, n = 130, 5
         for i in range(4):
             rng = make_rng(derive_seed(81, i))
-            batch = Tableau(n, shots)
+            frame = PauliFrame(n, shots)
             singles = [Tableau(n) for _ in range(shots)]
             for _ in range(80):
                 kind = int(rng.integers(0, 6))
                 q, other = (int(v) for v in rng.choice(n, size=2, replace=False))
                 if kind == 0:
-                    for t in [batch] + singles:
+                    for t in [frame] + singles:
                         t.apply_h(q)
                 elif kind == 1:
-                    for t in [batch] + singles:
+                    for t in [frame] + singles:
                         t.apply_cx(q, other)
                 elif kind < 5:
                     mask = (rng.random(shots) < 0.4).astype(np.uint8)
                     pauli = "xyz"[kind - 2]
-                    apply_pauli(batch, q, pauli, mask)
+                    frame_pauli(frame, q, pauli, mask)
                     for s in np.flatnonzero(mask):
                         apply_pauli(singles[s], q, pauli)
                 else:
                     coins = rng.integers(0, 2, size=shots).astype(np.uint8)
-                    random = not batch.is_deterministic(q)
-                    batch.measure(q, _pack(coins, batch.words) if random else None)
-                    for s, t in enumerate(singles):
-                        t.measure(q, coins[s : s + 1] if random else None)
-            signs = _unpack(batch.r, shots)
-            bx, bz = tableau_bits(batch)
-            for s, t in enumerate(singles):
-                tx, tz = tableau_bits(t)
-                assert np.array_equal(tx, bx) and np.array_equal(tz, bz)
-                assert np.array_equal(signs[:, s], t.r[:, 0] & 1), (i, s)
+                    random = not frame.ref.is_deterministic(q)
+                    got, _ = frame.measure(q, _pack(coins, frame.every.size) if random else None)
+                    want = [
+                        t.measure(q, int(coins[s]) if random else None)[0]
+                        for s, t in enumerate(singles)
+                    ]
+                    assert _unpack(got, shots).tolist() == want, i
+            shot_tableaus(frame, singles)
 
 
 class TestMeasurement:
