@@ -29,12 +29,12 @@ is multiplied into the shot's frame. A deterministic measurement reports the
 reference's outcome XOR the frame's x bit. The reference takes shot 0's
 coins, so a noiseless single shot never touches its frame. run is this
 engine over one shot with the frame folded into the reference's signs at
-the end, and every sampled shot equals that run, down to all 2n signs.
-A deterministic measurement leaves the tableau unchanged, so the terminal
-readout of sample_counts takes the reference's outcomes of each run of
-deterministic readouts from one GF(2) matrix product. Bits past the last row
-or shot are padding and stay zero. Only the API edge unpacks per-shot bits
-(SimOutcome and the readout histogram) or whole rows (stabilizer_rows).
+the end; sample_counts appends a MeasureZ of every qubit to the ops, so each
+sampled shot equals the run of those ops, down to all 2n signs. A deterministic
+measurement leaves the tableau unchanged, so consecutive ones, mid-circuit
+or in the readout, take their outcomes from one GF(2) matrix product. Bits
+past the last row or shot are padding and stay zero. Only the API edge
+unpacks per-shot bits (SimOutcome, the histogram) or rows (stabilizer_rows).
 
 Tableau.expectation gives the expectation (+1, -1 or 0) of any Hermitian
 Pauli by the destabilizer method. It is the single Pauli-membership
@@ -46,13 +46,13 @@ whose draw t is a fixed function of (key, t). Draw indices are assigned per
 operation in fixed program order, the same whatever the outcomes: H/X take
 (error?, which-Pauli), CX takes (error?, which-Pauli-pair), CondX takes
 (error?, which-Pauli) per target, MeasureZ and Reset take one measurement
-coin followed by (readout-flip) / (reset-error). The error draws exist only
-when a noise model is supplied. A draw nobody reads is never computed: the
-coin of a deterministic or forced measurement, the draws of an error whose
-probability is zero, and the which-Pauli draw of a shot that did not err. Shot s of
-sample_counts(seed=m) has key derive_seed(m, "shot", s) and run(c, seed)
-has key seed, so a batched shot is bit-identical to the single-shot run
-with its key.
+coin followed by (readout-flip) / (reset-error), event by event, the n
+MeasureZ of the readout too. The error draws exist only when a noise model
+is supplied. A draw nobody reads is never computed: the coin of a
+deterministic or forced measurement, the draws of an error whose probability
+is zero, and the which-Pauli draw of a shot that did not err. Shot s of
+sample_counts(seed=m) has key derive_seed(m, "shot", s) and run(c, seed) has
+key seed, so shot s equals the single-shot run of the ops and readout.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit import CX, Circuit, CondX, H, MeasureZ, Reset, X
+from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset, X
 from .rng import CounterStream, check_seed, shot_keys
 
 __all__ = [
@@ -241,25 +241,20 @@ class Tableau:
     def measure(self, q: int, coin: Optional[int]) -> tuple[int, Optional[tuple]]:
         """Z-measurement of qubit q, collapsing in place.
 
-        Returns (outcome, kick). When the outcome is random it is `coin`
-        (pass None only when the caller knows the outcome is deterministic),
-        and kick is the pivot stabilizer from before the collapse, as (the
-        qubits of its support, its (2, len(support)) x/z bits on them): the
-        Pauli that maps the post-measurement state of the other outcome onto
-        this one. A deterministic measurement leaves the tableau unchanged
-        and returns kick None.
+        The caller tests whether it is random (x[q] & stab_mask is nonzero)
+        and passes a coin exactly then. A deterministic measurement leaves the
+        tableau unchanged and returns (outcome, None); a random one returns
+        (coin, kick), kick being the pivot stabilizer from before the collapse
+        as (its support's qubits, its (2, len(support)) x/z bits there): the
+        Pauli that maps the post-measurement state of the other outcome onto this one.
         """
-        n = self.n
         col = self.x[q]
-        stab_x = col & self.stab_mask
-        if not np.count_nonzero(stab_x):
+        if coin is None:
+            if np.count_nonzero(col & self.stab_mask):
+                raise InvalidForcingError(f"measurement of qubit {q} is random but has no coin")
             # the rows anticommuting with Z_q are those with an x part on q
             return int(self._signs(col[None], 0)[0]), None
-        if coin is None:
-            raise InvalidForcingError(
-                f"measurement of qubit {q} is random but no coin was supplied"
-            )
-        p = _first_bit(stab_x)
+        p = _first_bit(col & self.stab_mask)
         w, b = p >> 6, np.uint64(p & 63)
         # row p's bits are read once, from one strided word column; later
         # updates of row p touch its support only
@@ -271,7 +266,7 @@ class Tableau:
         if np.count_nonzero(rows):
             self._rowmult(rows, p, supp, p_bits)
         # row p - n := row p, then row p := Z_q with the coin as its sign
-        d = p - n
+        d = p - self.n
         dw, db = d >> 6, np.uint64(d & 63)
         self.xz[:, :, dw] &= ~(_ONE << db)
         self.xz[:, supp, dw] |= p_bits << db
@@ -344,10 +339,6 @@ class Tableau:
         phase = ((a @ y - y_p) % 4) // 2 + ((a @ upper) * a).sum(axis=1)
         return (signs + phase.astype(np.int64)) & 1
 
-    def is_deterministic(self, q: int) -> bool:
-        """True when a Z-measurement of q has a definite outcome."""
-        return not np.count_nonzero(self.x[q] & self.stab_mask)
-
     def stabilizer_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x, z, sign) of the n stabilizer generators.
 
@@ -417,8 +408,7 @@ class PauliFrame:
         """Z-measurement of qubit q in every shot: (packed outcomes, reference outcome).
 
         coins holds the packed per-shot fair coins, which are the outcomes
-        when the measurement is random; pass None only when the caller knows
-        it is deterministic.
+        when the measurement is random, or None when it is deterministic.
         """
         ref, kick = self.ref.measure(q, None if coins is None else int(coins[0] & _ONE))
         ref_words = self.all_or_none(ref)
@@ -461,32 +451,38 @@ def _check_capacity(c: Circuit, max_qubits: int) -> None:
         raise CapacityError(f"{c.qubit_count} qubits exceeds the maximum of {max_qubits}")
 
 
+def _check_forced(forced: Sequence[Optional[int]]) -> Sequence[Optional[int]]:
+    """The forced outcomes themselves, if each is None, 0 or 1; else ValueError."""
+    for i, bit in enumerate(forced):
+        if bit is not None and bit not in (0, 1):
+            raise ValueError(f"forced_outcomes[{i}]: must be None, 0 or 1, got {bit!r}")
+    return forced
+
+
 def _simulate(
-    c: Circuit,
+    n: int,
+    cbit_count: int,
+    ops: Sequence[Operation],
     stream: CounterStream,
     shots: int,
     noise: Optional[NoiseModel],
     forced: Sequence[Optional[int]] = (),
-    terminal_readout: bool = False,
 ) -> tuple[PauliFrame, np.ndarray, list[np.ndarray]]:
-    """Shared engine for run() and sample_counts().
+    """Shared engine for run() and sample_counts(): ops on n qubits and cbit_count bits.
 
-    stream has one lane per shot. Draw indices are handed out in the order of
-    the randomness contract whether or not the draw is read, and only the
-    draws read are computed. Returns (frame, classical bits, outcome log)
-    with every per-shot value in packed words: cbits has one row per
-    classical bit, followed by one per qubit when terminal_readout appends
-    a Z-measurement of every qubit, and the log has one word vector per
-    measurement event.
+    ops need not form a valid Circuit: the sample_counts readout may re-measure
+    a qubit. stream has one lane per shot. Draw indices are handed out in the
+    order of the randomness contract whether or not the draw is read, and
+    only the draws read are computed. Returns (frame, classical bits, outcome
+    log) with every per-shot value in packed words: cbits has one row per
+    classical bit and the log one word vector per measurement event.
     """
-    n = c.qubit_count
     frame = PauliFrame(n, shots)
     ref = frame.ref
-    cbits = np.zeros((c.cbit_count + (n if terminal_readout else 0), frame.every.size), np.uint64)
-    ref_cbits = [0] * len(cbits)  # the reference's (noiseless) classical bits
+    cbits = np.zeros((cbit_count, frame.every.size), np.uint64)
+    ref_cbits = [0] * cbit_count  # the reference's (noiseless) classical bits
     log: list[np.ndarray] = []
     slots = itertools.count()  # index of the next draw
-    event = 0
 
     def below(p: float) -> np.ndarray:
         """Packed words of the shots whose next draw is below p."""
@@ -515,35 +511,60 @@ def _simulate(
             pauli = (code >> 2 * (len(qs) - 1 - i)) & 3  # 0..3 = I, X, Y, Z
             frame.error(q, word, bit & _HAS_X[pauli], bit & _HAS_Z[pauli])
 
-    def log_event(outcome: np.ndarray) -> None:
-        nonlocal event
-        log.append(outcome)
-        event += 1
-
-    def measure_event(q: int) -> tuple[np.ndarray, int]:
-        t_coin = next(slots)
-        want = forced[event] if event < len(forced) else None
-        want_words = None if want is None else frame.all_or_none(want)
-        if ref.is_deterministic(q):
-            outcome, ref_bit = frame.measure(q, None)
+    def event(op: MeasureZ | Reset, ref_bit: Optional[int]) -> None:
+        """Coin slot, forcing and log entry of one event, then its cbit (after any
+        readout flip) or reset; ref_bit is the reference's outcome if deterministic."""
+        q, t_coin = op.q, next(slots)
+        want = forced[len(log)] if len(log) < len(forced) else None
+        if ref_bit is None:
+            coins = stream.below(t_coin, 0.5) if want is None else frame.all_or_none(want)
+            outcome, ref_bit = frame.measure(q, coins)
         else:
-            if want is None:
-                want_words = stream.below(t_coin, 0.5)
-            outcome, ref_bit = frame.measure(q, want_words)
-        if want is not None and not np.array_equal(outcome, want_words):
-            raise InvalidForcingError(
-                f"measurement event {event} on qubit {q} is deterministically "
-                f"{int(outcome[0] & _ONE)}, cannot force {int(want)}"
-            )
-        log_event(outcome)
-        return outcome, ref_bit
+            outcome = frame.all_or_none(ref_bit) ^ frame.fx[q]
+            if want is not None and not np.array_equal(outcome, frame.all_or_none(want)):
+                raise InvalidForcingError(
+                    f"measurement event {len(log)} on qubit {q} is deterministically "
+                    f"{int(outcome[0] & _ONE)}, cannot force {int(want)}"
+                )
+        log.append(outcome)
+        if isinstance(op, MeasureZ):
+            cbits[op.cbit] = outcome if noise is None else outcome ^ below(noise.pm)
+            ref_cbits[op.cbit] = ref_bit
+        else:  # an X where the outcome is 1 resets to |0>, a reset error adds one more
+            flip = outcome if noise is None else outcome ^ below(noise.pr)
+            frame.flip_x((q,), flip, ref_bit)
 
-    def store(cbit: int, outcome: np.ndarray, ref_bit: int) -> None:
-        """Record a measurement in cbit, after any readout flip."""
-        cbits[cbit] = outcome if noise is None else outcome ^ below(noise.pm)
-        ref_cbits[cbit] = ref_bit
+    def measure(i: int) -> int:
+        """Measure ops[i], a MeasureZ or Reset, and the MeasureZ right after a MeasureZ;
+        return the next index. Each event is tested once, by its own column or by the
+        scan a deterministic one makes of the rest, up to the first random one; the
+        deterministic ones leave the tableau as it is and share one product."""
+        end = i + 1
+        while isinstance(ops[i], MeasureZ) and end < len(ops) and isinstance(ops[end], MeasureZ):
+            end += 1
+        if end == i + 1:
+            col = ref.x[ops[i].q]
+            random = np.count_nonzero(col & ref.stab_mask)
+            event(ops[i], None if random else int(ref._signs(col[None], 0)[0]))
+            return end
+        run = ops[i:end]
+        qs = np.array([op.q for op in run])
+        j = 0
+        while j < len(run):
+            if not np.count_nonzero(ref.x[qs[j]] & ref.stab_mask):
+                random = (ref.x[qs[j + 1 :]] & ref.stab_mask).any(axis=1)
+                k = 1 + int(np.append(random, True).argmax())
+                for op, bit in zip(run[j : j + k], ref._signs(ref.x[qs[j : j + k]], 0).tolist()):
+                    event(op, bit)
+                j += k
+                if j == len(run):
+                    break
+            event(run[j], None)  # random, by its own column or by the scan
+            j += 1
+        return end
 
-    for op in c.ops:
+    resume = 0  # the ops before it were measured as part of a run
+    for i, op in enumerate(ops):
         if isinstance(op, H):
             frame.apply_h(op.q)
             if noise is not None:
@@ -563,32 +584,8 @@ def _simulate(
             if noise is not None:
                 for t in op.targets:
                     depolarize((t,), noise.p1, fire)
-        elif isinstance(op, MeasureZ):
-            store(op.cbit, *measure_event(op.q))
-        elif isinstance(op, Reset):
-            # an X where the outcome is 1 resets to |0>, a reset error adds one more
-            flip, ref_bit = measure_event(op.q)
-            if noise is not None:
-                flip = flip ^ below(noise.pr)
-            frame.flip_x((op.q,), flip, ref_bit)
-    if terminal_readout:
-        q = 0
-        while q < n:
-            # the leading run of deterministic readouts leaves the tableau as
-            # it is: take the reference's outcomes from one product, then the
-            # shots' from their frames, drawing each qubit's coin and flip slots
-            random = np.flatnonzero((ref.x[q:] & ref.stab_mask).any(axis=1))
-            k = int(random[0]) if random.size else n - q
-            ref_bits = ref._signs(ref.x[q : q + k], 0) if k else ()
-            for j, bit in enumerate(ref_bits):
-                next(slots)  # the coin, never read
-                outcome = frame.all_or_none(bit) ^ frame.fx[q + j]
-                log_event(outcome)
-                store(c.cbit_count + q + j, outcome, int(bit))
-            q += k
-            if q < n:
-                store(c.cbit_count + q, *measure_event(q))
-                q += 1
+        elif isinstance(op, (MeasureZ, Reset)) and i >= resume:
+            resume = measure(i)
     return frame, cbits, log
 
 
@@ -601,15 +598,16 @@ def run(
 ) -> SimOutcome:
     """Simulate one execution of the circuit.
 
-    Measurement outcomes that are genuinely random are resolved by seeded
-    fair coins, unless pinned via forced_outcomes (one optional bit per
-    measurement event, in program order; a short list leaves the remaining
-    events unforced). Forcing an outcome the state assigns probability zero
+    Random measurement outcomes are resolved by seeded fair coins unless
+    pinned via forced_outcomes (None, 0 or 1 per measurement event, in
+    program order; a short list leaves the rest unforced, and another value
+    raises ValueError). Forcing an outcome the state assigns probability zero
     raises InvalidForcingError.
     """
     _check_capacity(c, max_qubits)
+    forced = _check_forced(forced_outcomes)
     stream = CounterStream(np.array([check_seed(seed)], dtype=np.uint64))
-    frame, cbits, log = _simulate(c, stream, 1, noise, forced=forced_outcomes)
+    frame, cbits, log = _simulate(c.qubit_count, c.cbit_count, c.ops, stream, 1, noise, forced)
     return SimOutcome(
         tableau=frame.fold(0),
         cbits=_unpack(cbits, 1)[:, 0].tolist(),
@@ -633,17 +631,18 @@ def sample_counts(
 ) -> Counter:
     """Sample terminal all-qubit readout histograms.
 
-    Appends a Z-measurement of every qubit (qubit 0 is the leftmost bit of
-    the returned keys) and runs `shots` independent simulations; shot s draws
-    from the counter-based stream keyed by derive_seed(seed, "shot", s), so
-    any single shot can be reproduced with run() on the extended circuit and
-    that seed.
+    Simulates the ops and then MeasureZ(q, cbit_count + q) for every qubit q
+    (the leftmost bit of the keys is qubit 0) in the loop of run(), for `shots`
+    shots; shot s draws from the stream keyed by derive_seed(seed, "shot", s),
+    so it equals the single-shot run of those ops with that seed.
     """
     check_shots(shots)
     _check_capacity(c, max_qubits)
     stream = CounterStream(shot_keys(check_seed(seed), shots))
-    _, cbits, _ = _simulate(c, stream, shots, noise, terminal_readout=True)
+    n, m = c.qubit_count, c.cbit_count
+    ops = c.ops + tuple(MeasureZ(q, m + q) for q in range(n))
+    _, cbits, _ = _simulate(n, m + n, ops, stream, shots, noise)
     # one ASCII row of '0'/'1' per shot, counted as bytes, decoded once per key
-    readout = np.ascontiguousarray(_unpack(cbits[c.cbit_count :], shots).T + ord("0"))
-    rows = readout.view(f"S{c.qubit_count}")[:, 0].tolist()
+    readout = np.ascontiguousarray(_unpack(cbits[m:], shots).T + ord("0"))
+    rows = readout.view(f"S{n}")[:, 0].tolist()
     return Counter({row.decode("ascii"): k for row, k in Counter(rows).items()})

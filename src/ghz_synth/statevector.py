@@ -15,7 +15,7 @@ import numpy as np
 
 from .circuit import CX, Circuit, CondX, H, MeasureZ, Reset, X
 from .rng import make_rng
-from .stabilizer import CapacityError, InvalidForcingError
+from .stabilizer import CapacityError, InvalidForcingError, _check_forced
 
 __all__ = [
     "MAX_DENSE_QUBITS",
@@ -105,12 +105,14 @@ def run_dense(
     Measurement events (MeasureZ and the measurement inside each Reset) are
     sampled from the Born rule with the seeded generator unless pinned via
     forced_outcomes, indexed by event in program order. Forcing an outcome
-    of probability zero raises InvalidForcingError.
+    of probability zero raises InvalidForcingError, and an entry other than
+    None, 0 or 1 ValueError.
     """
     if c.qubit_count > MAX_DENSE_QUBITS:
         raise CapacityError(
             f"{c.qubit_count} qubits exceeds the dense maximum of {MAX_DENSE_QUBITS}"
         )
+    forced_outcomes = _check_forced(forced_outcomes)
     rng = make_rng(seed)
     st = _DenseState(c.qubit_count)
     cbits = [0] * c.cbit_count

@@ -38,7 +38,7 @@ class TestTableauInvariantsPerOp:
                 else:
                     q = int(rng.integers(0, n))
                     coin = None
-                    if not tab.is_deterministic(q):
+                    if np.count_nonzero(tab.x[q] & tab.stab_mask):
                         coin = int(rng.integers(0, 2))
                     tab.measure(q, coin)
                 check_invariants(tab)

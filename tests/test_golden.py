@@ -27,7 +27,11 @@ tableau must reproduce every run and every sample bit for bit. The
 heavy-noise digests (a noisy run, and 1000 noisy shots, which leave padding
 in the last word) were computed with the batched per-shot sign engine,
 before Pauli-frame sampling replaced it; the frames must reproduce them bit
-for bit.
+for bit. The measurement-runs digest pins `run` and `sample_counts` on a
+circuit with runs of consecutive mid-circuit MeasureZ; it was computed while
+the readout of `sample_counts` was still a path of its own, before it became
+ordinary MeasureZ events and mid-circuit runs of deterministic MeasureZ began
+to take their outcomes from one product.
 """
 
 import hashlib
@@ -58,8 +62,8 @@ from ghz_synth.layouts import (
 )
 from ghz_synth.merging import AbsoluteSize, HighestDegree, ScalingFactor, synthesize_merging
 from ghz_synth.rng import derive_seed
-from ghz_synth.stabilizer import NoiseModel, run, sample_counts
-from ghz_synth.testutil import random_clifford_circuit
+from ghz_synth.stabilizer import NoiseModel, _unpack, run, sample_counts
+from ghz_synth.testutil import random_clifford_circuit, tableau_bits
 
 LAYOUTS = {
     "eagle_127": lambda: eagle_127(),
@@ -522,3 +526,60 @@ def test_heavy_noise_simulator_digest(name):
     assert sum(counts.values()) == HEAVY_SHOTS
     got = (_run_digest(out, c.qubit_count), _sha256(repr(sorted(counts.items()))))
     assert got == HEAVY_GOLDEN[name]
+
+
+def _measurement_runs_circuit() -> Circuit:
+    """Runs of consecutive mid-circuit MeasureZ on 70 qubits (140 tableau rows).
+
+    A deterministic run of basis states that ends on a qubit whose Z is the
+    product of two stabilizers with x parts; a run that opens with a random
+    GHZ measurement and has another random one inside it; CondX on bits from
+    both runs; and a run over a whole random Clifford block, random and
+    deterministic mixed. Some measured qubits are reset and reused; the rest
+    stay measured, so the readout of sample_counts re-reads them.
+    """
+    n = 70
+    ops = [H(0), *(CX(q, q + 1) for q in range(11))]  # GHZ on 0..11
+    ops += [X(q) for q in (13, 15, 16, 19)]  # basis states on 12..19
+    ops += [H(20), H(23), CX(21, 22), H(21)]  # |+> on 20, 21, 23; Z22 = X21 * X21 Z22
+    rng = random.Random(96)
+    for lo, hi, size in ((24, 36, 40), (36, n, 80)):  # random Clifford blocks
+        for _ in range(size):
+            if rng.random() < 0.3:
+                ops.append(H(rng.randrange(lo, hi)))
+            else:
+                ops.append(CX(*rng.sample(range(lo, hi), 2)))
+    ops += [MeasureZ(q, q - 12) for q in range(12, 20)] + [MeasureZ(22, 8)]  # deterministic
+    ops += [MeasureZ(q, 8 + i) for i, q in enumerate((1, 2, 3, 20, 4, 5), 1)]  # cbits 9..14
+    ops += [CondX((0, 6, 7, 8, 9, 10, 11), 9), CondX((21, 23), 12), CondX((23,), 1)]
+    ops += [MeasureZ(q, q - 9) for q in range(24, 36)]  # cbits 15..26, the first block
+    ops += [Reset(q) for q in (12, 13, 14, 15, 1, 24)]
+    ops += [H(12), CX(12, 13), CX(0, 14), CX(41, 15), CX(24, 1)]
+    ops += [MeasureZ(13, 27), MeasureZ(14, 28), MeasureZ(0, 29)]
+    return Circuit(n, 30, ops)
+
+
+# Pinned before sample_counts read out through ordinary MeasureZ events: a run
+# of the circuit above at four seeds (cbits, outcome log, x/z bits and all 2n
+# signs), and 1000 noiseless and 1000 heavy-noise shots of sample_counts.
+MEASUREMENT_RUNS_GOLDEN = (
+    "1c730cb1081b76b3a25d658fbb56fc683e8748c6ae68a92e8ddb6c22f20d1318",
+    "32669fb6186f2a6985e1684d431414a0b5b7dab18fe45dd09b7e4021d8a609c0",
+    "fcda00f8de4feb2f588252f855623771969d901dd349c4e39456b45b3cd289b1",
+)
+
+
+def test_measurement_runs_digest():
+    c = _measurement_runs_circuit()
+    digest = hashlib.sha256()
+    for s in range(4):
+        out = run(c, seed=derive_seed(97, s))
+        x, z = tableau_bits(out.tableau)
+        signs = _unpack(out.tableau.r, 2 * c.qubit_count)
+        for part in (repr(out.cbits).encode(), repr(out.outcome_log).encode(), x, z, signs):
+            digest.update(bytes(part))
+    got = [digest.hexdigest()]
+    for noise in (None, HEAVY_NOISE):
+        counts = sample_counts(c, HEAVY_SHOTS, derive_seed(98, "noisy" if noise else "noiseless"), noise)
+        got.append(_sha256(repr(sorted(counts.items()))))
+    assert tuple(got) == MEASUREMENT_RUNS_GOLDEN

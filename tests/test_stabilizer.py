@@ -151,7 +151,7 @@ class TestExpectation:
                         apply_pauli(singles[s], q, pauli)
                 else:
                     coins = rng.integers(0, 2, size=shots).astype(np.uint8)
-                    random = not frame.ref.is_deterministic(q)
+                    random = bool(np.count_nonzero(frame.ref.x[q] & frame.ref.stab_mask))
                     got, _ = frame.measure(q, _pack(coins, frame.every.size) if random else None)
                     want = [
                         t.measure(q, int(coins[s]) if random else None)[0]
@@ -188,6 +188,33 @@ class TestMeasurement:
 
     def test_forcing_deterministic_outcome_right_ok(self):
         assert run(circ(1, 1, MeasureZ(0, 0)), 0, forced_outcomes=[0]).cbits == [0]
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, "1"])
+    def test_out_of_range_forced_outcome_raises(self, bad):
+        c = circ(1, 2, H(0), MeasureZ(0, 0), Reset(0), MeasureZ(0, 1))
+        with pytest.raises(ValueError, match=r"^forced_outcomes\[2\]: ") as info:
+            run(c, 0, forced_outcomes=[None, 1, bad])
+        assert info.type is ValueError
+
+    def test_forcing_wrong_value_inside_a_deterministic_run_raises(self):
+        # three consecutive deterministic MeasureZ take their outcomes from one
+        # product; the wrong value on the second still names its own event
+        c = circ(3, 3, X(1), MeasureZ(0, 0), MeasureZ(1, 1), MeasureZ(2, 2))
+        with pytest.raises(
+            InvalidForcingError,
+            match=r"^measurement event 1 on qubit 1 is deterministically 1, cannot force 0$",
+        ):
+            run(c, 0, forced_outcomes=[None, 0])
+        assert run(c, 0, forced_outcomes=[0, 1, 0]).cbits == [0, 1, 0]
+
+    def test_forcing_random_event_right_after_a_run(self):
+        # qubits 0 and 1 are deterministic, 2 is random and 3 follows it
+        c = circ(4, 4, X(0), H(2), CX(2, 3), *(MeasureZ(q, q) for q in range(4)))
+        for branch in (0, 1):
+            out = run(c, 0, forced_outcomes=[None, None, branch])
+            assert out.outcome_log == out.cbits == [1, 0, branch, branch]
+        with pytest.raises(InvalidForcingError, match=r"^measurement event 3 on qubit 3 "):
+            run(c, 0, forced_outcomes=[None, None, 0, 1])
 
     def test_ghz_measurement_collapses_all(self):
         c = circ(3, 3, H(0), CX(0, 1), CX(0, 2), MeasureZ(0, 0), MeasureZ(1, 1), MeasureZ(2, 2))

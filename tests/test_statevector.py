@@ -94,6 +94,13 @@ class TestMergePrimitive:
         with pytest.raises(InvalidForcingError):
             run_dense(c, seed=0, forced_outcomes=[1])
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, "1"])
+    def test_out_of_range_forced_outcome_raises(self, bad):
+        c = merge_circuit(1, 1)
+        with pytest.raises(ValueError, match=r"^forced_outcomes\[1\]: ") as info:
+            run_dense(c, seed=0, forced_outcomes=[0, bad])
+        assert info.type is ValueError
+
 
 class TestResetSemantics:
     def test_reset_entangled_pair(self):
