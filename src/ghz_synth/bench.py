@@ -107,6 +107,7 @@ class SweepConfig:
             raise schema.InputError(f"family: unknown family {self.family!r}")
         if not self.sizes or any(s < 1 for s in self.sizes):
             raise schema.InputError("sizes: every size must be >= 1")
+        schema.check_max_n(max(self.sizes), name="sizes")
         twice = sorted(s for s, k in Counter(self.sizes).items() if k > 1)
         if twice:
             raise schema.InputError(f"sizes: {twice} listed more than once")

@@ -187,6 +187,8 @@ def rect_grid(rows: int, cols: int) -> LayoutGraph:
     for name, size in (("rows", rows), ("cols", cols)):
         if size < 1:
             raise ValueError(f"{name}: must be >= 1, got {size}")
+    if rows * cols > schema.MAX_N:  # before any edge is built
+        raise ValueError(f"rows: rows x cols must be <= {schema.MAX_N}, got {rows}x{cols}")
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -222,6 +224,7 @@ def connected_erdos_renyi(n: int, p: float, seed: int) -> LayoutGraph:
     """
     if n < 1:
         raise ValueError(f"n: must be >= 1, got {n}")
+    schema.check_max_n(n, ValueError)  # before any draw
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p: must lie in [0, 1], got {p}")
     rng = make_rng(seed)

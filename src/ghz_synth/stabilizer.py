@@ -30,15 +30,20 @@ reference's outcome XOR the frame's x bit. The reference takes shot 0's
 coins, so a noiseless single shot never touches its frame. run is this
 engine over one shot with the frame folded into the reference's signs at
 the end; sample_counts appends a MeasureZ of every qubit to the ops, so each
-sampled shot equals the run of those ops, down to all 2n signs. A deterministic
-measurement leaves the tableau unchanged, so consecutive ones, mid-circuit
-or in the readout, take their outcomes from one GF(2) matrix product. Bits
-past the last row or shot are padding and stay zero. Only the API edge
-unpacks per-shot bits (SimOutcome, the histogram) or rows (stabilizer_rows).
+sampled shot equals the run of those ops, down to all 2n signs. The engine
+tests each measurement event once, by its own column (x[q] & stab_mask), and
+only a random one reaches Tableau.measure. A deterministic one leaves the
+tableau unchanged, so it and the MeasureZ right after it, up to the first
+random one, mid-circuit or in the readout, take their outcomes from one GF(2)
+matrix product. Bits past the last row or shot are padding and stay zero.
+Only the API edge unpacks per-shot bits (SimOutcome, the histogram) or rows
+(stabilizer_rows).
 
 Tableau.expectation gives the expectation (+1, -1 or 0) of any Hermitian
 Pauli by the destabilizer method. It is the single Pauli-membership
-primitive: its sign computation also gives deterministic measurement outcomes.
+primitive: its sign computation is the engine's product for deterministic
+outcomes, and outside the engine a tableau t's determined Z outcome of
+qubit q is (1 - t.expectation(0, e_q)) // 2, e_q the unit vector of q.
 
 Randomness contract (part of the reproducibility guarantee): each shot
 owns one 64-bit key and reads the counter-based stream of rng.CounterStream,
@@ -137,11 +142,13 @@ def _unpack(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(octets, axis=-1, count=count, bitorder="little")
 
 
-def _first_bit(words: np.ndarray) -> int:
-    """Index of the lowest set bit of a nonzero packed vector."""
-    w = int(words.nonzero()[0][0])
-    v = int(words[w])
-    return 64 * w + (v & -v).bit_length() - 1
+def _first_bit(words: np.ndarray) -> Optional[int]:
+    """Index of the lowest set bit of a packed vector, None if no bit is set."""
+    nz = words.nonzero()[0]
+    if not nz.size:
+        return None
+    v = int(words[nz[0]])
+    return 64 * int(nz[0]) + (v & -v).bit_length() - 1
 
 
 def _bits_at(words: np.ndarray, i) -> np.ndarray:
@@ -238,23 +245,22 @@ class Tableau:
         self.r ^= phase & rows
         self.xz[:, supp] = x2z2 ^ (ones & rows)
 
-    def measure(self, q: int, coin: Optional[int]) -> tuple[int, Optional[tuple]]:
-        """Z-measurement of qubit q, collapsing in place.
+    def measure(self, q: int, coin: int) -> tuple[np.ndarray, np.ndarray]:
+        """Random Z-measurement of qubit q with outcome coin, collapsing in place.
 
-        The caller tests whether it is random (x[q] & stab_mask is nonzero)
-        and passes a coin exactly then. A deterministic measurement leaves the
-        tableau unchanged and returns (outcome, None); a random one returns
-        (coin, kick), kick being the pivot stabilizer from before the collapse
-        as (its support's qubits, its (2, len(support)) x/z bits there): the
-        Pauli that maps the post-measurement state of the other outcome onto this one.
+        Returns the kick, the pivot stabilizer from before the collapse, as
+        (its support's qubits, its (2, len(support)) x/z bits there): the
+        Pauli that maps the post-measurement state of the other outcome onto
+        this one. A measurement is random iff x[q] & stab_mask is nonzero;
+        a determined one raises ValueError, its outcome being
+        (1 - expectation(0, e_q)) // 2 for e_q the unit vector of q.
         """
         col = self.x[q]
-        if coin is None:
-            if np.count_nonzero(col & self.stab_mask):
-                raise InvalidForcingError(f"measurement of qubit {q} is random but has no coin")
-            # the rows anticommuting with Z_q are those with an x part on q
-            return int(self._signs(col[None], 0)[0]), None
         p = _first_bit(col & self.stab_mask)
+        if p is None:
+            raise ValueError(
+                f"measurement of qubit {q} is deterministic; read its outcome from expectation"
+            )
         w, b = p >> 6, np.uint64(p & 63)
         # row p's bits are read once, from one strided word column; later
         # updates of row p touch its support only
@@ -275,7 +281,7 @@ class Tableau:
         r_p = (int(self.r[w]) >> int(b)) & 1
         self.r[dw] = (int(self.r[dw]) & ~(1 << int(db))) | (r_p << int(db))
         self.r[w] = (int(self.r[w]) & ~(1 << int(b))) | (coin << int(b))
-        return coin, (supp, p_bits)
+        return supp, p_bits
 
     def expectation(self, px, pz) -> int:
         """Expectation (+1, -1 or 0) of a Hermitian Pauli.
@@ -404,24 +410,20 @@ class PauliFrame:
             self.fx[list(qs)] ^= delta
             self.clean = False
 
-    def measure(self, q: int, coins: Optional[np.ndarray]) -> tuple[np.ndarray, int]:
-        """Z-measurement of qubit q in every shot: (packed outcomes, reference outcome).
+    def measure(self, q: int, coins: np.ndarray) -> None:
+        """Random Z-measurement of qubit q in every shot, the packed coins being the outcomes.
 
-        coins holds the packed per-shot fair coins, which are the outcomes
-        when the measurement is random, or None when it is deterministic.
+        The reference takes shot 0's coin, bit 0 of coins.
         """
-        ref, kick = self.ref.measure(q, None if coins is None else int(coins[0] & _ONE))
-        ref_words = self.all_or_none(ref)
-        if kick is None:
-            return ref_words ^ self.fx[q], ref
+        ref_bit = int(coins[0] & _ONE)
+        kick = self.ref.measure(q, ref_bit)
         # a shot whose coin differs from the reference's outcome seen through
         # its frame is on the other branch: the kick maps it onto the reference's
-        other = coins ^ self.fx[q] ^ ref_words
+        other = coins ^ self.fx[q] ^ self.all_or_none(ref_bit)
         if np.count_nonzero(other):
             supp, p_bits = kick
             self.f[:, supp] ^= np.negative(p_bits)[:, :, None] & other
             self.clean = False
-        return coins, ref
 
     def fold(self, shot: int) -> Tableau:
         """The tableau of one shot: the reference with the shot's frame folded into its signs."""
@@ -473,9 +475,11 @@ def _simulate(
     ops need not form a valid Circuit: the sample_counts readout may re-measure
     a qubit. stream has one lane per shot. Draw indices are handed out in the
     order of the randomness contract whether or not the draw is read, and
-    only the draws read are computed. Returns (frame, classical bits, outcome
-    log) with every per-shot value in packed words: cbits has one row per
-    classical bit and the log one word vector per measurement event.
+    only the draws read are computed. Every measurement event goes through
+    measure(), the only code that decides determinism and computes a
+    determined outcome. Returns (frame, classical bits, outcome log) with
+    every per-shot value in packed words: cbits has one row per classical
+    bit and the log one word vector per measurement event.
     """
     frame = PauliFrame(n, shots)
     ref = frame.ref
@@ -517,8 +521,9 @@ def _simulate(
         q, t_coin = op.q, next(slots)
         want = forced[len(log)] if len(log) < len(forced) else None
         if ref_bit is None:
-            coins = stream.below(t_coin, 0.5) if want is None else frame.all_or_none(want)
-            outcome, ref_bit = frame.measure(q, coins)
+            outcome = stream.below(t_coin, 0.5) if want is None else frame.all_or_none(want)
+            frame.measure(q, outcome)
+            ref_bit = int(outcome[0] & _ONE)
         else:
             outcome = frame.all_or_none(ref_bit) ^ frame.fx[q]
             if want is not None and not np.array_equal(outcome, frame.all_or_none(want)):
@@ -535,33 +540,27 @@ def _simulate(
             frame.flip_x((q,), flip, ref_bit)
 
     def measure(i: int) -> int:
-        """Measure ops[i], a MeasureZ or Reset, and the MeasureZ right after a MeasureZ;
-        return the next index. Each event is tested once, by its own column or by the
-        scan a deterministic one makes of the rest, up to the first random one; the
-        deterministic ones leave the tableau as it is and share one product."""
-        end = i + 1
-        while isinstance(ops[i], MeasureZ) and end < len(ops) and isinstance(ops[end], MeasureZ):
-            end += 1
-        if end == i + 1:
-            col = ref.x[ops[i].q]
-            random = np.count_nonzero(col & ref.stab_mask)
-            event(ops[i], None if random else int(ref._signs(col[None], 0)[0]))
-            return end
-        run = ops[i:end]
-        qs = np.array([op.q for op in run])
-        j = 0
-        while j < len(run):
-            if not np.count_nonzero(ref.x[qs[j]] & ref.stab_mask):
-                random = (ref.x[qs[j + 1 :]] & ref.stab_mask).any(axis=1)
-                k = 1 + int(np.append(random, True).argmax())
-                for op, bit in zip(run[j : j + k], ref._signs(ref.x[qs[j : j + k]], 0).tolist()):
-                    event(op, bit)
-                j += k
-                if j == len(run):
-                    break
-            event(run[j], None)  # random, by its own column or by the scan
+        """Measure ops[i], a MeasureZ or Reset, and after a deterministic MeasureZ the
+        MeasureZ that follow it up to and including the first random one; return the
+        next index. Each event is tested once, by its own column; the deterministic
+        ones leave the tableau as it is and take their outcomes from one product."""
+        j = i
+        while True:
+            op = ops[j]
+            random = np.count_nonzero(ref.x[op.q] & ref.stab_mask)
+            if random or isinstance(op, Reset) or j + 1 == len(ops):
+                break
+            if not isinstance(ops[j + 1], MeasureZ):
+                break
             j += 1
-        return end
+        determined = ops[i : j if random else j + 1]
+        if determined:
+            qs = [d.q for d in determined]
+            for d, bit in zip(determined, ref._signs(ref.x[qs], 0).tolist()):
+                event(d, bit)
+        if random:
+            event(op, None)
+        return j + 1
 
     resume = 0  # the ops before it were measured as part of a run
     for i, op in enumerate(ops):

@@ -4,7 +4,7 @@ from dataclasses import MISSING, fields
 
 import pytest
 
-from ghz_synth import bench
+from ghz_synth import bench, schema
 from ghz_synth.bench import (
     BenchmarkRecord,
     ProtocolSpec,
@@ -132,6 +132,14 @@ class TestRunSweep:
         # sizes [5, 5] with growing twice once gave 8 records, each agg count 8
         with pytest.raises(InputError, match=message):
             run_sweep(small_config(samples=2, **overrides), workers=1)
+
+    def test_size_above_max_n_rejected_on_load(self, monkeypatch):
+        monkeypatch.setattr(schema, "MAX_N", 100)
+        doc = {"family": "erdos_renyi", "sizes": [5, 101], "protocols": [{"protocol": "growing"}]}
+        with pytest.raises(InputError, match=r"^sizes: must be <= 100, got 101$"):
+            SweepConfig.from_json(json.dumps(doc))
+        doc["sizes"] = [5, 100]
+        assert SweepConfig.from_json(json.dumps(doc)).sizes == (5, 100)
 
     def test_fidelity_opt_in(self):
         cfg = SweepConfig(

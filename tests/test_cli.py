@@ -335,6 +335,19 @@ def test_bad_layout_flag_usage_error(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_layout_size_cap_names_the_flag(monkeypatch, capsys):
+    from ghz_synth import schema
+
+    monkeypatch.setattr(schema, "MAX_N", 100)
+    for argv, message in (
+        (["--family", "grid", "--rows", "20", "--cols", "20"],
+         "--rows: rows x cols must be <= 100, got 20x20"),
+        (["--family", "er", "--n", "101"], "--n: must be <= 100, got 101"),
+    ):
+        assert cli_main(["layout", *argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_bad_simulate_flag_usage_error(tmp_path, capsys):
     circ = tmp_path / "c.json"
     circ.write_text(Circuit(2, 0, ()).to_json())

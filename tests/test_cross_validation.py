@@ -37,10 +37,8 @@ class TestTableauInvariantsPerOp:
                     tab.apply_cx(int(a), int(b))
                 else:
                     q = int(rng.integers(0, n))
-                    coin = None
-                    if np.count_nonzero(tab.x[q] & tab.stab_mask):
-                        coin = int(rng.integers(0, 2))
-                    tab.measure(q, coin)
+                    if np.count_nonzero(tab.x[q] & tab.stab_mask):  # only a random one collapses
+                        tab.measure(q, int(rng.integers(0, 2)))
                 check_invariants(tab)
 
 

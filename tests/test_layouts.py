@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghz_synth import layouts
+from ghz_synth import layouts, schema
 from ghz_synth.layouts import (
     LayoutGraph,
     average_degree,
@@ -81,6 +81,13 @@ class TestRectGrid:
     def test_connected(self):
         assert bfs_connected(rect_grid(7, 3))
 
+    def test_node_count_checked_before_any_edge(self, monkeypatch):
+        # the message names rows, not the n of the LayoutGraph it never builds
+        monkeypatch.setattr(schema, "MAX_N", 100)
+        with pytest.raises(ValueError, match=r"^rows: rows x cols must be <= 100, got 20x20$"):
+            rect_grid(20, 20)
+        assert rect_grid(10, 10).node_count == 100
+
 
 class TestHeavyHex:
     def test_7x15_is_eagle(self):
@@ -111,6 +118,15 @@ class TestConnectedErdosRenyi:
     def test_single_node(self):
         g = connected_erdos_renyi(1, 0.5, seed=1)
         assert g.node_count == 1 and g.edge_count == 0
+
+    def test_node_count_checked_before_any_draw(self, monkeypatch):
+        def no_stream(seed):
+            raise AssertionError("drew before checking n")
+
+        monkeypatch.setattr(schema, "MAX_N", 100)
+        monkeypatch.setattr(layouts, "make_rng", no_stream)
+        with pytest.raises(ValueError, match=r"^n: must be <= 100, got 101$"):
+            connected_erdos_renyi(101, 0.5, seed=1)
 
     def test_p_one_gives_complete_graph(self):
         for seed in (0, 7, 123):

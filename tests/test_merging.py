@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghz_synth.circuit import CX, H, count_2q, count_measurements, depth
+from ghz_synth.growing import synthesize_growing
 from ghz_synth.layouts import LayoutGraph, connected_erdos_renyi, eagle_127, rect_grid
 from ghz_synth.merging import (
     AbsoluteSize,
@@ -234,7 +237,7 @@ class TestSynthesizeMerging:
 
     def test_scaling_factor_depth_trend(self):
         # smaller target stars give shallower circuits on dense random graphs
-        import statistics as st
+        from statistics import mean
 
         depths = {}
         for f in (0.7, 1.0, 1.3):
@@ -242,5 +245,42 @@ class TestSynthesizeMerging:
             for s in range(30):
                 g = connected_erdos_renyi(60, 0.5, derive_seed(10, "trend", s))
                 ds.append(depth(synthesize_merging(g, ScalingFactor(f))))
-            depths[f] = st.mean(ds)
+            depths[f] = mean(ds)
         assert depths[0.7] < depths[1.0] < depths[1.3]
+
+
+@st.composite
+def connected_graphs(draw, max_n=30):
+    """A random tree plus random extra edges on 1..max_n nodes, randomly relabelled."""
+    n = draw(st.integers(1, max_n))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 1:
+        node = st.integers(0, n - 1)
+        pairs |= {(u, v) for u, v in draw(st.lists(st.tuples(node, node), max_size=2 * n))
+                  if u != v}
+    label = draw(st.permutations(range(n)))
+    edges = {tuple(sorted((label[u], label[v]))) for u, v in pairs}
+    return LayoutGraph(n, tuple(sorted(edges)))
+
+
+class TestRandomConnectedGraphs:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        g=connected_graphs(),
+        f=st.floats(0.1, 3.0),
+        size=st.integers(1, 8),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_count_identities_and_ghz(self, g, f, size, seed):
+        # each merge adds one CX and one measurement, and its reset is a
+        # deterministic event of run()
+        n = g.node_count
+        c = synthesize_growing(g)
+        assert count_2q(c) == n - 1 and count_measurements(c) == 0
+        assert is_ghz(run(c, seed).tableau, n)
+        for strategy in (HighestDegree(), ScalingFactor(f), AbsoluteSize(size)):
+            c = synthesize_merging(g, strategy)
+            n_meas = len(select_stars(g, strategy)) - 1
+            assert count_measurements(c) == n_meas
+            assert count_2q(c) == n - 1 + n_meas
+            assert is_ghz(run(c, seed).tableau, n), strategy

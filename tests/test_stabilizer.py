@@ -151,13 +151,17 @@ class TestExpectation:
                         apply_pauli(singles[s], q, pauli)
                 else:
                     coins = rng.integers(0, 2, size=shots).astype(np.uint8)
-                    random = bool(np.count_nonzero(frame.ref.x[q] & frame.ref.stab_mask))
-                    got, _ = frame.measure(q, _pack(coins, frame.every.size) if random else None)
-                    want = [
-                        t.measure(q, int(coins[s]) if random else None)[0]
-                        for s, t in enumerate(singles)
-                    ]
-                    assert _unpack(got, shots).tolist() == want, i
+                    if np.count_nonzero(frame.ref.x[q] & frame.ref.stab_mask):
+                        frame.measure(q, _pack(coins, frame.every.size))
+                        for s, t in enumerate(singles):
+                            t.measure(q, int(coins[s]))
+                    else:
+                        # a determined step: the reference's outcome through each frame
+                        e_q = np.eye(n, dtype=np.uint8)[q]
+                        ref_bit = (1 - frame.ref.expectation(0, e_q)) // 2
+                        got = frame.all_or_none(ref_bit) ^ frame.fx[q]
+                        want = [(1 - t.expectation(0, e_q)) // 2 for t in singles]
+                        assert _unpack(got, shots).tolist() == want, i
             shot_tableaus(frame, singles)
 
 
@@ -206,6 +210,60 @@ class TestMeasurement:
         ):
             run(c, 0, forced_outcomes=[None, 0])
         assert run(c, 0, forced_outcomes=[0, 1, 0]).cbits == [0, 1, 0]
+
+    def test_forcing_deterministic_reset_wrong_raises(self):
+        c = circ(1, 1, MeasureZ(0, 0), Reset(0))
+        with pytest.raises(
+            InvalidForcingError,
+            match=r"^measurement event 1 on qubit 0 is deterministically 0, cannot force 1$",
+        ):
+            run(c, 0, forced_outcomes=[None, 1])
+        assert run(c, 0, forced_outcomes=[None, 0]).outcome_log == [0, 0]
+
+    def test_measurement_after_a_deterministic_reset_sees_the_reset(self):
+        # a Reset ends its run of determined events, since it changes the state
+        c = circ(2, 2, X(0), X(1), Reset(0), MeasureZ(0, 0), MeasureZ(1, 1))
+        assert run(c, 0).outcome_log == [1, 0, 1]
+        assert sample_counts(circ(1, 0, X(0), Reset(0)), 8, seed=0) == Counter({"0": 8})
+
+    def test_tableau_measure_rejects_a_determined_qubit(self):
+        # 2n = 80 rows span two words; qubit 39's x column is destabilizer 39 only
+        for n, q in ((2, 0), (40, 39)):
+            t = Tableau(n)
+            t.apply_h(1)
+            t.flip([q], True, False)
+            xz, r = t.xz.copy(), t.r.copy()
+            message = (
+                rf"^measurement of qubit {q} is deterministic; "
+                r"read its outcome from expectation$"
+            )
+            with pytest.raises(ValueError, match=message):
+                t.measure(q, 1)
+            assert np.array_equal(t.xz, xz) and np.array_equal(t.r, r)
+            assert (1 - t.expectation(0, np.eye(n, dtype=np.uint8)[q])) // 2 == 1
+
+    def test_only_random_events_reach_tableau_measure(self, monkeypatch):
+        # each merge's MeasureZ is random and each reset deterministic, so the
+        # collapse runs once per MeasureZ and every determined outcome is the
+        # engine's own
+        from ghz_synth.circuit import count_measurements
+        from ghz_synth.layouts import eagle_127
+        from ghz_synth.merging import HighestDegree, synthesize_merging
+        from ghz_synth.metrics import is_ghz
+
+        c = synthesize_merging(eagle_127(), HighestDegree())
+        calls = []
+        collapse = Tableau.measure
+
+        def counted(self, q, coin):
+            calls.append(q)
+            return collapse(self, q, coin)
+
+        monkeypatch.setattr(Tableau, "measure", counted)
+        out = run(c, seed=3)
+        assert len(calls) == count_measurements(c) > 0
+        assert len(out.outcome_log) == 2 * len(calls)
+        assert is_ghz(out.tableau, 127)
 
     def test_forcing_random_event_right_after_a_run(self):
         # qubits 0 and 1 are deterministic, 2 is random and 3 follows it
