@@ -18,15 +18,14 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional
 
 from . import layouts, schema
-from .circuit import count_2q, count_measurements, depth
+from .circuit import Circuit, count_2q, count_measurements, depth
 from .growing import synthesize_growing
 from .merging import (
     StarSelectionStrategy,
-    _circuit_from_stars,
-    select_stars,
     strategy_from_json,
     strategy_label,
     strategy_to_json,
+    synthesize_merging,
 )
 from .metrics import (
     counts_to_distribution, ghz_ideal_distribution, hellinger_fidelity, summarize,
@@ -70,6 +69,12 @@ class ProtocolSpec:
     @property
     def label(self) -> str:
         return strategy_label(self.strategy)
+
+    def synthesize(self, g: layouts.LayoutGraph) -> Circuit:
+        """This protocol variant's circuit on g: the one protocol dispatch."""
+        if self.protocol == "growing":
+            return synthesize_growing(g)
+        return synthesize_merging(g, self.strategy)
 
     def to_json(self) -> dict:
         if self.strategy is None:
@@ -213,15 +218,14 @@ def _run_protocol(cell: _Cell, spec: ProtocolSpec, g: layouts.LayoutGraph) -> Be
     cfg, n, sample = cell.cfg, cell.n, cell.sample
     seed = derive_seed(cfg.seed, cfg.family, n, spec.protocol, spec.label, sample)
     mean_star_size = scaling_factor = fidelity = None
-    if spec.protocol == "growing":
-        circ = synthesize_growing(g)
-    else:
-        stars = select_stars(g, spec.strategy)
-        circ = _circuit_from_stars(g, stars)
+    circ = spec.synthesize(g)
+    if spec.protocol == "merging":
+        # each merge writes one cbit, so there is one star more than cbits;
         # the stars partition the n nodes, and a star's degree is its size - 1
-        mean_star_size = n / len(stars)
+        star_count = circ.cbit_count + 1
+        mean_star_size = n / star_count
         avg_deg = float(layouts.average_degree(g))
-        mean_degree = (n - len(stars)) / len(stars)
+        mean_degree = (n - star_count) / star_count
         scaling_factor = mean_degree / avg_deg if avg_deg > 0 else 0.0
     if cfg.compute_fidelity:
         counts = sample_counts(circ, cfg.shots, seed, cfg.noise)

@@ -14,8 +14,7 @@ from typing import Optional, Sequence
 from . import layouts, selfcheck
 from .bench import ProtocolSpec, SweepConfig, run_sweep, worker_count, write_outputs
 from .circuit import Circuit, count_2q, count_measurements, depth, export_qasm
-from .growing import synthesize_growing
-from .merging import strategy_from_label, synthesize_merging
+from .merging import strategy_from_label
 from .metrics import (
     counts_to_distribution,
     ghz_ideal_distribution,
@@ -129,7 +128,7 @@ def _cmd_synth(args) -> int:
         raise _UsageError(f"--strategy: {label!r}: {exc}") from None
     with open(args.layout) as f:
         g = layouts.LayoutGraph.from_json(f.read())
-    circ = synthesize_growing(g) if spec.strategy is None else synthesize_merging(g, spec.strategy)
+    circ = spec.synthesize(g)
     if args.out:
         with open(args.out, "w") as f:
             f.write(circ.to_json() + "\n")

@@ -1,20 +1,57 @@
 """Unitary GHZ synthesis by breadth-first expansion.
 
-Starts with a star GHZ state at the highest-degree node and then walks the
-breadth-first layers outward: each layer is the sorted set of not-yet-included
-neighbors of the previous one, and every node of it is entangled into the
-state with a CX from an already included neighbor. An `included` bytearray
-marks the earlier layers, so the walk touches each edge a constant number of
-times. No measurements, no resets: exactly N - 1 CX gates.
+Growing is the one-piece case of merging's assembly: one piece spans the
+whole layout, so `merging._assemble` prepares it and has nothing to fuse.
+The piece's preparation starts with a star GHZ state at the highest-degree
+node and then walks the breadth-first layers outward: each layer is the
+sorted set of not-yet-included neighbors of the previous one, and every
+node of it is entangled into the state with a CX from an already included
+neighbor. An `included` bytearray marks the earlier layers, so the walk
+touches each edge a constant number of times. No measurements, no resets:
+exactly N - 1 CX gates.
 """
 
 from __future__ import annotations
 
-from .circuit import CX, Circuit, Operation, Schedule
+from collections.abc import Iterator
+from dataclasses import dataclass
+
+from .circuit import CX, Circuit, Operation
 from .layouts import LayoutGraph
-from .merging import Star, build_star_ghz
+from .merging import Star, _assemble, build_star_ghz
 
 __all__ = ["synthesize_growing"]
+
+
+@dataclass(frozen=True)
+class _Grown:
+    """The one piece of growing: every node of g, prepared by the BFS walk."""
+
+    g: LayoutGraph
+
+    def nodes(self) -> range:
+        return range(self.g.node_count)
+
+    def prepare(self, last: list[int]) -> Iterator[Operation]:
+        """Yield the walk's ops; each is scheduled before the next parent is chosen."""
+        g = self.g
+        n = g.node_count
+        start = max(range(n), key=lambda u: (g.degree(u), -u))
+        star = Star(start, frozenset(g.neighbors(start)))
+        yield from build_star_ghz(star)
+        adj = [g.neighbors(u) for u in range(n)]
+        included = bytearray(n)
+        for u in star.nodes():
+            included[u] = 1
+        layer = sorted(star.leaves)
+        while layer:
+            frontier = sorted({v for w in layer for v in adj[w] if not included[v]})
+            for v in frontier:
+                parents = [w for w in adj[v] if included[w]]
+                yield CX(min(parents, key=lambda w: (last[w], w)), v)
+            for v in frontier:
+                included[v] = 1
+            layer = frontier
 
 
 def synthesize_growing(g: LayoutGraph) -> Circuit:
@@ -25,30 +62,4 @@ def synthesize_growing(g: LayoutGraph) -> Circuit:
     included neighbor whose qubit frees up earliest under ASAP scheduling
     (ties: lowest index). Deterministic.
     """
-    if not g.is_connected():
-        raise ValueError("layout graph must be connected")
-    n = g.node_count
-    start = max(range(n), key=lambda u: (g.degree(u), -u))
-
-    star = Star(start, frozenset(g.neighbors(start)))
-    ops: list[Operation] = build_star_ghz(star)
-    schedule = Schedule(n, 0)
-    for op in ops:
-        schedule.emit(op)
-
-    adj = [g.neighbors(u) for u in range(n)]
-    included = bytearray(n)
-    for u in star.nodes():
-        included[u] = 1
-    layer = sorted(star.leaves)
-    while layer:
-        frontier = sorted({v for w in layer for v in adj[w] if not included[v]})
-        for v in frontier:
-            parents = [w for w in adj[v] if included[w]]
-            u = min(parents, key=lambda w: (schedule.last[w], w))
-            ops.append(CX(u, v))
-            schedule.emit(ops[-1])
-        for v in frontier:
-            included[v] = 1
-        layer = frontier
-    return Circuit(qubit_count=n, cbit_count=0, ops=ops)
+    return _assemble(g, [_Grown(g)])[1]

@@ -95,7 +95,7 @@ class LayoutGraph:
         seen[0] = 1
         frontier = [0]
         count = 1
-        while frontier:
+        while frontier and count < self.node_count:  # a dense graph is reached early
             nxt = []
             for u in frontier:
                 for v in self.neighbors(u):
@@ -147,9 +147,13 @@ def heavy_hex(rows: int, cols: int) -> LayoutGraph:
     qubits that no bridge reaches (degree 1) are dropped. Qubits are numbered
     row by row: each chain left to right, then the bridges below it. This is
     the IBM numbering: heavy_hex(7, 15) equals eagle_127() edge for edge.
+
+    rows x cols is checked against MAX_N before anything is built, with the
+    message of rect_grid; LayoutGraph bounds the exact node count.
     """
     if rows < 1 or cols < 3:
         raise ValueError(f"heavy-hex needs rows >= 1 and cols >= 3, got {rows}x{cols}")
+    _check_area(rows, cols)
 
     def bridged(r: int, c: int) -> bool:
         return 0 <= r < rows - 1 and c % 4 == 2 * (r % 2)
@@ -179,6 +183,12 @@ def heavy_hex(rows: int, cols: int) -> LayoutGraph:
     return LayoutGraph(n, tuple(edges))
 
 
+def _check_area(rows: int, cols: int) -> None:
+    """Refuse a rows x cols lattice above MAX_N cells before any edge is built."""
+    if rows * cols > schema.MAX_N:
+        raise ValueError(f"rows: rows x cols must be <= {schema.MAX_N}, got {rows}x{cols}")
+
+
 def rect_grid(rows: int, cols: int) -> LayoutGraph:
     """rows x cols lattice; node (r, c) has index r*cols + c.
 
@@ -187,8 +197,7 @@ def rect_grid(rows: int, cols: int) -> LayoutGraph:
     for name, size in (("rows", rows), ("cols", cols)):
         if size < 1:
             raise ValueError(f"{name}: must be >= 1, got {size}")
-    if rows * cols > schema.MAX_N:  # before any edge is built
-        raise ValueError(f"rows: rows x cols must be <= {schema.MAX_N}, got {rows}x{cols}")
+    _check_area(rows, cols)
     edges = []
     for r in range(rows):
         for c in range(cols):

@@ -7,6 +7,11 @@ a Z measurement of the absorbed-side bridge qubit, a conditional X
 correction on the rest of the absorbed piece, and a reset-plus-CX that
 re-adds the measured qubit to the merged state.
 
+`_assemble` is the one synthesis walk of the package: it prepares any
+pieces that partition the layout and fuses them, emitting every op through
+one `Schedule`. Merging feeds it the stars; growing feeds it one piece that
+spans the layout, which needs no fuse.
+
 All choices (star order, leaf order, matching order, bridge edges) are
 tie-broken by lowest node index, so synthesis is a pure function of the
 layout and strategy.
@@ -17,6 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Union
 
 from . import schema
@@ -142,6 +148,10 @@ class Star:
     def nodes(self) -> frozenset[int]:
         return self.leaves | {self.center}
 
+    def prepare(self, last: list[int]) -> list[Operation]:
+        """The star's GHZ preparation, as a piece of `_assemble`; it reads no layers."""
+        return build_star_ghz(self)
+
 
 def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
@@ -239,8 +249,14 @@ def merge_operations(merge: Merge, cbit: int) -> list[Operation]:
     return ops
 
 
-def _assemble(g: LayoutGraph, stars: list[Star]) -> tuple[MergePlan, list[Operation]]:
-    """Shared planner/emitter behind plan_merges and synthesize_merging.
+def _assemble(g: LayoutGraph, pieces: list) -> tuple[MergePlan, Circuit]:
+    """The one synthesis walk: prepare each piece, then fuse them into one GHZ state.
+
+    A piece is anything with nodes() and prepare(last): a Star, or growing's
+    one piece that spans the layout. The pieces must partition the nodes of
+    a connected layout. Each piece's preparation ops are scheduled one by
+    one as prepare yields them, so a preparation may read last, the
+    schedule's layer of the latest op on each qubit.
 
     Per round, components are matched greedily (scanned by smallest member,
     each pairing its unmatched neighbor with the smallest member) and
@@ -248,6 +264,7 @@ def _assemble(g: LayoutGraph, stars: list[Star]) -> tuple[MergePlan, list[Operat
     minimum node index). The bridge is the cross edge whose endpoints free
     up earliest under ASAP scheduling (ties: lexicographic), which lets
     consecutive merge rounds pipeline instead of serializing on hot qubits.
+    Merge k measures into cbit k, so the circuit has one cbit per merge.
 
     Components are labels in a comp_of list, with a member list and a
     smallest member per label. A merge relabels the absorbed side, the
@@ -259,32 +276,29 @@ def _assemble(g: LayoutGraph, stars: list[Star]) -> tuple[MergePlan, list[Operat
     layouts contracted in O(log N) rounds, such as grids and heavy-hex
     lattices, take O((N + E) log N) in all.
     """
+    if not g.is_connected():
+        raise ValueError("layout graph must be connected")
     n = g.node_count
-    members = [sorted(star.nodes()) for star in stars]
-    covered: set[int] = set()
-    for m in members:
-        if not covered.isdisjoint(m):
-            raise ValueError("stars do not partition the node set")
-        covered.update(m)
-    if covered != set(range(n)):
-        raise ValueError("stars do not cover every node")
+    members = [sorted(piece.nodes()) for piece in pieces]
+    if sorted(chain.from_iterable(members)) != list(range(n)):
+        raise ValueError("pieces must partition the layout's nodes")
     comp_of = [0] * n
     for i, m in enumerate(members):
         for u in m:
             comp_of[u] = i
     low = [m[0] for m in members]
 
-    schedule = Schedule(n, len(stars) - 1)
+    schedule = Schedule(n, len(pieces) - 1)
+    last = schedule.last
     ops: list[Operation] = []
-    for star in stars:
-        for op in build_star_ghz(star):
+    for piece in pieces:
+        for op in piece.prepare(last):
             ops.append(op)
             schedule.emit(op)
-    last = schedule.last
 
     rounds: list[tuple[Merge, ...]] = []
     cbit = 0
-    components = len(stars)
+    components = len(pieces)
     edges = g.edges
     while components > 1:
         cross: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -307,10 +321,6 @@ def _assemble(g: LayoutGraph, stars: list[Star]) -> tuple[MergePlan, list[Operat
             j = min(candidates, key=low.__getitem__)
             matched.update((i, j))
             pairs.append((i, j))
-        if not pairs:
-            # contraction of a connected graph stays connected, so a
-            # mergeable pair must exist while two components remain
-            raise AssertionError("no adjacent components found; graph disconnected?")
         merges = []
         for i, j in pairs:
             a, b = len(members[i]), len(members[j])
@@ -341,7 +351,7 @@ def _assemble(g: LayoutGraph, stars: list[Star]) -> tuple[MergePlan, list[Operat
         rounds.append(tuple(merges))
         components -= len(merges)
         edges = [e for bucket in cross.values() for e in bucket]
-    return MergePlan(rounds=tuple(rounds)), ops
+    return MergePlan(rounds=tuple(rounds)), Circuit(n, cbit, ops)
 
 
 def plan_merges(g: LayoutGraph, stars: list[Star]) -> MergePlan:
@@ -349,24 +359,17 @@ def plan_merges(g: LayoutGraph, stars: list[Star]) -> MergePlan:
 
     Each round's merges touch pairwise disjoint components, the total merge
     count is len(stars) - 1, and the round count stays logarithmic in the
-    star count for well-connected layouts.
+    star count for well-connected layouts. It is the plan of the circuit
+    that synthesize_merging builds from the same stars.
     """
-    plan, _ = _assemble(g, stars)
-    return plan
+    return _assemble(g, stars)[0]
 
 
 def synthesize_merging(g: LayoutGraph, strategy: StarSelectionStrategy) -> Circuit:
     """Synthesize the full merging circuit for a connected layout.
 
     The noiseless output state is exactly the N-qubit GHZ state; the circuit
-    contains (#stars - 1) measurements and N - 1 + (#stars - 1) CX gates.
+    contains (#stars - 1) measurements, one cbit each, and N - 1 + (#stars - 1)
+    CX gates.
     """
-    if not g.is_connected():
-        raise ValueError("layout graph must be connected")
-    return _circuit_from_stars(g, select_stars(g, strategy))
-
-
-def _circuit_from_stars(g: LayoutGraph, stars: list[Star]) -> Circuit:
-    """The merging circuit of an already selected star partition of g."""
-    _, ops = _assemble(g, stars)
-    return Circuit(qubit_count=g.node_count, cbit_count=len(stars) - 1, ops=ops)
+    return _assemble(g, select_stars(g, strategy))[1]

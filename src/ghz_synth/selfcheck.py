@@ -13,9 +13,9 @@ from __future__ import annotations
 from collections import Counter
 
 from . import layouts
+from .bench import ProtocolSpec
 from .circuit import CX, Circuit, CondX, H, MalformedCircuitError, MeasureZ
 from .circuit import count_2q, count_measurements, depth
-from .growing import synthesize_growing
 from .merging import HighestDegree, ScalingFactor, select_stars, synthesize_merging
 from .metrics import is_ghz
 from .rng import derive_seed
@@ -24,6 +24,13 @@ from .statevector import ghz_state, run_dense, state_fidelity
 from .testutil import random_clifford_circuit, stabilizers_fix_state
 
 SEED = 20250601
+# the protocol variants that the synthesis checks synthesize on every small layout
+_PROTOCOLS = (
+    ProtocolSpec("growing"),
+    ProtocolSpec("merging", HighestDegree()),
+    ProtocolSpec("merging", ScalingFactor(0.7)),
+    ProtocolSpec("merging", ScalingFactor(1.0)),
+)
 
 
 def _small_layouts() -> list[tuple[str, layouts.LayoutGraph]]:
@@ -51,28 +58,20 @@ def check_layout_invariants() -> bool:
 
 
 def check_count_identities() -> bool:
+    # select_stars is the independent reference for the measurement count
     for _, g in _small_layouts():
-        grow = synthesize_growing(g)
-        if count_2q(grow) != g.node_count - 1 or count_measurements(grow) != 0:
-            return False
-        for strategy in (HighestDegree(), ScalingFactor(1.0)):
-            circ = synthesize_merging(g, strategy)
-            stars = select_stars(g, strategy)
-            if count_measurements(circ) != len(stars) - 1:
-                return False
-            if count_2q(circ) != g.node_count - 1 + count_measurements(circ):
+        for spec in _PROTOCOLS:
+            circ = spec.synthesize(g)
+            n_meas = 0 if spec.strategy is None else len(select_stars(g, spec.strategy)) - 1
+            if count_measurements(circ) != n_meas or count_2q(circ) != g.node_count - 1 + n_meas:
                 return False
     return True
 
 
 def check_exact_ghz() -> bool:
     for name, g in _small_layouts():
-        for make in (
-            lambda g: synthesize_growing(g),
-            lambda g: synthesize_merging(g, HighestDegree()),
-            lambda g: synthesize_merging(g, ScalingFactor(0.7)),
-        ):
-            circ = make(g)
+        for spec in _PROTOCOLS:
+            circ = spec.synthesize(g)
             outcome = run(circ, derive_seed(SEED, "ghz", name))
             if not is_ghz(outcome.tableau, g.node_count):
                 return False

@@ -113,6 +113,16 @@ class TestHeavyHex:
         with pytest.raises(ValueError):
             heavy_hex(rows, cols)
 
+    def test_node_count_checked_before_any_edge(self, monkeypatch):
+        # rows x cols is refused up front, in rect_grid's words; the bridges
+        # make the node count larger, and LayoutGraph keeps the exact bound
+        monkeypatch.setattr(schema, "MAX_N", 100)
+        with pytest.raises(ValueError, match=r"^rows: rows x cols must be <= 100, got 20x20$"):
+            heavy_hex(20, 20)
+        with pytest.raises(ValueError, match=r"^n: must be <= 100, got 121$"):
+            heavy_hex(10, 10)
+        assert heavy_hex(5, 15).node_count == 89
+
 
 class TestConnectedErdosRenyi:
     def test_single_node(self):

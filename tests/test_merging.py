@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghz_synth.circuit import CX, H, count_2q, count_measurements, depth
+from ghz_synth.circuit import CX, H, MeasureZ, count_2q, count_measurements, depth
 from ghz_synth.growing import synthesize_growing
 from ghz_synth.layouts import LayoutGraph, connected_erdos_renyi, eagle_127, rect_grid
 from ghz_synth.merging import (
@@ -169,6 +169,12 @@ class TestPlanMerges:
         with pytest.raises(ValueError):
             plan_merges(g, [Star(0, frozenset({1}))])
 
+    def test_rejects_disconnected(self):
+        # the synthesizers' error, before any contraction could get stuck
+        g = LayoutGraph(4, ((0, 1), (2, 3)))
+        with pytest.raises(ValueError, match=r"^layout graph must be connected$"):
+            plan_merges(g, select_stars(g, HighestDegree()))
+
 
 class TestSynthesizeMerging:
     def test_single_star_layout_no_measurements(self):
@@ -280,7 +286,17 @@ class TestRandomConnectedGraphs:
         assert is_ghz(run(c, seed).tableau, n)
         for strategy in (HighestDegree(), ScalingFactor(f), AbsoluteSize(size)):
             c = synthesize_merging(g, strategy)
-            n_meas = len(select_stars(g, strategy)) - 1
+            stars = select_stars(g, strategy)
+            n_meas = len(stars) - 1
             assert count_measurements(c) == n_meas
             assert count_2q(c) == n - 1 + n_meas
             assert is_ghz(run(c, seed).tableau, n), strategy
+            # the plan is the circuit's: merge k measures its bridge's
+            # absorbed end into cbit k, right after the CX across the bridge
+            plan = plan_merges(g, stars)
+            assert plan.merge_count == c.cbit_count
+            merges = [m for rnd in plan.rounds for m in rnd]
+            for k, m in enumerate(merges):
+                u, v = m.bridge
+                i = c.ops.index(MeasureZ(v, k))
+                assert c.ops[i - 1] == CX(u, v)
