@@ -7,7 +7,9 @@ and places it, in one pass. Every operation occupies one layer on each qubit
 it touches, and a classically controlled X cannot share or precede the layer
 of the measurement that produced its control bit. A circuit runs its
 operations through one Schedule when it is built, and keeps the depth that
-walk found, so no consumer checks or schedules it again.
+walk found, so no consumer checks or schedules it again. That walk is the
+only one: synthesis hands the circuit an op source, which reads the walk's
+layers as it yields the ops, instead of scheduling them itself.
 """
 
 from __future__ import annotations
@@ -98,7 +100,12 @@ _TOUCHED = {
 
 @dataclass(frozen=True)
 class Circuit:
-    """A dynamic circuit, valid by construction: it runs `validate` once, when built."""
+    """A dynamic circuit, valid by construction: it runs `validate` once, when built.
+
+    ops may be given as the ops themselves or as an op source, a function
+    source(last) that yields them; either way the circuit keeps them as a
+    tuple.
+    """
 
     qubit_count: int
     cbit_count: int
@@ -106,15 +113,17 @@ class Circuit:
     _depth: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
         self.validate()
 
     def validate(self) -> None:
-        """Raise MalformedCircuitError if any invariant is violated; keep the depth.
+        """Raise MalformedCircuitError if any invariant is violated; keep ops and depth.
 
         Checks 1 <= n <= schema.MAX_N and 0 <= cbits <= schema.MAX_N, then emits every op
         through one Schedule, which checks each op's rules (see
         `Schedule.emit`); its highest layer is the depth that `depth` returns.
+        An op source gets the schedule's last list, and each op is emitted
+        before the next is drawn, so the source may read the layers of the
+        ops it has yielded so far.
         """
         if self.qubit_count < 1:
             raise MalformedCircuitError(f"n: must be >= 1, got {self.qubit_count}")
@@ -123,8 +132,8 @@ class Circuit:
             raise MalformedCircuitError(f"cbits: must be >= 0, got {self.cbit_count}")
         schema.check_max_n(self.cbit_count, MalformedCircuitError, "cbits")
         schedule = Schedule(self.qubit_count, self.cbit_count)
-        for op in self.ops:
-            schedule.emit(op)
+        ops = self.ops(schedule.last) if callable(self.ops) else self.ops
+        object.__setattr__(self, "ops", tuple(map(schedule.emit, ops)))
         object.__setattr__(self, "_depth", max(schedule.last))
 
     def to_json(self) -> str:
@@ -169,9 +178,10 @@ class Schedule:
     The one place that knows the operations' rules and layers, for a circuit
     on n qubits and cbits classical bits. last[q] is the layer of the latest
     operation on qubit q, so max(last) is the depth so far, and emitted is
-    the number of operations placed. Synthesis emits operations as it builds
-    them and reads last[...] to pick the qubits that free up earliest, so it
-    fails at the operation that broke a rule.
+    the number of operations placed. A circuit's op source reads last[...]
+    to pick the qubits that free up earliest, and the circuit emits each
+    operation as the source yields it, so synthesis fails at the operation
+    that broke a rule.
     """
 
     def __init__(self, n: int, cbits: int):
@@ -181,8 +191,8 @@ class Schedule:
         self._writes: dict[int, list[int]] = {}  # cbit -> layer of each measurement of it
         self._dead: set[int] = set()  # qubits measured and not reset since
 
-    def emit(self, op: Operation) -> None:
-        """Place op one layer after everything it waits for, or raise.
+    def emit(self, op: Operation) -> Operation:
+        """Place op one layer after everything it waits for and return it, or raise.
 
         MalformedCircuitError names the op's index and the first rule it
         breaks, in this order: each touched qubit is in range and, unless
@@ -226,6 +236,7 @@ class Schedule:
         for q in qs:
             last[q] = layer
         self.emitted = i + 1
+        return op
 
 
 def depth(c: Circuit) -> int:

@@ -72,6 +72,7 @@ def _build_parser() -> _Parser:
     p_layout.add_argument("--p", type=float, default=0.5, help="edge probability (er)")
     p_layout.add_argument("--seed", type=int, default=0)
     p_layout.add_argument("--out", help="output path (default: stdout)")
+    p_layout.set_defaults(run=_cmd_layout)
 
     p_synth = sub.add_parser("synth", help="synthesize a GHZ preparation circuit")
     p_synth.add_argument("--protocol", required=True, choices=["merge", "grow"])
@@ -82,18 +83,22 @@ def _build_parser() -> _Parser:
     p_synth.add_argument("--layout", required=True, help="layout JSON file")
     p_synth.add_argument("--out", help="write circuit JSON here")
     p_synth.add_argument("--qasm", help="write OpenQASM 3 here")
+    p_synth.set_defaults(run=_cmd_synth)
 
     p_sim = sub.add_parser("simulate", help="sample a circuit on the stabilizer simulator")
     p_sim.add_argument("--circuit", required=True, help="circuit JSON file")
     p_sim.add_argument("--shots", type=int, default=4096)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--noise", help="p1,p2,pm,pr")
+    p_sim.set_defaults(run=_cmd_simulate)
 
     p_bench = sub.add_parser("bench", help="run a benchmark sweep from a JSON config")
     p_bench.add_argument("--config", required=True)
     p_bench.add_argument("--out-dir", required=True)
+    p_bench.set_defaults(run=_cmd_bench)
 
-    sub.add_parser("verify", help="run the built-in property suite on small instances")
+    p_verify = sub.add_parser("verify", help="run the built-in property suite on small instances")
+    p_verify.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -171,7 +176,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_verify() -> int:
+def _cmd_verify(args) -> int:
     results = selfcheck.run_all()
     failures = 0
     for name, ok, reason in results:
@@ -193,24 +198,13 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse exits itself on --help
         return int(exc.code or 0)
     try:
-        if args.command == "layout":
-            return _cmd_layout(args)
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "verify":
-            return _cmd_verify()
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 def main() -> None:

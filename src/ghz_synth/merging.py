@@ -8,9 +8,11 @@ correction on the rest of the absorbed piece, and a reset-plus-CX that
 re-adds the measured qubit to the merged state.
 
 `_assemble` is the one synthesis walk of the package: it prepares any
-pieces that partition the layout and fuses them, emitting every op through
-one `Schedule`. Merging feeds it the stars; growing feeds it one piece that
-spans the layout, which needs no fuse.
+pieces that partition the layout and fuses them. It is the op source of the
+circuit it builds, so every op goes through the circuit's own `Schedule`
+once, and the walk reads that schedule's layers to pick bridges. Merging
+feeds it the stars; growing feeds it one piece that spans the layout, which
+needs no fuse.
 
 All choices (star order, leaf order, matching order, bridge edges) are
 tie-broken by lowest node index, so synthesis is a pure function of the
@@ -21,12 +23,13 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Union
 
 from . import schema
-from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset, Schedule
+from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset
 from .layouts import LayoutGraph, average_degree
 
 __all__ = [
@@ -254,9 +257,11 @@ def _assemble(g: LayoutGraph, pieces: list) -> tuple[MergePlan, Circuit]:
 
     A piece is anything with nodes() and prepare(last): a Star, or growing's
     one piece that spans the layout. The pieces must partition the nodes of
-    a connected layout. Each piece's preparation ops are scheduled one by
-    one as prepare yields them, so a preparation may read last, the
-    schedule's layer of the latest op on each qubit.
+    a connected layout. The walk is the op source of the circuit it
+    returns: the circuit emits each op through its one schedule before the
+    walk draws the next, so a preparation, and the choice of each bridge,
+    may read last, the schedule's layer of the latest op on each qubit. The
+    plan's rounds are collected while the circuit walks.
 
     Per round, components are matched greedily (scanned by smallest member,
     each pairing its unmatched neighbor with the smallest member) and
@@ -264,7 +269,8 @@ def _assemble(g: LayoutGraph, pieces: list) -> tuple[MergePlan, Circuit]:
     minimum node index). The bridge is the cross edge whose endpoints free
     up earliest under ASAP scheduling (ties: lexicographic), which lets
     consecutive merge rounds pipeline instead of serializing on hot qubits.
-    Merge k measures into cbit k, so the circuit has one cbit per merge.
+    Merge k measures into cbit k, and a connected layout takes
+    len(pieces) - 1 merges, so the circuit has exactly that many cbits.
 
     Components are labels in a comp_of list, with a member list and a
     smallest member per label. A merge relabels the absorbed side, the
@@ -287,71 +293,66 @@ def _assemble(g: LayoutGraph, pieces: list) -> tuple[MergePlan, Circuit]:
         for u in m:
             comp_of[u] = i
     low = [m[0] for m in members]
-
-    schedule = Schedule(n, len(pieces) - 1)
-    last = schedule.last
-    ops: list[Operation] = []
-    for piece in pieces:
-        for op in piece.prepare(last):
-            ops.append(op)
-            schedule.emit(op)
-
     rounds: list[tuple[Merge, ...]] = []
-    cbit = 0
-    components = len(pieces)
-    edges = g.edges
-    while components > 1:
-        cross: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for e in edges:
-            cu, cv = comp_of[e[0]], comp_of[e[1]]
-            if cu != cv:
-                cross.setdefault((cu, cv) if cu < cv else (cv, cu), []).append(e)
-        adjacency: dict[int, list[int]] = {}
-        for a, b in cross:
-            adjacency.setdefault(a, []).append(b)
-            adjacency.setdefault(b, []).append(a)
-        matched: set[int] = set()
-        pairs: list[tuple[int, int]] = []
-        for i in sorted(adjacency, key=low.__getitem__):
-            if i in matched:
-                continue
-            candidates = [j for j in adjacency[i] if j not in matched]
-            if not candidates:
-                continue
-            j = min(candidates, key=low.__getitem__)
-            matched.update((i, j))
-            pairs.append((i, j))
-        merges = []
-        for i, j in pairs:
-            a, b = len(members[i]), len(members[j])
-            if a < b or (a == b and low[i] < low[j]):
-                absorbed, keeper = i, j
-            else:
-                absorbed, keeper = j, i
-            bridges = [
-                (x, y) if comp_of[x] == keeper else (y, x)
-                for x, y in cross[(i, j) if i < j else (j, i)]
-            ]
-            bridge = min(bridges, key=lambda e: (max(last[e[0]], last[e[1]]), e))
-            merge = Merge(
-                keeper=frozenset(members[keeper]),
-                absorbed=frozenset(members[absorbed]),
-                bridge=bridge,
-            )
-            merges.append(merge)
-            for op in merge_operations(merge, cbit):
-                ops.append(op)
-                schedule.emit(op)
-            cbit += 1
-            for u in members[absorbed]:
-                comp_of[u] = keeper
-            members[keeper].extend(members[absorbed])
-            members[absorbed] = []
-            low[keeper] = min(low[keeper], low[absorbed])
-        rounds.append(tuple(merges))
-        components -= len(merges)
-        edges = [e for bucket in cross.values() for e in bucket]
-    return MergePlan(rounds=tuple(rounds)), Circuit(n, cbit, ops)
+
+    def walk(last: list[int]) -> Iterator[Operation]:
+        for piece in pieces:
+            yield from piece.prepare(last)
+        cbit = 0
+        components = len(pieces)
+        edges = g.edges
+        while components > 1:
+            cross: dict[tuple[int, int], list[tuple[int, int]]] = {}
+            for e in edges:
+                cu, cv = comp_of[e[0]], comp_of[e[1]]
+                if cu != cv:
+                    cross.setdefault((cu, cv) if cu < cv else (cv, cu), []).append(e)
+            adjacency: dict[int, list[int]] = {}
+            for a, b in cross:
+                adjacency.setdefault(a, []).append(b)
+                adjacency.setdefault(b, []).append(a)
+            matched: set[int] = set()
+            pairs: list[tuple[int, int]] = []
+            for i in sorted(adjacency, key=low.__getitem__):
+                if i in matched:
+                    continue
+                candidates = [j for j in adjacency[i] if j not in matched]
+                if not candidates:
+                    continue
+                j = min(candidates, key=low.__getitem__)
+                matched.update((i, j))
+                pairs.append((i, j))
+            merges = []
+            for i, j in pairs:
+                a, b = len(members[i]), len(members[j])
+                if a < b or (a == b and low[i] < low[j]):
+                    absorbed, keeper = i, j
+                else:
+                    absorbed, keeper = j, i
+                bridges = [
+                    (x, y) if comp_of[x] == keeper else (y, x)
+                    for x, y in cross[(i, j) if i < j else (j, i)]
+                ]
+                bridge = min(bridges, key=lambda e: (max(last[e[0]], last[e[1]]), e))
+                merge = Merge(
+                    keeper=frozenset(members[keeper]),
+                    absorbed=frozenset(members[absorbed]),
+                    bridge=bridge,
+                )
+                merges.append(merge)
+                yield from merge_operations(merge, cbit)
+                cbit += 1
+                for u in members[absorbed]:
+                    comp_of[u] = keeper
+                members[keeper].extend(members[absorbed])
+                members[absorbed] = []
+                low[keeper] = min(low[keeper], low[absorbed])
+            rounds.append(tuple(merges))
+            components -= len(merges)
+            edges = [e for bucket in cross.values() for e in bucket]
+
+    circuit = Circuit(n, len(pieces) - 1, walk)  # the walk fills rounds
+    return MergePlan(rounds=tuple(rounds)), circuit
 
 
 def plan_merges(g: LayoutGraph, stars: list[Star]) -> MergePlan:

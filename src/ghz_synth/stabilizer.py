@@ -85,7 +85,7 @@ __all__ = [
     "MAX_QUBITS",
 ]
 
-MAX_QUBITS = 512
+MAX_QUBITS = 4096
 
 
 class CapacityError(ValueError):
@@ -448,9 +448,9 @@ class SimOutcome:
     outcome_log: list[int]
 
 
-def _check_capacity(c: Circuit, max_qubits: int) -> None:
-    if c.qubit_count > max_qubits:
-        raise CapacityError(f"{c.qubit_count} qubits exceeds the maximum of {max_qubits}")
+def _check_capacity(c: Circuit) -> None:
+    if c.qubit_count > MAX_QUBITS:
+        raise CapacityError(f"{c.qubit_count} qubits exceeds the maximum of {MAX_QUBITS}")
 
 
 def _check_forced(forced: Sequence[Optional[int]]) -> Sequence[Optional[int]]:
@@ -593,7 +593,6 @@ def run(
     seed: int,
     noise: Optional[NoiseModel] = None,
     forced_outcomes: Sequence[Optional[int]] = (),
-    max_qubits: int = MAX_QUBITS,
 ) -> SimOutcome:
     """Simulate one execution of the circuit.
 
@@ -603,7 +602,7 @@ def run(
     raises ValueError). Forcing an outcome the state assigns probability zero
     raises InvalidForcingError.
     """
-    _check_capacity(c, max_qubits)
+    _check_capacity(c)
     forced = _check_forced(forced_outcomes)
     stream = CounterStream(np.array([check_seed(seed)], dtype=np.uint64))
     frame, cbits, log = _simulate(c.qubit_count, c.cbit_count, c.ops, stream, 1, noise, forced)
@@ -626,7 +625,6 @@ def sample_counts(
     shots: int,
     seed: int,
     noise: Optional[NoiseModel] = None,
-    max_qubits: int = MAX_QUBITS,
 ) -> Counter:
     """Sample terminal all-qubit readout histograms.
 
@@ -636,7 +634,7 @@ def sample_counts(
     so it equals the single-shot run of those ops with that seed.
     """
     check_shots(shots)
-    _check_capacity(c, max_qubits)
+    _check_capacity(c)
     stream = CounterStream(shot_keys(check_seed(seed), shots))
     n, m = c.qubit_count, c.cbit_count
     ops = c.ops + tuple(MeasureZ(q, m + q) for q in range(n))

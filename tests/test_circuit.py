@@ -19,6 +19,7 @@ from ghz_synth.circuit import (
     export_qasm,
     touched_qubits,
 )
+from ghz_synth.growing import synthesize_growing
 from ghz_synth.layouts import eagle_127, rect_grid
 from ghz_synth.merging import HighestDegree, synthesize_merging
 from ghz_synth.rng import make_rng
@@ -236,6 +237,72 @@ class TestOneWalk:
             match=r"^op 1: cbit 0 must be written by exactly one earlier measurement, saw 0$",
         ):
             schedule.emit(CondX((1,), 0))
+
+    @pytest.mark.parametrize("layout", ["eagle", "grid16"])
+    @pytest.mark.parametrize("protocol", ["growing", "merging"])
+    def test_synthesis_emits_each_op_once(self, monkeypatch, layout, protocol):
+        g = eagle_127() if layout == "eagle" else rect_grid(16, 16)
+        emitted = []
+        emit = Schedule.emit
+
+        def counting(self, op):
+            emitted.append(op)
+            return emit(self, op)
+
+        monkeypatch.setattr(Schedule, "emit", counting)
+        if protocol == "growing":
+            c = synthesize_growing(g)
+        else:
+            c = synthesize_merging(g, HighestDegree())
+        assert emitted == list(c.ops)
+
+
+class TestOpSource:
+    def test_source_reads_layers_of_ops_so_far(self):
+        seen = []
+
+        def source(last):
+            for op in (H(0), CX(0, 1), MeasureZ(1, 0), CondX((2,), 0), X(0)):
+                yield op
+                seen.append(list(last))
+
+        c = Circuit(3, 1, source)
+        assert seen == [[1, 0, 0], [2, 2, 0], [2, 3, 0], [2, 3, 4], [3, 3, 4]]
+        assert c.ops == (H(0), CX(0, 1), MeasureZ(1, 0), CondX((2,), 0), X(0))
+        assert depth(c) == 4
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (CX(1, 1), "op 2: CX control equals target"),
+            (H(0), "op 2: qubit 0 used after measurement without reset"),
+            (CondX((1,), 1), "op 2: cbit 1 out of range"),
+        ],
+    )
+    def test_source_breaking_a_rule_names_the_op(self, bad, message):
+        drawn = []
+
+        def source(last):
+            for op in (H(0), MeasureZ(0, 0), bad, X(1)):
+                drawn.append(op)
+                yield op
+
+        with pytest.raises(MalformedCircuitError, match=f"^{message}$"):
+            Circuit(2, 1, source)
+        assert drawn == [H(0), MeasureZ(0, 0), bad]
+
+    @pytest.mark.parametrize("protocol", ["growing", "merging"])
+    def test_source_and_tuple_build_equal_circuits(self, protocol):
+        g = eagle_127()
+        if protocol == "growing":
+            c = synthesize_growing(g)
+        else:
+            c = synthesize_merging(g, HighestDegree())
+        from_source = Circuit(c.qubit_count, c.cbit_count, lambda last: iter(c.ops))
+        from_tuple = Circuit(c.qubit_count, c.cbit_count, tuple(c.ops))
+        assert from_source == from_tuple == c
+        assert type(from_source.ops) is tuple
+        assert depth(from_source) == depth(from_tuple) == depth(c)
 
 
 class TestJson:

@@ -44,6 +44,13 @@ def assert_partition(g, stars):
     assert seen == set(range(g.node_count))
 
 
+def assert_cx_on_edges(g, c):
+    """Every CX of c acts across an edge of the layout g."""
+    for op in c.ops:
+        if isinstance(op, CX):
+            assert g.has_edge(op.control, op.target), op
+
+
 class TestSelectStars:
     def test_star_graph_single_star(self):
         g = star_graph(6)
@@ -284,8 +291,10 @@ class TestRandomConnectedGraphs:
         c = synthesize_growing(g)
         assert count_2q(c) == n - 1 and count_measurements(c) == 0
         assert is_ghz(run(c, seed).tableau, n)
+        assert_cx_on_edges(g, c)
         for strategy in (HighestDegree(), ScalingFactor(f), AbsoluteSize(size)):
             c = synthesize_merging(g, strategy)
+            assert_cx_on_edges(g, c)
             stars = select_stars(g, strategy)
             n_meas = len(stars) - 1
             assert count_measurements(c) == n_meas

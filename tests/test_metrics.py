@@ -160,9 +160,9 @@ def _check_grid(rows: int, cols: int, protocol: str, flip: int) -> None:
         c = synthesize_growing(g)
     else:
         c = synthesize_merging(g, HighestDegree())
-    assert is_ghz(run(c, seed=0, max_qubits=n).tableau, n)
+    assert is_ghz(run(c, seed=0).tableau, n)
     flipped = Circuit(c.qubit_count, c.cbit_count, c.ops + (X(flip),))
-    assert not is_ghz(run(flipped, seed=0, max_qubits=n).tableau, n)
+    assert not is_ghz(run(flipped, seed=0).tableau, n)
 
 
 def _ghz_by_expectation(t: Tableau, n: int) -> bool:

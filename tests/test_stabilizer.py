@@ -9,6 +9,7 @@ from ghz_synth.circuit import CX, Circuit, CondX, H, MeasureZ, Reset, X
 from ghz_synth.rng import CounterStream, shot_keys
 from ghz_synth.rng import derive_seed, make_rng
 from ghz_synth.stabilizer import (
+    MAX_QUBITS,
     CapacityError,
     InvalidForcingError,
     NoiseModel,
@@ -317,20 +318,20 @@ class TestCondXAndReset:
 
 class TestCapacityAndErrors:
     def test_capacity_error(self):
-        with pytest.raises(CapacityError):
-            run(Circuit(513, 0, ()), seed=0)
+        with pytest.raises(CapacityError, match=f"exceeds the maximum of {MAX_QUBITS}"):
+            run(Circuit(MAX_QUBITS + 1, 0, ()), seed=0)
 
     def test_sample_counts_honours_max_qubits(self):
         from ghz_synth.growing import synthesize_growing
         from ghz_synth.layouts import rect_grid
 
         c = synthesize_growing(rect_grid(24, 24))
-        counts = sample_counts(c, 4, seed=1, max_qubits=1024)
+        counts = sample_counts(c, 4, seed=1)
         assert sum(counts.values()) == 4
         assert set(counts) <= {"0" * 576, "1" * 576}
 
         with pytest.raises(CapacityError):
-            sample_counts(c, 4, seed=1)
+            sample_counts(Circuit(MAX_QUBITS + 1, 0, ()), 4, seed=1)
 
     def test_malformed_circuit_rejected(self):
         from ghz_synth.circuit import MalformedCircuitError
@@ -479,7 +480,8 @@ class TestCounterDraws:
 
         monkeypatch.setattr(stabilizer, "shot_keys", no_draws)
         monkeypatch.setattr(stabilizer, "CounterStream", no_draws)
-        c = synthesize_growing(rect_grid(24, 24))
+        c = synthesize_growing(rect_grid(64, 65))
+        assert c.qubit_count > MAX_QUBITS
         with pytest.raises(CapacityError):
             sample_counts(c, 4, seed=1)
         with pytest.raises(CapacityError):
