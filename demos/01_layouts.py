@@ -32,5 +32,5 @@ for p in (0.1, 0.5, 1.0):
 # Benchmarks sample random connected subgraphs by accretion: start anywhere,
 # repeatedly pull in a uniformly random neighbor of the current set.
 sub, mapping = random_connected_subgraph(eagle, 40, seed=3)
-print("\n40-qubit Eagle sample: connected =", sub.is_connected())
+print("\n40-qubit Eagle sample:", sub.edge_count, "couplers")
 print("  original qubit indices:", mapping[:10], "...")

@@ -31,7 +31,7 @@ from .metrics import (
     counts_to_distribution, ghz_ideal_distribution, hellinger_fidelity, summarize,
 )
 from .rng import derive_seed
-from .stabilizer import NoiseModel, sample_counts
+from .stabilizer import MAX_QUBITS, CapacityError, NoiseModel, sample_counts
 
 __all__ = [
     "ProtocolSpec",
@@ -264,7 +264,9 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> list[Benchmark
 
     A (size, sample) cell builds its layout once and runs every protocol
     variant on it, so protocols are compared on identical graphs. Records
-    come back in canonical order regardless of worker count.
+    come back in canonical order regardless of worker count. A size the
+    sweep cannot run, larger than the source layout or, when fidelity is
+    sampled, than the simulator, is refused before any item runs.
     """
     source = _source_graph(cfg)
     if source is not None:
@@ -272,6 +274,12 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> list[Benchmark
         if too_big:
             raise ValueError(
                 f"sizes {too_big} exceed the {source.node_count}-node source layout"
+            )
+    if cfg.compute_fidelity:
+        too_big = [s for s in cfg.sizes if s > MAX_QUBITS]
+        if too_big:
+            raise CapacityError(
+                f"sizes {too_big} exceed the simulator's maximum of {MAX_QUBITS} qubits"
             )
     cells = [_Cell(cfg, n, sample) for n in cfg.sizes for sample in range(cfg.samples)]
     if workers is None:

@@ -12,7 +12,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import layouts, selfcheck
-from .bench import ProtocolSpec, SweepConfig, run_sweep, worker_count, write_outputs
+from .bench import ProtocolSpec, SweepConfig, run_sweep, write_outputs
 from .circuit import Circuit, count_2q, count_measurements, depth, export_qasm
 from .merging import strategy_from_label
 from .metrics import (
@@ -170,7 +170,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_bench(args) -> int:
     with open(args.config) as f:
         cfg = SweepConfig.from_json(f.read())
-    records = run_sweep(cfg, workers=worker_count())
+    records = run_sweep(cfg)
     raw_path, agg_path = write_outputs(records, args.out_dir)
     print(f"wrote {len(records)} records to {raw_path} and {agg_path}")
     return 0

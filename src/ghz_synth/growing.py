@@ -39,7 +39,7 @@ class _Grown:
         start = max(range(n), key=lambda u: (g.degree(u), -u))
         star = Star(start, frozenset(g.neighbors(start)))
         yield from build_star_ghz(star)
-        adj = [g.neighbors(u) for u in range(n)]
+        adj = g.adjacency
         included = bytearray(n)
         for u in star.nodes():
             included[u] = 1

@@ -29,37 +29,64 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LayoutGraph:
-    """Simple undirected connectivity graph on qubits 0..node_count-1.
+    """Simple connected undirected graph on qubits 0..node_count-1.
 
-    Edges are stored as a sorted tuple of (u, v) pairs with u < v. Instances
-    are immutable; adjacency and connectivity are computed once, on first
-    use. A bad graph raises InputError whose message starts with the JSON
-    field, n or edges.
+    Edges are stored as a sorted tuple of (u, v) pairs with u < v, and
+    adjacency as one sorted tuple of neighbors per node. Instances are
+    immutable and connected: the constructor builds the adjacency once and
+    searches it from node 0, so no consumer checks or rebuilds either. A bad
+    graph, a disconnected one included, raises InputError whose message
+    starts with the JSON field, n or edges.
     """
 
     node_count: int
     edges: tuple[tuple[int, int], ...]
-    _adj: dict[int, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    _connected: bool = field(init=False, repr=False, compare=False, default=None)
+    adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise schema.InputError(f"n: node count must be >= 1, got {self.node_count}")
-        schema.check_max_n(self.node_count)
+        n = self.node_count
+        if n < 1:
+            raise schema.InputError(f"n: node count must be >= 1, got {n}")
+        schema.check_max_n(n)
         edges = tuple(sorted(self.edges))
         prev = None  # sorted, so a duplicate sits right after its twin
         for e in edges:
             u, v = e
             if u == v:
                 raise schema.InputError(f"edges: self-loop on node {u}")
-            if not (0 <= u < v < self.node_count):
+            if not (0 <= u < v < n):
                 raise schema.InputError(f"edges: edge ({u}, {v}) out of range or unordered")
             if e == prev:
                 raise schema.InputError(f"edges: duplicate edge ({u}, {v})")
             prev = e
         object.__setattr__(self, "edges", edges)
+        if len(edges) < n - 1:  # refused before anything of size n is built
+            raise schema.InputError(
+                f"edges: layout graph must be connected; {n} nodes need at least "
+                f"{n - 1} edges, got {len(edges)}"
+            )
+        adj = [[] for _ in range(n)]
+        # in sorted edge order, node u meets its lower neighbors (a, u) in
+        # ascending a before its higher ones (u, b) in ascending b
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        seen = bytearray(n)
+        seen[0] = 1
+        todo = [0]
+        reached = 1
+        while todo and reached < n:  # a dense graph is reached early
+            for v in adj[todo.pop()]:
+                if not seen[v]:
+                    seen[v] = 1
+                    reached += 1
+                    todo.append(v)
+        if reached < n:
+            raise schema.InputError(
+                f"edges: layout graph must be connected; node {seen.index(0)} "
+                "is not reached from node 0"
+            )
+        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
 
     @property
     def edge_count(self) -> int:
@@ -67,44 +94,14 @@ class LayoutGraph:
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Sorted neighbors of node u."""
-        if self._adj is None:
-            adj = {i: [] for i in range(self.node_count)}
-            for a, b in self.edges:
-                adj[a].append(b)
-                adj[b].append(a)
-            object.__setattr__(
-                self, "_adj", {i: tuple(sorted(ns)) for i, ns in adj.items()}
-            )
-        return self._adj[u]
+        return self.adjacency[u]
 
     def degree(self, u: int) -> int:
-        return len(self.neighbors(u))
+        return len(self.adjacency[u])
 
     def has_edge(self, u: int, v: int) -> bool:
         a, b = min(u, v), max(u, v)
-        return b in self.neighbors(a)
-
-    def is_connected(self) -> bool:
-        """BFS reachability from node 0, run once per instance."""
-        if self._connected is None:
-            object.__setattr__(self, "_connected", self._reaches_all())
-        return self._connected
-
-    def _reaches_all(self) -> bool:
-        seen = bytearray(self.node_count)
-        seen[0] = 1
-        frontier = [0]
-        count = 1
-        while frontier and count < self.node_count:  # a dense graph is reached early
-            nxt = []
-            for u in frontier:
-                for v in self.neighbors(u):
-                    if not seen[v]:
-                        seen[v] = 1
-                        count += 1
-                        nxt.append(v)
-            frontier = nxt
-        return count == self.node_count
+        return b in self.adjacency[a]
 
     def to_json(self) -> str:
         return json.dumps({"n": self.node_count, "edges": [list(e) for e in self.edges]})
@@ -268,8 +265,6 @@ def random_connected_subgraph(
     """
     if not 1 <= k <= g.node_count:
         raise ValueError(f"k must lie in [1, {g.node_count}], got {k}")
-    if not g.is_connected():
-        raise ValueError("source graph must be connected")
     rng = make_rng(seed)
     start = int(rng.integers(0, g.node_count))
     chosen = {start}

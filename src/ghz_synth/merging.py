@@ -184,7 +184,7 @@ def select_stars(g: LayoutGraph, strategy: StarSelectionStrategy) -> list[Star]:
         # a star keeps all of the center's residual neighbors
         target = n
 
-    adj = [g.neighbors(u) for u in range(n)]
+    adj = g.adjacency
     alive = [True] * n
     residual_deg = [len(ns) for ns in adj]
     heap = [(abs(d - target), u) for u, d in enumerate(residual_deg)]
@@ -257,11 +257,12 @@ def _assemble(g: LayoutGraph, pieces: list) -> tuple[MergePlan, Circuit]:
 
     A piece is anything with nodes() and prepare(last): a Star, or growing's
     one piece that spans the layout. The pieces must partition the nodes of
-    a connected layout. The walk is the op source of the circuit it
-    returns: the circuit emits each op through its one schedule before the
-    walk draws the next, so a preparation, and the choice of each bridge,
-    may read last, the schedule's layer of the latest op on each qubit. The
-    plan's rounds are collected while the circuit walks.
+    the layout, which is connected, as every LayoutGraph is. The walk is the
+    op source of the circuit it returns: the circuit emits each op through
+    its one schedule before the walk draws the next, so a preparation, and
+    the choice of each bridge, may read last, the schedule's layer of the
+    latest op on each qubit. The plan's rounds are collected while the
+    circuit walks.
 
     Per round, components are matched greedily (scanned by smallest member,
     each pairing its unmatched neighbor with the smallest member) and
@@ -269,7 +270,7 @@ def _assemble(g: LayoutGraph, pieces: list) -> tuple[MergePlan, Circuit]:
     minimum node index). The bridge is the cross edge whose endpoints free
     up earliest under ASAP scheduling (ties: lexicographic), which lets
     consecutive merge rounds pipeline instead of serializing on hot qubits.
-    Merge k measures into cbit k, and a connected layout takes
+    Merge k measures into cbit k, and the connected layout takes
     len(pieces) - 1 merges, so the circuit has exactly that many cbits.
 
     Components are labels in a comp_of list, with a member list and a
@@ -282,8 +283,6 @@ def _assemble(g: LayoutGraph, pieces: list) -> tuple[MergePlan, Circuit]:
     layouts contracted in O(log N) rounds, such as grids and heavy-hex
     lattices, take O((N + E) log N) in all.
     """
-    if not g.is_connected():
-        raise ValueError("layout graph must be connected")
     n = g.node_count
     members = [sorted(piece.nodes()) for piece in pieces]
     if sorted(chain.from_iterable(members)) != list(range(n)):

@@ -17,7 +17,7 @@ from ghz_synth.bench import (
 )
 from ghz_synth.merging import AbsoluteSize, HighestDegree, ScalingFactor
 from ghz_synth.schema import InputError
-from ghz_synth.stabilizer import NoiseModel
+from ghz_synth.stabilizer import MAX_QUBITS, CapacityError, NoiseModel
 
 
 def small_config(**overrides):
@@ -105,6 +105,20 @@ class TestRunSweep:
         )
         with pytest.raises(ValueError):
             run_sweep(cfg, workers=1)
+
+    def test_fidelity_beyond_simulator_refused_before_any_item(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "_make_layout", lambda *args: calls.append(args))
+        cfg = SweepConfig(
+            family="erdos_renyi", sizes=(8, MAX_QUBITS + 1),
+            protocols=(ProtocolSpec("growing"),), samples=2, er_p=0.001,
+            compute_fidelity=True, shots=64,
+        )
+        with pytest.raises(CapacityError, match=(
+            rf"^sizes \[{MAX_QUBITS + 1}\] exceed the simulator's maximum of {MAX_QUBITS} qubits$"
+        )):
+            run_sweep(cfg, workers=1)
+        assert calls == []
 
     def test_eagle_full_size_allowed(self):
         cfg = SweepConfig(

@@ -257,6 +257,10 @@ def test_synth_malformed_layout_runtime_error(tmp_path, capsys):
         ([], "layout: expected an object"),
         ({"n": 0, "edges": []}, "n: node count must be >= 1, got 0"),
         ({"n": 3, "edges": [[1, 1]]}, "edges: self-loop on node 1"),
+        ({"n": 4, "edges": [[0, 1], [2, 3]]},
+         "edges: layout graph must be connected; 4 nodes need at least 3 edges, got 2"),
+        ({"n": 4, "edges": [[0, 1], [0, 2], [1, 2]]},
+         "edges: layout graph must be connected; node 3 is not reached from node 0"),
         ({"n": 2**24 + 1, "edges": []}, "n: must be <= 16777216, got 16777217"),
         ({"n": 2**63, "edges": []}, "n: must be <= 16777216, got 9223372036854775808"),
     ]

@@ -11,6 +11,7 @@ from ghz_synth.layouts import (
 )
 from ghz_synth.metrics import is_ghz
 from ghz_synth.rng import derive_seed
+from ghz_synth.schema import InputError
 from ghz_synth.stabilizer import run
 
 
@@ -89,6 +90,6 @@ class TestGrowing:
         assert synthesize_growing(g).ops[0] == H(1)
 
     def test_rejects_disconnected(self):
-        g = LayoutGraph(4, ((0, 1), (2, 3)))
-        with pytest.raises(ValueError):
-            synthesize_growing(g)
+        # refused when the layout is built, so growing never sees it
+        with pytest.raises(InputError, match=r"^edges: layout graph must be connected"):
+            LayoutGraph(4, ((0, 1), (2, 3)))

@@ -249,19 +249,30 @@ class TestLayoutGraphInvariants:
     def test_edges_stored_sorted(self):
         assert LayoutGraph(4, ((2, 3), (0, 1), (1, 3))).edges == ((0, 1), (1, 3), (2, 3))
 
-    def test_connectivity_computed_once(self, monkeypatch):
-        calls = []
-        reaches_all = LayoutGraph._reaches_all
+    def test_connectivity_computed_once(self):
+        # checked when the graph is built, which stores the adjacency it
+        # searched; a disconnected graph is never built
+        g = rect_grid(3, 3)
+        assert g.adjacency[4] == (1, 3, 5, 7)
+        assert all(g.neighbors(u) is g.adjacency[u] for u in range(9))
+        with pytest.raises(schema.InputError, match=(
+            r"^edges: layout graph must be connected; 3 nodes need at least 2 edges, got 1$"
+        )):
+            LayoutGraph(3, ((0, 1),))
 
-        def counting(self):
-            calls.append(self)
-            return reaches_all(self)
+    def test_edgeless_huge_layout_refused_before_it_is_built(self):
+        import tracemalloc
 
-        monkeypatch.setattr(LayoutGraph, "_reaches_all", counting)
-        g, split = rect_grid(3, 3), LayoutGraph(3, ((0, 1),))
-        for _ in range(3):
-            assert g.is_connected() and not split.is_connected()
-        assert len(calls) == 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(schema.InputError, match=(
+                r"^edges: layout graph must be connected; 16777216 nodes need"
+            )):
+                LayoutGraph.from_json('{"n": 16777216, "edges": []}')
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_json_round_trip(self):
         g = connected_erdos_renyi(12, 0.3, seed=4)

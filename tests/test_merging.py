@@ -23,6 +23,7 @@ from ghz_synth.merging import (
 )
 from ghz_synth.metrics import is_ghz
 from ghz_synth.rng import derive_seed
+from ghz_synth.schema import InputError
 from ghz_synth.stabilizer import run
 
 
@@ -177,10 +178,11 @@ class TestPlanMerges:
             plan_merges(g, [Star(0, frozenset({1}))])
 
     def test_rejects_disconnected(self):
-        # the synthesizers' error, before any contraction could get stuck
-        g = LayoutGraph(4, ((0, 1), (2, 3)))
-        with pytest.raises(ValueError, match=r"^layout graph must be connected$"):
-            plan_merges(g, select_stars(g, HighestDegree()))
+        # refused when the layout is built, before any contraction could get stuck
+        with pytest.raises(InputError, match=(
+            r"^edges: layout graph must be connected; node 3 is not reached from node 0$"
+        )):
+            LayoutGraph(5, ((0, 1), (0, 2), (1, 2), (3, 4)))
 
 
 class TestSynthesizeMerging:
@@ -235,9 +237,9 @@ class TestSynthesizeMerging:
         )
 
     def test_rejects_disconnected(self):
-        g = LayoutGraph(4, ((0, 1), (2, 3)))
-        with pytest.raises(ValueError):
-            synthesize_merging(g, HighestDegree())
+        # refused when the layout is built, so merging never sees it
+        with pytest.raises(InputError, match=r"^edges: layout graph must be connected"):
+            LayoutGraph(4, ((0, 1), (2, 3)))
 
     def test_merge_op_sequence(self):
         g = path_graph(5)
@@ -263,17 +265,60 @@ class TestSynthesizeMerging:
 
 
 @st.composite
-def connected_graphs(draw, max_n=30):
-    """A random tree plus random extra edges on 1..max_n nodes, randomly relabelled."""
-    n = draw(st.integers(1, max_n))
+def connected_graphs(draw, max_n=30, min_n=1, extra=True):
+    """A random tree on min_n..max_n nodes, plus random extra edges when extra,
+    randomly relabelled."""
+    n = draw(st.integers(min_n, max_n))
     pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    if n > 1:
+    if extra and n > 1:
         node = st.integers(0, n - 1)
         pairs |= {(u, v) for u, v in draw(st.lists(st.tuples(node, node), max_size=2 * n))
                   if u != v}
     label = draw(st.permutations(range(n)))
     edges = {tuple(sorted((label[u], label[v]))) for u, v in pairs}
     return LayoutGraph(n, tuple(sorted(edges)))
+
+
+class TestConnectedByConstruction:
+    @settings(max_examples=200, deadline=None)
+    @given(g=connected_graphs())
+    def test_adjacency_and_round_trip(self, g):
+        # connected_graphs builds g, so construction accepted it
+        for u in range(g.node_count):
+            scan = sorted({b for a, b in g.edges if a == u} | {a for a, b in g.edges if b == u})
+            assert g.adjacency[u] == tuple(scan)
+        back = LayoutGraph.from_json(g.to_json())
+        assert back == g and back.adjacency == g.adjacency
+
+    @settings(max_examples=100, deadline=None)
+    @given(tree=connected_graphs(min_n=2, extra=False))
+    def test_tree_minus_any_edge_refused(self, tree):
+        assert tree.edge_count == tree.node_count - 1
+        for i in range(tree.edge_count):
+            rest = tree.edges[:i] + tree.edges[i + 1:]
+            with pytest.raises(InputError, match=r"^edges: layout graph must be connected"):
+                LayoutGraph(tree.node_count, rest)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=connected_graphs(max_n=12), b=connected_graphs(max_n=12), data=st.data())
+    def test_two_parts_refused(self, a, b, data):
+        # a and b side by side, randomly relabelled: the message names the
+        # lowest node outside node 0's part when the edge count passes
+        n = a.node_count + b.node_count
+        label = data.draw(st.permutations(range(n)))
+        pairs = a.edges + tuple((u + a.node_count, v + a.node_count) for u, v in b.edges)
+        edges = tuple(tuple(sorted((label[u], label[v]))) for u, v in pairs)
+        part = {label[u] for u in range(a.node_count)}
+        if 0 not in part:
+            part = set(range(n)) - part
+        unreached = min(set(range(n)) - part)
+        message = (
+            f"node {unreached} is not reached from node 0" if len(edges) >= n - 1
+            else f"{n} nodes need at least {n - 1} edges, got {len(edges)}"
+        )
+        with pytest.raises(InputError) as refused:
+            LayoutGraph(n, edges)
+        assert str(refused.value) == f"edges: layout graph must be connected; {message}"
 
 
 class TestRandomConnectedGraphs:
