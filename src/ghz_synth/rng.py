@@ -15,6 +15,14 @@ GAMMA = 0x9E3779B97F4A7C15. Every draw is addressed by its index, so a
 caller computes only the draws it reads, for any subset of keys at once.
 Pre-mixing the key keeps nearby keys such as 0, 1, 2 from giving related
 streams.
+
+Rare events are sampled by geometric skipping (Gidney, Quantum 5, 497,
+2021), one draw per event rather than one per place it may happen:
+CounterStream.skips finds each lane's hits among m locations that each hit
+with probability p, reading draw t0 + 2j for the lane's j-th skip. The gap
+to the next hit is the number of k >= 1 with u < (1 - p)**k, the powers
+being built by sequential float64 multiplication and compared, not taken a
+log of, so every IEEE-754 platform and every lane count gives the same gap.
 """
 
 from __future__ import annotations
@@ -113,12 +121,19 @@ class CounterStream:
         _mix_words(self._base, self._tmp)
         self._hit = np.zeros(-(-self._base.size // 64) * 64, dtype=bool)  # padding stays False
 
-    def uniforms(self, t: int, lanes: Optional[np.ndarray] = None) -> np.ndarray:
-        """Draw t of every lane, or of the given lane indices, as float64."""
+    def uniforms(self, t, lanes: Optional[np.ndarray] = None) -> np.ndarray:
+        """Draw t of every lane, or of the given lane indices, as float64.
+
+        t is one draw index for all, or an integer array of one per lane.
+        """
         base = self._base if lanes is None else self._base[lanes]
         if base.size < _FEW_LANES:
-            return np.array([(_draw(b, t) >> 11) * 2.0**-53 for b in base.tolist()])
-        z = base + np.uint64(_counter(t))
+            ts = np.broadcast_to(t, base.shape).tolist()
+            return np.array([(_draw(b, s) >> 11) * 2.0**-53 for b, s in zip(base.tolist(), ts)])
+        if np.ndim(t):  # uint64 arrays wrap silently, like _counter
+            z = base + (np.asarray(t, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
+        else:
+            z = base + np.uint64(_counter(int(t)))
         return (_mix_words(z, np.empty_like(z)) >> 11) * 2.0**-53
 
     def below(self, t: int, p: float) -> np.ndarray:
@@ -141,3 +156,41 @@ class CounterStream:
         z = np.add(self._base, np.uint64(_counter(t)), out=self._z)
         np.less_equal(_mix_words(z, self._tmp), np.uint64(top), out=self._hit[:lanes])
         return np.packbits(self._hit, bitorder="little").view("<u8")
+
+    def skips(self, t0: int, p: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every lane's hits among locations 0..m-1 that each hit with probability p.
+
+        A lane's j-th skip reads its draw t0 + 2j, u, and moves from the
+        previous hit (-1 at the start) by gap + 1 locations, gap being the
+        number of k >= 1 with u < T[k] for T[k] = (1 - p)**k, so that
+        P(gap >= g) = (1 - p)**g; the lane stops at the first location past
+        m - 1. T is built by sequential float64 multiplication and only
+        compared, so the gap is the same for any lane count. Returns
+        (lanes, locations, draws), one entry per hit in the order found:
+        draws holds t0 + 2j + 1, the draw after the skip that found the hit,
+        which the stream leaves for the caller. p <= 0 reads no draw.
+        """
+        lanes = np.arange(self._base.size)
+        found: list[tuple[np.ndarray, np.ndarray, int]] = []
+        if p > 0 and m > 0:
+            # T[m], ..., T[1], T[0] = 1: ascending, and T[g] is table[m - g]
+            table = np.append(np.multiply.accumulate(np.full(m, 1.0 - p))[::-1], 1.0)
+            at = np.full(lanes.size, -1, dtype=np.int64)
+            t = t0
+            while lanes.size:
+                u = self.uniforms(t, lanes)
+                # a lane at location a stops iff its gap reaches m - 1 - a, iff
+                # u < T[m - 1 - a]; only the others search the table for theirs
+                go = u >= table[at + 1]
+                lanes, at, u = lanes[go], at[go], u[go]
+                at += m + 1 - np.searchsorted(table, u, side="right")  # the gap, plus 1
+                found.append((lanes, at, t + 1))
+                t += 2
+        if not found:
+            none = np.zeros(0, dtype=np.int64)
+            return none, none, none
+        return (
+            np.concatenate([hit for hit, _, _ in found]),
+            np.concatenate([at for _, at, _ in found]),
+            np.concatenate([np.full(hit.size, t, dtype=np.int64) for hit, _, t in found]),
+        )

@@ -63,7 +63,6 @@ key seed, so shot s equals the single-shot run of the ops and readout.
 from __future__ import annotations
 
 import copy
-import itertools
 from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
@@ -120,9 +119,8 @@ class NoiseModel:
 
 _ONE = np.uint64(1)
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-# all-ones where the Pauli I, X, Y, Z (0..3) has an x part / a z part
-_HAS_X = np.array([0, _ONES, _ONES, 0], dtype=np.uint64)
-_HAS_Z = np.array([0, 0, _ONES, _ONES], dtype=np.uint64)
+# whether the Pauli I, X, Y, Z (0..3) has an x part and a z part
+_PARTS = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=bool)
 
 
 def _pack(bits: np.ndarray, words: int) -> np.ndarray:
@@ -401,6 +399,11 @@ class PauliFrame:
         np.bitwise_xor.at(self.fz[q], word, z_bits)
         self.clean = False
 
+    def xor(self, q: int, xz: np.ndarray) -> None:
+        """A Pauli error on qubit q: X in the shots of the packed words xz[0], Z in those of xz[1]."""
+        self.f[:, q] ^= xz
+        self.clean = False
+
     def flip_x(self, qs: Sequence[int], words: np.ndarray, ref_bit: int) -> None:
         """X on every qubit of qs in the shots set in words, and in the reference iff ref_bit."""
         if ref_bit:
@@ -461,6 +464,68 @@ def _check_forced(forced: Sequence[Optional[int]]) -> Sequence[Optional[int]]:
     return forced
 
 
+# The skip draws of error class c start at draw _SKIP_BASE + c * _SKIP_STRIDE,
+# far above any measurement event's coin
+_SKIP_BASE, _SKIP_STRIDE = 2**62, 2**58
+
+
+def _noise_plan(
+    ops: Sequence[Operation], stream: CounterStream, words: int, noise: NoiseModel
+) -> tuple[dict[int, list[tuple[int, np.ndarray]]], dict[int, np.ndarray]]:
+    """Every shot's errors, drawn before the walk by one skip sampler per error class.
+
+    The four classes number their locations in program order: 1-qubit
+    locations (after each H and X, and on each CondX target), CX locations,
+    readout flips (every MeasureZ) and reset errors (every Reset). Returns
+    (errors, flips): errors maps a gate op's index to its (qubit, packed
+    (2, words) x/z masks) Pauli errors, flips a MeasureZ's or Reset's index
+    to the packed shots whose readout flips or whose reset errs. Only the
+    locations that erred in some shot are present.
+    """
+    sites: tuple[list[tuple[int, tuple[int, ...]]], ...] = ([], [], [], [])
+    for i, op in enumerate(ops):
+        if isinstance(op, (H, X)):
+            sites[0].append((i, (op.q,)))
+        elif isinstance(op, CondX):
+            sites[0].extend((i, (t,)) for t in op.targets)
+        elif isinstance(op, CX):
+            sites[1].append((i, (op.control, op.target)))
+        else:
+            sites[2 if isinstance(op, MeasureZ) else 3].append((i, ()))
+    errors: dict[int, list[tuple[int, np.ndarray]]] = {}
+    flips: dict[int, np.ndarray] = {}
+    probabilities = (noise.p1, noise.p2, noise.pm, noise.pr)
+    for c, (where, p) in enumerate(zip(sites, probabilities)):
+        lanes, locs, draws = stream.skips(_SKIP_BASE + c * _SKIP_STRIDE, p, len(where))
+        if not lanes.size:
+            continue
+        hit = np.zeros(len(where), dtype=bool)
+        hit[locs] = True
+        found = np.flatnonzero(hit)  # the locations that erred in some shot
+        k = len(where[0][1])  # qubits per location
+        # flat index of each error's word in a (found, k, 2, words) mask array
+        at = ((np.cumsum(hit) - 1)[locs] * 2 * max(k, 1)) * words + (lanes >> 6)
+        bit = _ONE << (lanes & 63).astype(np.uint64)  # a lane hits a location at most once
+        masks = np.zeros((found.size, max(k, 1), 2, words), dtype=np.uint64)
+        flat = masks.reshape(-1)
+        if not k:
+            np.bitwise_or.at(flat, at, bit)
+            flips.update(zip([where[loc][0] for loc in found.tolist()], masks[:, 0, 0]))
+            continue
+        # uniform over the 4**k - 1 non-identity Paulis, from the draw after the skip;
+        # qubit j's Pauli is base-4 digit k - 1 - j of the code, 0..3 = I, X, Y, Z
+        choices = 4**k - 1
+        u = stream.uniforms(draws, lanes)
+        code = np.minimum((u * choices).astype(np.int64), choices - 1) + 1
+        paulis = (code[:, None] >> 2 * np.arange(k - 1, -1, -1)) & 3
+        e, j, part = np.nonzero(_PARTS[paulis])
+        np.bitwise_or.at(flat, at[e] + (2 * j + part) * words, bit[e])
+        for loc, mask in zip(found.tolist(), masks):
+            i, qs = where[loc]
+            errors.setdefault(i, []).extend(zip(qs, mask))
+    return errors, flips
+
+
 def _simulate(
     n: int,
     cbit_count: int,
@@ -473,71 +538,45 @@ def _simulate(
     """Shared engine for run() and sample_counts(): ops on n qubits and cbit_count bits.
 
     ops need not form a valid Circuit: the sample_counts readout may re-measure
-    a qubit. stream has one lane per shot. Draw indices are handed out in the
-    order of the randomness contract whether or not the draw is read, and
-    only the draws read are computed. Every measurement event goes through
-    measure(), the only code that decides determinism and computes a
-    determined outcome. Returns (frame, classical bits, outcome log) with
-    every per-shot value in packed words: cbits has one row per classical
-    bit and the log one word vector per measurement event.
+    a qubit. stream has one lane per shot. The noise is drawn first, as masks
+    (see _noise_plan); the walk XORs them in and reads only the coins of the
+    random measurements. Every measurement event goes through measure(), the
+    only code that decides determinism and computes a determined outcome.
+    Returns (frame, classical bits, outcome log) with every per-shot value in
+    packed words: cbits has one row per classical bit and the log one word
+    vector per measurement event.
     """
     frame = PauliFrame(n, shots)
     ref = frame.ref
     cbits = np.zeros((cbit_count, frame.every.size), np.uint64)
     ref_cbits = [0] * cbit_count  # the reference's (noiseless) classical bits
     log: list[np.ndarray] = []
-    slots = itertools.count()  # index of the next draw
+    errors, flips = ({}, {}) if noise is None else _noise_plan(ops, stream, frame.every.size, noise)
 
-    def below(p: float) -> np.ndarray:
-        """Packed words of the shots whose next draw is below p."""
-        return stream.below(next(slots), p)
-
-    def depolarize(qs: tuple[int, ...], p: float, fire: Optional[np.ndarray] = None):
-        """Pauli error with probability p, uniform over the 4**k - 1 non-identity ones.
-
-        Takes an error draw and a choice draw; the choice is read only in
-        the shots that erred (and, for a CondX, fired).
-        """
-        t_err, t_which = next(slots), next(slots)
-        if p <= 0:
-            return
-        hit = stream.below(t_err, p)
-        if fire is not None:
-            hit &= fire
-        if not np.count_nonzero(hit):
-            return
-        lanes = _unpack(hit, shots).view(bool).nonzero()[0]  # nonzero is fastest on bool
-        choices = 4 ** len(qs) - 1
-        u = stream.uniforms(t_which, lanes)
-        code = np.minimum((u * choices).astype(np.int64), choices - 1) + 1
-        word, bit = lanes >> 6, _ONE << (lanes & 63).astype(np.uint64)
-        for i, q in enumerate(qs):
-            pauli = (code >> 2 * (len(qs) - 1 - i)) & 3  # 0..3 = I, X, Y, Z
-            frame.error(q, word, bit & _HAS_X[pauli], bit & _HAS_Z[pauli])
-
-    def event(op: MeasureZ | Reset, ref_bit: Optional[int]) -> None:
-        """Coin slot, forcing and log entry of one event, then its cbit (after any
+    def event(i: int, ref_bit: Optional[int]) -> None:
+        """Coin, forcing and log entry of the event ops[i], then its cbit (after any
         readout flip) or reset; ref_bit is the reference's outcome if deterministic."""
-        q, t_coin = op.q, next(slots)
-        want = forced[len(log)] if len(log) < len(forced) else None
+        op, e = ops[i], len(log)  # event e's coin is draw e
+        want = forced[e] if e < len(forced) else None
         if ref_bit is None:
-            outcome = stream.below(t_coin, 0.5) if want is None else frame.all_or_none(want)
-            frame.measure(q, outcome)
+            outcome = stream.below(e, 0.5) if want is None else frame.all_or_none(want)
+            frame.measure(op.q, outcome)
             ref_bit = int(outcome[0] & _ONE)
         else:
-            outcome = frame.all_or_none(ref_bit) ^ frame.fx[q]
+            outcome = frame.all_or_none(ref_bit) ^ frame.fx[op.q]
             if want is not None and not np.array_equal(outcome, frame.all_or_none(want)):
                 raise InvalidForcingError(
-                    f"measurement event {len(log)} on qubit {q} is deterministically "
+                    f"measurement event {e} on qubit {op.q} is deterministically "
                     f"{int(outcome[0] & _ONE)}, cannot force {int(want)}"
                 )
         log.append(outcome)
+        flip = flips.get(i)
+        noisy = outcome if flip is None else outcome ^ flip
         if isinstance(op, MeasureZ):
-            cbits[op.cbit] = outcome if noise is None else outcome ^ below(noise.pm)
+            cbits[op.cbit] = noisy
             ref_cbits[op.cbit] = ref_bit
         else:  # an X where the outcome is 1 resets to |0>, a reset error adds one more
-            flip = outcome if noise is None else outcome ^ below(noise.pr)
-            frame.flip_x((q,), flip, ref_bit)
+            frame.flip_x((op.q,), noisy, ref_bit)
 
     def measure(i: int) -> int:
         """Measure ops[i], a MeasureZ or Reset, and after a deterministic MeasureZ the
@@ -553,38 +592,32 @@ def _simulate(
             if not isinstance(ops[j + 1], MeasureZ):
                 break
             j += 1
-        determined = ops[i : j if random else j + 1]
+        determined = range(i, j if random else j + 1)
         if determined:
-            qs = [d.q for d in determined]
-            for d, bit in zip(determined, ref._signs(ref.x[qs], 0).tolist()):
-                event(d, bit)
+            qs = [ops[k].q for k in determined]
+            for k, bit in zip(determined, ref._signs(ref.x[qs], 0).tolist()):
+                event(k, bit)
         if random:
-            event(op, None)
+            event(j, None)
         return j + 1
 
     resume = 0  # the ops before it were measured as part of a run
     for i, op in enumerate(ops):
         if isinstance(op, H):
             frame.apply_h(op.q)
-            if noise is not None:
-                depolarize((op.q,), noise.p1)
         elif isinstance(op, X):
             frame.flip_x((op.q,), frame.every, 1)
-            if noise is not None:
-                depolarize((op.q,), noise.p1)
         elif isinstance(op, CX):
             frame.apply_cx(op.control, op.target)
-            if noise is not None:
-                depolarize((op.control, op.target), noise.p2)
         elif isinstance(op, CondX):
             # the X corrections commute, so all targets flip at once before their errors
             fire = cbits[op.cbit]
             frame.flip_x(op.targets, fire, ref_cbits[op.cbit])
-            if noise is not None:
-                for t in op.targets:
-                    depolarize((t,), noise.p1, fire)
         elif isinstance(op, (MeasureZ, Reset)) and i >= resume:
             resume = measure(i)
+        for q, xz in errors.get(i, ()):
+            # a correction errs only where it fired
+            frame.xor(q, xz & fire if isinstance(op, CondX) else xz)
     return frame, cbits, log
 
 

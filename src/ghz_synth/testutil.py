@@ -1,6 +1,7 @@
-"""Helpers for randomized cross-validation: of the two simulators, and of
-the array-drawn Erdős–Rényi generator against its scalar reference; plus the
-tableau's structural checks and masked Paulis, which only tests use."""
+"""Helpers for randomized cross-validation: of the two simulators, of the
+array-drawn Erdős–Rényi generator and of the vectorized skip sampler against
+their scalar references; plus the tableau's structural checks and masked
+Paulis, which only tests use."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import numpy as np
 
 from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset, X
 from .layouts import LayoutGraph
-from .rng import make_rng
+from .rng import _draw, _mix, make_rng
 from .stabilizer import Tableau, _unpack
 
 __all__ = [
@@ -16,6 +17,7 @@ __all__ = [
     "apply_pauli_dense",
     "stabilizers_fix_state",
     "scalar_erdos_renyi",
+    "scalar_skips",
     "tableau_bits",
     "check_invariants",
     "apply_pauli",
@@ -179,3 +181,31 @@ def scalar_erdos_renyi(n: int, p: float, seed: int) -> LayoutGraph:
             if (u, v) not in edges and rng.random() < p:
                 edges.add((u, v))
     return LayoutGraph(n, tuple(edges))
+
+
+def scalar_skips(keys, t0: int, p: float, m: int) -> list[tuple[int, int, int]]:
+    """Reference for rng.CounterStream.skips: one lane and one skip at a time.
+
+    Returns the sorted (lane, location, draw) of every hit. A skip's gap
+    counts k >= 1 while u < (1 - p)**k, each power one float64 product
+    more than the last, up to m.
+    """
+    hits = []
+    if p <= 0:
+        return hits
+    q = 1.0 - p
+    for lane, key in enumerate(keys):
+        base = _mix(int(key))
+        at, t = -1, t0
+        while True:
+            u = (_draw(base, t) >> 11) * 2.0**-53
+            gap, power = 0, q
+            while gap < m and u < power:
+                gap += 1
+                power *= q
+            at += gap + 1
+            if at >= m:
+                break
+            hits.append((lane, at, t + 1))
+            t += 2
+    return sorted(hits)

@@ -420,47 +420,50 @@ SIM_CIRCUITS = {
 SIM_SHOTS = 1024
 SIM_NOISE = NoiseModel(0.001, 0.01, 0.01, 0.01)
 # circuit: (run, noiseless sample_counts, noisy sample_counts) digests; the run
-# has seed derive_seed(92, circuit), the samples derive_seed(93, circuit)
+# has seed derive_seed(92, circuit), the samples derive_seed(93, circuit). The
+# noisy digests were re-pinned when the engine began drawing its errors by
+# geometric skipping, one skip sampler per error class: the same error law,
+# other draws. Every run and noiseless digest is the one pinned before.
 SIM_GOLDEN = {
     "eagle_127/growing": (
         "c27d5cf5a7af26a48488936a4091251f0682e5b8bb30b685a0bcac213dae3fb6",
         "cb186d6abde0cec469fdd31b3514d78d421bdfb08942d9956b1dc9412b850841",
-        "aa79cd38468b2f29ecb48f1b1842d04ee7904ac1ede11134336fd9422aadc3eb",
+        "6ba85dcf704bc93cb9526ad5e2ea3e5bfced24748b916d8ec21e5aa5dc767103",
     ),
     "eagle_127/highest_degree": (
         "31526a849988e86e7427d50b1325513276036d03e79501c88dbaf27bcc7f90d1",
         "77c7401d8c9f6fc581f344fea19193957dcf31ed85eb8c40193e58521fb0dca3",
-        "61402e65cb23e223063437e0621e415446120ef8196b32d8dfea658be4bbae4d",
+        "ac0efe41196b86423123bc5c03c5f6fc30fbba14ffe1f80b237aa2a8ed2c6a35",
     ),
     "grid_16x32/growing": (
         "6cd28711149c5cd1e25567ec21f364decbd16b347d47c9b517d97de8915461b4",
         "3eea0aefd850f4399bacb0c82a471a7198b47cce7be72e6ddaefbb4e295d9fb8",
-        "b825ffab959a07a710226dbdcd16d78024069e0d0a83f00e407e6f8051336ff4",
+        "84b699db88e09b1817dc198a661d283472e20a9b2c57a4655a3b93f97d37aad7",
     ),
     "grid_16x32/highest_degree": (
         "d0c97e66a354ff87712391bbe2d674c29d169230f89ad57e2e8ac72a3d289142",
         "4c08a23e481cad29976d2d79dec4d10eaa60d3d8d5f7844a5f65877ffe38fda4",
-        "ceafda568448a40dbc692bb5a35fe90b5bc15e811b608621ab776d1c9843c31e",
+        "fd361b2a97b6b5e983f01f834bf9c708068724db9f171be79eff3882e8a1c31a",
     ),
     "random_63": (
         "853043692644d7591121f3076891bf341cd558080665d9318e00e53e555ed482",
         "8dd93aa6f681aa751174982c62edae227bb63d75633cc335cb946b4d090a565f",
-        "029a158d72d4418a5f7806b1c2a679953e76b1fc01693d4d991cd01bc17efe8b",
+        "cf60e83cac8dacb758c70bc8d4c197b758616e11cdb9af98bbf5c2889fbc4f7d",
     ),
     "random_64": (
         "2627ff955a9f45d012d41ba0efb35f7465333dedacbb45a24b5980b31a7dc2a1",
         "c431183bbc087be674e5868226730385a3a8abbe305910288627ae830db5073d",
-        "dd99b2f625a4536a2776a9ebd111529d2d80ff9ccdc358cc2ac89f15d0eefc32",
+        "4d3e12b21dc813232f35a53397a18a5ba3f5d5024d8fbe779ee7ca6711643fc1",
     ),
     "random_65": (
         "72b706fe09ff870f44fccd2a3e6b35a0d572269f8ebd6f38046b1caaeb684154",
         "0ead3e0a48650e6505c7eb5b3388a9368d6416b42160dc5404c60bb12aeb4ee5",
-        "f102ebbeedb45efba2ed683b1602e52cefe7735f5d876a9bc2a780ac4a6e8182",
+        "b6dcf52f9af835da91ea951d0f5328dfffb6e40a5cb43b2988d62b465280dabb",
     ),
     "random_129": (
         "80f1b1b2801c3cf368a46ef65922ee798279c78a41df567fd66d9aefb923a459",
         "fd9e53110cfd92ffbde9034f6fecda8fa864e1656c59eb4a936a5a047b5e959d",
-        "110ffd70f7726bcd81b2212557854a35bf08779d1a51b74e5bba9d1d3865772e",
+        "b4e04bfbe10c26554595c86478f250895be9fa44ec29c3f5d2db6dbf92d20ae2",
     ),
 }
 
@@ -499,21 +502,22 @@ def test_simulator_digest(name):
 # that fire in some shots and err in fewer, reset errors, readout flips and
 # the padding lanes of the last word all occur. circuit: (noisy run, noisy
 # sample_counts) digests; the run has seed derive_seed(94, circuit), the
-# samples derive_seed(95, circuit).
+# samples derive_seed(95, circuit). Both digests are noisy, so both were
+# re-pinned when the engine began drawing its errors by geometric skipping.
 HEAVY_SHOTS = 1000
 HEAVY_NOISE = NoiseModel(0.1, 0.2, 0.1, 0.1)
 HEAVY_GOLDEN = {
     "eagle_127/highest_degree": (
-        "43f1b999aaf67eb14ad05ba9d66a84d94cc28958972ab141dd407034413d74a1",
-        "0f79204d618599483e5cc5636dfcc05b0f4cb9476409d0dd402e976eb140a7a6",
+        "0e8445b650a766a0e7598007c28e5254bb4b6b3bea5f4fbe9e68717a07a7a878",
+        "626ce26fa755039b45eab63c0bfa37352dec30967925e3feade19bb5fb0f3cc8",
     ),
     "random_65": (
-        "0cba8bcee33351c2d50650e57e46072e451278562dc564a4321ac955651e573c",
-        "c293fb91bd48c56b2e04c8ba651d7d836b83b7e0e037d16050863197b880c57e",
+        "4f53c8413e12b879acf92e212f4c1079fcaaa31d777e014c9e825a2e0ea073d6",
+        "acfd9a50c68d3b12ce96f089c93bbbc1e784468c3c2422c1885b8aa3552cd9fa",
     ),
     "random_129": (
-        "7050739725eaa87555653ab01f679e304cd3ed2f648874454587119fbfd49a62",
-        "7266db8416bfe103ca6169d504971fc728de9402f479a33fcd15b883c1e9e361",
+        "67f694a8123926c24e5669b3811704d631cf7e406b6e1acb2ff634cc68f28d6c",
+        "636d7c7e5be93aa2ec6bdb4c8d20aa6d491018d3336c3ff0419c55588df0c4da",
     ),
 }
 
@@ -561,11 +565,13 @@ def _measurement_runs_circuit() -> Circuit:
 
 # Pinned before sample_counts read out through ordinary MeasureZ events: a run
 # of the circuit above at four seeds (cbits, outcome log, x/z bits and all 2n
-# signs), and 1000 noiseless and 1000 heavy-noise shots of sample_counts.
+# signs), and 1000 noiseless and 1000 heavy-noise shots of sample_counts. The
+# heavy-noise digest was re-pinned when the engine began drawing its errors by
+# geometric skipping; the other two are the ones pinned before.
 MEASUREMENT_RUNS_GOLDEN = (
     "1c730cb1081b76b3a25d658fbb56fc683e8748c6ae68a92e8ddb6c22f20d1318",
     "32669fb6186f2a6985e1684d431414a0b5b7dab18fe45dd09b7e4021d8a609c0",
-    "fcda00f8de4feb2f588252f855623771969d901dd349c4e39456b45b3cd289b1",
+    "9b7fc8829efbecae9567d4238cecdd39c18545914e0c9e9d595273fd4726ef91",
 )
 
 

@@ -462,12 +462,13 @@ class TestCounterDraws:
             assert run(c, seed).cbits == [0, int(u < 0.5)]
 
     def test_which_pauli_is_the_draw_after_the_error(self):
-        # X then a certain error: X or Y undo it, Z leaves |1>; the
-        # measurement's coin and readout flip are draws 2 and 3
+        # X then a certain error: X or Y undo it, Z leaves |1>. The error is
+        # location 0 of the 1-qubit class, found by its skip 0 (draw 2**62),
+        # so its Pauli is the draw after that skip, 2**62 + 1
         c = circ(1, 1, X(0), MeasureZ(0, 0))
         noise = NoiseModel(p1=1.0)
         for seed in range(60):
-            u = CounterStream(np.array([seed], dtype=np.uint64)).uniforms(1)[0]
+            u = CounterStream(np.array([seed], dtype=np.uint64)).uniforms(2**62 + 1)[0]
             assert run(c, seed, noise=noise).cbits == [int(u * 3 >= 2)]
 
     def test_no_draw_before_capacity_check(self, monkeypatch):
