@@ -92,15 +92,21 @@ class LayoutGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    def _node(self, u: int) -> int:
+        """u itself if it is a node, 0 <= u < n; else IndexError."""
+        if not 0 <= u < self.node_count:
+            raise IndexError(f"node {u} is not in a layout of n = {self.node_count} nodes")
+        return u
+
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Sorted neighbors of node u."""
-        return self.adjacency[u]
+        return self.adjacency[self._node(u)]
 
     def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
+        return len(self.adjacency[self._node(u)])
 
     def has_edge(self, u: int, v: int) -> bool:
-        a, b = min(u, v), max(u, v)
+        a, b = sorted((self._node(u), self._node(v)))
         return b in self.adjacency[a]
 
     def to_json(self) -> str:

@@ -170,25 +170,24 @@ class CounterStream:
         draws holds t0 + 2j + 1, the draw after the skip that found the hit,
         which the stream leaves for the caller. p <= 0 reads no draw.
         """
-        lanes = np.arange(self._base.size)
-        found: list[tuple[np.ndarray, np.ndarray, int]] = []
-        if p > 0 and m > 0:
-            # T[m], ..., T[1], T[0] = 1: ascending, and T[g] is table[m - g]
-            table = np.append(np.multiply.accumulate(np.full(m, 1.0 - p))[::-1], 1.0)
-            at = np.full(lanes.size, -1, dtype=np.int64)
-            t = t0
-            while lanes.size:
-                u = self.uniforms(t, lanes)
-                # a lane at location a stops iff its gap reaches m - 1 - a, iff
-                # u < T[m - 1 - a]; only the others search the table for theirs
-                go = u >= table[at + 1]
-                lanes, at, u = lanes[go], at[go], u[go]
-                at += m + 1 - np.searchsorted(table, u, side="right")  # the gap, plus 1
-                found.append((lanes, at, t + 1))
-                t += 2
-        if not found:
+        if p <= 0 or m <= 0:
             none = np.zeros(0, dtype=np.int64)
             return none, none, none
+        # T[m], ..., T[1], T[0] = 1: ascending, and T[g] is table[m - g]
+        table = np.append(np.multiply.accumulate(np.full(m, 1.0 - p))[::-1], 1.0)
+        lanes = np.arange(self._base.size)
+        at = np.full(lanes.size, -1, dtype=np.int64)
+        found = []
+        t = t0
+        while lanes.size:
+            u = self.uniforms(t, lanes)
+            # a lane at location a stops iff its gap reaches m - 1 - a, iff
+            # u < T[m - 1 - a]; only the others search the table for theirs
+            go = u >= table[at + 1]
+            lanes, at, u = lanes[go], at[go], u[go]
+            at += m + 1 - np.searchsorted(table, u, side="right")  # the gap, plus 1
+            found.append((lanes, at, t + 1))
+            t += 2
         return (
             np.concatenate([hit for hit, _, _ in found]),
             np.concatenate([at for _, at, _ in found]),

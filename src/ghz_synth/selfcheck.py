@@ -1,10 +1,11 @@
 """Built-in property suite over small instances, behind `ghz-synth verify`.
 
-Every check is deterministic and fast; together they cover layout
-invariants, synthesis count identities, exact GHZ preparation for both
-protocols, merge corrections on both measurement branches, agreement
-between the stabilizer tableau and the dense state vector, noisy sampling
-that replays shot for shot as single runs, and the rejection of malformed
+Every check is deterministic and fast; together they cover the layout
+generators' documented sizes, synthesis count identities, exact GHZ
+preparation for both protocols, merge corrections on both measurement
+branches, agreement between the stabilizer tableau and the dense state
+vector, noisy sampling that replays shot for shot as single runs, the noise
+sampler against its scalar reference, and the rejection of malformed
 circuits when they are built.
 """
 
@@ -18,10 +19,10 @@ from .circuit import CX, Circuit, CondX, H, MalformedCircuitError, MeasureZ
 from .circuit import count_2q, count_measurements, depth
 from .merging import HighestDegree, ScalingFactor, select_stars, synthesize_merging
 from .metrics import is_ghz
-from .rng import derive_seed
+from .rng import CounterStream, derive_seed, shot_keys
 from .stabilizer import NoiseModel, run, sample_counts
 from .statevector import ghz_state, run_dense, state_fidelity
-from .testutil import random_clifford_circuit, stabilizers_fix_state
+from .testutil import random_clifford_circuit, scalar_skips, sorted_skips, stabilizers_fix_state
 
 SEED = 20250601
 # the protocol variants that the synthesis checks synthesize on every small layout
@@ -49,11 +50,16 @@ def _small_layouts() -> list[tuple[str, layouts.LayoutGraph]]:
 
 
 def check_layout_invariants() -> bool:
-    """Each small layout builds, which refuses a disconnected one, and has ordered edges."""
-    for _, g in _small_layouts():
-        if any(not (0 <= u < v < g.node_count) for u, v in g.edges):
-            return False
-    return True
+    """The generators' documented sizes: Eagle has 127 nodes, 144 edges and degree at
+    most 3 and is heavy_hex(7, 15); an r x c grid has r(c - 1) + c(r - 1) edges."""
+    eagle = layouts.eagle_127()
+    degrees = [eagle.degree(u) for u in range(eagle.node_count)]
+    if (eagle.node_count, eagle.edge_count, max(degrees)) != (127, 144, 3):
+        return False
+    if layouts.heavy_hex(7, 15) != eagle:
+        return False
+    grids = ((1, 1), (1, 5), (4, 3), (6, 6))
+    return all(layouts.rect_grid(r, c).edge_count == r * (c - 1) + c * (r - 1) for r, c in grids)
 
 
 def check_count_identities() -> bool:
@@ -123,6 +129,15 @@ def check_shot_replay() -> bool:
     return count_measurements(circ) > 0 and counts == replay
 
 
+def check_skip_sampler() -> bool:
+    """The vectorized noise sampler finds exactly the hits of its scalar reference,
+    across a 64-shot word, rare and certain errors included."""
+    keys = shot_keys(SEED, 70)
+    stream = CounterStream(keys)
+    cases = [(p, m) for p in (0.01, 0.3, 1.0) for m in (1, 40)]
+    return all(sorted_skips(stream, 2**62, p, m) == scalar_skips(keys, 2**62, p, m) for p, m in cases)
+
+
 def check_depth_examples() -> bool:
     c1 = Circuit(3, 0, (H(0), CX(0, 1), CX(0, 2)))
     c2 = Circuit(4, 0, (H(0), CX(0, 1), CX(2, 3)))
@@ -146,12 +161,13 @@ def run_all() -> list[tuple[str, bool, str]]:
     exception type and message.
     """
     checks = [
-        ("layout invariants (simple, connected)", check_layout_invariants),
+        ("layout generators have their documented sizes", check_layout_invariants),
         ("synthesis count identities", check_count_identities),
         ("noiseless synthesis yields exact GHZ", check_exact_ghz),
         ("merge corrections on both branches", check_merge_branches),
         ("tableau agrees with dense state vector", check_tableau_vs_dense),
         ("noisy sampled shots replay as single runs", check_shot_replay),
+        ("noise sampler matches its scalar reference", check_skip_sampler),
         ("ASAP depth hand-scheduled examples", check_depth_examples),
         ("malformed circuits are rejected when built", check_malformed_rejected),
     ]

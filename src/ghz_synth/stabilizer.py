@@ -47,17 +47,33 @@ qubit q is (1 - t.expectation(0, e_q)) // 2, e_q the unit vector of q.
 
 Randomness contract (part of the reproducibility guarantee): each shot
 owns one 64-bit key and reads the counter-based stream of rng.CounterStream,
-whose draw t is a fixed function of (key, t). Draw indices are assigned per
-operation in fixed program order, the same whatever the outcomes: H/X take
-(error?, which-Pauli), CX takes (error?, which-Pauli-pair), CondX takes
-(error?, which-Pauli) per target, MeasureZ and Reset take one measurement
-coin followed by (readout-flip) / (reset-error), event by event, the n
-MeasureZ of the readout too. The error draws exist only when a noise model
-is supplied. A draw nobody reads is never computed: the coin of a
-deterministic or forced measurement, the draws of an error whose probability
-is zero, and the which-Pauli draw of a shot that did not err. Shot s of
+whose draw t is a fixed function of (key, t). Shot s of
 sample_counts(seed=m) has key derive_seed(m, "shot", s) and run(c, seed) has
 key seed, so shot s equals the single-shot run of the ops and readout.
+
+- The coin of measurement event e (each MeasureZ and each Reset, the n
+  MeasureZ of the readout too, in program order) is draw e, with or without
+  a noise model. A deterministic or forced measurement owns its draw
+  without reading it.
+- Noise falls into four error classes, each numbering its locations
+  0..m-1 in program order: 1-qubit locations (after each H and X, and on
+  each CondX target), CX locations, readout flips (every MeasureZ) and
+  reset errors (every Reset). Class c (0..3) with probability p > 0 is
+  sampled by geometric skipping (rng.CounterStream.skips): a shot's j-th
+  skip reads draw B_c + 2j, with B_c = 2**62 + c * 2**58, far above any
+  event's coin. Its gap is the number of k >= 1 with u < (1 - p)**k, the
+  powers built by sequential float64 multiplication, and the next erring
+  location is the previous one + gap + 1, until m is passed. A class
+  with p = 0 reads no draw.
+- A depolarizing location found by skip j takes its Pauli from draw
+  B_c + 2j + 1, uniform over the 4**k - 1 non-identity k-qubit Paulis:
+  code = min(floor(u * (4**k - 1)), 4**k - 2) + 1, whose base-4 digits,
+  most significant first, give each qubit's I, X, Y, Z (0..3). An error on
+  a CondX target counts only in the shots where the correction fired.
+
+The noise is drawn before the walk, as packed X/Z masks per (op, qubit) and
+readout-flip and reset-error masks per event, for the locations that erred
+in some shot; the walk XORs them in.
 """
 
 from __future__ import annotations
@@ -322,8 +338,17 @@ class Tableau:
         (none once every qubit is deterministic, as in a GHZ readout after
         its first outcome: then P is a Z-product and there is no phase).
         They are float64, exact since every entry stays below n^2 < 2^53.
+        A single Pauli whose mask selects one row j, as the Z of a qubit that
+        is one stabilizer generator, is +/- that row: its sign is bit n + j
+        of r, read without unpacking.
         """
         n = self.n
+        if len(anti) == 1:
+            word = anti[0].nonzero()[0]
+            v = int(anti[0, word[0]]) if word.size == 1 else 0
+            if v and not v & (v - 1):
+                row = n + 64 * int(word[0]) + v.bit_length() - 1
+                return np.array([(int(self.r[row >> 6]) >> (row & 63)) & 1], dtype=np.uint8)
         a = _unpack(anti, n)
         sel = (a.any(axis=0) if len(a) > 1 else a[0].view(bool)).nonzero()[0]
         rows = n + sel
@@ -464,23 +489,20 @@ def _check_forced(forced: Sequence[Optional[int]]) -> Sequence[Optional[int]]:
     return forced
 
 
-# The skip draws of error class c start at draw _SKIP_BASE + c * _SKIP_STRIDE,
-# far above any measurement event's coin
+# B_c = _SKIP_BASE + c * _SKIP_STRIDE, the first skip draw of error class c
 _SKIP_BASE, _SKIP_STRIDE = 2**62, 2**58
 
 
 def _noise_plan(
     ops: Sequence[Operation], stream: CounterStream, words: int, noise: NoiseModel
 ) -> tuple[dict[int, list[tuple[int, np.ndarray]]], dict[int, np.ndarray]]:
-    """Every shot's errors, drawn before the walk by one skip sampler per error class.
+    """Every shot's errors, drawn by one skip sampler per error class (see the
+    randomness contract above).
 
-    The four classes number their locations in program order: 1-qubit
-    locations (after each H and X, and on each CondX target), CX locations,
-    readout flips (every MeasureZ) and reset errors (every Reset). Returns
-    (errors, flips): errors maps a gate op's index to its (qubit, packed
-    (2, words) x/z masks) Pauli errors, flips a MeasureZ's or Reset's index
-    to the packed shots whose readout flips or whose reset errs. Only the
-    locations that erred in some shot are present.
+    Returns (errors, flips): errors maps a gate op's index to its (qubit,
+    packed (2, words) x/z masks) Pauli errors, flips a MeasureZ's or Reset's
+    index to the packed shots whose readout flips or whose reset errs. Only
+    the locations that erred in some shot are present.
     """
     sites: tuple[list[tuple[int, tuple[int, ...]]], ...] = ([], [], [], [])
     for i, op in enumerate(ops):
@@ -503,24 +525,27 @@ def _noise_plan(
         hit[locs] = True
         found = np.flatnonzero(hit)  # the locations that erred in some shot
         k = len(where[0][1])  # qubits per location
-        # flat index of each error's word in a (found, k, 2, words) mask array
-        at = ((np.cumsum(hit) - 1)[locs] * 2 * max(k, 1)) * words + (lanes >> 6)
+        rows = max(2 * k, 1)  # an x and a z row per qubit, or the one flip row
+        # flat index of each error's word in a (found, rows, words) mask array
+        at = (np.cumsum(hit) - 1)[locs] * rows * words + (lanes >> 6)
         bit = _ONE << (lanes & 63).astype(np.uint64)  # a lane hits a location at most once
-        masks = np.zeros((found.size, max(k, 1), 2, words), dtype=np.uint64)
+        masks = np.zeros((found.size, rows, words), dtype=np.uint64)
         flat = masks.reshape(-1)
         if not k:
             np.bitwise_or.at(flat, at, bit)
-            flips.update(zip([where[loc][0] for loc in found.tolist()], masks[:, 0, 0]))
+            flips.update(zip([where[loc][0] for loc in found.tolist()], masks[:, 0]))
             continue
         # uniform over the 4**k - 1 non-identity Paulis, from the draw after the skip;
         # qubit j's Pauli is base-4 digit k - 1 - j of the code, 0..3 = I, X, Y, Z
         choices = 4**k - 1
         u = stream.uniforms(draws, lanes)
         code = np.minimum((u * choices).astype(np.int64), choices - 1) + 1
-        paulis = (code[:, None] >> 2 * np.arange(k - 1, -1, -1)) & 3
-        e, j, part = np.nonzero(_PARTS[paulis])
-        np.bitwise_or.at(flat, at[e] + (2 * j + part) * words, bit[e])
-        for loc, mask in zip(found.tolist(), masks):
+        for j in range(k):
+            pauli = (code >> 2 * (k - 1 - j)) & 3
+            for part in (0, 1):
+                has = _PARTS[pauli, part]
+                np.bitwise_or.at(flat, at[has] + (2 * j + part) * words, bit[has])
+        for loc, mask in zip(found.tolist(), masks.reshape(found.size, k, 2, words)):
             i, qs = where[loc]
             errors.setdefault(i, []).extend(zip(qs, mask))
     return errors, flips

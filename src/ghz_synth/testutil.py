@@ -9,7 +9,7 @@ import numpy as np
 
 from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset, X
 from .layouts import LayoutGraph
-from .rng import _draw, _mix, make_rng
+from .rng import CounterStream, _draw, _mix, make_rng
 from .stabilizer import Tableau, _unpack
 
 __all__ = [
@@ -18,6 +18,7 @@ __all__ = [
     "stabilizers_fix_state",
     "scalar_erdos_renyi",
     "scalar_skips",
+    "sorted_skips",
     "tableau_bits",
     "check_invariants",
     "apply_pauli",
@@ -209,3 +210,8 @@ def scalar_skips(keys, t0: int, p: float, m: int) -> list[tuple[int, int, int]]:
             hits.append((lane, at, t + 1))
             t += 2
     return sorted(hits)
+
+
+def sorted_skips(stream: CounterStream, t0: int, p: float, m: int) -> list[tuple[int, int, int]]:
+    """stream.skips(t0, p, m) as the sorted (lane, location, draw) list of scalar_skips."""
+    return sorted(zip(*(a.tolist() for a in stream.skips(t0, p, m))))

@@ -123,7 +123,35 @@ def test_verify_prints_failure_reason(monkeypatch, capsys):
     assert cli_main(["verify"]) == 2
     out = capsys.readouterr().out
     assert "FAIL  ASAP depth hand-scheduled examples: RuntimeError: tableau exploded" in out
-    assert "1 of 8 checks failed" in out
+    assert "1 of 9 checks failed" in out
+
+
+def test_noise_sampler_check_fails_on_a_wrong_sampler(monkeypatch):
+    from ghz_synth import selfcheck
+    from ghz_synth.rng import CounterStream
+
+    assert selfcheck.check_skip_sampler()
+    right = CounterStream.skips
+    # the right skips from the wrong draws
+    monkeypatch.setattr(CounterStream, "skips", lambda self, t0, p, m: right(self, t0 + 2, p, m))
+    assert not selfcheck.check_skip_sampler()
+
+
+@pytest.mark.parametrize("generator", ["eagle_127", "heavy_hex", "rect_grid"])
+def test_layout_check_fails_on_a_wrong_generator(generator, monkeypatch):
+    from ghz_synth import layouts, selfcheck
+
+    assert selfcheck.check_layout_invariants()
+    wrong = {
+        "eagle_127": lambda: layouts.heavy_hex(7, 11),
+        "heavy_hex": lambda rows, cols: layouts.rect_grid(rows, cols),
+        # a path on the r x c nodes: connected, but a tree
+        "rect_grid": lambda rows, cols: layouts.LayoutGraph(
+            rows * cols, tuple((i, i + 1) for i in range(rows * cols - 1))
+        ),
+    }
+    monkeypatch.setattr(layouts, generator, wrong[generator])
+    assert not selfcheck.check_layout_invariants()
 
 
 def test_unknown_flag_usage_error(capsys):

@@ -292,3 +292,24 @@ class TestLayoutGraphInvariants:
             assert bfs_connected(g)
             assert all(0 <= u < v < g.node_count for u, v in g.edges)
             assert len(set(g.edges)) == g.edge_count
+
+
+class TestNodeIndex:
+    @pytest.mark.parametrize("node", [-1, 9, -10, 100])
+    def test_outside_range_refused(self, node):
+        g = rect_grid(3, 3)
+        message = rf"^node {node} is not in a layout of n = 9 nodes$"
+        for query in (
+            lambda: g.neighbors(node),
+            lambda: g.degree(node),
+            lambda: g.has_edge(node, 5),
+            lambda: g.has_edge(5, node),
+        ):
+            with pytest.raises(IndexError, match=message):
+                query()
+
+    def test_both_ends_of_the_range(self):
+        g = rect_grid(3, 3)
+        assert g.neighbors(0) == (1, 3) and g.neighbors(8) == (5, 7)
+        assert g.degree(0) == g.degree(8) == 2
+        assert g.has_edge(8, 5) and g.has_edge(0, 1) and not g.has_edge(0, 8)

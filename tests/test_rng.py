@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from ghz_synth import rng
 from ghz_synth.rng import MAX_SEED, CounterStream, derive_seed, shot_keys
+from ghz_synth.testutil import scalar_skips, sorted_skips
 
 # u_t * 2**53 for t = 0..7, from the SplitMix64 definition; the first entry
 # for key 0 is SplitMix64's first output from state 0 (0xE220A8397B1DCDAF)
@@ -85,6 +87,55 @@ class TestCounterStream:
         u = draws(np.arange(1001), 1000) - 0.5
         r = np.corrcoef(u[:, :-1].ravel(), u[:, 1:].ravel())[0, 1]
         assert abs(r) * u[:, :-1].size ** 0.5 < 5
+
+
+class TestSkips:
+    @pytest.mark.parametrize("lanes", [1, 63, 64, 65, 4096])
+    def test_matches_scalar_reference(self, lanes):
+        # every (lane, location, draw) of the vectorized sampler is the plain
+        # loop's, for rare, common and certain errors, on a word's edges; t0
+        # is the engine's highest class base
+        keys = shot_keys(13, lanes)
+        stream = CounterStream(keys)
+        t0 = 2**62 + 3 * 2**58
+        for p in (1e-3, 0.01, 0.2, 1.0):
+            for m in (1, 7, 700):
+                assert sorted_skips(stream, t0, p, m) == scalar_skips(keys, t0, p, m), (p, m)
+
+    @pytest.mark.parametrize("p, m", [(0.01, 200), (0.3, 40)])
+    def test_law(self, p, m):
+        # each location errs with probability p, independently: per location
+        # hit rates, and the per-lane error count is Binomial(m, p) in mean
+        # and variance, all within 5 sigma over 2**16 lanes
+        lanes = 2**16
+        hit_lanes, locs, _ = CounterStream(shot_keys(17, lanes)).skips(2**62, p, m)
+        per_location = np.bincount(locs, minlength=m)
+        assert per_location.size == m
+        assert np.abs(per_location - lanes * p).max() < 5 * (lanes * p * (1 - p)) ** 0.5
+        count = np.bincount(hit_lanes, minlength=lanes)
+        mean, var = m * p, m * p * (1 - p)
+        assert abs(count.mean() - mean) < 5 * (var / lanes) ** 0.5
+        kappa4 = var * (1 - 6 * p * (1 - p))  # the binomial's fourth cumulant
+        assert abs(count.var() - var) < 5 * ((2 * var**2 + kappa4) / lanes) ** 0.5
+
+    def test_locations_ascend_within_a_lane(self):
+        hit_lanes, locs, draws = CounterStream(shot_keys(19, 300)).skips(2**62, 0.1, 90)
+        for lane in range(300):
+            mine = hit_lanes == lane
+            assert (np.diff(locs[mine]) > 0).all()
+            assert draws[mine].tolist() == [2**62 + 2 * j + 1 for j in range(mine.sum())]
+
+    @pytest.mark.parametrize("lanes", [1, 4096])
+    def test_zero_probability_reads_no_draw(self, lanes, monkeypatch):
+        stream = CounterStream(shot_keys(23, lanes))
+
+        def no_draw(*args):
+            raise AssertionError("read a draw at p = 0")
+
+        monkeypatch.setattr(rng, "_mix_words", no_draw)
+        monkeypatch.setattr(rng, "_draw", no_draw)
+        for got in stream.skips(2**62, 0.0, 700):
+            assert got.size == 0
 
 
 class TestShotKeys:

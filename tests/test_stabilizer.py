@@ -441,6 +441,61 @@ class TestNoiseChannels:
             NoiseModel(p1=1.5)
 
 
+class TestSkipNoise:
+    """The noise drawn by one skip sampler per error class (see stabilizer._noise_plan)."""
+
+    def test_zero_noise_is_the_noiseless_run(self):
+        # the coin of measurement event e is draw e with or without a noise model
+        from ghz_synth.layouts import rect_grid
+        from ghz_synth.merging import HighestDegree, synthesize_merging
+
+        c = synthesize_merging(rect_grid(4, 4), HighestDegree())
+        assert sample_counts(c, 256, 5, NoiseModel()) == sample_counts(c, 256, 5)
+        for seed in range(8):
+            clean, zero = run(c, seed), run(c, seed, noise=NoiseModel())
+            assert (zero.cbits, zero.outcome_log) == (clean.cbits, clean.outcome_log)
+            assert np.array_equal(zero.tableau.xz, clean.tableau.xz)
+            assert np.array_equal(zero.tableau.r, clean.tableau.r)
+
+    def test_noisy_eagle_mixing_passes(self, monkeypatch):
+        # one pass over the lanes per random measurement's coin and per skip
+        # step of each error class, not one per error location
+        from ghz_synth import rng
+        from ghz_synth.layouts import eagle_127
+        from ghz_synth.merging import HighestDegree, synthesize_merging
+
+        passes = []
+        mix_words = rng._mix_words
+
+        def counted(z, tmp):
+            passes.append(z.size)
+            return mix_words(z, tmp)
+
+        monkeypatch.setattr(rng, "_mix_words", counted)
+        c = synthesize_merging(eagle_127(), HighestDegree())
+        sample_counts(c, 4096, seed=3, noise=NoiseModel(0.001, 0.01, 0.01, 0.01))
+        assert 0 < len(passes) < 150
+
+
+class TestSignsOneRow:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 70), n_ops=st.integers(0, 160), seed=st.integers(0, 2**32))
+    def test_matches_general_path(self, n, n_ops, seed):
+        # stabilizer generator j, as a Pauli, anticommutes with destabilizer
+        # j alone: the one-row read of its sign must equal the general
+        # product's (the same mask twice takes that path) and the row's sign
+        t = run(random_clifford_circuit(n, n_ops, seed), seed).tableau
+        sx, sz, sr = t.stabilizer_rows()
+        for j in range(n):
+            anti = np.bitwise_xor.reduce(t.z[np.flatnonzero(sx[j])], axis=0)
+            anti ^= np.bitwise_xor.reduce(t.x[np.flatnonzero(sz[j])], axis=0)
+            assert _unpack(anti, 2 * n).nonzero()[0].tolist() == [j]
+            y_p = int(np.count_nonzero(sx[j] & sz[j]))
+            one = t._signs(anti[None], y_p).tolist()
+            general = t._signs(np.stack([anti, anti]), y_p).tolist()
+            assert one == general[:1] == [sr[j]]
+
+
 class TestCounterDraws:
     """Where the engine reads the counter-based stream (see rng.CounterStream)."""
 
