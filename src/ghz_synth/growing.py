@@ -36,10 +36,10 @@ class _Grown:
         """Yield the walk's ops; each is scheduled before the next parent is chosen."""
         g = self.g
         n = g.node_count
-        start = max(range(n), key=lambda u: (g.degree(u), -u))
-        star = Star(start, frozenset(g.neighbors(start)))
-        yield from build_star_ghz(star)
         adj = g.adjacency
+        start = max(range(n), key=lambda u: (len(adj[u]), -u))
+        star = Star(start, frozenset(adj[start]))
+        yield from build_star_ghz(star)
         included = bytearray(n)
         for u in star.nodes():
             included[u] = 1

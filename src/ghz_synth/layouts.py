@@ -274,7 +274,8 @@ def random_connected_subgraph(
     rng = make_rng(seed)
     start = int(rng.integers(0, g.node_count))
     chosen = {start}
-    boundary = list(g.neighbors(start))
+    adj = g.adjacency
+    boundary = list(adj[start])
     in_boundary = set(boundary)
     while len(chosen) < k:
         idx = int(rng.integers(0, len(boundary)))
@@ -285,7 +286,7 @@ def random_connected_subgraph(
         boundary.pop()
         in_boundary.discard(v)
         chosen.add(v)
-        for w in g.neighbors(v):
+        for w in adj[v]:
             if w not in chosen and w not in in_boundary:
                 boundary.append(w)
                 in_boundary.add(w)

@@ -184,7 +184,7 @@ class CounterStream:
             # a lane at location a stops iff its gap reaches m - 1 - a, iff
             # u < T[m - 1 - a]; only the others search the table for theirs
             go = u >= table[at + 1]
-            lanes, at, u = lanes[go], at[go], u[go]
+            lanes, at, u = lanes[go], at[go], u[go]  # copies: found's arrays stay as kept
             at += m + 1 - np.searchsorted(table, u, side="right")  # the gap, plus 1
             found.append((lanes, at, t + 1))
             t += 2
