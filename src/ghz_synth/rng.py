@@ -128,7 +128,7 @@ class CounterStream:
         """
         base = self._base if lanes is None else self._base[lanes]
         if base.size < _FEW_LANES:
-            ts = np.broadcast_to(t, base.shape).tolist()
+            ts = np.broadcast_to(t, base.shape).tolist() if np.ndim(t) else [t] * base.size
             return np.array([(_draw(b, s) >> 11) * 2.0**-53 for b, s in zip(base.tolist(), ts)])
         if np.ndim(t):  # uint64 arrays wrap silently, like _counter
             z = base + (np.asarray(t, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)

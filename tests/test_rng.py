@@ -118,13 +118,6 @@ class TestSkips:
         kappa4 = var * (1 - 6 * p * (1 - p))  # the binomial's fourth cumulant
         assert abs(count.var() - var) < 5 * ((2 * var**2 + kappa4) / lanes) ** 0.5
 
-    def test_locations_ascend_within_a_lane(self):
-        hit_lanes, locs, draws = CounterStream(shot_keys(19, 300)).skips(2**62, 0.1, 90)
-        for lane in range(300):
-            mine = hit_lanes == lane
-            assert (np.diff(locs[mine]) > 0).all()
-            assert draws[mine].tolist() == [2**62 + 2 * j + 1 for j in range(mine.sum())]
-
     @pytest.mark.parametrize("lanes", [1, 4096])
     def test_zero_probability_reads_no_draw(self, lanes, monkeypatch):
         stream = CounterStream(shot_keys(23, lanes))

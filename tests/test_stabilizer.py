@@ -468,7 +468,7 @@ class TestSkipNoise:
         mix_words = rng._mix_words
 
         def counted(z, tmp):
-            passes.append(z.size)
+            passes.append(1)
             return mix_words(z, tmp)
 
         monkeypatch.setattr(rng, "_mix_words", counted)
