@@ -457,6 +457,15 @@ class TestSkipNoise:
             assert np.array_equal(zero.tableau.xz, clean.tableau.xz)
             assert np.array_equal(zero.tableau.r, clean.tableau.r)
 
+    def test_condx_target_errs_only_where_it_fired(self):
+        # the CondX target's location errs in every shot (p1 = 1), but a
+        # correction that did not fire takes no error: qubit 1 reads 0
+        # wherever qubit 0 read 0, and X then X, Y or Z where it fired
+        c = circ(2, 1, H(0), MeasureZ(0, 0), CondX((1,), 0))
+        counts = sample_counts(c, 512, 7, NoiseModel(p1=1.0))
+        assert counts["01"] == 0
+        assert min(counts["00"], counts["10"], counts["11"]) > 0
+
     def test_noisy_eagle_mixing_passes(self, monkeypatch):
         # one pass over the lanes per random measurement's coin and per skip
         # step of each error class, not one per error location
