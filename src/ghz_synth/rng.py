@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -121,19 +121,12 @@ class CounterStream:
         _mix_words(self._base, self._tmp)
         self._hit = np.zeros(-(-self._base.size // 64) * 64, dtype=bool)  # padding stays False
 
-    def uniforms(self, t, lanes: Optional[np.ndarray] = None) -> np.ndarray:
-        """Draw t of every lane, or of the given lane indices, as float64.
-
-        t is one draw index for all, or an integer array of one per lane.
-        """
+    def uniforms(self, t: int, lanes: Optional[np.ndarray] = None) -> np.ndarray:
+        """Draw t of every lane, or of the given lane indices, as float64."""
         base = self._base if lanes is None else self._base[lanes]
         if base.size < _FEW_LANES:
-            ts = np.broadcast_to(t, base.shape).tolist() if np.ndim(t) else [t] * base.size
-            return np.array([(_draw(b, s) >> 11) * 2.0**-53 for b, s in zip(base.tolist(), ts)])
-        if np.ndim(t):  # uint64 arrays wrap silently, like _counter
-            z = base + (np.asarray(t, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
-        else:
-            z = base + np.uint64(_counter(int(t)))
+            return np.array([(_draw(b, t) >> 11) * 2.0**-53 for b in base.tolist()])
+        z = base + np.uint64(_counter(t))
         return (_mix_words(z, np.empty_like(z)) >> 11) * 2.0**-53
 
     def below(self, t: int, p: float) -> np.ndarray:
@@ -157,7 +150,7 @@ class CounterStream:
         np.less_equal(_mix_words(z, self._tmp), np.uint64(top), out=self._hit[:lanes])
         return np.packbits(self._hit, bitorder="little").view("<u8")
 
-    def skips(self, t0: int, p: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def skips(self, t0: int, p: float, m: int) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
         """Every lane's hits among locations 0..m-1 that each hit with probability p.
 
         A lane's j-th skip reads its draw t0 + 2j, u, and moves from the
@@ -165,31 +158,28 @@ class CounterStream:
         number of k >= 1 with u < T[k] for T[k] = (1 - p)**k, so that
         P(gap >= g) = (1 - p)**g; the lane stops at the first location past
         m - 1. T is built by sequential float64 multiplication and only
-        compared, so the gap is the same for any lane count. Returns
-        (lanes, locations, draws), one entry per hit in the order found:
-        draws holds t0 + 2j + 1, the draw after the skip that found the hit,
-        which the stream leaves for the caller. p <= 0 reads no draw.
+        compared, so the gap is the same for any lane count. Yields, skip
+        by skip, (lanes, locations, t): the ascending lanes whose j-th skip
+        found a hit, their hits' locations, and t = t0 + 2j + 1, the draw
+        after the skip, which the stream leaves for the caller. A caller
+        that consumes each step as it comes holds one step's arrays, never
+        every hit. p <= 0 reads no draw.
         """
         if p <= 0 or m <= 0:
-            none = np.zeros(0, dtype=np.int64)
-            return none, none, none
+            return
         # T[m], ..., T[1], T[0] = 1: ascending, and T[g] is table[m - g]
         table = np.append(np.multiply.accumulate(np.full(m, 1.0 - p))[::-1], 1.0)
         lanes = np.arange(self._base.size)
         at = np.full(lanes.size, -1, dtype=np.int64)
-        found = []
         t = t0
-        while lanes.size:
+        while True:
             u = self.uniforms(t, lanes)
             # a lane at location a stops iff its gap reaches m - 1 - a, iff
             # u < T[m - 1 - a]; only the others search the table for theirs
             go = u >= table[at + 1]
-            lanes, at, u = lanes[go], at[go], u[go]  # copies: found's arrays stay as kept
+            lanes, at, u = lanes[go], at[go], u[go]  # copies: a yielded step stays as it was
+            if not lanes.size:
+                return
             at += m + 1 - np.searchsorted(table, u, side="right")  # the gap, plus 1
-            found.append((lanes, at, t + 1))
+            yield lanes, at, t + 1
             t += 2
-        return (
-            np.concatenate([hit for hit, _, _ in found]),
-            np.concatenate([at for _, at, _ in found]),
-            np.concatenate([np.full(hit.size, t, dtype=np.int64) for hit, _, t in found]),
-        )

@@ -518,36 +518,35 @@ def _noise_plan(
     flips: dict[int, np.ndarray] = {}
     probabilities = (noise.p1, noise.p2, noise.pm, noise.pr)
     for c, (where, p) in enumerate(zip(sites, probabilities)):
-        lanes, locs, draws = stream.skips(_SKIP_BASE + c * _SKIP_STRIDE, p, len(where))
-        if not lanes.size:
-            continue
-        hit = np.zeros(len(where), dtype=bool)
-        hit[locs] = True
-        found = np.flatnonzero(hit)  # the locations that erred in some shot
-        k = len(where[0][1])  # qubits per location
+        k = len(where[0][1]) if where else 0  # qubits per location
         rows = max(2 * k, 1)  # an x and a z row per qubit, or the one flip row
-        # flat index of each error's word in a (found, rows, words) mask array
-        at = (np.cumsum(hit) - 1)[locs] * rows * words + (lanes >> 6)
-        bit = _ONE << (lanes & 63).astype(np.uint64)  # a lane hits a location at most once
-        masks = np.zeros((found.size, rows, words), dtype=np.uint64)
+        # a large zeroed array is mapped lazily: only pages of locations that err
+        # become resident, so this costs what masks of the erring ones would
+        masks = np.zeros((len(where), rows, words), dtype=np.uint64)
         flat = masks.reshape(-1)
-        if not k:
-            np.bitwise_or.at(flat, at, bit)
-            flips.update(zip([where[loc][0] for loc in found.tolist()], masks[:, 0]))
-            continue
-        # uniform over the 4**k - 1 non-identity Paulis, from the draw after the skip;
-        # qubit j's Pauli is base-4 digit k - 1 - j of the code, 0..3 = I, X, Y, Z
-        choices = 4**k - 1
-        u = stream.uniforms(draws, lanes)
-        code = np.minimum((u * choices).astype(np.int64), choices - 1) + 1
-        for j in range(k):
-            pauli = (code >> 2 * (k - 1 - j)) & 3
-            for part in (0, 1):
-                has = _PARTS[pauli, part]
-                np.bitwise_or.at(flat, at[has] + (2 * j + part) * words, bit[has])
-        for loc, mask in zip(found.tolist(), masks.reshape(found.size, k, 2, words)):
+        hit = np.zeros(len(where), dtype=bool)
+        for lanes, locs, t in stream.skips(_SKIP_BASE + c * _SKIP_STRIDE, p, len(where)):
+            hit[locs] = True
+            at = locs * rows * words + (lanes >> 6)  # each error's word in flat
+            bit = _ONE << (lanes & 63).astype(np.uint64)  # lanes of one word may share a location
+            if not k:
+                np.bitwise_or.at(flat, at, bit)
+                continue
+            # uniform over the 4**k - 1 non-identity Paulis, from the draw after the
+            # skip; qubit j's Pauli is base-4 digit k - 1 - j of the code, 0..3 = I, X, Y, Z
+            choices = 4**k - 1
+            code = np.minimum((stream.uniforms(t, lanes) * choices).astype(np.int64), choices - 1) + 1
+            for j in range(k):
+                pauli = (code >> 2 * (k - 1 - j)) & 3
+                for part in (0, 1):
+                    has = _PARTS[pauli, part]
+                    np.bitwise_or.at(flat, at[has] + (2 * j + part) * words, bit[has])
+        for loc in np.flatnonzero(hit).tolist():
             i, qs = where[loc]
-            errors.setdefault(i, []).extend(zip(qs, mask))
+            if k:
+                errors.setdefault(i, []).extend(zip(qs, masks[loc].reshape(k, 2, words)))
+            else:
+                flips[i] = masks[loc, 0]
     return errors, flips
 
 

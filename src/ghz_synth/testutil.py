@@ -214,4 +214,8 @@ def scalar_skips(keys, t0: int, p: float, m: int) -> list[tuple[int, int, int]]:
 
 def sorted_skips(stream: CounterStream, t0: int, p: float, m: int) -> list[tuple[int, int, int]]:
     """stream.skips(t0, p, m) as the sorted (lane, location, draw) list of scalar_skips."""
-    return sorted(zip(*(a.tolist() for a in stream.skips(t0, p, m))))
+    return sorted(
+        (lane, loc, t)
+        for lanes, locs, t in stream.skips(t0, p, m)
+        for lane, loc in zip(lanes.tolist(), locs.tolist())
+    )
