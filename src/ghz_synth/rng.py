@@ -21,8 +21,11 @@ Rare events are sampled by geometric skipping (Gidney, Quantum 5, 497,
 CounterStream.skips finds each lane's hits among m locations that each hit
 with probability p, reading draw t0 + 2j for the lane's j-th skip. The gap
 to the next hit is the number of k >= 1 with u < (1 - p)**k, the powers
-being built by sequential float64 multiplication and compared, not taken a
-log of, so every IEEE-754 platform and every lane count gives the same gap.
+being built by sequential float64 multiplication and compared (a log only
+guesses which powers to compare), so every IEEE-754 platform and every
+lane count gives the same gap.
+A location's rate is thus 1 - fl(1 - p), not p exactly: p is rounded to a
+multiple of 2**-53, and p <= 2**-54 never hits.
 """
 
 from __future__ import annotations
@@ -84,6 +87,7 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
+_ONE = np.uint64(1)
 _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
@@ -121,12 +125,19 @@ class CounterStream:
         _mix_words(self._base, self._tmp)
         self._hit = np.zeros(-(-self._base.size // 64) * 64, dtype=bool)  # padding stays False
 
-    def uniforms(self, t: int, lanes: Optional[np.ndarray] = None) -> np.ndarray:
-        """Draw t of every lane, or of the given lane indices, as float64."""
+    def uniforms(self, t, lanes: Optional[np.ndarray] = None) -> np.ndarray:
+        """Draw t of every lane, or of the given lane indices, as float64.
+
+        t is one draw index for all, or an int64 array of one per lane.
+        """
         base = self._base if lanes is None else self._base[lanes]
         if base.size < _FEW_LANES:
-            return np.array([(_draw(b, t) >> 11) * 2.0**-53 for b in base.tolist()])
-        z = base + np.uint64(_counter(t))
+            ts = np.broadcast_to(t, base.shape).tolist()
+            return np.array([(_draw(b, s) >> 11) * 2.0**-53 for b, s in zip(base.tolist(), ts)])
+        if np.ndim(t):  # (t + 1) * GAMMA per lane, wrapping modulo 2**64
+            z = base + (np.asarray(t, dtype=np.uint64) + _ONE) * np.uint64(_GAMMA)
+        else:
+            z = base + np.uint64(_counter(t))
         return (_mix_words(z, np.empty_like(z)) >> 11) * 2.0**-53
 
     def below(self, t: int, p: float) -> np.ndarray:
@@ -150,36 +161,69 @@ class CounterStream:
         np.less_equal(_mix_words(z, self._tmp), np.uint64(top), out=self._hit[:lanes])
         return np.packbits(self._hit, bitorder="little").view("<u8")
 
-    def skips(self, t0: int, p: float, m: int) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-        """Every lane's hits among locations 0..m-1 that each hit with probability p.
+    def skips(self, t0: int, p: float, m: int) -> "Skips":
+        """The skip sampler of this stream's lanes over m locations that each hit
+        with probability p, its j-th skips reading draw t0 + 2j (see Skips)."""
+        return Skips(self, t0, p, m)
 
-        A lane's j-th skip reads its draw t0 + 2j, u, and moves from the
-        previous hit (-1 at the start) by gap + 1 locations, gap being the
-        number of k >= 1 with u < T[k] for T[k] = (1 - p)**k, so that
-        P(gap >= g) = (1 - p)**g; the lane stops at the first location past
-        m - 1. T is built by sequential float64 multiplication and only
-        compared, so the gap is the same for any lane count. Yields, skip
-        by skip, (lanes, locations, t): the ascending lanes whose j-th skip
-        found a hit, their hits' locations, and t = t0 + 2j + 1, the draw
-        after the skip, which the stream leaves for the caller. A caller
-        that consumes each step as it comes holds one step's arrays, never
-        every hit. p <= 0 reads no draw.
+
+class Skips:
+    """Every lane's hits among locations 0..m-1 that each hit with probability p.
+
+    A lane's j-th skip reads its draw t0 + 2j, u, and moves from the previous
+    hit (-1 at the start) by gap + 1 locations, gap being the number of k >= 1
+    with u < T[k] for T[k] = (1 - p)**k, so that P(gap >= g) = (1 - p)**g;
+    the lane stops at the first location past m - 1. T is built by
+    sequential float64 multiplication and only compared, so the gap is the
+    same for any lane count. A location's rate is therefore 1 - fl(1 - p):
+    p rounded to a multiple of 2**-53, and 0 for p <= 2**-54.
+
+    The sampler keeps one pending hit per lane, so a caller reads the hits
+    a window of locations at a time (until) and holds one step's arrays of
+    one window, never every hit. p <= 0 reads no draw.
+    """
+
+    def __init__(self, stream: CounterStream, t0: int, p: float, m: int):
+        self._stream, self._m = stream, m
+        lanes = stream._base.size if p > 0 and m > 0 else 0
+        # T[m + 1 - i] for i = 0..m + 1: T[m + 1] = 0 (a sentinel below every
+        # u), T[m], ..., T[1], T[0] = 1, ascending
+        powers = np.multiply.accumulate(np.full(m if lanes else 0, 1.0 - p))
+        self._table = np.concatenate(([0.0], powers[::-1], [1.0]))
+        # (1 - p)**g = u at g = log(u) / log(1 - p), a guess of the gap that the table checks
+        self._slope = 1 / math.log1p(-p) if 0 < p < 1 else 0.0
+        # per lane: its next hit (m or more once it has none left) and its next skip's draw
+        self._at = np.zeros(lanes, dtype=np.int64)
+        self._t = np.full(lanes, t0, dtype=np.int64)
+        if lanes:  # the first skip, from location 0
+            self._skip(np.arange(lanes), self._at.copy(), self._t.copy())
+
+    def until(self, stop: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The hits at locations below stop that were not yielded yet, skip by skip.
+
+        Yields (lanes, locations, t): the ascending lanes whose next hit lies
+        below stop, those hits' locations, and per lane t, the draw after
+        the skip that found it, which the stream leaves for the caller.
         """
-        if p <= 0 or m <= 0:
-            return
-        # T[m], ..., T[1], T[0] = 1: ascending, and T[g] is table[m - g]
-        table = np.append(np.multiply.accumulate(np.full(m, 1.0 - p))[::-1], 1.0)
-        lanes = np.arange(self._base.size)
-        at = np.full(lanes.size, -1, dtype=np.int64)
-        t = t0
         while True:
-            u = self.uniforms(t, lanes)
-            # a lane at location a stops iff its gap reaches m - 1 - a, iff
-            # u < T[m - 1 - a]; only the others search the table for theirs
-            go = u >= table[at + 1]
-            lanes, at, u = lanes[go], at[go], u[go]  # copies: a yielded step stays as it was
+            lanes = np.flatnonzero(self._at < stop)
             if not lanes.size:
                 return
-            at += m + 1 - np.searchsorted(table, u, side="right")  # the gap, plus 1
-            yield lanes, at, t + 1
-            t += 2
+            at, t = self._at[lanes], self._t[lanes]
+            start = at + 1
+            yield lanes, at, t - 1
+            self._skip(lanes, start, t)
+
+    def _skip(self, lanes: np.ndarray, start: np.ndarray, t: np.ndarray) -> None:
+        """Draw the next skip of each of the lanes, whose draw is t, and move the lane
+        from location start by the gap."""
+        m, table = self._m, self._table
+        u = self._stream.uniforms(t, lanes)
+        # gap g = #{k in 1..m: u < T[k]} is the g with T[g] > u >= T[g + 1];
+        # a lane whose guess is not, because of rounding, searches the table
+        with np.errstate(divide="ignore", invalid="ignore"):  # u = 0: an infinite gap
+            gap = np.fmin(np.log(u) * self._slope, m).astype(np.int64)
+        wrong = (table[m + 1 - gap] <= u) | (table[m - gap] > u)
+        if np.count_nonzero(wrong):
+            gap[wrong] = m + 1 - np.searchsorted(table, u[wrong], side="right")
+        self._at[lanes], self._t[lanes] = start + gap, t + 2

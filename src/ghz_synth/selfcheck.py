@@ -135,7 +135,9 @@ def check_skip_sampler() -> bool:
     keys = shot_keys(SEED, 70)
     stream = CounterStream(keys)
     cases = [(p, m) for p in (0.01, 0.3, 1.0) for m in (1, 40)]
-    return all(sorted_skips(stream, 2**62, p, m) == scalar_skips(keys, 2**62, p, m) for p, m in cases)
+    return all(
+        sorted_skips(stream, 2**62, p, m) == scalar_skips(keys, 2**62, p, m) for p, m in cases
+    )
 
 
 def check_depth_examples() -> bool:

@@ -63,17 +63,21 @@ key seed, so shot s equals the single-shot run of the ops and readout.
   skip reads draw B_c + 2j, with B_c = 2**62 + c * 2**58, far above any
   event's coin. Its gap is the number of k >= 1 with u < (1 - p)**k, the
   powers built by sequential float64 multiplication, and the next erring
-  location is the previous one + gap + 1, until m is passed. A class
-  with p = 0 reads no draw.
+  location is the previous one + gap + 1, until m is passed. A location
+  so errs with probability 1 - fl(1 - p), p rounded to a multiple of
+  2**-53 (NoiseModel refuses a p > 0 below that). A class with p = 0
+  reads no draw.
 - A depolarizing location found by skip j takes its Pauli from draw
   B_c + 2j + 1, uniform over the 4**k - 1 non-identity k-qubit Paulis:
   code = min(floor(u * (4**k - 1)), 4**k - 2) + 1, whose base-4 digits,
   most significant first, give each qubit's I, X, Y, Z (0..3). An error on
   a CondX target counts only in the shots where the correction fired.
 
-The noise is drawn before the walk, as packed X/Z masks per (op, qubit) and
-readout-flip and reset-error masks per event, for the locations that erred
-in some shot; the walk XORs them in.
+The noise is drawn as packed X/Z masks per (op, qubit) and readout-flip and
+reset-error masks per event, for the locations that erred in some shot, one
+window of ops at a time just before the walk reaches it; the walk XORs them
+in. A window holds as many mask rows as the frame, or 1 MiB of them if
+that is more, so the masks never take much more memory than the frame.
 """
 
 from __future__ import annotations
@@ -119,6 +123,9 @@ class NoiseModel:
     p2: two-qubit depolarizing probability after each CX
     pm: classical readout flip probability per measurement
     pr: reset error probability (qubit left in |1> after a reset)
+
+    Each is 0 or in [2**-53, 1]: the noise sampler's resolution is 2**-53,
+    and a location errs with probability 1 - fl(1 - p), p rounded to it.
     """
 
     p1: float = 0.0
@@ -131,6 +138,8 @@ class NoiseModel:
             v = getattr(self, f.name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{f.name} must lie in [0, 1], got {v}")
+            if 0.0 < v < 2.0**-53:
+                raise ValueError(f"{f.name} must be 0 or at least 2**-53, got {v}")
 
 
 _ONE = np.uint64(1)
@@ -338,24 +347,23 @@ class Tableau:
         (none once every qubit is deterministic, as in a GHZ readout after
         its first outcome: then P is a Z-product and there is no phase).
         They are float64, exact since every entry stays below n^2 < 2^53.
-        A single Pauli whose mask selects one row j, as the Z of a qubit that
-        is one stabilizer generator, is +/- that row: its sign is bit n + j
-        of r, read without unpacking.
+        When the Paulis select one row j between them, as the Z of a qubit
+        that is one stabilizer generator does, each is the identity or +/-
+        that row, without phase: its sign is 0 or bit n + j of r, read
+        without unpacking.
         """
         n = self.n
-        if len(anti) == 1:
-            word = anti[0].nonzero()[0]
-            v = int(anti[0, word[0]]) if word.size == 1 else 0
-            if v and not v & (v - 1):
-                row = n + 64 * int(word[0]) + v.bit_length() - 1
-                return np.array([(int(self.r[row >> 6]) >> (row & 63)) & 1], dtype=np.uint8)
+        union = np.bitwise_or.reduce(anti, axis=0)
+        word = union.nonzero()[0]
+        v = int(union[word[0]]) if word.size == 1 else 0
+        if word.size < 2 and not v & (v - 1):  # at most one row
+            row = n + 64 * int(word[0]) + v.bit_length() - 1 if v else 0
+            return anti.any(axis=1).astype(np.uint8) * ((int(self.r[row >> 6]) >> (row & 63)) & 1)
         a = _unpack(anti, n)
-        sel = (a.any(axis=0) if len(a) > 1 else a[0].view(bool)).nonzero()[0]
+        sel = a.any(axis=0).nonzero()[0]
         rows = n + sel
         a = a[:, sel]
         signs = a @ _unpack(self.r, 2 * n)[rows]  # uint8 wraps, which keeps the parity
-        if sel.size < 2:  # each P is +/- one stabilizer row (or the identity): no phase
-            return signs & 1
         sx = _bits_at(self.x, rows)  # (qubits, rows)
         cols = sx.any(axis=1).nonzero()[0]
         if not cols.size:
@@ -414,18 +422,8 @@ class PauliFrame:
             self.fx[b] ^= self.fx[a]
             self.fz[a] ^= self.fz[b]
 
-    def error(self, q: int, word: np.ndarray, x_bits: np.ndarray, z_bits: np.ndarray) -> None:
-        """A Pauli error on qubit q in a few shots.
-
-        Shot word[i] * 64 + k gets X if bit k of x_bits[i] is set and Z if
-        that of z_bits[i] is (both: Y); word may repeat.
-        """
-        np.bitwise_xor.at(self.fx[q], word, x_bits)
-        np.bitwise_xor.at(self.fz[q], word, z_bits)
-        self.clean = False
-
     def xor(self, q: int, xz: np.ndarray) -> None:
-        """A Pauli error on qubit q: X in the shots of the packed words xz[0], Z in those of xz[1]."""
+        """A Pauli error on qubit q: X in the shots of packed words xz[0], Z in those of xz[1]."""
         self.f[:, q] ^= xz
         self.clean = False
 
@@ -491,63 +489,114 @@ def _check_forced(forced: Sequence[Optional[int]]) -> Sequence[Optional[int]]:
 
 # B_c = _SKIP_BASE + c * _SKIP_STRIDE, the first skip draw of error class c
 _SKIP_BASE, _SKIP_STRIDE = 2**62, 2**58
+# a window of noise masks holds as many rows as the frame, or this many bytes if more
+_WINDOW_BYTES = 2**20
 
 
-def _noise_plan(
-    ops: Sequence[Operation], stream: CounterStream, words: int, noise: NoiseModel
-) -> tuple[dict[int, list[tuple[int, np.ndarray]]], dict[int, np.ndarray]]:
+class _NoisePlan:
     """Every shot's errors, drawn by one skip sampler per error class (see the
-    randomness contract above).
+    randomness contract above), one window of ops at a time.
 
-    Returns (errors, flips): errors maps a gate op's index to its (qubit,
-    packed (2, words) x/z masks) Pauli errors, flips a MeasureZ's or Reset's
-    index to the packed shots whose readout flips or whose reset errs. Only
-    the locations that erred in some shot are present.
+    A window holds packed (2, words) x/z masks per (op, qubit) and readout-
+    flip or reset-error words per MeasureZ or Reset, for its locations that
+    erred in some shot. It ends once its locations have `rows` mask rows,
+    two per qubit of a gate location and one per event, so the masks take
+    about as much memory as `rows` frame rows, however many locations the
+    ops have. The walk asks in program order, gate ops and measurement
+    events each; the ops of a window it has left have nothing left to give.
     """
-    sites: tuple[list[tuple[int, tuple[int, ...]]], ...] = ([], [], [], [])
-    for i, op in enumerate(ops):
-        if isinstance(op, (H, X)):
-            sites[0].append((i, (op.q,)))
-        elif isinstance(op, CondX):
-            sites[0].extend((i, (t,)) for t in op.targets)
-        elif isinstance(op, CX):
-            sites[1].append((i, (op.control, op.target)))
-        else:
-            sites[2 if isinstance(op, MeasureZ) else 3].append((i, ()))
-    errors: dict[int, list[tuple[int, np.ndarray]]] = {}
-    flips: dict[int, np.ndarray] = {}
-    probabilities = (noise.p1, noise.p2, noise.pm, noise.pr)
-    for c, (where, p) in enumerate(zip(sites, probabilities)):
-        k = len(where[0][1]) if where else 0  # qubits per location
-        rows = max(2 * k, 1)  # an x and a z row per qubit, or the one flip row
-        # a large zeroed array is mapped lazily: only pages of locations that err
-        # become resident, so this costs what masks of the erring ones would
-        masks = np.zeros((len(where), rows, words), dtype=np.uint64)
-        flat = masks.reshape(-1)
-        hit = np.zeros(len(where), dtype=bool)
-        for lanes, locs, t in stream.skips(_SKIP_BASE + c * _SKIP_STRIDE, p, len(where)):
-            hit[locs] = True
-            at = locs * rows * words + (lanes >> 6)  # each error's word in flat
-            bit = _ONE << (lanes & 63).astype(np.uint64)  # lanes of one word may share a location
-            if not k:
-                np.bitwise_or.at(flat, at, bit)
-                continue
-            # uniform over the 4**k - 1 non-identity Paulis, from the draw after the
-            # skip; qubit j's Pauli is base-4 digit k - 1 - j of the code, 0..3 = I, X, Y, Z
-            choices = 4**k - 1
-            code = np.minimum((stream.uniforms(t, lanes) * choices).astype(np.int64), choices - 1) + 1
-            for j in range(k):
-                pauli = (code >> 2 * (k - 1 - j)) & 3
-                for part in (0, 1):
-                    has = _PARTS[pauli, part]
-                    np.bitwise_or.at(flat, at[has] + (2 * j + part) * words, bit[has])
-        for loc in np.flatnonzero(hit).tolist():
-            i, qs = where[loc]
-            if k:
-                errors.setdefault(i, []).extend(zip(qs, masks[loc].reshape(k, 2, words)))
+
+    def __init__(
+        self,
+        ops: Sequence[Operation],
+        stream: CounterStream,
+        words: int,
+        noise: Optional[NoiseModel],
+        rows: int,
+    ):
+        self._stream, self._words, self._stop = stream, words, 0
+        self._errors: dict[int, list[tuple[int, np.ndarray]]] = {}
+        self._flips: dict[int, np.ndarray] = {}
+        probabilities = (noise.p1, noise.p2, noise.pm, noise.pr) if noise else (0.0,) * 4
+        if not any(probabilities):  # one window without masks
+            self._cuts, self._classes = iter([len(ops)]), []
+            return
+        sites: tuple[list[tuple[int, tuple[int, ...]]], ...] = ([], [], [], [])
+        cuts, held = [], 0
+        for i, op in enumerate(ops):
+            if isinstance(op, (H, X)):
+                sites[0].append((i, (op.q,)))
+                held += 2
+            elif isinstance(op, CondX):
+                sites[0].extend((i, (t,)) for t in op.targets)
+                held += 2 * len(op.targets)
+            elif isinstance(op, CX):
+                sites[1].append((i, (op.control, op.target)))
+                held += 4
             else:
-                flips[i] = masks[loc, 0]
-    return errors, flips
+                sites[2 if isinstance(op, MeasureZ) else 3].append((i, ()))
+                held += 1
+            if held >= rows:
+                cuts.append(i + 1)
+                held = 0
+        self._cuts = iter(cuts + [len(ops)])
+        # per class with p > 0: its sites, their op indices and its sampler
+        self._classes = []
+        for c, (where, p) in enumerate(zip(sites, probabilities)):
+            if where and p > 0:
+                sampler = stream.skips(_SKIP_BASE + c * _SKIP_STRIDE, p, len(where))
+                self._classes.append((where, np.array([i for i, _ in where]), sampler))
+
+    def errors(self, i: int) -> list[tuple[int, np.ndarray]]:
+        """The (qubit, packed x/z masks) Pauli errors after the gate op i."""
+        self._reach(i)
+        return self._errors.get(i, [])
+
+    def flip(self, i: int) -> Optional[np.ndarray]:
+        """The packed shots whose readout of MeasureZ i flips or whose Reset i errs, if any."""
+        self._reach(i)
+        return self._flips.get(i)
+
+    def _reach(self, i: int) -> None:
+        """Draw the masks of the window that holds op i."""
+        words = self._words
+        while i >= self._stop:
+            start, self._stop = self._stop, next(self._cuts)
+            self._errors, self._flips = {}, {}
+            for where, at_op, sampler in self._classes:
+                # the window's sites, and the qubits of each
+                first, end = np.searchsorted(at_op, (start, self._stop)).tolist()
+                k = len(where[0][1])
+                rows = max(2 * k, 1)  # an x and a z row per qubit, or the one flip row
+                masks = np.zeros((end - first, rows, words), dtype=np.uint64)
+                flat = masks.reshape(-1)
+                hit = np.zeros(end - first, dtype=bool)
+                for lanes, at_loc, t in sampler.until(end):
+                    locs = at_loc - first  # within the window
+                    hit[locs] = True
+                    at = locs * rows * words + (lanes >> 6)  # each error's word in flat
+                    # lanes of one word may share a location
+                    bit = _ONE << (lanes & 63).astype(np.uint64)
+                    if not k:
+                        np.bitwise_or.at(flat, at, bit)
+                        continue
+                    # uniform over the 4**k - 1 non-identity Paulis, from the draw after the
+                    # skip; qubit j's Pauli is base-4 digit k - 1 - j of the code, 0..3 = I, X, Y, Z
+                    choices = 4**k - 1
+                    u = self._stream.uniforms(t, lanes)
+                    code = np.minimum((u * choices).astype(np.int64), choices - 1) + 1
+                    for j in range(k):
+                        pauli = (code >> 2 * (k - 1 - j)) & 3
+                        for part in (0, 1):
+                            has = _PARTS[pauli, part]
+                            np.bitwise_or.at(flat, at[has] + (2 * j + part) * words, bit[has])
+                for loc in np.flatnonzero(hit).tolist():
+                    op, qs = where[first + loc]
+                    if k:
+                        xz = masks[loc].reshape(k, 2, words)
+                        self._errors.setdefault(op, []).extend(zip(qs, xz))
+                    else:
+                        self._flips[op] = masks[loc, 0]
 
 
 def _simulate(
@@ -562,10 +611,11 @@ def _simulate(
     """Shared engine for run() and sample_counts(): ops on n qubits and cbit_count bits.
 
     ops need not form a valid Circuit: the sample_counts readout may re-measure
-    a qubit. stream has one lane per shot. The noise is drawn first, as masks
-    (see _noise_plan); the walk XORs them in and reads only the coins of the
-    random measurements. Every measurement event goes through measure(), the
-    only code that decides determinism and computes a determined outcome.
+    a qubit. stream has one lane per shot. The noise is drawn as masks, a
+    window of ops ahead of the walk (see _NoisePlan); the walk XORs them in
+    and reads only the coins of the random measurements. Every measurement
+    event goes through measure(), the only code that decides determinism and
+    computes a determined outcome.
     Returns (frame, classical bits, outcome log) with every per-shot value in
     packed words: cbits has one row per classical bit and the log one word
     vector per measurement event.
@@ -575,7 +625,8 @@ def _simulate(
     cbits = np.zeros((cbit_count, frame.every.size), np.uint64)
     ref_cbits = [0] * cbit_count  # the reference's (noiseless) classical bits
     log: list[np.ndarray] = []
-    errors, flips = ({}, {}) if noise is None else _noise_plan(ops, stream, frame.every.size, noise)
+    words = frame.every.size
+    plan = _NoisePlan(ops, stream, words, noise, max(2 * n, _WINDOW_BYTES // (8 * words)))
 
     def event(i: int, ref_bit: Optional[int]) -> None:
         """Coin, forcing and log entry of the event ops[i], then its cbit (after any
@@ -594,7 +645,7 @@ def _simulate(
                     f"{int(outcome[0] & _ONE)}, cannot force {int(want)}"
                 )
         log.append(outcome)
-        flip = flips.get(i)
+        flip = plan.flip(i)
         noisy = outcome if flip is None else outcome ^ flip
         if isinstance(op, MeasureZ):
             cbits[op.cbit] = noisy
@@ -627,6 +678,10 @@ def _simulate(
 
     resume = 0  # the ops before it were measured as part of a run
     for i, op in enumerate(ops):
+        if isinstance(op, (MeasureZ, Reset)):
+            if i >= resume:
+                resume = measure(i)
+            continue
         if isinstance(op, H):
             frame.apply_h(op.q)
         elif isinstance(op, X):
@@ -637,9 +692,7 @@ def _simulate(
             # the X corrections commute, so all targets flip at once before their errors
             fire = cbits[op.cbit]
             frame.flip_x(op.targets, fire, ref_cbits[op.cbit])
-        elif isinstance(op, (MeasureZ, Reset)) and i >= resume:
-            resume = measure(i)
-        for q, xz in errors.get(i, ()):
+        for q, xz in plan.errors(i):
             # a correction errs only where it fired
             frame.xor(q, xz & fire if isinstance(op, CondX) else xz)
     return frame, cbits, log

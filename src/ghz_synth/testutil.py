@@ -213,9 +213,9 @@ def scalar_skips(keys, t0: int, p: float, m: int) -> list[tuple[int, int, int]]:
 
 
 def sorted_skips(stream: CounterStream, t0: int, p: float, m: int) -> list[tuple[int, int, int]]:
-    """stream.skips(t0, p, m) as the sorted (lane, location, draw) list of scalar_skips."""
+    """stream.skips(t0, p, m)'s hits as the sorted (lane, location, draw) list of scalar_skips."""
     return sorted(
         (lane, loc, t)
-        for lanes, locs, t in stream.skips(t0, p, m)
-        for lane, loc in zip(lanes.tolist(), locs.tolist())
+        for lanes, locs, ts in stream.skips(t0, p, m).until(m)
+        for lane, loc, t in zip(lanes.tolist(), locs.tolist(), ts.tolist())
     )

@@ -102,13 +102,34 @@ class TestSkips:
             for m in (1, 7, 700):
                 assert sorted_skips(stream, t0, p, m) == scalar_skips(keys, t0, p, m), (p, m)
 
+    @pytest.mark.parametrize("scale", [0.3, 2.5])
+    def test_a_wrong_guess_is_corrected(self, scale, monkeypatch):
+        # the log only guesses each gap; with every guess off by a factor
+        # the table still decides, so the hits stay the reference's
+        keys = shot_keys(29, 65)
+        stream = CounterStream(keys)
+        log1p = rng.math.log1p
+        monkeypatch.setattr(rng.math, "log1p", lambda x: scale * log1p(x))
+        for p, m in ((0.01, 700), (0.2, 700), (0.9, 7)):
+            assert sorted_skips(stream, 2**62, p, m) == scalar_skips(keys, 2**62, p, m), (p, m)
+
+    def test_rate_is_one_minus_rounded_one_minus_p(self):
+        # 1 - p rounds to 1 for p <= 2**-54: such a class never hits (and
+        # NoiseModel refuses it), while p = 2**-53 keeps its (1 - p)**k < 1
+        keys = shot_keys(31, 64)
+        stream = CounterStream(keys)
+        for p in (2.0**-54, 2.0**-53):
+            assert sorted_skips(stream, 2**62, p, 5000) == scalar_skips(keys, 2**62, p, 5000) == []
+        assert rng.Skips(stream, 2**62, 2.0**-54, 3)._table.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
+        assert rng.Skips(stream, 2**62, 2.0**-53, 3)._table[1:4].max() < 1.0
+
     @pytest.mark.parametrize("p, m", [(0.01, 200), (0.3, 40)])
     def test_law(self, p, m):
         # each location errs with probability p, independently: per location
         # hit rates, and the per-lane error count is Binomial(m, p) in mean
         # and variance, all within 5 sigma over 2**16 lanes
         lanes = 2**16
-        steps = list(CounterStream(shot_keys(17, lanes)).skips(2**62, p, m))
+        steps = list(CounterStream(shot_keys(17, lanes)).skips(2**62, p, m).until(m))
         hit_lanes = np.concatenate([hit for hit, _, _ in steps])
         locs = np.concatenate([at for _, at, _ in steps])
         per_location = np.bincount(locs, minlength=m)
@@ -129,7 +150,7 @@ class TestSkips:
 
         monkeypatch.setattr(rng, "_mix_words", no_draw)
         monkeypatch.setattr(rng, "_draw", no_draw)
-        assert list(stream.skips(2**62, 0.0, 700)) == []
+        assert list(stream.skips(2**62, 0.0, 700).until(700)) == []
 
 
 class TestShotKeys:

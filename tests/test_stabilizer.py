@@ -16,6 +16,7 @@ from ghz_synth.stabilizer import (
     PauliFrame,
     Tableau,
     _pack,
+    _simulate,
     _unpack,
     run,
     sample_counts,
@@ -66,9 +67,8 @@ class TestGates:
 
 def frame_pauli(frame, q, pauli, mask):
     """Pauli "x", "y" or "z" on qubit q in the shots where the 0/1 mask is 1."""
-    shots = np.flatnonzero(mask)
-    bits = np.uint64(1) << (shots % 64).astype(np.uint64)
-    frame.error(q, shots // 64, bits * (pauli in "xy"), bits * (pauli in "yz"))
+    words = _pack(mask, frame.every.size)
+    frame.xor(q, np.array([words * (pauli in "xy"), words * (pauli in "yz")]))
 
 
 def shot_tableaus(frame, singles):
@@ -440,9 +440,15 @@ class TestNoiseChannels:
         with pytest.raises(ValueError):
             NoiseModel(p1=1.5)
 
+    def test_probability_below_the_sampler_resolution(self):
+        # 1 - p would round to 1: the errors would silently never happen
+        with pytest.raises(ValueError, match="p2 must be 0 or at least 2"):
+            NoiseModel(p2=2.0**-54)
+        assert NoiseModel(p2=2.0**-53).p2 == 2.0**-53
+
 
 class TestSkipNoise:
-    """The noise drawn by one skip sampler per error class (see stabilizer._noise_plan)."""
+    """The noise drawn by one skip sampler per error class (see stabilizer._NoisePlan)."""
 
     def test_zero_noise_is_the_noiseless_run(self):
         # the coin of measurement event e is draw e with or without a noise model
@@ -465,6 +471,31 @@ class TestSkipNoise:
         counts = sample_counts(c, 512, 7, NoiseModel(p1=1.0))
         assert counts["01"] == 0
         assert min(counts["00"], counts["10"], counts["11"]) > 0
+
+    def test_noise_memory_stays_near_the_frame(self):
+        # one window of noise masks lives at a time: heavy noise on 16x16
+        # merging at 2**14 shots adds less than twice the frame plus the
+        # skip samplers' 64 bytes a shot (3 MiB in all); the masks of every
+        # location that errs, held at once, would add 6.5 MiB
+        import tracemalloc
+
+        from ghz_synth.layouts import rect_grid
+        from ghz_synth.merging import HighestDegree, synthesize_merging
+
+        c = synthesize_merging(rect_grid(16, 16), HighestDegree())
+        n, m, shots = c.qubit_count, c.cbit_count, 2**14
+        ops = c.ops + tuple(MeasureZ(q, m + q) for q in range(n))
+        stream = CounterStream(shot_keys(3, shots))
+        peaks = []
+        for noise in (None, NoiseModel(0.1, 0.2, 0.1, 0.1)):
+            tracemalloc.start()
+            try:
+                _simulate(n, m + n, ops, stream, shots, noise)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        frame = 2 * n * shots // 8
+        assert peaks[1] - peaks[0] < 2 * frame + 64 * shots
 
     def test_noisy_eagle_mixing_passes(self, monkeypatch):
         # one pass over the lanes per random measurement's coin and per skip
@@ -491,18 +522,23 @@ class TestSignsOneRow:
     @given(n=st.integers(1, 70), n_ops=st.integers(0, 160), seed=st.integers(0, 2**32))
     def test_matches_general_path(self, n, n_ops, seed):
         # stabilizer generator j, as a Pauli, anticommutes with destabilizer
-        # j alone: the one-row read of its sign must equal the general
-        # product's (the same mask twice takes that path) and the row's sign
+        # j alone: the one-row read of its sign, alone or beside the
+        # identity, must equal the row's sign as stabilizer_rows unpacks it
+        # and the general product's, which generators j and l take together
         t = run(random_clifford_circuit(n, n_ops, seed), seed).tableau
         sx, sz, sr = t.stabilizer_rows()
+        masks, y = [], []
         for j in range(n):
             anti = np.bitwise_xor.reduce(t.z[np.flatnonzero(sx[j])], axis=0)
             anti ^= np.bitwise_xor.reduce(t.x[np.flatnonzero(sz[j])], axis=0)
             assert _unpack(anti, 2 * n).nonzero()[0].tolist() == [j]
-            y_p = int(np.count_nonzero(sx[j] & sz[j]))
-            one = t._signs(anti[None], y_p).tolist()
-            general = t._signs(np.stack([anti, anti]), y_p).tolist()
-            assert one == general[:1] == [sr[j]]
+            masks.append(anti)
+            y.append(int(np.count_nonzero(sx[j] & sz[j])))
+            assert t._signs(anti[None], y[j]).tolist() == [sr[j]]
+            assert t._signs(np.stack([0 * anti, anti]), y[j]).tolist() == [0, sr[j]]
+        for j, l in zip(range(n), range(1, n)):
+            general = t._signs(np.stack([masks[j], masks[l]]), np.array([y[j], y[l]]))
+            assert general.tolist() == [sr[j], sr[l]]
 
 
 class TestCounterDraws:
