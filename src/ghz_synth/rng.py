@@ -184,19 +184,18 @@ class Skips:
     """
 
     def __init__(self, stream: CounterStream, t0: int, p: float, m: int):
-        self._stream, self._m = stream, m
-        lanes = stream._base.size if p > 0 and m > 0 else 0
+        self._stream, self._t0, self._m = stream, t0, m
+        self._lanes = stream._base.size if p > 0 and m > 0 else 0
         # T[m + 1 - i] for i = 0..m + 1: T[m + 1] = 0 (a sentinel below every
         # u), T[m], ..., T[1], T[0] = 1, ascending
-        powers = np.multiply.accumulate(np.full(m if lanes else 0, 1.0 - p))
+        powers = np.multiply.accumulate(np.full(m if self._lanes else 0, 1.0 - p))
         self._table = np.concatenate(([0.0], powers[::-1], [1.0]))
         # (1 - p)**g = u at g = log(u) / log(1 - p), a guess of the gap that the table checks
         self._slope = 1 / math.log1p(-p) if 0 < p < 1 else 0.0
-        # per lane: its next hit (m or more once it has none left) and its next skip's draw
-        self._at = np.zeros(lanes, dtype=np.int64)
-        self._t = np.full(lanes, t0, dtype=np.int64)
-        if lanes:  # the first skip, from location 0
-            self._skip(np.arange(lanes), self._at.copy(), self._t.copy())
+        # per lane: its next hit (m or more once it has none left) and its next
+        # skip's draw, from the first until() on
+        self._at: Optional[np.ndarray] = None
+        self._t = np.empty(0, dtype=np.int64)
 
     def until(self, stop: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The hits at locations below stop that were not yielded yet, skip by skip.
@@ -205,6 +204,11 @@ class Skips:
         below stop, those hits' locations, and per lane t, the draw after
         the skip that found it, which the stream leaves for the caller.
         """
+        if self._at is None:  # every lane's first skip, from location 0
+            lanes = self._lanes
+            self._at, self._t = np.zeros(lanes, dtype=np.int64), np.full(lanes, self._t0)
+            if lanes:
+                self._skip(np.arange(lanes), np.zeros(lanes, dtype=np.int64), self._t.copy())
         while True:
             lanes = np.flatnonzero(self._at < stop)
             if not lanes.size:

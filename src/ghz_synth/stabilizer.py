@@ -563,9 +563,12 @@ class _NoisePlan:
         while i >= self._stop:
             start, self._stop = self._stop, next(self._cuts)
             self._errors, self._flips = {}, {}
-            for where, at_op, sampler in self._classes:
+            for entry in list(self._classes):
+                where, at_op, sampler = entry
                 # the window's sites, and the qubits of each
                 first, end = np.searchsorted(at_op, (start, self._stop)).tolist()
+                if end == len(where):  # the class's last window: its sampler goes after it
+                    self._classes.remove(entry)
                 k = len(where[0][1])
                 rows = max(2 * k, 1)  # an x and a z row per qubit, or the one flip row
                 masks = np.zeros((end - first, rows, words), dtype=np.uint64)
