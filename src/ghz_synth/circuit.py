@@ -42,34 +42,34 @@ class MalformedCircuitError(schema.InputError):
     """A circuit violates a structural invariant or its JSON form is malformed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class H:
     q: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class X:
     q: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CX:
     control: int
     target: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasureZ:
     q: int
     cbit: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reset:
     q: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CondX:
     """Apply X to every target iff the classical bit equals 1."""
 

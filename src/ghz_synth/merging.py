@@ -240,11 +240,17 @@ def merge_operations(merge: Merge, cbit: int) -> list[Operation]:
 
     CX across the bridge, Z measurement of the absorbed bridge qubit,
     conditional X on the rest of the absorbed component, then reset and
-    re-entangle the measured qubit via the same bridge edge.
+    re-entangle the measured qubit via the same bridge edge. `_assemble`
+    emits the same ops, taking the correction from its member list of the
+    absorbed side instead of a Merge.
     """
     u, v = merge.bridge
+    return _fuse(u, v, tuple(sorted(merge.absorbed - {v})), cbit)
+
+
+def _fuse(u: int, v: int, correction: tuple[int, ...], cbit: int) -> list[Operation]:
+    """The ops of merge_operations for bridge (u, v) and the sorted CondX targets."""
     ops: list[Operation] = [CX(u, v), MeasureZ(v, cbit)]
-    correction = tuple(sorted(merge.absorbed - {v}))
     if correction:
         ops.append(CondX(correction, cbit))
     ops.append(Reset(v))
@@ -252,7 +258,12 @@ def merge_operations(merge: Merge, cbit: int) -> list[Operation]:
     return ops
 
 
-def _assemble(g: LayoutGraph, pieces: list) -> tuple[MergePlan, Circuit]:
+# one merge of the walk: (keeper label, absorbed label, bridge), a label being
+# the index of a piece; a component keeps the label of the piece it grew from
+_Fused = tuple[int, int, tuple[int, int]]
+
+
+def _assemble(g: LayoutGraph, pieces: list) -> tuple[list[list[_Fused]], Circuit]:
     """The one synthesis walk: prepare each piece, then fuse them into one GHZ state.
 
     A piece is anything with nodes() and prepare(last): a Star, or growing's
@@ -261,8 +272,10 @@ def _assemble(g: LayoutGraph, pieces: list) -> tuple[MergePlan, Circuit]:
     op source of the circuit it returns: the circuit emits each op through
     its one schedule before the walk draws the next, so a preparation, and
     the choice of each bridge, may read last, the schedule's layer of the
-    latest op on each qubit. The plan's rounds are collected while the
-    circuit walks.
+    latest op on each qubit. Beside the circuit it returns the rounds of
+    merges it made, each merge as (keeper label, absorbed label, bridge),
+    a component's label being the index of the piece it grew from;
+    `plan_merges` turns them into node sets.
 
     Per round, components are matched greedily (scanned by smallest member,
     each pairing its unmatched neighbor with the smallest member) and
@@ -275,13 +288,18 @@ def _assemble(g: LayoutGraph, pieces: list) -> tuple[MergePlan, Circuit]:
 
     Components are labels in a comp_of list, with a member list and a
     smallest member per label. A merge relabels the absorbed side, the
-    smaller one, so each node is relabelled O(log N) times in all. Each round
-    makes one pass over the edges that crossed components in the previous
-    round, bucketing those that still do by component pair; the bucket keys
-    give the component adjacency and each bucket the bridge candidates of
-    its pair. A round costs O(N + E) besides sorting its components, so
-    layouts contracted in O(log N) rounds, such as grids and heavy-hex
-    lattices, take O((N + E) log N) in all.
+    smaller one, so each node is relabelled O(log N) times in all. The
+    crossing edges are bucketed once, before the first round: one list per
+    adjacent component pair, shared by both sides' bucket dicts, so the dict
+    keys are the component adjacency and each list the bridge candidates of
+    its pair. A merge drops the pair's own bucket and hands the absorbed
+    side's other buckets to the keeper, extending the shorter list into the
+    longer where both sides had one, so an edge is copied O(log E) times.
+    The merges of a round touch disjoint components, so every pair matched
+    in a round still has the bucket it had when the round began. A single
+    piece has nothing to fuse and builds no buckets. Grids and heavy-hex
+    lattices contract in O(log N) rounds, each costing O(C log C) for its
+    C components besides the merges, so they take O((N + E) log N) in all.
     """
     n = g.node_count
     members = [sorted(piece.nodes()) for piece in pieces]
@@ -292,30 +310,30 @@ def _assemble(g: LayoutGraph, pieces: list) -> tuple[MergePlan, Circuit]:
         for u in m:
             comp_of[u] = i
     low = [m[0] for m in members]
-    rounds: list[tuple[Merge, ...]] = []
+    rounds: list[list[_Fused]] = []
 
     def walk(last: list[int]) -> Iterator[Operation]:
         for piece in pieces:
             yield from piece.prepare(last)
+        if len(pieces) == 1:
+            return
+        buckets: list[dict[int, list[tuple[int, int]]]] = [{} for _ in pieces]
+        for e in g.edges:
+            a, b = comp_of[e[0]], comp_of[e[1]]
+            if a != b:
+                bucket = buckets[a].get(b)
+                if bucket is None:
+                    bucket = buckets[a][b] = buckets[b][a] = []
+                bucket.append(e)
+        alive = list(range(len(pieces)))
         cbit = 0
-        components = len(pieces)
-        edges = g.edges
-        while components > 1:
-            cross: dict[tuple[int, int], list[tuple[int, int]]] = {}
-            for e in edges:
-                cu, cv = comp_of[e[0]], comp_of[e[1]]
-                if cu != cv:
-                    cross.setdefault((cu, cv) if cu < cv else (cv, cu), []).append(e)
-            adjacency: dict[int, list[int]] = {}
-            for a, b in cross:
-                adjacency.setdefault(a, []).append(b)
-                adjacency.setdefault(b, []).append(a)
+        while len(alive) > 1:
             matched: set[int] = set()
             pairs: list[tuple[int, int]] = []
-            for i in sorted(adjacency, key=low.__getitem__):
+            for i in sorted(alive, key=low.__getitem__):
                 if i in matched:
                     continue
-                candidates = [j for j in adjacency[i] if j not in matched]
+                candidates = [j for j in buckets[i] if j not in matched]
                 if not candidates:
                     continue
                 j = min(candidates, key=low.__getitem__)
@@ -329,29 +347,41 @@ def _assemble(g: LayoutGraph, pieces: list) -> tuple[MergePlan, Circuit]:
                 else:
                     absorbed, keeper = j, i
                 bridges = [
-                    (x, y) if comp_of[x] == keeper else (y, x)
-                    for x, y in cross[(i, j) if i < j else (j, i)]
+                    (x, y) if comp_of[x] == keeper else (y, x) for x, y in buckets[i][j]
                 ]
                 bridge = min(bridges, key=lambda e: (max(last[e[0]], last[e[1]]), e))
-                merge = Merge(
-                    keeper=frozenset(members[keeper]),
-                    absorbed=frozenset(members[absorbed]),
-                    bridge=bridge,
-                )
-                merges.append(merge)
-                yield from merge_operations(merge, cbit)
+                u, v = bridge
+                correction = sorted(members[absorbed])
+                correction.remove(v)
+                yield from _fuse(u, v, tuple(correction), cbit)
+                merges.append((keeper, absorbed, bridge))
                 cbit += 1
-                for u in members[absorbed]:
-                    comp_of[u] = keeper
+                for w in members[absorbed]:
+                    comp_of[w] = keeper
                 members[keeper].extend(members[absorbed])
                 members[absorbed] = []
                 low[keeper] = min(low[keeper], low[absorbed])
-            rounds.append(tuple(merges))
-            components -= len(merges)
-            edges = [e for bucket in cross.values() for e in bucket]
+                kept = buckets[keeper]
+                del kept[absorbed]
+                for c, bucket in buckets[absorbed].items():
+                    if c == keeper:
+                        continue
+                    across = buckets[c]
+                    del across[absorbed]
+                    other = kept.get(c)
+                    if other is None:
+                        kept[c] = across[keeper] = bucket
+                    elif len(other) >= len(bucket):
+                        other.extend(bucket)
+                    else:
+                        bucket.extend(other)
+                        kept[c] = across[keeper] = bucket
+                buckets[absorbed] = {}
+            rounds.append(merges)
+            alive = [c for c in alive if members[c]]
 
     circuit = Circuit(n, len(pieces) - 1, walk)  # the walk fills rounds
-    return MergePlan(rounds=tuple(rounds)), circuit
+    return rounds, circuit
 
 
 def plan_merges(g: LayoutGraph, stars: list[Star]) -> MergePlan:
@@ -360,9 +390,21 @@ def plan_merges(g: LayoutGraph, stars: list[Star]) -> MergePlan:
     Each round's merges touch pairwise disjoint components, the total merge
     count is len(stars) - 1, and the round count stays logarithmic in the
     star count for well-connected layouts. It is the plan of the circuit
-    that synthesize_merging builds from the same stars.
+    that synthesize_merging builds from the same stars: the bridges read
+    that circuit's schedule, so the plan runs the synthesis walk and then
+    replays its merges over the stars' node sets. Only this function builds
+    the plan's node sets; synthesis keeps none of them.
     """
-    return _assemble(g, stars)[0]
+    fused, _ = _assemble(g, stars)
+    nodes = [star.nodes() for star in stars]
+    rounds = []
+    for merges in fused:
+        plan_round = []
+        for keeper, absorbed, bridge in merges:
+            plan_round.append(Merge(nodes[keeper], nodes[absorbed], bridge))
+            nodes[keeper] = nodes[keeper] | nodes[absorbed]
+        rounds.append(tuple(plan_round))
+    return MergePlan(rounds=tuple(rounds))
 
 
 def synthesize_merging(g: LayoutGraph, strategy: StarSelectionStrategy) -> Circuit:

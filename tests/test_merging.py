@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghz_synth.circuit import CX, H, MeasureZ, count_2q, count_measurements, depth
+from ghz_synth.circuit import CX, CondX, H, MeasureZ, count_2q, count_measurements, depth
 from ghz_synth.growing import synthesize_growing
 from ghz_synth.layouts import LayoutGraph, connected_erdos_renyi, eagle_127, rect_grid
 from ghz_synth.merging import (
@@ -354,3 +354,25 @@ class TestRandomConnectedGraphs:
                 u, v = m.bridge
                 i = c.ops.index(MeasureZ(v, k))
                 assert c.ops[i - 1] == CX(u, v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=connected_graphs(), size=st.integers(1, 8))
+    def test_plan_replays_the_circuits_merges(self, g, size):
+        # merge k corrects the rest of its absorbed side under cbit k, its
+        # bridge runs from keeper to absorbed, and both sides are components
+        # of the contraction so far, which their union then replaces
+        for strategy in (HighestDegree(), AbsoluteSize(size)):
+            stars = select_stars(g, strategy)
+            c = synthesize_merging(g, strategy)
+            corrections = {op.cbit: op.targets for op in c.ops if isinstance(op, CondX)}
+            components = {star.nodes() for star in stars}
+            merges = [m for rnd in plan_merges(g, stars).rounds for m in rnd]
+            assert len(merges) == c.cbit_count
+            for k, m in enumerate(merges):
+                u, v = m.bridge
+                assert u in m.keeper and v in m.absorbed and g.has_edge(u, v)
+                assert corrections.get(k, ()) == tuple(sorted(m.absorbed - {v}))
+                components.remove(m.keeper)
+                components.remove(m.absorbed)
+                components.add(m.keeper | m.absorbed)
+            assert components == {frozenset(range(g.node_count))}

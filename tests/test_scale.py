@@ -4,10 +4,12 @@ and a dense Erdős–Rényi graph on 2000 nodes, pinned by digest.
 No timing is asserted; the tests exist so that a synthesis loop that turns
 quadratic again makes the suite take minutes instead of about a second, and
 a return to one scalar draw per vertex pair (about 4 s at 2000 nodes, against
-about 0.4 s for the array draws) shows as a slow suite.
+about 0.4 s for the array draws) shows as a slow suite. Memory is bounded:
+merging synthesis on a 4096-qubit grid keeps its traced peak below 3 MiB.
 """
 
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -40,3 +42,17 @@ def test_dense_erdos_renyi_2000():
     assert hashlib.sha256(g.to_json().encode()).hexdigest() == (
         "273360a6fe05120ecefed159da48e1551b777e96a35f438cc193c5cf9828761e"
     )
+
+
+def test_merging_synthesis_memory_peak():
+    # about 1.9 MiB: the circuit's ops and the walk's per-node lists; a plan
+    # of node sets built on every synthesis took it to 5.6 MiB
+    g = rect_grid(64, 64)
+    synthesize_merging(g, HighestDegree())
+    tracemalloc.start()
+    try:
+        synthesize_merging(g, HighestDegree())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
