@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional
 
@@ -285,6 +284,8 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> list[Benchmark
     if workers is None:
         workers = worker_count()
     if workers > 1 and len(cells) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_cell = list(pool.map(_run_cell, cells, chunksize=2))
     else:

@@ -217,6 +217,16 @@ def rect_grid(rows: int, cols: int) -> LayoutGraph:
 _ER_BLOCK_PAIRS = 1 << 18
 
 
+def _tree_parents(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The parent of each node of a uniform recursive tree on n nodes, -1 for node 0.
+
+    One `integers(0, np.arange(1, n))` call gives the values of the n - 1
+    scalar draws `integers(0, i)`, i = 1..n-1, and leaves the stream where
+    they would.
+    """
+    return np.concatenate(([-1], rng.integers(0, np.arange(1, n))))
+
+
 def connected_erdos_renyi(n: int, p: float, seed: int) -> LayoutGraph:
     """Connected random graph on n nodes.
 
@@ -226,7 +236,8 @@ def connected_erdos_renyi(n: int, p: float, seed: int) -> LayoutGraph:
     graph bit-for-bit.
 
     The draw order is part of that contract. One PCG64 stream seeded with
-    `seed` first gives the tree: `integers(0, i)` for i = 1..n-1, in turn.
+    `seed` first gives the tree: `integers(0, i)` for i = 1..n-1, in turn
+    (see `_tree_parents`).
     It then gives one uniform per non-tree pair, in row-major u < v order
     ((0, 1), (0, 2), ..., (1, 2), ...), and the pair is an edge iff its
     uniform is < p. The uniforms are drawn with `random(k)` over blocks of
@@ -240,7 +251,7 @@ def connected_erdos_renyi(n: int, p: float, seed: int) -> LayoutGraph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p: must lie in [0, 1], got {p}")
     rng = make_rng(seed)
-    parent = np.array([-1] + [int(rng.integers(0, i)) for i in range(1, n)])
+    parent = _tree_parents(rng, n)
     rows = np.arange(n)
     first = rows * (2 * n - rows - 1) // 2  # row-major index of pair (u, u + 1)
     edges = []

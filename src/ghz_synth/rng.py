@@ -66,18 +66,32 @@ def derive_seed(master: int, *labels: object) -> int:
     return int.from_bytes(digest, "big")
 
 
+# the decimal forms of 0..999 (shot s < 1000 ends in one) and their
+# three-digit zero-padded forms (shot s >= 1000 ends in one after s // 1000)
+_PLAIN = [str(r).encode("utf-8") for r in range(1000)]
+_PADDED = [f"{r:03d}".encode("utf-8") for r in range(1000)]
+
+
 def shot_keys(master: int, shots: int) -> np.ndarray:
     """[derive_seed(master, "shot", s) for s in range(shots)] as a uint64 vector.
 
-    The common prefix is hashed once; each key continues a copy of that hasher.
+    The common prefix is hashed once, and once more with each thousands
+    block s // 1000; each key continues a copy of its block's hasher with
+    the last three digits of s, taken from a fixed table.
     """
     prefix = hashlib.blake2b(f"{int(master)}:shot:".encode("utf-8"), digest_size=8)
-    digests = bytearray()
-    for s in range(shots):
-        h = prefix.copy()
-        h.update(str(s).encode("utf-8"))
-        digests += h.digest()
-    return np.frombuffer(bytes(digests), dtype=">u8").astype(np.uint64)
+    digests = []
+    for block in range(-(-shots // 1000)):
+        if block:
+            head, suffixes = prefix.copy(), _PADDED
+            head.update(str(block).encode("utf-8"))
+        else:
+            head, suffixes = prefix, _PLAIN
+        for suffix in suffixes[: shots - 1000 * block]:
+            h = head.copy()
+            h.update(suffix)
+            digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), dtype=">u8").astype(np.uint64)
 
 
 def _mix(z: int) -> int:

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +95,16 @@ class TestRunSweep:
         records = run_sweep(cfg, workers=1)
         assert len(records) == len(cfg.sizes) * len(cfg.protocols) * cfg.samples
         assert sorted(calls) == [(n, s) for n in cfg.sizes for s in range(cfg.samples)]
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # only a run with workers > 1 imports concurrent.futures
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = "import sys, ghz_synth; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
     def test_parallel_equals_serial(self):
         cfg = small_config(samples=3)

@@ -15,6 +15,7 @@ from ghz_synth.layouts import (
     random_connected_subgraph,
     rect_grid,
 )
+from ghz_synth.rng import make_rng
 from ghz_synth.testutil import scalar_erdos_renyi
 
 
@@ -166,6 +167,16 @@ class TestConnectedErdosRenyi:
     )
     def test_matches_scalar_reference(self, n, p, seed):
         assert connected_erdos_renyi(n, p, seed).edges == scalar_erdos_renyi(n, p, seed).edges
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 100, 1000])
+    def test_tree_in_one_draw_equals_scalar_draws(self, n):
+        # same parents as n - 1 scalar integers(0, i) calls, and the stream
+        # is left where they leave it
+        for seed in range(50):
+            scalar, vector = make_rng(seed), make_rng(seed)
+            want = [-1] + [int(scalar.integers(0, i)) for i in range(1, n)]
+            assert layouts._tree_parents(vector, n).tolist() == want
+            assert vector.random() == scalar.random()
 
     @pytest.mark.parametrize("block", [1, 2, 7, 40, 10_000])
     def test_blocks_draw_the_same_stream(self, monkeypatch, block):

@@ -160,5 +160,12 @@ class TestShotKeys:
         assert keys.dtype == np.uint64
         assert keys.tolist() == [derive_seed(master, "shot", s) for s in range(4096)]
 
+    @pytest.mark.parametrize("shots", [999, 1000, 1001, 12345])
+    def test_thousands_blocks_equal_derive_seed(self, shots):
+        # shots past 999 continue a hasher of their thousands block with a
+        # zero-padded three-digit suffix
+        keys = shot_keys(7, shots)
+        assert keys.tolist() == [derive_seed(7, "shot", s) for s in range(shots)]
+
     def test_empty(self):
         assert shot_keys(3, 0).size == 0
