@@ -101,7 +101,8 @@ class TestRunSweep:
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         probe = "import sys, ghz_synth; print('concurrent.futures' in sys.modules)"
-        done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
