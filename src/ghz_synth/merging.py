@@ -24,9 +24,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union, get_args, get_type_hints
 
 from . import schema
 from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset
@@ -47,7 +47,6 @@ __all__ = [
     "select_stars",
     "build_star_ghz",
     "plan_merges",
-    "merge_operations",
     "synthesize_merging",
 ]
 
@@ -56,82 +55,109 @@ __all__ = [
 class HighestDegree:
     """Always pick the residual node of maximum residual degree."""
 
+    kind: ClassVar[str] = "highest_degree"
+
+    def target(self, g: LayoutGraph) -> int:
+        # no residual degree reaches n, so "closest to n" is "highest", and
+        # a star keeps all of the center's residual neighbors
+        return g.node_count
+
 
 @dataclass(frozen=True)
 class ScalingFactor:
     """Target star degree = round(f * average degree of the input graph)."""
 
+    kind: ClassVar[str] = "scaling_factor"
     f: float
 
     def __post_init__(self):
         if not 0 < self.f < math.inf:
             raise ValueError(f"scaling factor must be positive and finite, got {self.f}")
 
+    def target(self, g: LayoutGraph) -> int:
+        return _round_half_away(self.f * float(average_degree(g)))
+
 
 @dataclass(frozen=True)
 class AbsoluteSize:
     """Target star size s, i.e. target star degree s - 1."""
 
+    kind: ClassVar[str] = "absolute_size"
     s: int
 
     def __post_init__(self):
         if self.s < 1:
             raise ValueError("absolute star size must be >= 1")
 
+    def target(self, g: LayoutGraph) -> int:
+        return self.s - 1
+
 
 StarSelectionStrategy = Union[HighestDegree, ScalingFactor, AbsoluteSize]
 
+# A strategy class declares its kind (the JSON "strategy" value and the label
+# prefix), its parameter as its dataclass field, if it has one, and its target
+# star degree; StarSelectionStrategy lists the classes. The (de)serialisers
+# read only these tables: the class of each kind, and the (field name, type)
+# of each class's parameter.
+_STRATEGIES = {cls.kind: cls for cls in get_args(StarSelectionStrategy)}
+_PARAMETERS = {cls: [(f.name, get_type_hints(cls)[f.name]) for f in fields(cls)]
+               for cls in _STRATEGIES.values()}
+
+
+def _declared(strategy: StarSelectionStrategy) -> tuple[str, list[tuple[str, type]]]:
+    """The kind and the parameters of a strategy's class; TypeError for a non-strategy."""
+    params = _PARAMETERS.get(type(strategy))
+    if params is None:
+        raise TypeError(f"unknown strategy {strategy!r}")
+    return strategy.kind, params
+
 
 def strategy_to_json(strategy: StarSelectionStrategy) -> dict:
-    if isinstance(strategy, HighestDegree):
-        return {"strategy": "highest_degree"}
-    if isinstance(strategy, ScalingFactor):
-        return {"strategy": "scaling_factor", "f": strategy.f}
-    if isinstance(strategy, AbsoluteSize):
-        return {"strategy": "absolute_size", "s": strategy.s}
-    raise TypeError(f"unknown strategy {strategy!r}")
+    kind, params = _declared(strategy)
+    return {"strategy": kind, **{name: getattr(strategy, name) for name, _ in params}}
 
 
 def strategy_from_json(obj: dict, path: str = "strategy") -> StarSelectionStrategy:
     """Inverse of strategy_to_json; InputError names the bad field below path."""
     kind = schema.field(obj, "strategy", path, str)
-    if kind == "highest_degree":
-        return HighestDegree()
-    if kind == "scaling_factor":
-        return schema.construct(path, ScalingFactor, schema.field(obj, "f", path, float))
-    if kind == "absolute_size":
-        return schema.construct(path, AbsoluteSize, schema.field(obj, "s", path, int))
-    raise schema.InputError(f"{path}.strategy: unknown strategy kind {kind!r}")
+    cls = _STRATEGIES.get(kind)
+    if cls is None:
+        raise schema.InputError(f"{path}.strategy: unknown strategy kind {kind!r}")
+    args = [schema.field(obj, name, path, type_) for name, type_ in _PARAMETERS[cls]]
+    return schema.construct(path, cls, *args)
 
 
 def strategy_label(strategy: Optional[StarSelectionStrategy]) -> str:
-    """Compact single-token form used in CSV output and CLI flags."""
+    """Compact single-token form used in CSV output and CLI flags.
+
+    A float parameter is written in the `g` format, to six significant digits.
+    """
     if strategy is None:
         return ""
-    if isinstance(strategy, HighestDegree):
-        return "highest_degree"
-    if isinstance(strategy, ScalingFactor):
-        return f"scaling_factor={strategy.f:g}"
-    if isinstance(strategy, AbsoluteSize):
-        return f"absolute_size={strategy.s}"
-    raise TypeError(f"unknown strategy {strategy!r}")
+    label, params = _declared(strategy)
+    for name, type_ in params:
+        value = getattr(strategy, name)
+        label += f"={value:g}" if type_ is float else f"={value}"
+    return label
 
 
 def strategy_from_label(label: str) -> StarSelectionStrategy:
-    """Inverse of strategy_label for a merging strategy; InputError on a bad label."""
-    kind, _, value = label.partition("=")
-    try:
-        if label == "highest_degree":
-            return HighestDegree()
-        if kind == "scaling_factor":
-            return ScalingFactor(float(value))
-        if kind == "absolute_size":
-            return AbsoluteSize(int(value))
-    except ValueError as exc:
-        raise schema.InputError(f"{label!r}: {exc}") from None
+    """The merging strategy of a label; InputError on a bad label.
+
+    It inverts strategy_label up to the label's rounding: a scaling factor
+    comes back to the six significant digits of its `g` format.
+    """
+    kind, eq, value = label.partition("=")
+    cls = _STRATEGIES.get(kind)
+    if cls is not None and (_PARAMETERS[cls] or not eq):  # no "=" without a parameter
+        try:
+            return cls(*(type_(value) for _, type_ in _PARAMETERS[cls]))
+        except ValueError as exc:
+            raise schema.InputError(f"{label!r}: {exc}") from None
+    forms = [k + "".join(f"=<{p}>" for p, _ in _PARAMETERS[c]) for k, c in _STRATEGIES.items()]
     raise schema.InputError(
-        f"unknown strategy {label!r}; expected highest_degree, "
-        "scaling_factor=<f>, or absolute_size=<s>"
+        f"unknown strategy {label!r}; expected {', '.join(forms[:-1])}, or {forms[-1]}"
     )
 
 
@@ -163,10 +189,11 @@ def _round_half_away(x: float) -> int:
 def select_stars(g: LayoutGraph, strategy: StarSelectionStrategy) -> list[Star]:
     """Partition the nodes of g into stars, selected iteratively.
 
-    Each step picks a center in the residual graph (max residual degree for
-    HighestDegree, residual degree closest to the target for the other
-    strategies; ties fall to the lowest node index) and removes the star from
-    the residual. Isolated residual nodes end up as single-node stars.
+    Each step picks a center in the residual graph, the node whose residual
+    degree is closest to strategy.target(g) (ties fall to the lowest node
+    index), takes up to that many of its residual neighbors as leaves and
+    removes the star from the residual. Isolated residual nodes end up as
+    single-node stars.
 
     Centers come from a lazy-deletion binary heap of (key, node) entries: a
     node gets a fresh entry whenever its residual degree drops, and popped
@@ -175,15 +202,7 @@ def select_stars(g: LayoutGraph, strategy: StarSelectionStrategy) -> list[Star]:
     O((N + E) log N).
     """
     n = g.node_count
-    if isinstance(strategy, ScalingFactor):
-        target = _round_half_away(strategy.f * float(average_degree(g)))
-    elif isinstance(strategy, AbsoluteSize):
-        target = strategy.s - 1
-    else:
-        # no residual degree reaches n, so "closest to n" is "highest", and
-        # a star keeps all of the center's residual neighbors
-        target = n
-
+    target = strategy.target(g)
     adj = g.adjacency
     alive = [True] * n
     residual_deg = [len(ns) for ns in adj]
@@ -235,21 +254,14 @@ class MergePlan:
         return sum(len(r) for r in self.rounds)
 
 
-def merge_operations(merge: Merge, cbit: int) -> list[Operation]:
+def _fuse(u: int, v: int, correction: tuple[int, ...], cbit: int) -> list[Operation]:
     """Operations fusing the absorbed component into the keeper.
 
-    CX across the bridge, Z measurement of the absorbed bridge qubit,
-    conditional X on the rest of the absorbed component, then reset and
-    re-entangle the measured qubit via the same bridge edge. `_assemble`
-    emits the same ops, taking the correction from its member list of the
-    absorbed side instead of a Merge.
+    CX across the bridge (u, v), u in the keeper and v in the absorbed
+    component, Z measurement of v into cbit, conditional X on correction,
+    the sorted rest of the absorbed component, then reset and re-entangle
+    the measured qubit via the same bridge edge.
     """
-    u, v = merge.bridge
-    return _fuse(u, v, tuple(sorted(merge.absorbed - {v})), cbit)
-
-
-def _fuse(u: int, v: int, correction: tuple[int, ...], cbit: int) -> list[Operation]:
-    """The ops of merge_operations for bridge (u, v) and the sorted CondX targets."""
     ops: list[Operation] = [CX(u, v), MeasureZ(v, cbit)]
     if correction:
         ops.append(CondX(correction, cbit))

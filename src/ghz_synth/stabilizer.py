@@ -89,7 +89,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset, X
+from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset, X, touched_qubits
 from .rng import CounterStream, check_seed, shot_keys
 
 __all__ = [
@@ -232,10 +232,23 @@ class Tableau:
         odd number of the qubits, for X and Z each.
         """
         qs = list(qs)
-        if x:
-            self.r ^= np.bitwise_xor.reduce(self.z[qs], axis=0)
-        if z:
-            self.r ^= np.bitwise_xor.reduce(self.x[qs], axis=0)
+        self.r ^= self._anticommuting(qs if x else [], qs if z else [])
+
+    def _anticommuting(self, xs, zs) -> np.ndarray:
+        """Packed mask of the rows that anticommute with a Pauli with X parts
+        on the qubits xs and Z parts on zs (lists or index arrays).
+
+        Row j anticommutes iff x_P . z_j + z_P . x_j is odd: XOR the z columns
+        on xs and the x columns on zs, for all rows at once. A side that is
+        empty is not reduced, as in flip's one-sided reference flips on run's
+        path.
+        """
+        if not len(xs):
+            return np.bitwise_xor.reduce(self.x[zs], axis=0)
+        anti = np.bitwise_xor.reduce(self.z[xs], axis=0)
+        if len(zs):
+            anti ^= np.bitwise_xor.reduce(self.x[zs], axis=0)
+        return anti
 
     # -- Pauli products with phase tracking --
 
@@ -316,11 +329,7 @@ class Tableau:
         anticommutes with it (Aaronson & Gottesman), and the sign of that
         product is returned.
         """
-        # row j anticommutes with P iff x_P . z_j + z_P . x_j is odd: XOR the
-        # columns on P's support, for all rows at once
-        xs, zs = np.flatnonzero(px), np.flatnonzero(pz)
-        anti = np.bitwise_xor.reduce(self.z[xs], axis=0)
-        anti ^= np.bitwise_xor.reduce(self.x[zs], axis=0)
+        anti = self._anticommuting(np.flatnonzero(px), np.flatnonzero(pz))
         if np.count_nonzero(anti & self.stab_mask):
             return 0
         y_p = np.count_nonzero(np.asarray(px) & np.asarray(pz))
@@ -454,8 +463,8 @@ class PauliFrame:
     def fold(self, shot: int) -> Tableau:
         """The tableau of one shot: the reference with the shot's frame folded into its signs."""
         t = self.ref.copy()
-        fx, fz = _bits_at(self.f, shot).astype(bool)
-        t.r ^= np.bitwise_xor.reduce(t.z[fx], axis=0) ^ np.bitwise_xor.reduce(t.x[fz], axis=0)
+        fx, fz = _bits_at(self.f, shot)
+        t.r ^= t._anticommuting(np.flatnonzero(fx), np.flatnonzero(fz))
         return t
 
 
@@ -491,6 +500,9 @@ def _check_forced(forced: Sequence[Optional[int]]) -> Sequence[Optional[int]]:
 _SKIP_BASE, _SKIP_STRIDE = 2**62, 2**58
 # a window of noise masks holds as many rows as the frame, or this many bytes if more
 _WINDOW_BYTES = 2**20
+# the error class of each op type: 1-qubit locations, CX locations, readout
+# flips and reset errors, in the order of NoiseModel's p1, p2, pm and pr
+_ERROR_CLASS = {H: 0, X: 0, CondX: 0, CX: 1, MeasureZ: 2, Reset: 3}
 
 
 class _NoisePlan:
@@ -524,17 +536,13 @@ class _NoisePlan:
         sites: tuple[list[tuple[int, tuple[int, ...]]], ...] = ([], [], [], [])
         cuts, held = [], 0
         for i, op in enumerate(ops):
-            if isinstance(op, (H, X)):
-                sites[0].append((i, (op.q,)))
-                held += 2
-            elif isinstance(op, CondX):
-                sites[0].extend((i, (t,)) for t in op.targets)
-                held += 2 * len(op.targets)
-            elif isinstance(op, CX):
-                sites[1].append((i, (op.control, op.target)))
-                held += 4
-            else:
-                sites[2 if isinstance(op, MeasureZ) else 3].append((i, ()))
+            c = _ERROR_CLASS[type(op)]
+            if c < 2:  # Pauli errors: one location per touched qubit, or a CX's two
+                qs = touched_qubits(op)
+                sites[c].extend([(i, qs)] if c else [(i, (q,)) for q in qs])
+                held += 2 * len(qs)
+            else:  # a readout flip or a reset error: one mask row, no qubits
+                sites[c].append((i, ()))
                 held += 1
             if held >= rows:
                 cuts.append(i + 1)

@@ -199,6 +199,9 @@ def test_bad_strategy_usage_error(tmp_path, capsys):
     ("merge", "absolute_size=0", "'absolute_size=0': absolute star size must be >= 1"),
     ("merge", "scaling_factor=-1",
      "'scaling_factor=-1': scaling factor must be positive and finite, got -1.0"),
+    ("merge", "scaling_factor", "'scaling_factor': could not convert string to float: ''"),
+    ("merge", "highest_degree=1", "unknown strategy 'highest_degree=1'; expected "
+                                  "highest_degree, scaling_factor=<f>, or absolute_size=<s>"),
 ])
 def test_synth_strategy_usage_error_names_flag(protocol, strategy, message, tmp_path, capsys):
     # the flag is checked before the layout file is read
@@ -309,6 +312,14 @@ def test_bench_malformed_config_runtime_error(tmp_path, capsys):
         ({**base, "protocols": [{"protocol": "merging",
                                  "strategy": {"strategy": "scaling_factor"}}]},
          "protocols[0].strategy.f: missing field"),
+        ({**base, "protocols": [{"protocol": "merging", "strategy": {"strategy": "x"}}]},
+         "protocols[0].strategy.strategy: unknown strategy kind 'x'"),
+        ({**base, "protocols": [{"protocol": "merging",
+                                 "strategy": {"strategy": "absolute_size"}}]},
+         "protocols[0].strategy.s: missing field"),
+        ({**base, "protocols": [{"protocol": "merging",
+                                 "strategy": {"strategy": "absolute_size", "s": 2.5}}]},
+         "protocols[0].strategy.s: expected int, got 2.5"),
         ({**base, "noise": {"p9": 0.1}}, "noise.p9: unknown noise parameter"),
         ({**base, "noise": {"p1": "high"}}, "noise.p1: expected a number, got 'high'"),
         ({**base, "samples": "3"}, "samples: expected int, got '3'"),

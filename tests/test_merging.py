@@ -12,6 +12,7 @@ from ghz_synth.merging import (
     HighestDegree,
     ScalingFactor,
     Star,
+    _STRATEGIES,
     build_star_ghz,
     plan_merges,
     select_stars,
@@ -25,6 +26,16 @@ from ghz_synth.metrics import is_ghz
 from ghz_synth.rng import derive_seed
 from ghz_synth.schema import InputError
 from ghz_synth.stabilizer import run
+
+
+# one example of each registered strategy kind, with its JSON form and its label
+STRATEGY_EXAMPLES = {
+    "highest_degree": (HighestDegree(), {"strategy": "highest_degree"}, "highest_degree"),
+    "scaling_factor": (
+        ScalingFactor(1.3), {"strategy": "scaling_factor", "f": 1.3}, "scaling_factor=1.3",
+    ),
+    "absolute_size": (AbsoluteSize(4), {"strategy": "absolute_size", "s": 4}, "absolute_size=4"),
+}
 
 
 def star_graph(k: int) -> LayoutGraph:
@@ -88,14 +99,26 @@ class TestSelectStars:
         assert sorted(s.size for s in stars) == [1, 3]
         assert Star(3, frozenset()) in stars
 
-    def test_strategy_json_round_trip(self):
-        for strategy in (HighestDegree(), ScalingFactor(1.3), AbsoluteSize(4)):
-            assert strategy_from_json(strategy_to_json(strategy)) == strategy
-            assert strategy_from_label(strategy_label(strategy)) == strategy
-        assert strategy_to_json(HighestDegree()) == {"strategy": "highest_degree"}
-        assert strategy_to_json(ScalingFactor(1.3)) == {
-            "strategy": "scaling_factor", "f": 1.3,
-        }
+    @pytest.mark.parametrize("kind", sorted(_STRATEGIES))
+    def test_strategy_json_round_trip(self, kind):
+        strategy, doc, label = STRATEGY_EXAMPLES[kind]
+        assert type(strategy) is _STRATEGIES[kind]
+        assert strategy_to_json(strategy) == doc
+        assert strategy_from_json(doc) == strategy
+        assert strategy_label(strategy) == label
+        assert strategy_from_label(label) == strategy
+
+    @pytest.mark.parametrize("strategy, label", [
+        (AbsoluteSize(10**7), "absolute_size=10000000"),  # an int, not 1e+07
+        (ScalingFactor(0.70000001), "scaling_factor=0.7"),  # six significant digits
+    ])
+    def test_strategy_label_format(self, strategy, label):
+        assert strategy_label(strategy) == label
+
+    def test_non_strategy_is_a_type_error(self):
+        for to_text in (strategy_label, strategy_to_json):
+            with pytest.raises(TypeError, match="^unknown strategy 'highest_degree'$"):
+                to_text("highest_degree")
 
     def test_invalid_strategy_params(self):
         with pytest.raises(ValueError):

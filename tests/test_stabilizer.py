@@ -1,3 +1,4 @@
+import typing
 from collections import Counter
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghz_synth.circuit import CX, Circuit, CondX, H, MeasureZ, Reset, X
+from ghz_synth.circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset, X
 from ghz_synth.rng import CounterStream, shot_keys
 from ghz_synth.rng import derive_seed, make_rng
 from ghz_synth.stabilizer import (
@@ -15,6 +16,7 @@ from ghz_synth.stabilizer import (
     NoiseModel,
     PauliFrame,
     Tableau,
+    _ERROR_CLASS,
     _pack,
     _simulate,
     _unpack,
@@ -462,6 +464,9 @@ class TestSkipNoise:
             assert (zero.cbits, zero.outcome_log) == (clean.cbits, clean.outcome_log)
             assert np.array_equal(zero.tableau.xz, clean.tableau.xz)
             assert np.array_equal(zero.tableau.r, clean.tableau.r)
+
+    def test_every_op_type_has_an_error_class(self):
+        assert set(_ERROR_CLASS) == set(typing.get_args(Operation))
 
     def test_condx_target_errs_only_where_it_fired(self):
         # the CondX target's location errs in every shot (p1 = 1), but a
