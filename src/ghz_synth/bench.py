@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
+from itertools import repeat
 from typing import Optional
 
 from . import layouts, schema
@@ -83,8 +84,8 @@ class ProtocolSpec:
     @classmethod
     def from_json(cls, obj, path: str) -> "ProtocolSpec":
         """Parse one protocols[i] entry; InputError names the bad field below path."""
-        protocol = schema.field(obj, "protocol", path, str)
-        strategy = schema.field(obj, "strategy", path, dict, None)
+        protocol, strategy = schema.read(obj, {"protocol": str, "strategy": (dict, None)},
+                                         path).values()
         if strategy is not None:
             strategy = strategy_from_json(strategy, f"{path}.strategy")
         return schema.construct(path, cls, protocol, strategy)
@@ -126,6 +127,9 @@ class SweepConfig:
         for name in ("samples", "shots", "grid_rows", "grid_cols"):
             if getattr(self, name) < 1:
                 raise schema.InputError(f"{name}: must be >= 1, got {getattr(self, name)}")
+        schema.check_max_n(self.samples, name="samples")
+        if self.compute_fidelity:  # only a fidelity sweep draws its shots
+            schema.check_max_n(self.shots, name="shots")
         if not 0.0 <= self.er_p <= 1.0:
             raise schema.InputError(f"er_p: must lie in [0, 1], got {self.er_p}")
 
@@ -135,30 +139,18 @@ class SweepConfig:
 
         Every field with a default may be left out, and reads as its default.
         """
-        obj = json.loads(text)
-
-        def get(key: str, kind: type, *default):
-            return schema.field(obj, key, "", kind, *default, root="config")
-
-        family, sizes = get("family", str), get("sizes", tuple)
-        protocols = tuple(
-            ProtocolSpec.from_json(p, f"protocols[{i}]")
-            for i, p in enumerate(get("protocols", list))
-        )
-        noise = get("noise", dict, None)
-        if noise:
-            known = [f.name for f in fields(NoiseModel)]
-            for key in noise:
-                if key not in known:
-                    raise schema.InputError(f"noise.{key}: unknown noise parameter")
-            params = {k: schema.field(noise, k, "noise", float) for k in noise}
+        # a field reads as the type of its default; the fields without one, and
+        # noise, whose default is None, are given their kinds
+        spec = {f.name: (type(f.default), f.default) for f in fields(cls)}
+        spec.update(family=str, sizes=tuple, protocols=list, noise=(dict, None))
+        args = schema.read(schema.parse(text, "config"), spec)
+        args["protocols"] = tuple(ProtocolSpec.from_json(p, f"protocols[{i}]")
+                                  for i, p in enumerate(args["protocols"]))
+        if noise := args.pop("noise"):
+            params = {f.name: (float, f.default) for f in fields(NoiseModel)}
+            params = schema.read(noise, params, "noise", "noise parameter")
             noise = schema.construct("noise", NoiseModel, **params)
-        defaulted = {
-            f.name: get(f.name, type(f.default), f.default)
-            for f in fields(cls)
-            if f.default is not MISSING and f.name != "noise"
-        }
-        return cls(family, sizes, protocols, noise=noise or None, **defaulted)
+        return cls(**args, noise=noise or None)
 
     def to_json(self) -> str:
         obj = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -199,22 +191,14 @@ def _make_layout(cfg: SweepConfig, n: int, sample: int) -> layouts.LayoutGraph:
     return sub
 
 
-@dataclass(frozen=True)
-class _Cell:
-    """One (size, sample) cell: a layout and every protocol variant run on it."""
-
-    cfg: SweepConfig
-    n: int
-    sample: int
+def _run_cell(cfg: SweepConfig, n: int, sample: int) -> list[BenchmarkRecord]:
+    """One (size, sample) cell: its layout, and every protocol variant run on it."""
+    g = _make_layout(cfg, n, sample)
+    return [_run_protocol(cfg, n, sample, spec, g) for spec in cfg.protocols]
 
 
-def _run_cell(cell: _Cell) -> list[BenchmarkRecord]:
-    g = _make_layout(cell.cfg, cell.n, cell.sample)
-    return [_run_protocol(cell, spec, g) for spec in cell.cfg.protocols]
-
-
-def _run_protocol(cell: _Cell, spec: ProtocolSpec, g: layouts.LayoutGraph) -> BenchmarkRecord:
-    cfg, n, sample = cell.cfg, cell.n, cell.sample
+def _run_protocol(cfg: SweepConfig, n: int, sample: int, spec: ProtocolSpec,
+                  g: layouts.LayoutGraph) -> BenchmarkRecord:
     seed = derive_seed(cfg.seed, cfg.family, n, spec.protocol, spec.label, sample)
     mean_star_size = scaling_factor = fidelity = None
     circ = spec.synthesize(g)
@@ -280,16 +264,18 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> list[Benchmark
             raise CapacityError(
                 f"sizes {too_big} exceed the simulator's maximum of {MAX_QUBITS} qubits"
             )
-    cells = [_Cell(cfg, n, sample) for n in cfg.sizes for sample in range(cfg.samples)]
+    # the cells, as the parallel arguments of _run_cell
+    sizes = [n for n in cfg.sizes for _ in range(cfg.samples)]
+    cells = (repeat(cfg), sizes, [*range(cfg.samples)] * len(cfg.sizes))
     if workers is None:
         workers = worker_count()
-    if workers > 1 and len(cells) > 1:
+    if workers > 1 and len(sizes) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(pool.map(_run_cell, cells, chunksize=2))
+            per_cell = list(pool.map(_run_cell, *cells, chunksize=2))
     else:
-        per_cell = [_run_cell(cell) for cell in cells]
+        per_cell = list(map(_run_cell, *cells))
     records = [r for cell_records in per_cell for r in cell_records]
     records.sort(key=lambda r: (r.family, r.n, r.protocol, r.strategy, r.sample))
     return records

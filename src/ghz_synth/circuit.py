@@ -146,30 +146,23 @@ class Circuit:
     @classmethod
     def from_json(cls, text: str) -> "Circuit":
         """Parse a circuit; MalformedCircuitError names the bad field."""
-        obj = json.loads(text)
-        ops: list[Operation] = []
-        for i, rec in enumerate(_field(obj, "ops", "", list)):
-            path = f"ops[{i}]"
-            tag = _field(rec, "tag", path, str)
-            if tag not in _OPS_BY_TAG:
-                raise MalformedCircuitError(f"{path}.tag: unknown op tag {tag!r}")
-            op_type = _OPS_BY_TAG[tag]
-            ops.append(op_type(*(_field(rec, f, path, _KINDS[f]) for f in _FIELDS[op_type])))
-        return cls(_field(obj, "n", "", int), _field(obj, "cbits", "", int), ops)
+        obj = schema.parse(text, "circuit", MalformedCircuitError)
+        n, cbits, records = schema.read(obj, {"n": int, "cbits": int, "ops": list},
+                                        error=MalformedCircuitError).values()
+        ops = [schema.read_tagged(rec, "tag", _OPS_BY_TAG, _FIELDS, f"ops[{i}]", "op tag",
+                                  MalformedCircuitError) for i, rec in enumerate(records)]
+        return cls(n, cbits, ops)
 
 
 # JSON tag of each operation type; a record's other keys are the op's fields
 _TAGS = {H: "h", X: "x", CX: "cx", MeasureZ: "measure_z", Reset: "reset", CondX: "cond_x"}
 _OPS_BY_TAG = {tag: op_type for op_type, tag in _TAGS.items()}
-_FIELDS = {op_type: tuple(f.name for f in fields(op_type)) for op_type in _TAGS}
 _KINDS = {"q": int, "control": int, "target": int, "cbit": int, "targets": tuple}
+# the fields of each operation type, in order, with their kinds: its JSON spec
+_FIELDS = {op_type: {f.name: _KINDS[f.name] for f in fields(op_type)} for op_type in _TAGS}
 # OpenQASM 3 statement of each operation type but CondX, formatted with the op
 _QASM = {H: "h q[{0.q}];", X: "x q[{0.q}];", CX: "cx q[{0.control}], q[{0.target}];",
          MeasureZ: "c[{0.cbit}] = measure q[{0.q}];", Reset: "reset q[{0.q}];"}
-
-
-def _field(rec, key: str, path: str, kind: type):
-    return schema.field(rec, key, path, kind, error=MalformedCircuitError, root="circuit")
 
 
 class Schedule:

@@ -115,9 +115,7 @@ class LayoutGraph:
     @classmethod
     def from_json(cls, text: str) -> "LayoutGraph":
         """Parse a layout; InputError names the missing, mistyped or bad field."""
-        obj = json.loads(text)
-        n = schema.field(obj, "n", "", int, root="layout")
-        edges = schema.field(obj, "edges", "", list, root="layout")
+        n, edges = schema.read(schema.parse(text, "layout"), {"n": int, "edges": list}).values()
         for i, e in enumerate(edges):
             if not (isinstance(e, list) and len(e) == 2 and all(map(schema.is_int, e))):
                 raise schema.InputError(f"edges[{i}]: expected a pair of integers, got {e!r}")

@@ -98,14 +98,14 @@ StarSelectionStrategy = Union[HighestDegree, ScalingFactor, AbsoluteSize]
 # A strategy class declares its kind (the JSON "strategy" value and the label
 # prefix), its parameter as its dataclass field, if it has one, and its target
 # star degree; StarSelectionStrategy lists the classes. The (de)serialisers
-# read only these tables: the class of each kind, and the (field name, type)
-# of each class's parameter.
+# read only these tables: the class of each kind, and the {field name: type}
+# of each class's parameter, its JSON spec.
 _STRATEGIES = {cls.kind: cls for cls in get_args(StarSelectionStrategy)}
-_PARAMETERS = {cls: [(f.name, get_type_hints(cls)[f.name]) for f in fields(cls)]
+_PARAMETERS = {cls: {f.name: get_type_hints(cls)[f.name] for f in fields(cls)}
                for cls in _STRATEGIES.values()}
 
 
-def _declared(strategy: StarSelectionStrategy) -> tuple[str, list[tuple[str, type]]]:
+def _declared(strategy: StarSelectionStrategy) -> tuple[str, dict[str, type]]:
     """The kind and the parameters of a strategy's class; TypeError for a non-strategy."""
     params = _PARAMETERS.get(type(strategy))
     if params is None:
@@ -115,17 +115,12 @@ def _declared(strategy: StarSelectionStrategy) -> tuple[str, list[tuple[str, typ
 
 def strategy_to_json(strategy: StarSelectionStrategy) -> dict:
     kind, params = _declared(strategy)
-    return {"strategy": kind, **{name: getattr(strategy, name) for name, _ in params}}
+    return {"strategy": kind, **{name: getattr(strategy, name) for name in params}}
 
 
 def strategy_from_json(obj: dict, path: str = "strategy") -> StarSelectionStrategy:
     """Inverse of strategy_to_json; InputError names the bad field below path."""
-    kind = schema.field(obj, "strategy", path, str)
-    cls = _STRATEGIES.get(kind)
-    if cls is None:
-        raise schema.InputError(f"{path}.strategy: unknown strategy kind {kind!r}")
-    args = [schema.field(obj, name, path, type_) for name, type_ in _PARAMETERS[cls]]
-    return schema.construct(path, cls, *args)
+    return schema.read_tagged(obj, "strategy", _STRATEGIES, _PARAMETERS, path, "strategy kind")
 
 
 def strategy_label(strategy: Optional[StarSelectionStrategy]) -> str:
@@ -136,7 +131,7 @@ def strategy_label(strategy: Optional[StarSelectionStrategy]) -> str:
     if strategy is None:
         return ""
     label, params = _declared(strategy)
-    for name, type_ in params:
+    for name, type_ in params.items():
         value = getattr(strategy, name)
         label += f"={value:g}" if type_ is float else f"={value}"
     return label
@@ -152,10 +147,10 @@ def strategy_from_label(label: str) -> StarSelectionStrategy:
     cls = _STRATEGIES.get(kind)
     if cls is not None and (_PARAMETERS[cls] or not eq):  # no "=" without a parameter
         try:
-            return cls(*(type_(value) for _, type_ in _PARAMETERS[cls]))
+            return cls(*(type_(value) for type_ in _PARAMETERS[cls].values()))
         except ValueError as exc:
             raise schema.InputError(f"{label!r}: {exc}") from None
-    forms = [k + "".join(f"=<{p}>" for p, _ in _PARAMETERS[c]) for k, c in _STRATEGIES.items()]
+    forms = [k + "".join(f"=<{p}>" for p in _PARAMETERS[c]) for k, c in _STRATEGIES.items()]
     raise schema.InputError(
         f"unknown strategy {label!r}; expected {', '.join(forms[:-1])}, or {forms[-1]}"
     )

@@ -1,16 +1,24 @@
-"""Field-by-field reading of the package's JSON documents.
+"""Reading the package's JSON documents: one parse, one object reader.
 
-The circuit, layout and sweep-config loaders read every field through
-`field`, so a missing or mistyped field raises InputError (a ValueError)
-whose message starts with the field's path in the document, such as
-`ops[0].target` or `protocols[1].strategy.f`. A value out of range names its
-field too: the top-level constructors start their messages with it, and
-nested objects are built through `construct`, which prefixes their path.
+A layout, circuit or sweep config is text that `parse` turns into one JSON
+object, and every object in it, the document itself included, is read by
+`read` from a spec that lists each of its keys with its kind (and default,
+if it may be left out). An object whose kind is named by one of its fields,
+such as an op record by its `tag` or a strategy by its `strategy`, is read
+by `read_tagged`. So a missing, mistyped or unknown field raises InputError
+(a ValueError) whose message starts with the field's path in the document,
+such as `ops[0].target` or `protocols[1].strategy.f`. A value out of range
+names its field too: the top-level constructors start their messages with
+it, and nested objects are built through `construct`, which prefixes their
+path.
 """
 
 from __future__ import annotations
 
-__all__ = ["InputError", "field", "construct", "is_int", "MAX_N", "check_max_n"]
+import json
+
+__all__ = ["InputError", "parse", "read", "read_tagged", "field", "construct", "is_int",
+           "MAX_N", "check_max_n"]
 
 
 class InputError(ValueError):
@@ -20,25 +28,69 @@ class InputError(ValueError):
 _REQUIRED = object()
 
 
-def field(
-    rec,
-    key: str,
-    path: str,
-    kind: type,
-    default=_REQUIRED,
-    error: type = InputError,
-    root: str = "document",
-):
+def parse(text: str, root: str, error: type = InputError) -> dict:
+    """The JSON object that text holds; error, naming the document root, if it holds none.
+
+    Text that is not JSON, nests deeper than the parser can follow, or holds
+    something other than an object is refused.
+    """
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise error(f"{root}: not a JSON document: {exc}") from None
+    except RecursionError:
+        raise error(f"{root}: not a JSON document: nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise error(f"{root}: expected an object")
+    return obj
+
+
+def read(obj, spec: dict, path: str = "", noun: str = "field", error: type = InputError) -> dict:
+    """Each field that spec lists, by key, read through `field`; error for any other key.
+
+    spec maps each of one or more keys to its kind, or to (kind, default)
+    for a field that may be left out. path locates obj in the document (""
+    for the document itself). Every listed field is read, in spec order,
+    before a key that spec does not list is refused as an "unknown <noun>".
+    """
+    values = {key: field(obj, key, path, *(k if isinstance(k, tuple) else (k,)), error=error)
+              for key, k in spec.items()}
+    for key in obj:
+        if key not in spec:
+            raise error(f"{_where(path, key)}: unknown {noun}")
+    return values
+
+
+def read_tagged(obj, key: str, classes: dict, specs: dict, path: str, noun: str,
+                error: type = InputError):
+    """classes[obj[key]] built by `construct` from the fields its spec, specs[class], lists.
+
+    A tag not in classes is an "unknown <noun>"; obj may hold no key but
+    the tag and its class's fields.
+    """
+    tag = field(obj, key, path, str, error=error)
+    cls = classes.get(tag)
+    if cls is None:
+        raise error(f"{_where(path, key)}: unknown {noun} {tag!r}")
+    args = read(obj, {key: str, **specs[cls]}, path, error=error)
+    del args[key]
+    return construct(path, cls, **args)
+
+
+def _where(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def field(rec, key: str, path: str, kind: type, default=_REQUIRED, error: type = InputError):
     """rec[key], checked to be of the given kind, or default when it is absent.
 
-    path locates rec in the document ("" for the document itself, which
-    error messages call `root`). A tuple kind reads a list of ints, a float
-    kind any number (returned as a float); a field that is null counts as
-    absent when there is a default.
+    path locates rec in the document ("" for the document itself). A tuple
+    kind reads a list of ints, a float kind any number (returned as a float);
+    a field that is null counts as absent when there is a default.
     """
-    where = f"{path}.{key}" if path else key
+    where = _where(path, key)
     if not isinstance(rec, dict):
-        raise error(f"{path or root}: expected an object")
+        raise error(f"{path}: expected an object")
     value = rec.get(key)
     if value is None and default is not _REQUIRED:
         return default
@@ -65,9 +117,9 @@ def construct(path: str, make, *args, **kwargs):
         raise InputError(f"{path}: {exc}") from None
 
 
-# Most qubits or classical bits of a circuit or nodes of a layout: far above
-# the 16k-qubit grids the package targets, and low enough that no n-element
-# list is gigabytes.
+# Most qubits or classical bits of a circuit or nodes of a layout, sweep
+# samples or shots: far above the 16k-qubit grids the package targets, and
+# low enough that no n-element list is gigabytes.
 MAX_N = 1 << 24
 
 

@@ -89,6 +89,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import schema
 from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset, X, touched_qubits
 from .rng import CounterStream, check_seed, shot_keys
 
@@ -735,9 +736,10 @@ def run(
 
 
 def check_shots(shots: int) -> int:
-    """The shot count itself, if it is at least 1; else ValueError."""
+    """The shot count itself, if it lies in [1, schema.MAX_N]; else ValueError."""
     if shots < 1:
         raise ValueError(f"shots: must be >= 1, got {shots}")
+    schema.check_max_n(shots, name="shots")
     return shots
 
 

@@ -260,6 +260,36 @@ def test_simulate_malformed_circuit_runtime_error(tmp_path, capsys):
         assert err == f"error: {field}: missing field\n"
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"n": 1, "cbits": 0, "ops": [], "depth": 0}, "depth: unknown field"),
+    ({"n": 1, "cbits": 1, "ops": [{"tag": "h", "q": 0, "cbit": 0}]}, "ops[0].cbit: unknown field"),
+])
+def test_simulate_unknown_circuit_field_runtime_error(doc, message, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["simulate", "--circuit", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("ghz", "Expecting value: line 1 column 1 (char 0)"),
+    ('{"n": 4', "Expecting ',' delimiter: line 1 column 8 (char 7)"),
+    ("[" * 10**5, "nested too deeply"),
+    ('{"n": ' * 10**5, "nested too deeply"),
+], ids=["word", "cut-short", "deep-array", "deep-object"])
+@pytest.mark.parametrize("argv, root", [
+    (["synth", "--protocol", "grow", "--layout"], "layout"),
+    (["simulate", "--circuit"], "circuit"),
+    (["bench", "--out-dir", "out", "--config"], "config"),
+], ids=["layout", "circuit", "config"])
+def test_non_json_document_runtime_error(argv, root, text, problem, tmp_path, monkeypatch,
+                                         capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "doc.json").write_text(text)
+    assert cli_main([*argv, "doc.json"]) == 2
+    assert capsys.readouterr().err == f"error: {root}: not a JSON document: {problem}\n"
+
+
 def test_simulate_oversized_cbits_names_the_field(tmp_path, capsys):
     # rejected when the circuit is built, before a classical-bit matrix is sized
     path = tmp_path / "wide.json"
@@ -294,6 +324,7 @@ def test_synth_malformed_layout_runtime_error(tmp_path, capsys):
          "edges: layout graph must be connected; node 3 is not reached from node 0"),
         ({"n": 2**24 + 1, "edges": []}, "n: must be <= 16777216, got 16777217"),
         ({"n": 2**63, "edges": []}, "n: must be <= 16777216, got 9223372036854775808"),
+        ({"n": 2, "edges": [[0, 1]], "weights": [1]}, "weights: unknown field"),
     ]
     for i, (doc, message) in enumerate(cases):
         path = tmp_path / f"layout{i}.json"
@@ -343,6 +374,18 @@ def test_bench_malformed_config_runtime_error(tmp_path, capsys):
             {"protocol": "growing"},
             {"protocol": "merging", "strategy": {"strategy": "scaling_factor", "f": 0.7000001}},
         ]}, "protocols[2]: repeats protocols[0] (merging, scaling_factor=0.7)"),
+        ({**base, "sampels": 5}, "sampels: unknown field"),
+        ({**base, "protocols": [{"protocol": "growing", "strategy": None, "f": 1}]},
+         "protocols[0].f: unknown field"),
+        ({**base, "protocols": [{"protocol": "merging",
+                                 "strategy": {"strategy": "absolute_size", "s": 4, "f": 0.7}}]},
+         "protocols[0].strategy.f: unknown field"),
+        ({**base, "protocols": [{"protocol": "merging",
+                                 "strategy": {"strategy": "highest_degree", "f": 1}}]},
+         "protocols[0].strategy.f: unknown field"),
+        ({**base, "samples": 2**24 + 1}, "samples: must be <= 16777216, got 16777217"),
+        ({**base, "shots": 10**11, "compute_fidelity": True},
+         "shots: must be <= 16777216, got 100000000000"),
     ]
     for i, (doc, message) in enumerate(cases):
         path = tmp_path / f"sweep{i}.json"
@@ -396,6 +439,7 @@ def test_bad_simulate_flag_usage_error(tmp_path, capsys):
     circ.write_text(Circuit(2, 0, ()).to_json())
     for flags, message in (
         (["--shots", "0"], "--shots: must be >= 1, got 0"),
+        (["--shots", "100000000000"], "--shots: must be <= 16777216, got 100000000000"),
         (["--seed", "-1"], "--seed: must be a 64-bit unsigned integer, got -1"),
         (["--seed", "18446744073709551616"],
          "--seed: must be a 64-bit unsigned integer, got 18446744073709551616"),

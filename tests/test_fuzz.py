@@ -71,15 +71,36 @@ CONFIGS = obj(
 )
 
 
-@pytest.mark.parametrize("load, documents", [
+LOADERS = pytest.mark.parametrize("load, documents", [
     (Circuit.from_json, CIRCUITS),
     (LayoutGraph.from_json, LAYOUTS),
     (SweepConfig.from_json, CONFIGS),
 ], ids=["circuit", "layout", "config"])
+# far past the recursion limit, so the parser cannot follow them
+DEEP = ["[" * 10**5, "[" * 10**5 + "]" * 10**5, '{"n": ' * 10**5]
+
+
+@LOADERS
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_loaders_raise_only_input_error(load, documents, data):
     text = json.dumps(data.draw(documents))
+    try:
+        load(text)
+    except InputError:
+        pass
+
+
+@LOADERS
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_loaders_raise_only_input_error_on_any_text(load, documents, data):
+    """Arbitrary strings, a document cut short, or nesting too deep to parse."""
+    whole = json.dumps(data.draw(documents))
+    text = data.draw(st.one_of(
+        st.text(max_size=12), st.integers(0, len(whole)).map(lambda k: whole[:k]),
+        st.sampled_from(DEEP),
+    ))
     try:
         load(text)
     except InputError:
