@@ -16,7 +16,7 @@ from ghz_synth import (
 eagle = eagle_127()
 print("Eagle chip:", eagle.node_count, "qubits,", eagle.edge_count, "couplers")
 print("  max degree:", max(eagle.degree(q) for q in range(eagle.node_count)))
-print("  average degree:", float(average_degree(eagle)))
+print("  average degree:", average_degree(eagle))
 
 # A rectangular lattice, the second hardware-style family.
 grid = rect_grid(12, 9)
@@ -27,7 +27,7 @@ print("\n12x9 grid:", grid.node_count, "qubits,", grid.edge_count, "couplers")
 # with probability p.
 for p in (0.1, 0.5, 1.0):
     g = connected_erdos_renyi(30, p, seed=7)
-    print(f"ER(30, p={p}): {g.edge_count} edges, avg degree {float(average_degree(g)):.2f}")
+    print(f"ER(30, p={p}): {g.edge_count} edges, avg degree {average_degree(g):.2f}")
 
 # Benchmarks sample random connected subgraphs by accretion: start anywhere,
 # repeatedly pull in a uniformly random neighbor of the current set.

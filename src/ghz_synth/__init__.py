@@ -38,7 +38,6 @@ from .layouts import (
 from .merging import (
     AbsoluteSize,
     HighestDegree,
-    MergePlan,
     ScalingFactor,
     Star,
     StarSelectionStrategy,

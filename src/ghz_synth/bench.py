@@ -207,7 +207,7 @@ def _run_protocol(cfg: SweepConfig, n: int, sample: int, spec: ProtocolSpec,
         # the stars partition the n nodes, and a star's degree is its size - 1
         star_count = circ.cbit_count + 1
         mean_star_size = n / star_count
-        avg_deg = float(layouts.average_degree(g))
+        avg_deg = layouts.average_degree(g)
         mean_degree = (n - star_count) / star_count
         scaling_factor = mean_degree / avg_deg if avg_deg > 0 else 0.0
     if cfg.compute_fidelity:
@@ -247,7 +247,8 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> list[Benchmark
 
     A (size, sample) cell builds its layout once and runs every protocol
     variant on it, so protocols are compared on identical graphs. Records
-    come back in canonical order regardless of worker count. A size the
+    come back in canonical order regardless of worker count, and no more
+    workers start than there are cells. A size the
     sweep cannot run, larger than the source layout or, when fidelity is
     sampled, than the simulator, is refused before any item runs.
     """
@@ -267,9 +268,8 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> list[Benchmark
     # the cells, as the parallel arguments of _run_cell
     sizes = [n for n in cfg.sizes for _ in range(cfg.samples)]
     cells = (repeat(cfg), sizes, [*range(cfg.samples)] * len(cfg.sizes))
-    if workers is None:
-        workers = worker_count()
-    if workers > 1 and len(sizes) > 1:
+    workers = min(worker_count() if workers is None else workers, len(sizes))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

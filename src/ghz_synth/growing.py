@@ -29,8 +29,8 @@ class _Grown:
 
     g: LayoutGraph
 
-    def nodes(self) -> range:
-        return range(self.g.node_count)
+    def nodes(self) -> list[int]:
+        return list(range(self.g.node_count))
 
     def prepare(self, last: list[int]) -> Iterator[Operation]:
         """Yield the walk's ops; each is scheduled before the next parent is chosen."""
@@ -38,12 +38,11 @@ class _Grown:
         n = g.node_count
         adj = g.adjacency
         start = max(range(n), key=lambda u: (len(adj[u]), -u))
-        star = Star(start, frozenset(adj[start]))
-        yield from build_star_ghz(star)
+        layer = adj[start]
+        yield from build_star_ghz(Star(start, layer))
         included = bytearray(n)
-        for u in star.nodes():
+        for u in (start, *layer):
             included[u] = 1
-        layer = sorted(star.leaves)
         while layer:
             frontier = sorted({v for w in layer for v in adj[w] if not included[v]})
             for v in frontier:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
@@ -309,6 +308,6 @@ def random_connected_subgraph(
     return LayoutGraph(k, tuple(edges)), mapping
 
 
-def average_degree(g: LayoutGraph) -> Fraction:
-    """2*|edges| / node_count as an exact rational."""
-    return Fraction(2 * g.edge_count, g.node_count)
+def average_degree(g: LayoutGraph) -> float:
+    """2*|edges| / node_count, correctly rounded."""
+    return 2 * g.edge_count / g.node_count

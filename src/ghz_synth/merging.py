@@ -38,8 +38,6 @@ __all__ = [
     "AbsoluteSize",
     "StarSelectionStrategy",
     "Star",
-    "Merge",
-    "MergePlan",
     "strategy_to_json",
     "strategy_from_json",
     "strategy_label",
@@ -75,7 +73,7 @@ class ScalingFactor:
             raise ValueError(f"scaling factor must be positive and finite, got {self.f}")
 
     def target(self, g: LayoutGraph) -> int:
-        return _round_half_away(self.f * float(average_degree(g)))
+        return _round_half_away(self.f * average_degree(g))
 
 
 @dataclass(frozen=True)
@@ -156,21 +154,16 @@ def strategy_from_label(label: str) -> StarSelectionStrategy:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star:
+    """A center and its leaves, the leaves in ascending order."""
+
     center: int
-    leaves: frozenset[int]
+    leaves: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.leaves)
-
-    @property
-    def size(self) -> int:
-        return 1 + len(self.leaves)
-
-    def nodes(self) -> frozenset[int]:
-        return self.leaves | {self.center}
+    def nodes(self) -> list[int]:
+        """The star's nodes, ascending."""
+        return sorted((self.center, *self.leaves))
 
     def prepare(self, last: list[int]) -> list[Operation]:
         """The star's GHZ preparation, as a piece of `_assemble`; it reads no layers."""
@@ -209,8 +202,7 @@ def select_stars(g: LayoutGraph, strategy: StarSelectionStrategy) -> list[Star]:
         if not alive[center] or key != abs(residual_deg[center] - target):
             continue
         leaves = [v for v in adj[center] if alive[v]][:target]
-        star = Star(center, frozenset(leaves))
-        stars.append(star)
+        stars.append(Star(center, tuple(leaves)))
         alive[center] = False
         for v in leaves:
             alive[v] = False
@@ -226,27 +218,8 @@ def select_stars(g: LayoutGraph, strategy: StarSelectionStrategy) -> list[Star]:
 
 
 def build_star_ghz(star: Star) -> list[Operation]:
-    """H on the center, then CX onto each leaf in ascending index order."""
-    ops: list[Operation] = [H(star.center)]
-    for leaf in sorted(star.leaves):
-        ops.append(CX(star.center, leaf))
-    return ops
-
-
-@dataclass(frozen=True)
-class Merge:
-    keeper: frozenset[int]
-    absorbed: frozenset[int]
-    bridge: tuple[int, int]  # (u in keeper, v in absorbed)
-
-
-@dataclass(frozen=True)
-class MergePlan:
-    rounds: tuple[tuple[Merge, ...], ...]
-
-    @property
-    def merge_count(self) -> int:
-        return sum(len(r) for r in self.rounds)
+    """H on the center, then CX onto each leaf, in the ascending order of star.leaves."""
+    return [H(star.center), *(CX(star.center, leaf) for leaf in star.leaves)]
 
 
 def _fuse(u: int, v: int, correction: tuple[int, ...], cbit: int) -> list[Operation]:
@@ -270,19 +243,19 @@ def _fuse(u: int, v: int, correction: tuple[int, ...], cbit: int) -> list[Operat
 _Fused = tuple[int, int, tuple[int, int]]
 
 
-def _assemble(g: LayoutGraph, pieces: list) -> tuple[list[list[_Fused]], Circuit]:
+def _assemble(g: LayoutGraph, pieces: list) -> tuple[tuple[tuple[_Fused, ...], ...], Circuit]:
     """The one synthesis walk: prepare each piece, then fuse them into one GHZ state.
 
-    A piece is anything with nodes() and prepare(last): a Star, or growing's
-    one piece that spans the layout. The pieces must partition the nodes of
-    the layout, which is connected, as every LayoutGraph is. The walk is the
-    op source of the circuit it returns: the circuit emits each op through
-    its one schedule before the walk draws the next, so a preparation, and
-    the choice of each bridge, may read last, the schedule's layer of the
-    latest op on each qubit. Beside the circuit it returns the rounds of
-    merges it made, each merge as (keeper label, absorbed label, bridge),
-    a component's label being the index of the piece it grew from;
-    `plan_merges` turns them into node sets.
+    A piece is anything with nodes(), a new list of its nodes in ascending
+    order, and prepare(last): a Star, or growing's one piece that spans the
+    layout. The pieces must partition the nodes of the layout, which is
+    connected, as every LayoutGraph is. The walk is the op source of the
+    circuit it returns: the circuit emits each op through its one schedule
+    before the walk draws the next, so a preparation, and the choice of each
+    bridge, may read last, the schedule's layer of the latest op on each
+    qubit. Beside the circuit it returns the rounds of merges it made, each
+    merge as (keeper label, absorbed label, bridge), a component's label
+    being the index of the piece it grew from; `plan_merges` returns them.
 
     Per round, components are matched greedily (scanned by smallest member,
     each pairing its unmatched neighbor with the smallest member) and
@@ -309,7 +282,7 @@ def _assemble(g: LayoutGraph, pieces: list) -> tuple[list[list[_Fused]], Circuit
     C components besides the merges, so they take O((N + E) log N) in all.
     """
     n = g.node_count
-    members = [sorted(piece.nodes()) for piece in pieces]
+    members = [piece.nodes() for piece in pieces]
     if sorted(chain.from_iterable(members)) != list(range(n)):
         raise ValueError("pieces must partition the layout's nodes")
     comp_of = [0] * n
@@ -317,7 +290,7 @@ def _assemble(g: LayoutGraph, pieces: list) -> tuple[list[list[_Fused]], Circuit
         for u in m:
             comp_of[u] = i
     low = [m[0] for m in members]
-    rounds: list[list[_Fused]] = []
+    rounds: list[tuple[_Fused, ...]] = []
 
     def walk(last: list[int]) -> Iterator[Operation]:
         for piece in pieces:
@@ -384,34 +357,26 @@ def _assemble(g: LayoutGraph, pieces: list) -> tuple[list[list[_Fused]], Circuit
                         bucket.extend(other)
                         kept[c] = across[keeper] = bucket
                 buckets[absorbed] = {}
-            rounds.append(merges)
+            rounds.append(tuple(merges))
             alive = [c for c in alive if members[c]]
 
     circuit = Circuit(n, len(pieces) - 1, walk)  # the walk fills rounds
-    return rounds, circuit
+    return tuple(rounds), circuit
 
 
-def plan_merges(g: LayoutGraph, stars: list[Star]) -> MergePlan:
-    """Pairwise merge schedule contracting the stars down to one component.
+def plan_merges(g: LayoutGraph, stars: list[Star]) -> tuple[tuple[_Fused, ...], ...]:
+    """The merge rounds of the circuit synthesize_merging builds from the same stars.
 
-    Each round's merges touch pairwise disjoint components, the total merge
-    count is len(stars) - 1, and the round count stays logarithmic in the
-    star count for well-connected layouts. It is the plan of the circuit
-    that synthesize_merging builds from the same stars: the bridges read
-    that circuit's schedule, so the plan runs the synthesis walk and then
-    replays its merges over the stars' node sets. Only this function builds
-    the plan's node sets; synthesis keeps none of them.
+    Each round is a tuple of merges (keeper, absorbed, bridge): keeper and
+    absorbed are indices into stars, a component keeping the index of the
+    star it grew from, and the bridge (u, v) has u on the keeper's side and
+    v on the absorbed side. Merge k of the rounds in order writes cbit k.
+    A round's merges touch pairwise disjoint components, there are
+    len(stars) - 1 merges, and the round count stays logarithmic in the star
+    count for well-connected layouts. The bridges read the circuit's
+    schedule, so these are the records of the synthesis walk itself.
     """
-    fused, _ = _assemble(g, stars)
-    nodes = [star.nodes() for star in stars]
-    rounds = []
-    for merges in fused:
-        plan_round = []
-        for keeper, absorbed, bridge in merges:
-            plan_round.append(Merge(nodes[keeper], nodes[absorbed], bridge))
-            nodes[keeper] = nodes[keeper] | nodes[absorbed]
-        rounds.append(tuple(plan_round))
-    return MergePlan(rounds=tuple(rounds))
+    return _assemble(g, stars)[0]
 
 
 def synthesize_merging(g: LayoutGraph, strategy: StarSelectionStrategy) -> Circuit:

@@ -625,9 +625,11 @@ def _simulate(
     ops need not form a valid Circuit: the sample_counts readout may re-measure
     a qubit. stream has one lane per shot. The noise is drawn as masks, a
     window of ops ahead of the walk (see _NoisePlan); the walk XORs them in
-    and reads only the coins of the random measurements. Every measurement
-    event goes through measure(), the only code that decides determinism and
-    computes a determined outcome.
+    and reads only the coins of the random measurements. The walk is the only
+    code that decides determinism: it tests every measurement event once, and
+    a deterministic one waits in a pending list, which settle() gives its
+    outcomes from one _signs product before any op that is not a
+    deterministic MeasureZ, and at the end.
     Returns (frame, classical bits, outcome log) with every per-shot value in
     packed words: cbits has one row per classical bit and the log one word
     vector per measurement event.
@@ -665,35 +667,30 @@ def _simulate(
         else:  # an X where the outcome is 1 resets to |0>, a reset error adds one more
             frame.flip_x((op.q,), noisy, ref_bit)
 
-    def measure(i: int) -> int:
-        """Measure ops[i], a MeasureZ or Reset, and after a deterministic MeasureZ the
-        MeasureZ that follow it up to and including the first random one; return the
-        next index. Each event is tested once, by its own column; the deterministic
-        ones leave the tableau as it is and take their outcomes from one product."""
-        j = i
-        while True:
-            op = ops[j]
-            random = np.count_nonzero(ref.x[op.q] & ref.stab_mask)
-            if random or isinstance(op, Reset) or j + 1 == len(ops):
-                break
-            if not isinstance(ops[j + 1], MeasureZ):
-                break
-            j += 1
-        determined = range(i, j if random else j + 1)
-        if determined:
-            qs = [ops[k].q for k in determined]
-            for k, bit in zip(determined, ref._signs(ref.x[qs], 0).tolist()):
-                event(k, bit)
-        if random:
-            event(j, None)
-        return j + 1
+    pending: list[int] = []  # deterministic events, their outcomes not yet taken
 
-    resume = 0  # the ops before it were measured as part of a run
+    def settle() -> None:
+        """Give every pending event its outcome, all from one product."""
+        if pending:
+            qs = [ops[k].q for k in pending]
+            for k, bit in zip(pending, ref._signs(ref.x[qs], 0).tolist()):
+                event(k, bit)
+            pending.clear()
+
     for i, op in enumerate(ops):
         if isinstance(op, (MeasureZ, Reset)):
-            if i >= resume:
-                resume = measure(i)
+            # tested once, by its own column; a deterministic event leaves the
+            # tableau as it is, so its outcome can wait, but a reset's X may
+            # change the signs, so a deterministic reset settles at once
+            if np.count_nonzero(ref.x[op.q] & ref.stab_mask):
+                settle()
+                event(i, None)
+            else:
+                pending.append(i)
+                if isinstance(op, Reset):
+                    settle()
             continue
+        settle()
         if isinstance(op, H):
             frame.apply_h(op.q)
         elif isinstance(op, X):
@@ -707,6 +704,7 @@ def _simulate(
         for q, xz in plan.errors(i):
             # a correction errs only where it fired
             frame.xor(q, xz & fire if isinstance(op, CondX) else xz)
+    settle()
     return frame, cbits, log
 
 

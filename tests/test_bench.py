@@ -315,6 +315,35 @@ class TestWorkerCount:
         monkeypatch.setenv("GHZ_SYNTH_THREADS", "0")
         assert worker_count() == 1
 
+    @pytest.mark.parametrize("threads, started", [("10000", [8]), ("3", [3]), ("1", [])])
+    def test_pool_capped_by_cell_count(self, monkeypatch, threads, started):
+        # a stand-in pool records its size and maps serially, so no process starts
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv("GHZ_SYNTH_THREADS", threads)
+        cfg = small_config()  # 2 sizes x 4 samples: 8 cells
+        assert run_sweep(cfg) == run_sweep(cfg, workers=1)
+        assert sizes == started
+        sizes.clear()
+        run_sweep(cfg, workers=10**6)
+        assert sizes == [8]
+
     def test_bad_env_names_variable_and_value(self, monkeypatch):
         monkeypatch.setenv("GHZ_SYNTH_THREADS", "abc")
         with pytest.raises(ValueError, match=r"GHZ_SYNTH_THREADS must be an integer, got 'abc'"):

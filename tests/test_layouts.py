@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -231,7 +230,7 @@ class TestAverageDegree:
         assert average_degree(rect_grid(1, 1)) == 0
 
     def test_eagle_exact_rational(self):
-        assert average_degree(eagle_127()) == Fraction(2 * 144, 127)
+        assert average_degree(eagle_127()) == 288 / 127
 
 
 class TestLayoutGraphInvariants:

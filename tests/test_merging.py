@@ -49,11 +49,28 @@ def path_graph(n: int) -> LayoutGraph:
 def assert_partition(g, stars):
     seen = set()
     for s in stars:
-        nodes = s.nodes()
+        assert list(s.leaves) == sorted(s.leaves)
+        nodes = set(s.nodes())
         assert not (seen & nodes)
         seen |= nodes
         assert all(g.has_edge(s.center, leaf) for leaf in s.leaves)
     assert seen == set(range(g.node_count))
+
+
+def replay(stars, rounds):
+    """The rounds of plan_merges with each side as its node set: (keeper, absorbed, bridge).
+
+    The records name components by star index; a component keeps the index of
+    the star it grew from, and a merge gives the keeper the absorbed nodes.
+    """
+    nodes = [set(s.nodes()) for s in stars]
+    replayed = []
+    for rnd in rounds:
+        replayed.append([])
+        for keeper, absorbed, bridge in rnd:
+            replayed[-1].append((frozenset(nodes[keeper]), frozenset(nodes[absorbed]), bridge))
+            nodes[keeper] |= nodes[absorbed]
+    return replayed
 
 
 def assert_cx_on_edges(g, c):
@@ -68,11 +85,11 @@ class TestSelectStars:
         g = star_graph(6)
         stars = select_stars(g, HighestDegree())
         assert len(stars) == 1
-        assert stars[0].center == 0 and stars[0].degree == 6
+        assert stars[0] == Star(0, (1, 2, 3, 4, 5, 6))
 
     def test_eagle_degree_bound(self):
         stars = select_stars(eagle_127(), HighestDegree())
-        assert max(s.degree for s in stars) <= 3
+        assert max(len(s.leaves) for s in stars) <= 3
         assert_partition(eagle_127(), stars)
 
     def test_partition_property_across_strategies(self):
@@ -86,18 +103,17 @@ class TestSelectStars:
     def test_scaling_factor_caps_leaf_count(self):
         g = star_graph(8)  # average degree 16/9, f=1.0 -> target round(1.78)=2
         stars = select_stars(g, ScalingFactor(1.0))
-        assert all(s.degree <= 2 for s in stars)
+        assert all(len(s.leaves) <= 2 for s in stars)
 
     def test_absolute_size_targets_size(self):
         g = path_graph(9)
         stars = select_stars(g, AbsoluteSize(3))
-        assert all(s.size <= 3 for s in stars)
+        assert all(len(s.nodes()) <= 3 for s in stars)
 
     def test_isolated_residual_nodes_become_singletons(self):
         # path 0-1-2-3: the first star takes {0,1,2}, leaving 3 isolated
         stars = select_stars(path_graph(4), HighestDegree())
-        assert sorted(s.size for s in stars) == [1, 3]
-        assert Star(3, frozenset()) in stars
+        assert stars == [Star(1, (0, 2)), Star(3, ())]
 
     @pytest.mark.parametrize("kind", sorted(_STRATEGIES))
     def test_strategy_json_round_trip(self, kind):
@@ -129,76 +145,73 @@ class TestSelectStars:
 
 class TestBuildStarGhz:
     def test_single_node_star(self):
-        assert build_star_ghz(Star(2, frozenset())) == [H(2)]
+        assert build_star_ghz(Star(2, ())) == [H(2)]
 
     def test_two_leaves_order_and_depth(self):
-        ops = build_star_ghz(Star(1, frozenset({0, 2})))
+        ops = build_star_ghz(Star(1, (0, 2)))
         assert ops == [H(1), CX(1, 0), CX(1, 2)]
         from ghz_synth.circuit import Circuit
 
         assert depth(Circuit(3, 0, tuple(ops))) == 3
 
     def test_degree_k_gives_k_cx(self):
-        ops = build_star_ghz(Star(0, frozenset(range(1, 8))))
+        ops = build_star_ghz(Star(0, tuple(range(1, 8))))
         assert sum(1 for op in ops if isinstance(op, CX)) == 7
 
 
 class TestPlanMerges:
     def test_one_star_empty_plan(self):
         g = star_graph(3)
-        plan = plan_merges(g, select_stars(g, HighestDegree()))
-        assert plan.rounds == ()
+        assert plan_merges(g, select_stars(g, HighestDegree())) == ()
 
     def test_two_adjacent_stars_one_round(self):
         g = path_graph(5)
         stars = select_stars(g, HighestDegree())
         assert len(stars) == 2
-        plan = plan_merges(g, stars)
-        assert len(plan.rounds) == 1 and len(plan.rounds[0]) == 1
+        # the first star {0, 1, 2} keeps; 3 is measured, 4 corrected
+        assert plan_merges(g, stars) == (((0, 1, (2, 3)),),)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 7, 8, 16, 31])
     def test_path_of_k_stars_log_rounds(self, k):
         # k 2-node stars in a path; independent oracle: repeated halving
         g = path_graph(2 * k)
-        stars = [Star(2 * i, frozenset({2 * i + 1})) for i in range(k)]
-        plan = plan_merges(g, stars)
-        remaining, rounds = k, 0
+        stars = [Star(2 * i, (2 * i + 1,)) for i in range(k)]
+        rounds = plan_merges(g, stars)
+        remaining, halvings = k, 0
         while remaining > 1:
             remaining -= remaining // 2
-            rounds += 1
-        assert len(plan.rounds) == rounds == math.ceil(math.log2(k))
-        assert plan.merge_count == k - 1
+            halvings += 1
+        assert len(rounds) == halvings == math.ceil(math.log2(k))
+        assert sum(map(len, rounds)) == k - 1
 
     def test_total_merges(self):
         for seed in range(5):
             g = connected_erdos_renyi(20, 0.2, seed)
             stars = select_stars(g, ScalingFactor(0.7))
-            assert plan_merges(g, stars).merge_count == len(stars) - 1
+            assert sum(map(len, plan_merges(g, stars))) == len(stars) - 1
 
     def test_round_components_disjoint(self):
         g = eagle_127()
         stars = select_stars(g, HighestDegree())
-        plan = plan_merges(g, stars)
-        for rnd in plan.rounds:
+        for rnd in replay(stars, plan_merges(g, stars)):
             touched = set()
-            for m in rnd:
-                nodes = m.keeper | m.absorbed
+            for keeper, absorbed, _ in rnd:
+                nodes = keeper | absorbed
                 assert not (touched & nodes)
                 touched |= nodes
 
     def test_bridge_endpoints_in_components(self):
         g = eagle_127()
-        plan = plan_merges(g, select_stars(g, HighestDegree()))
-        for rnd in plan.rounds:
-            for m in rnd:
-                u, v = m.bridge
-                assert u in m.keeper and v in m.absorbed
+        stars = select_stars(g, HighestDegree())
+        for rnd in replay(stars, plan_merges(g, stars)):
+            for keeper, absorbed, (u, v) in rnd:
+                assert u in keeper and v in absorbed
                 assert g.has_edge(u, v)
 
     def test_rejects_non_partition(self):
         g = path_graph(4)
         with pytest.raises(ValueError):
-            plan_merges(g, [Star(0, frozenset({1}))])
+            plan_merges(g, [Star(0, (1,))])
 
     def test_rejects_disconnected(self):
         # refused when the layout is built, before any contraction could get stuck
@@ -370,11 +383,9 @@ class TestRandomConnectedGraphs:
             assert is_ghz(run(c, seed).tableau, n), strategy
             # the plan is the circuit's: merge k measures its bridge's
             # absorbed end into cbit k, right after the CX across the bridge
-            plan = plan_merges(g, stars)
-            assert plan.merge_count == c.cbit_count
-            merges = [m for rnd in plan.rounds for m in rnd]
-            for k, m in enumerate(merges):
-                u, v = m.bridge
+            merges = [m for rnd in plan_merges(g, stars) for m in rnd]
+            assert len(merges) == c.cbit_count
+            for k, (_, _, (u, v)) in enumerate(merges):
                 i = c.ops.index(MeasureZ(v, k))
                 assert c.ops[i - 1] == CX(u, v)
 
@@ -388,14 +399,13 @@ class TestRandomConnectedGraphs:
             stars = select_stars(g, strategy)
             c = synthesize_merging(g, strategy)
             corrections = {op.cbit: op.targets for op in c.ops if isinstance(op, CondX)}
-            components = {star.nodes() for star in stars}
-            merges = [m for rnd in plan_merges(g, stars).rounds for m in rnd]
+            components = {frozenset(star.nodes()) for star in stars}
+            merges = [m for rnd in replay(stars, plan_merges(g, stars)) for m in rnd]
             assert len(merges) == c.cbit_count
-            for k, m in enumerate(merges):
-                u, v = m.bridge
-                assert u in m.keeper and v in m.absorbed and g.has_edge(u, v)
-                assert corrections.get(k, ()) == tuple(sorted(m.absorbed - {v}))
-                components.remove(m.keeper)
-                components.remove(m.absorbed)
-                components.add(m.keeper | m.absorbed)
+            for k, (keeper, absorbed, (u, v)) in enumerate(merges):
+                assert u in keeper and v in absorbed and g.has_edge(u, v)
+                assert corrections.get(k, ()) == tuple(sorted(absorbed - {v}))
+                components.remove(keeper)
+                components.remove(absorbed)
+                components.add(keeper | absorbed)
             assert components == {frozenset(range(g.node_count))}

@@ -5,7 +5,8 @@ No timing is asserted; the tests exist so that a synthesis loop that turns
 quadratic again makes the suite take minutes instead of about a second, and
 a return to one scalar draw per vertex pair (about 4 s at 2000 nodes, against
 about 0.4 s for the array draws) shows as a slow suite. Memory is bounded:
-merging synthesis on a 4096-qubit grid keeps its traced peak below 3 MiB.
+merging synthesis on a 4096-qubit grid keeps its traced peak below 3 MiB, and
+the star list of a 16384-qubit grid holds less than 1 MiB.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ import pytest
 from ghz_synth.circuit import count_2q, count_measurements
 from ghz_synth.growing import synthesize_growing
 from ghz_synth.layouts import connected_erdos_renyi, heavy_hex, rect_grid
-from ghz_synth.merging import HighestDegree, synthesize_merging
+from ghz_synth.merging import HighestDegree, select_stars, synthesize_merging
 
 LAYOUTS = {
     "heavy_hex_111x115": lambda: heavy_hex(111, 115),
@@ -56,3 +57,17 @@ def test_merging_synthesis_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+def test_star_list_memory():
+    # about 0.5 MiB: one slotted Star and one tuple of leaves per star; a
+    # frozenset of leaves per star took it to 1.77 MiB
+    g = rect_grid(128, 128)
+    tracemalloc.start()
+    try:
+        stars = select_stars(g, HighestDegree())
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(stars) > 3000
+    assert held < 2**20
