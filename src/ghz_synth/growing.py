@@ -1,42 +1,40 @@
 """Unitary GHZ synthesis by breadth-first expansion.
 
-Growing is the one-piece case of merging's assembly: one piece spans the
-whole layout, so `merging._assemble` prepares it and has nothing to fuse.
-The piece's preparation starts with a star GHZ state at the highest-degree
-node and then walks the breadth-first layers outward: each layer is the
-sorted set of not-yet-included neighbors of the previous one, and every
-node of it is entangled into the state with a CX from an already included
-neighbor. An `included` bytearray marks the earlier layers, so the walk
-touches each edge a constant number of times. No measurements, no resets:
-exactly N - 1 CX gates.
+Growing's walk is the op source of the circuit it builds: the circuit emits
+each op through its one schedule before the walk draws the next, so the
+walk reads the schedule's layers to pick each parent. It starts with a star
+GHZ state at the highest-degree node, prepared by merging's
+`build_star_ghz`, and then walks the breadth-first layers outward: each
+layer is the sorted set of not-yet-included neighbors of the previous one,
+and every node of it is entangled into the state with a CX from an already
+included neighbor. An `included` bytearray marks the earlier layers, so the
+walk touches each edge a constant number of times. No measurements, no
+resets: exactly N - 1 CX gates.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .circuit import CX, Circuit, Operation
 from .layouts import LayoutGraph
-from .merging import Star, _assemble, build_star_ghz
+from .merging import Star, build_star_ghz
 
 __all__ = ["synthesize_growing"]
 
 
-@dataclass(frozen=True)
-class _Grown:
-    """The one piece of growing: every node of g, prepared by the BFS walk."""
+def synthesize_growing(g: LayoutGraph) -> Circuit:
+    """Synthesize the growing circuit for a connected layout.
 
-    g: LayoutGraph
+    The start node is the highest-degree node (ties: lowest index). Frontier
+    nodes are processed in breadth-first layers; each picks as parent the
+    included neighbor whose qubit frees up earliest under ASAP scheduling
+    (ties: lowest index). Deterministic.
+    """
+    n = g.node_count
+    adj = g.adjacency
 
-    def nodes(self) -> list[int]:
-        return list(range(self.g.node_count))
-
-    def prepare(self, last: list[int]) -> Iterator[Operation]:
-        """Yield the walk's ops; each is scheduled before the next parent is chosen."""
-        g = self.g
-        n = g.node_count
-        adj = g.adjacency
+    def walk(last: list[int]) -> Iterator[Operation]:
         start = max(range(n), key=lambda u: (len(adj[u]), -u))
         layer = adj[start]
         yield from build_star_ghz(Star(start, layer))
@@ -52,13 +50,4 @@ class _Grown:
                 included[v] = 1
             layer = frontier
 
-
-def synthesize_growing(g: LayoutGraph) -> Circuit:
-    """Synthesize the growing circuit for a connected layout.
-
-    The start node is the highest-degree node (ties: lowest index). Frontier
-    nodes are processed in breadth-first layers; each picks as parent the
-    included neighbor whose qubit frees up earliest under ASAP scheduling
-    (ties: lowest index). Deterministic.
-    """
-    return _assemble(g, [_Grown(g)])[1]
+    return Circuit(n, 0, walk)

@@ -7,12 +7,12 @@ a Z measurement of the absorbed-side bridge qubit, a conditional X
 correction on the rest of the absorbed piece, and a reset-plus-CX that
 re-adds the measured qubit to the merged state.
 
-`_assemble` is the one synthesis walk of the package: it prepares any
-pieces that partition the layout and fuses them. It is the op source of the
-circuit it builds, so every op goes through the circuit's own `Schedule`
-once, and the walk reads that schedule's layers to pick bridges. Merging
-feeds it the stars; growing feeds it one piece that spans the layout, which
-needs no fuse.
+`_assemble` is merging's synthesis walk: it prepares any pieces that
+partition the layout and fuses them. It is the op source of the circuit it
+builds, so every op goes through the circuit's own `Schedule` once, and the
+walk reads that schedule's layers to pick bridges. Merging feeds it the
+stars. Growing is an op source of its own (`growing.synthesize_growing`)
+and shares only `build_star_ghz` with merging.
 
 All choices (star order, leaf order, matching order, bridge edges) are
 tie-broken by lowest node index, so synthesis is a pure function of the
@@ -244,18 +244,18 @@ _Fused = tuple[int, int, tuple[int, int]]
 
 
 def _assemble(g: LayoutGraph, pieces: list) -> tuple[tuple[tuple[_Fused, ...], ...], Circuit]:
-    """The one synthesis walk: prepare each piece, then fuse them into one GHZ state.
+    """Merging's synthesis walk: prepare each piece, then fuse them into one GHZ state.
 
     A piece is anything with nodes(), a new list of its nodes in ascending
-    order, and prepare(last): a Star, or growing's one piece that spans the
-    layout. The pieces must partition the nodes of the layout, which is
-    connected, as every LayoutGraph is. The walk is the op source of the
-    circuit it returns: the circuit emits each op through its one schedule
-    before the walk draws the next, so a preparation, and the choice of each
-    bridge, may read last, the schedule's layer of the latest op on each
-    qubit. Beside the circuit it returns the rounds of merges it made, each
-    merge as (keeper label, absorbed label, bridge), a component's label
-    being the index of the piece it grew from; `plan_merges` returns them.
+    order, and prepare(last), such as a Star. The pieces must partition the
+    nodes of the layout, which is connected, as every LayoutGraph is. The
+    walk is the op source of the circuit it returns: the circuit emits each
+    op through its one schedule before the walk draws the next, so a
+    preparation, and the choice of each bridge, may read last, the
+    schedule's layer of the latest op on each qubit. Beside the circuit it
+    returns the rounds of merges it made, each merge as (keeper label,
+    absorbed label, bridge), a component's label being the index of the
+    piece it grew from; `plan_merges` returns them.
 
     Per round, components are matched greedily (scanned by smallest member,
     each pairing its unmatched neighbor with the smallest member) and
@@ -277,9 +277,10 @@ def _assemble(g: LayoutGraph, pieces: list) -> tuple[tuple[tuple[_Fused, ...], .
     longer where both sides had one, so an edge is copied O(log E) times.
     The merges of a round touch disjoint components, so every pair matched
     in a round still has the bucket it had when the round began. A single
-    piece has nothing to fuse and builds no buckets. Grids and heavy-hex
-    lattices contract in O(log N) rounds, each costing O(C log C) for its
-    C components besides the merges, so they take O((N + E) log N) in all.
+    piece puts no edge in a bucket, so the walk never enters a round. Grids
+    and heavy-hex lattices contract in O(log N) rounds, each costing
+    O(C log C) for its C components besides the merges, so they take
+    O((N + E) log N) in all.
     """
     n = g.node_count
     members = [piece.nodes() for piece in pieces]
@@ -295,8 +296,6 @@ def _assemble(g: LayoutGraph, pieces: list) -> tuple[tuple[tuple[_Fused, ...], .
     def walk(last: list[int]) -> Iterator[Operation]:
         for piece in pieces:
             yield from piece.prepare(last)
-        if len(pieces) == 1:
-            return
         buckets: list[dict[int, list[tuple[int, int]]]] = [{} for _ in pieces]
         for e in g.edges:
             a, b = comp_of[e[0]], comp_of[e[1]]

@@ -39,6 +39,7 @@ import numpy as np
 MAX_SEED = 2**64 - 1
 
 _GAMMA = 0x9E3779B97F4A7C15
+_HALF = 2**63  # a draw's z is below this iff its uniform is below 1/2
 # below this many lanes a loop over Python ints beats a dozen numpy calls
 _FEW_LANES = 8
 
@@ -128,7 +129,7 @@ def _draw(base: int, t: int) -> int:
 class CounterStream:
     """The counter-based uniforms of a vector of keys, one lane per key.
 
-    The keys are mixed once, here, rather than on every draw. below() mixes
+    The keys are mixed once, here, rather than on every draw. coins() mixes
     into work buffers that the stream keeps, so a draw over thousands of
     lanes allocates only its packed result.
     """
@@ -154,25 +155,20 @@ class CounterStream:
             z = base + np.uint64(_counter(t))
         return (_mix_words(z, np.empty_like(z)) >> 11) * 2.0**-53
 
-    def below(self, t: int, p: float) -> np.ndarray:
-        """The lanes whose draw t is below p, as packed uint64 words.
+    def coins(self, t: int) -> np.ndarray:
+        """The lanes whose draw t is below 1/2, as packed uint64 words.
 
         Lane s is bit s % 64 of word s // 64 and the padding bits are zero;
-        the lanes are exactly those of uniforms(t) < p. The comparison is
+        the lanes are exactly those of uniforms(t) < 0.5. The comparison is
         made on the integer z before the shift: u = (z >> 11) * 2**-53 is
-        below p iff z >> 11 < ceil(p * 2**53) (p * 2**53 is exact in
-        float64), iff z < ceil(p * 2**53) << 11, which for p >= 1 holds for
-        every z.
+        below 1/2 iff z < 2**63.
         """
         lanes = self._base.size
-        if p <= 0:
-            return np.zeros(self._hit.size // 64, dtype=np.uint64)
-        top = min(math.ceil(p * 2**53) << 11, 2**64) - 1  # u < p iff z <= top
         if lanes < _FEW_LANES:
-            word = sum((_draw(b, t) <= top) << s for s, b in enumerate(self._base.tolist()))
+            word = sum((_draw(b, t) < _HALF) << s for s, b in enumerate(self._base.tolist()))
             return np.array([word], dtype=np.uint64)
         z = np.add(self._base, np.uint64(_counter(t)), out=self._z)
-        np.less_equal(_mix_words(z, self._tmp), np.uint64(top), out=self._hit[:lanes])
+        np.less(_mix_words(z, self._tmp), np.uint64(_HALF), out=self._hit[:lanes])
         return np.packbits(self._hit, bitorder="little").view("<u8")
 
     def skips(self, t0: int, p: float, m: int) -> "Skips":

@@ -648,7 +648,7 @@ def _simulate(
         op, e = ops[i], len(log)  # event e's coin is draw e
         want = forced[e] if e < len(forced) else None
         if ref_bit is None:
-            outcome = stream.below(e, 0.5) if want is None else frame.all_or_none(want)
+            outcome = stream.coins(e) if want is None else frame.all_or_none(want)
             frame.measure(op.q, outcome)
             ref_bit = int(outcome[0] & _ONE)
         else:

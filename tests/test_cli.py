@@ -6,8 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from ghz_synth.circuit import Circuit
+from ghz_synth import bench, selfcheck
+from ghz_synth.circuit import CX, Circuit, CondX, Schedule, X
 from ghz_synth.cli import cli_main
+from ghz_synth.growing import synthesize_growing
+from ghz_synth.merging import synthesize_merging
+from ghz_synth.stabilizer import Tableau
 
 
 def test_layout_grid_2x2(tmp_path, capsys):
@@ -152,6 +156,58 @@ def test_layout_check_fails_on_a_wrong_generator(generator, monkeypatch):
     }
     monkeypatch.setattr(layouts, generator, wrong[generator])
     assert not selfcheck.check_layout_invariants()
+
+
+def _grown_then(*extra):
+    """A growing synthesizer whose circuits end with the extra ops."""
+
+    def synthesize(g):
+        c = synthesize_growing(g)
+        return Circuit(c.qubit_count, c.cbit_count, c.ops + extra)
+
+    return synthesize
+
+
+def _merged_without_condx(g, strategy):
+    c = synthesize_merging(g, strategy)
+    ops = list(c.ops)
+    ops.remove(next(op for op in ops if isinstance(op, CondX)))
+    return Circuit(c.qubit_count, c.cbit_count, ops)
+
+
+def _cx_without_signs(self, a, b):
+    """Tableau.apply_cx that forgets the sign update."""
+    self.x[b] ^= self.x[a]
+    self.z[a] ^= self.z[b]
+
+
+# each `verify` check that returns False, beside a fault it exists to catch:
+# (check name, object to patch, attribute, stand-in)
+CHECK_FAULTS = [
+    # a redundant CX pair keeps the GHZ state but breaks the CX count
+    pytest.param("synthesis count identities", bench, "synthesize_growing",
+                 _grown_then(CX(0, 1), CX(0, 1)), id="extra-cx-pair"),
+    pytest.param("noiseless synthesis yields exact GHZ", bench, "synthesize_growing",
+                 _grown_then(X(0)), id="appended-x"),
+    # a merging that fuses nothing leaves no measurement branch to check
+    pytest.param("merge corrections on both branches", selfcheck, "synthesize_merging",
+                 lambda g, strategy: synthesize_growing(g), id="merging-without-measurement"),
+    pytest.param("merge corrections on both branches", selfcheck, "synthesize_merging",
+                 _merged_without_condx, id="dropped-condx"),
+    pytest.param("tableau agrees with dense state vector", Tableau, "apply_cx",
+                 _cx_without_signs, id="cx-without-signs"),
+    # a schedule that checks no rule, so no malformed circuit raises
+    pytest.param("malformed circuits are rejected when built", Schedule, "emit",
+                 lambda self, op: op, id="unchecked-schedule"),
+]
+
+
+@pytest.mark.parametrize("check, owner, attr, fault", CHECK_FAULTS)
+def test_verify_check_fails_on_its_fault(check, owner, attr, fault, monkeypatch):
+    monkeypatch.setattr(owner, attr, fault)
+    results = {name: (passed, reason) for name, passed, reason in selfcheck.run_all()}
+    # the check returned its verdict: it failed, and raised nothing
+    assert results[check] == (False, "")
 
 
 def test_unknown_flag_usage_error(capsys):
@@ -340,6 +396,8 @@ def test_bench_malformed_config_runtime_error(tmp_path, capsys):
         ({**base, "protocols": [{}]}, "protocols[0].protocol: missing field"),
         ({**base, "protocols": [{"protocol": "bogus"}]},
          "protocols[0]: unknown protocol 'bogus'"),
+        ({**base, "protocols": [{"protocol": "merging"}]},
+         "protocols[0]: merging requires a star selection strategy"),
         ({**base, "protocols": [{"protocol": "merging",
                                  "strategy": {"strategy": "scaling_factor"}}]},
          "protocols[0].strategy.f: missing field"),

@@ -63,6 +63,10 @@ class TestGhzIdeal:
         for n in range(1, 12):
             assert len(ghz_ideal_distribution(n)) == 2
 
+    def test_n0_rejected(self):
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            ghz_ideal_distribution(0)
+
 
 class TestCountsToDistribution:
     def test_even_split(self):
@@ -79,6 +83,10 @@ class TestCountsToDistribution:
     def test_sum_mismatch(self):
         with pytest.raises(ValueError):
             counts_to_distribution({"0": 10}, 11)
+
+    def test_no_shots_rejected(self):
+        with pytest.raises(ValueError, match=r"^shots must be positive$"):
+            counts_to_distribution({}, 0)
 
 
 class TestIsGhz:

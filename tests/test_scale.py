@@ -5,8 +5,9 @@ No timing is asserted; the tests exist so that a synthesis loop that turns
 quadratic again makes the suite take minutes instead of about a second, and
 a return to one scalar draw per vertex pair (about 4 s at 2000 nodes, against
 about 0.4 s for the array draws) shows as a slow suite. Memory is bounded:
-merging synthesis on a 4096-qubit grid keeps its traced peak below 3 MiB, and
-the star list of a 16384-qubit grid holds less than 1 MiB.
+merging synthesis on a 4096-qubit grid keeps its traced peak below 3 MiB,
+growing synthesis on a 16384-qubit grid below 1.25 MiB, and the star list of
+a 16384-qubit grid holds less than 1 MiB.
 """
 
 import hashlib
@@ -57,6 +58,21 @@ def test_merging_synthesis_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+def test_growing_synthesis_memory_peak():
+    # about 1.04 MiB: the circuit's ops and the walk's frontier; running
+    # growing as a one-piece merge, with member lists, a sorted partition
+    # check and a component label per node, took it to 1.78 MiB
+    g = rect_grid(128, 128)
+    synthesize_growing(g)
+    tracemalloc.start()
+    try:
+        synthesize_growing(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20
 
 
 def test_star_list_memory():
