@@ -127,6 +127,10 @@ class SweepConfig:
         for name in ("samples", "shots", "grid_rows", "grid_cols"):
             if getattr(self, name) < 1:
                 raise schema.InputError(f"{name}: must be >= 1, got {getattr(self, name)}")
+        # only a grid family builds the grid
+        if self.family == "rect_grid_subgraph" and self.grid_rows * self.grid_cols > schema.MAX_N:
+            raise schema.InputError(f"grid_rows: grid_rows x grid_cols must be <= {schema.MAX_N},"
+                                    f" got {self.grid_rows}x{self.grid_cols}")
         schema.check_max_n(self.samples, name="samples")
         if self.compute_fidelity:  # only a fidelity sweep draws its shots
             schema.check_max_n(self.shots, name="shots")

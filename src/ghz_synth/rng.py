@@ -188,12 +188,16 @@ class Skips:
     same for any lane count. A location's rate is therefore 1 - fl(1 - p):
     p rounded to a multiple of 2**-53, and 0 for p <= 2**-54.
 
-    The sampler keeps one pending hit per lane, so a caller reads the hits
-    a window of locations at a time (until) and holds one step's arrays of
-    one window, never every hit. p <= 0 reads no draw.
+    The sampler keeps one pending hit per lane, as an int32 location (m once
+    the lane has none left) and an int32 count of its skips, 8 bytes a lane,
+    so m must be below 2**31. A caller reads the hits a block of locations
+    at a time (until) and holds one step's arrays of one block, never every
+    hit. p <= 0 reads no draw.
     """
 
     def __init__(self, stream: CounterStream, t0: int, p: float, m: int):
+        if m >= 2**31:
+            raise ValueError(f"m: must be below 2**31, got {m}")
         self._stream, self._t0, self._m = stream, t0, m
         self._lanes = stream._base.size if p > 0 and m > 0 else 0
         # T[m + 1 - i] for i = 0..m + 1: T[m + 1] = 0 (a sentinel below every
@@ -202,35 +206,36 @@ class Skips:
         self._table = np.concatenate(([0.0], powers[::-1], [1.0]))
         # (1 - p)**g = u at g = log(u) / log(1 - p), a guess of the gap that the table checks
         self._slope = 1 / math.log1p(-p) if 0 < p < 1 else 0.0
-        # per lane: its next hit (m or more once it has none left) and its next
-        # skip's draw, from the first until() on
+        # per lane: its next hit and the number of skips it has drawn, from the first until() on
         self._at: Optional[np.ndarray] = None
-        self._t = np.empty(0, dtype=np.int64)
+        self._j = np.empty(0, dtype=np.int32)
 
     def until(self, stop: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The hits at locations below stop that were not yielded yet, skip by skip.
 
-        Yields (lanes, locations, t): the ascending lanes whose next hit lies
-        below stop, those hits' locations, and per lane t, the draw after
-        the skip that found it, which the stream leaves for the caller.
+        Yields (lanes, locations, t), each int64: the ascending lanes whose
+        next hit lies below stop, those hits' locations, and per lane t, the
+        draw after the skip that found it, which the stream leaves for the
+        caller.
         """
         if self._at is None:  # every lane's first skip, from location 0
             lanes = self._lanes
-            self._at, self._t = np.zeros(lanes, dtype=np.int64), np.full(lanes, self._t0)
+            self._at, self._j = np.zeros(lanes, dtype=np.int32), np.ones(lanes, dtype=np.int32)
             if lanes:
-                self._skip(np.arange(lanes), np.zeros(lanes, dtype=np.int64), self._t.copy())
+                self._skip(np.arange(lanes), -1, self._t0)
         while True:
             lanes = np.flatnonzero(self._at < stop)
             if not lanes.size:
                 return
-            at, t = self._at[lanes], self._t[lanes]
-            start = at + 1
-            yield lanes, at, t - 1
-            self._skip(lanes, start, t)
+            at, j = self._at[lanes].astype(np.int64), self._j[lanes]
+            t = 2 * j.astype(np.int64) + self._t0  # the draw of each lane's next skip
+            yield lanes, at, t - 1  # the draw after the hit's skip
+            self._skip(lanes, at, t)
+            self._j[lanes] = j + 1
 
-    def _skip(self, lanes: np.ndarray, start: np.ndarray, t: np.ndarray) -> None:
+    def _skip(self, lanes: np.ndarray, at, t) -> None:
         """Draw the next skip of each of the lanes, whose draw is t, and move the lane
-        from location start by the gap."""
+        from its hit at (-1 before the first) by the gap + 1, to m at most."""
         m, table = self._m, self._table
         u = self._stream.uniforms(t, lanes)
         # gap g = #{k in 1..m: u < T[k]} is the g with T[g] > u >= T[g + 1];
@@ -240,4 +245,5 @@ class Skips:
         wrong = (table[m + 1 - gap] <= u) | (table[m - gap] > u)
         if np.count_nonzero(wrong):
             gap[wrong] = m + 1 - np.searchsorted(table, u[wrong], side="right")
-        self._at[lanes], self._t[lanes] = start + gap, t + 2
+        gap += at + 1
+        self._at[lanes] = np.minimum(gap, m, out=gap).astype(np.int32)

@@ -73,19 +73,22 @@ key seed, so shot s equals the single-shot run of the ops and readout.
   most significant first, give each qubit's I, X, Y, Z (0..3). An error on
   a CondX target counts only in the shots where the correction fired.
 
-The noise is drawn as packed X/Z masks per (op, qubit) and readout-flip and
-reset-error masks per event, for the locations that erred in some shot, one
-window of ops at a time just before the walk reaches it; the walk XORs them
-in. A window holds as many mask rows as the frame, or 1 MiB of them if
-that is more, so the masks never take much more memory than the frame.
+Each error class is one stream of noise masks, read in program order: each
+gate op takes its locations' packed X/Z masks as the walk reaches it, and
+each measurement event its readout-flip or reset-error mask, and the walk
+XORs them in. A class draws its masks one block of locations at a time,
+and its block holds its share of as many mask rows as the frame, or 1 MiB
+of them if that is more, so the masks never take much more memory than
+the frame.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -499,116 +502,84 @@ def _check_forced(forced: Sequence[Optional[int]]) -> Sequence[Optional[int]]:
 
 # B_c = _SKIP_BASE + c * _SKIP_STRIDE, the first skip draw of error class c
 _SKIP_BASE, _SKIP_STRIDE = 2**62, 2**58
-# a window of noise masks holds as many rows as the frame, or this many bytes if more
+# the mask blocks of the error classes together hold as many rows as the
+# frame, or this many bytes if more
 _WINDOW_BYTES = 2**20
 # the error class of each op type: 1-qubit locations, CX locations, readout
 # flips and reset errors, in the order of NoiseModel's p1, p2, pm and pr
 _ERROR_CLASS = {H: 0, X: 0, CondX: 0, CX: 1, MeasureZ: 2, Reset: 3}
+# the qubits of one location of each class: a CX's two, one, and none for a flip
+_QUBITS = (1, 2, 0, 0)
 
 
-class _NoisePlan:
-    """Every shot's errors, drawn by one skip sampler per error class (see the
-    randomness contract above), one window of ops at a time.
+def _noise(
+    ops: Sequence[Operation],
+    stream: CounterStream,
+    words: int,
+    noise: Optional[NoiseModel],
+    rows: int,
+) -> list[Callable[[], Optional[np.ndarray]]]:
+    """Per error class, the function that gives its next location's masks, in
+    program order (see the randomness contract above).
 
-    A window holds packed (2, words) x/z masks per (op, qubit) and readout-
-    flip or reset-error words per MeasureZ or Reset, for its locations that
-    erred in some shot. It ends once its locations have `rows` mask rows,
-    two per qubit of a gate location and one per event, so the masks take
-    about as much memory as `rows` frame rows, however many locations the
-    ops have. The walk asks in program order, gate ops and measurement
-    events each; the ops of a window it has left have nothing left to give.
+    A gate location's masks are packed (k, 2, words) x/z words for its k
+    qubits, a readout flip's or reset error's one row of words; a location
+    where no shot errs gives None, and so does every location of a class
+    with p = 0. A class with p > 0 is drawn by its skip sampler one block of
+    locations at a time, as the walk reaches them. Its block is its share
+    of `rows` mask rows, two per qubit of a gate location and one per
+    event, in proportion to the class's rows in ops, so the blocks together
+    take about as much memory as `rows` frame rows.
     """
+    probabilities = (noise.p1, noise.p2, noise.pm, noise.pr) if noise else (0.0,) * 4
+    draws = [itertools.repeat(None).__next__] * 4
+    if not any(probabilities):
+        return draws
+    counts = [0] * 4
+    for op in ops:
+        c = _ERROR_CLASS[type(op)]
+        counts[c] += len(touched_qubits(op)) if c == 0 else 1
+    held = sum(max(2 * k, 1) * m for k, m in zip(_QUBITS, counts))
+    for c, (k, m, p) in enumerate(zip(_QUBITS, counts, probabilities)):
+        if m and p > 0:
+            sampler = stream.skips(_SKIP_BASE + c * _SKIP_STRIDE, p, m)
+            block = -(-rows * m // held)
+            draws[c] = _masks(sampler, stream, m, k, block, words).__next__
+    return draws
 
-    def __init__(
-        self,
-        ops: Sequence[Operation],
-        stream: CounterStream,
-        words: int,
-        noise: Optional[NoiseModel],
-        rows: int,
-    ):
-        self._stream, self._words, self._stop = stream, words, 0
-        self._errors: dict[int, list[tuple[int, np.ndarray]]] = {}
-        self._flips: dict[int, np.ndarray] = {}
-        probabilities = (noise.p1, noise.p2, noise.pm, noise.pr) if noise else (0.0,) * 4
-        if not any(probabilities):  # one window without masks
-            self._cuts, self._classes = iter([len(ops)]), []
-            return
-        sites: tuple[list[tuple[int, tuple[int, ...]]], ...] = ([], [], [], [])
-        cuts, held = [], 0
-        for i, op in enumerate(ops):
-            c = _ERROR_CLASS[type(op)]
-            if c < 2:  # Pauli errors: one location per touched qubit, or a CX's two
-                qs = touched_qubits(op)
-                sites[c].extend([(i, qs)] if c else [(i, (q,)) for q in qs])
-                held += 2 * len(qs)
-            else:  # a readout flip or a reset error: one mask row, no qubits
-                sites[c].append((i, ()))
-                held += 1
-            if held >= rows:
-                cuts.append(i + 1)
-                held = 0
-        self._cuts = iter(cuts + [len(ops)])
-        # per class with p > 0: its sites, their op indices and its sampler
-        self._classes = []
-        for c, (where, p) in enumerate(zip(sites, probabilities)):
-            if where and p > 0:
-                sampler = stream.skips(_SKIP_BASE + c * _SKIP_STRIDE, p, len(where))
-                self._classes.append((where, np.array([i for i, _ in where]), sampler))
 
-    def errors(self, i: int) -> list[tuple[int, np.ndarray]]:
-        """The (qubit, packed x/z masks) Pauli errors after the gate op i."""
-        self._reach(i)
-        return self._errors.get(i, [])
-
-    def flip(self, i: int) -> Optional[np.ndarray]:
-        """The packed shots whose readout of MeasureZ i flips or whose Reset i errs, if any."""
-        self._reach(i)
-        return self._flips.get(i)
-
-    def _reach(self, i: int) -> None:
-        """Draw the masks of the window that holds op i."""
-        words = self._words
-        while i >= self._stop:
-            start, self._stop = self._stop, next(self._cuts)
-            self._errors, self._flips = {}, {}
-            for entry in list(self._classes):
-                where, at_op, sampler = entry
-                # the window's sites, and the qubits of each
-                first, end = np.searchsorted(at_op, (start, self._stop)).tolist()
-                if end == len(where):  # the class's last window: its sampler goes after it
-                    self._classes.remove(entry)
-                k = len(where[0][1])
-                rows = max(2 * k, 1)  # an x and a z row per qubit, or the one flip row
-                masks = np.zeros((end - first, rows, words), dtype=np.uint64)
-                flat = masks.reshape(-1)
-                hit = np.zeros(end - first, dtype=bool)
-                for lanes, at_loc, t in sampler.until(end):
-                    locs = at_loc - first  # within the window
-                    hit[locs] = True
-                    at = locs * rows * words + (lanes >> 6)  # each error's word in flat
-                    # lanes of one word may share a location
-                    bit = _ONE << (lanes & 63).astype(np.uint64)
-                    if not k:
-                        np.bitwise_or.at(flat, at, bit)
-                        continue
-                    # uniform over the 4**k - 1 non-identity Paulis, from the draw after the
-                    # skip; qubit j's Pauli is base-4 digit k - 1 - j of the code, 0..3 = I, X, Y, Z
-                    choices = 4**k - 1
-                    u = self._stream.uniforms(t, lanes)
-                    code = np.minimum((u * choices).astype(np.int64), choices - 1) + 1
-                    for j in range(k):
-                        pauli = (code >> 2 * (k - 1 - j)) & 3
-                        for part in (0, 1):
-                            has = _PARTS[pauli, part]
-                            np.bitwise_or.at(flat, at[has] + (2 * j + part) * words, bit[has])
-                for loc in np.flatnonzero(hit).tolist():
-                    op, qs = where[first + loc]
-                    if k:
-                        xz = masks[loc].reshape(k, 2, words)
-                        self._errors.setdefault(op, []).extend(zip(qs, xz))
-                    else:
-                        self._flips[op] = masks[loc, 0]
+def _masks(
+    sampler, stream: CounterStream, m: int, k: int, block: int, words: int
+) -> Iterator[Optional[np.ndarray]]:
+    """The masks of a class's m locations of k qubits each, in turn, drawn
+    `block` locations at a time (see _noise)."""
+    shape = (k, 2, words) if k else (words,)
+    for first in range(0, m, block):
+        end = min(first + block, m)
+        masks = np.zeros((end - first, *shape), dtype=np.uint64)
+        flat = masks.reshape(-1)
+        hit = np.zeros(end - first, dtype=bool)
+        for lanes, at_loc, t in sampler.until(end):
+            locs = at_loc - first  # within the block
+            hit[locs] = True
+            at = locs * masks[0].size + (lanes >> 6)  # each error's word in flat
+            # lanes of one word may share a location
+            bit = _ONE << (lanes & 63).astype(np.uint64)
+            if not k:
+                np.bitwise_or.at(flat, at, bit)
+                continue
+            # uniform over the 4**k - 1 non-identity Paulis, from the draw after the
+            # skip; qubit j's Pauli is base-4 digit k - 1 - j of the code, 0..3 = I, X, Y, Z
+            choices = 4**k - 1
+            u = stream.uniforms(t, lanes)
+            code = np.minimum((u * choices).astype(np.int64), choices - 1) + 1
+            for j in range(k):
+                pauli = (code >> 2 * (k - 1 - j)) & 3
+                for part in (0, 1):
+                    has = _PARTS[pauli, part]
+                    np.bitwise_or.at(flat, at[has] + (2 * j + part) * words, bit[has])
+        for loc, erred in enumerate(hit.tolist()):
+            yield masks[loc] if erred else None
 
 
 def _simulate(
@@ -623,9 +594,9 @@ def _simulate(
     """Shared engine for run() and sample_counts(): ops on n qubits and cbit_count bits.
 
     ops need not form a valid Circuit: the sample_counts readout may re-measure
-    a qubit. stream has one lane per shot. The noise is drawn as masks, a
-    window of ops ahead of the walk (see _NoisePlan); the walk XORs them in
-    and reads only the coins of the random measurements. The walk is the only
+    a qubit. stream has one lane per shot. Each op takes its noise masks
+    from its error class's stream (see _noise), which the walk XORs in, and
+    the walk reads only the coins of the random measurements. The walk is the only
     code that decides determinism: it tests every measurement event once, and
     a deterministic one waits in a pending list, which settle() gives its
     outcomes from one _signs product before any op that is not a
@@ -640,7 +611,8 @@ def _simulate(
     ref_cbits = [0] * cbit_count  # the reference's (noiseless) classical bits
     log: list[np.ndarray] = []
     words = frame.every.size
-    plan = _NoisePlan(ops, stream, words, noise, max(2 * n, _WINDOW_BYTES // (8 * words)))
+    draw = _noise(ops, stream, words, noise, max(2 * n, _WINDOW_BYTES // (8 * words)))
+    gate_noise = noise is not None and noise.p1 + noise.p2 > 0
 
     def event(i: int, ref_bit: Optional[int]) -> None:
         """Coin, forcing and log entry of the event ops[i], then its cbit (after any
@@ -659,7 +631,7 @@ def _simulate(
                     f"{int(outcome[0] & _ONE)}, cannot force {int(want)}"
                 )
         log.append(outcome)
-        flip = plan.flip(i)
+        flip = draw[_ERROR_CLASS[type(op)]]()
         noisy = outcome if flip is None else outcome ^ flip
         if isinstance(op, MeasureZ):
             cbits[op.cbit] = noisy
@@ -701,9 +673,19 @@ def _simulate(
             # the X corrections commute, so all targets flip at once before their errors
             fire = cbits[op.cbit]
             frame.flip_x(op.targets, fire, ref_cbits[op.cbit])
-        for q, xz in plan.errors(i):
-            # a correction errs only where it fired
-            frame.xor(q, xz & fire if isinstance(op, CondX) else xz)
+        if not gate_noise:
+            continue
+        if isinstance(op, CX):  # one location over both qubits
+            xz = draw[1]()
+            if xz is not None:
+                frame.xor(op.control, xz[0])
+                frame.xor(op.target, xz[1])
+            continue
+        for q in touched_qubits(op):  # one location per qubit
+            xz = draw[0]()
+            if xz is not None:
+                # a correction errs only where it fired
+                frame.xor(q, xz[0] & fire if isinstance(op, CondX) else xz[0])
     settle()
     return frame, cbits, log
 

@@ -416,6 +416,8 @@ def test_bench_malformed_config_runtime_error(tmp_path, capsys):
         ({**base, "shots": 0}, "shots: must be >= 1, got 0"),
         ({**base, "er_p": 3}, "er_p: must lie in [0, 1], got 3.0"),
         ({**base, "grid_rows": 0}, "grid_rows: must be >= 1, got 0"),
+        ({**base, "family": "rect_grid_subgraph", "grid_rows": 5000, "grid_cols": 5000},
+         "grid_rows: grid_rows x grid_cols must be <= 16777216, got 5000x5000"),
         ({**base, "family": "foo"}, "family: unknown family 'foo'"),
         ({**base, "sizes": [0]}, "sizes: every size must be >= 1"),
         ({**base, "protocols": [{"protocol": "merging",

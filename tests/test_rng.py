@@ -139,6 +139,23 @@ class TestSkips:
         kappa4 = var * (1 - 6 * p * (1 - p))  # the binomial's fourth cumulant
         assert abs(count.var() - var) < 5 * ((2 * var**2 + kappa4) / lanes) ** 0.5
 
+    def test_state_is_eight_bytes_a_lane(self):
+        # once drawn, a sampler keeps an int32 location and an int32 skip
+        # count per lane, beside its power table; int64 state would be 16
+        lanes = 2**16
+        sampler = CounterStream(shot_keys(37, lanes)).skips(2**62, 0.01, 100)
+        assert next(sampler.until(50))[0].size
+        held = sum(v.nbytes for v in vars(sampler).values() if isinstance(v, np.ndarray))
+        assert held - sampler._table.nbytes <= 8 * lanes
+
+    def test_refuses_2_to_the_31_locations(self):
+        # the int32 state counts locations and skips below 2**31; p = 0 builds
+        # no power table, so neither call allocates m of anything
+        stream = CounterStream(shot_keys(41, 1))
+        with pytest.raises(ValueError, match=r"m: must be below 2\*\*31, got 2147483648"):
+            stream.skips(2**62, 0.0, 2**31)
+        assert list(stream.skips(2**62, 0.0, 2**31 - 1).until(2**31 - 1)) == []
+
     @pytest.mark.parametrize("lanes", [1, 4096])
     def test_zero_probability_reads_no_draw(self, lanes, monkeypatch):
         stream = CounterStream(shot_keys(23, lanes))

@@ -450,7 +450,8 @@ class TestNoiseChannels:
 
 
 class TestSkipNoise:
-    """The noise drawn by one skip sampler per error class (see stabilizer._NoisePlan)."""
+    """The noise drawn by one skip sampler per error class, one stream of masks
+    per class read in program order (see stabilizer._noise)."""
 
     def test_zero_noise_is_the_noiseless_run(self):
         # the coin of measurement event e is draw e with or without a noise model
@@ -478,10 +479,12 @@ class TestSkipNoise:
         assert min(counts["00"], counts["10"], counts["11"]) > 0
 
     def test_noise_memory_stays_near_the_frame(self):
-        # one window of noise masks lives at a time: heavy noise on 16x16
-        # merging at 2**14 shots adds less than twice the frame plus the
-        # skip samplers' 64 bytes a shot (3 MiB in all); the masks of every
-        # location that errs, held at once, would add 6.5 MiB
+        # one block of noise masks per error class lives at a time, the
+        # blocks together about one frame of rows: heavy noise on 16x16
+        # merging at 2**14 shots adds less than twice the frame plus 64
+        # bytes a shot (3 MiB in all), which covers the skip samplers' 8
+        # bytes a shot per class; the masks of every location that errs,
+        # held at once, would add 6.5 MiB
         import tracemalloc
 
         from ghz_synth.layouts import rect_grid
@@ -501,6 +504,37 @@ class TestSkipNoise:
                 tracemalloc.stop()
         frame = 2 * n * shots // 8
         assert peaks[1] - peaks[0] < 2 * frame + 64 * shots
+
+    def test_block_edges_move_no_mask(self, monkeypatch):
+        # with 8-byte windows every class's block is a few locations (rows =
+        # 2n), but a location's masks come from its class's sampler alone,
+        # so every sample equals the one drawn in default-size blocks
+        from ghz_synth import rng, stabilizer
+        from ghz_synth.layouts import rect_grid
+        from ghz_synth.merging import HighestDegree, synthesize_merging
+
+        c = synthesize_merging(rect_grid(5, 5), HighestDegree())
+        heavy = NoiseModel(0.1, 0.2, 0.1, 0.1)
+
+        def draw():
+            runs = [run(c, seed, heavy) for seed in range(4)]
+            return ([sample_counts(c, shots, 9, heavy) for shots in (70, 4096)],
+                    [(r.cbits, r.outcome_log, r.tableau.xz.tobytes(), r.tableau.r.tobytes())
+                     for r in runs])
+
+        blocks = []  # the stop of every block drawn
+        until = rng.Skips.until
+
+        def counted(self, stop):
+            blocks.append(stop)
+            return until(self, stop)
+
+        monkeypatch.setattr(rng.Skips, "until", counted)
+        default, large = draw(), len(blocks)
+        monkeypatch.setattr(stabilizer, "_WINDOW_BYTES", 8)
+        assert draw() == default
+        # six simulations of four classes: one block each by default, many after
+        assert large == 6 * 4 and len(blocks) - large >= 3 * large
 
     def test_noisy_eagle_mixing_passes(self, monkeypatch):
         # one pass over the lanes per random measurement's coin and per skip
