@@ -492,8 +492,11 @@ def _check_capacity(c: Circuit) -> None:
         raise CapacityError(f"{c.qubit_count} qubits exceeds the maximum of {MAX_QUBITS}")
 
 
-def _check_forced(forced: Sequence[Optional[int]]) -> Sequence[Optional[int]]:
-    """The forced outcomes themselves, if each is None, 0 or 1; else ValueError."""
+def _check_forced(forced: Sequence[Optional[int]], events: int) -> Sequence[Optional[int]]:
+    """The forced outcomes themselves, if there are at most `events` of them
+    (the circuit's measurement events) and each is None, 0 or 1; else ValueError."""
+    if len(forced) > events:
+        raise ValueError(f"forced_outcomes: {len(forced)} entries for {events} measurement events")
     for i, bit in enumerate(forced):
         if bit is not None and bit not in (0, 1):
             raise ValueError(f"forced_outcomes[{i}]: must be None, 0 or 1, got {bit!r}")
@@ -700,12 +703,13 @@ def run(
 
     Random measurement outcomes are resolved by seeded fair coins unless
     pinned via forced_outcomes (None, 0 or 1 per measurement event, in
-    program order; a short list leaves the rest unforced, and another value
-    raises ValueError). Forcing an outcome the state assigns probability zero
-    raises InvalidForcingError.
+    program order; a short list leaves the rest unforced, and a longer list
+    or another value raises ValueError). Forcing an outcome the state assigns
+    probability zero raises InvalidForcingError.
     """
     _check_capacity(c)
-    forced = _check_forced(forced_outcomes)
+    events = sum(isinstance(op, (MeasureZ, Reset)) for op in c.ops)
+    forced = _check_forced(forced_outcomes, events)
     stream = CounterStream(np.array([check_seed(seed)], dtype=np.uint64))
     frame, cbits, log = _simulate(c.qubit_count, c.cbit_count, c.ops, stream, 1, noise, forced)
     return SimOutcome(

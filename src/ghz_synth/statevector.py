@@ -64,6 +64,9 @@ class _DenseState:
         idx[q] = bit
         return tuple(idx)
 
+    def apply_z(self, q: int) -> None:
+        self.psi[self._axis_fixed(q, 1)] *= -1
+
     def apply_x(self, q: int) -> None:
         self.psi = np.flip(self.psi, axis=q)
 
@@ -105,14 +108,15 @@ def run_dense(
     Measurement events (MeasureZ and the measurement inside each Reset) are
     sampled from the Born rule with the seeded generator unless pinned via
     forced_outcomes, indexed by event in program order. Forcing an outcome
-    of probability zero raises InvalidForcingError, and an entry other than
-    None, 0 or 1 ValueError.
+    of probability zero raises InvalidForcingError, and more entries than
+    events or an entry other than None, 0 or 1 ValueError.
     """
     if c.qubit_count > MAX_DENSE_QUBITS:
         raise CapacityError(
             f"{c.qubit_count} qubits exceeds the dense maximum of {MAX_DENSE_QUBITS}"
         )
-    forced_outcomes = _check_forced(forced_outcomes)
+    events = sum(isinstance(op, (MeasureZ, Reset)) for op in c.ops)
+    forced_outcomes = _check_forced(forced_outcomes, events)
     rng = make_rng(seed)
     st = _DenseState(c.qubit_count)
     cbits = [0] * c.cbit_count

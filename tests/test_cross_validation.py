@@ -42,6 +42,42 @@ class TestTableauInvariantsPerOp:
                 check_invariants(tab)
 
 
+class TestHelpersKnownAnswers:
+    @pytest.mark.parametrize(
+        "state, x, z, sign, want",
+        [
+            ([1, 0], [1], [0], 0, [0, 1]),  # X|0> = |1>
+            ([0, 1], [0], [1], 0, [0, -1]),  # Z|1> = -|1>
+            ([1, 0], [1], [1], 0, [0, 1j]),  # Y|0> = i|1>
+            ([0, 1], [1], [1], 0, [-1j, 0]),  # Y|1> = -i|0>
+            ([1, 0], [0], [0], 1, [-1, 0]),  # sign 1 negates
+            ([0, 1], [1], [0], 1, [-1, 0]),  # -X|1> = -|0>
+            # X (x) Y on |01>: X|0> (x) Y|1> = |1> (x) -i|0> = -i|10>, qubit 0 the MSB
+            ([0, 1, 0, 0], [1, 1], [0, 1], 0, [0, 0, -1j, 0]),
+        ],
+    )
+    def test_apply_pauli_dense_on_basis_states(self, state, x, z, sign, want):
+        state = np.array(state, dtype=np.complex128)
+        x, z = np.array(x, dtype=np.uint8), np.array(z, dtype=np.uint8)
+        before = state.copy()
+        assert np.array_equal(apply_pauli_dense(state, x, z, sign), want)
+        assert np.array_equal(state, before)  # the input is left alone
+
+    def test_check_invariants_refuses_equal_stabilizer_rows(self):
+        tab = run(random_clifford_circuit(5, 40, seed=3), seed=0).tableau
+        check_invariants(tab)
+        n, one = tab.n, np.uint64(1)
+        # copy stabilizer 0 (row n) onto stabilizer 1 (row n + 1) in every x and z
+        # column; with 5 qubits all 10 rows sit in word 0
+        bit = (tab.xz[..., 0] >> np.uint64(n)) & one
+        tab.xz[..., 0] &= ~(one << np.uint64(n + 1))
+        tab.xz[..., 0] |= bit << np.uint64(n + 1)
+        x, z = tableau_bits(tab)
+        assert np.array_equal(x[n], x[n + 1]) and np.array_equal(z[n], z[n + 1])
+        with pytest.raises(AssertionError, match="commutation relations violated"):
+            check_invariants(tab)
+
+
 class TestExpectationAgainstDense:
     def test_matches_dense_expectation_on_the_same_branch(self):
         # uniformly random Paulis mostly anticommute with the state (exact 0);

@@ -203,6 +203,15 @@ class TestMeasurement:
             run(c, 0, forced_outcomes=[None, 1, bad])
         assert info.type is ValueError
 
+    def test_more_forced_outcomes_than_events_raises(self):
+        # one MeasureZ and one Reset are two events; a third entry forces nothing
+        c = circ(2, 1, H(0), CX(0, 1), MeasureZ(0, 0), Reset(1))
+        assert run(c, 1, forced_outcomes=[1, 1]).outcome_log == [1, 1]
+        with pytest.raises(
+            ValueError, match=r"^forced_outcomes: 3 entries for 2 measurement events$"
+        ):
+            run(c, 1, forced_outcomes=[1, 1, 0])
+
     def test_forcing_wrong_value_inside_a_deterministic_run_raises(self):
         # three consecutive deterministic MeasureZ take their outcomes from one
         # product; the wrong value on the second still names its own event

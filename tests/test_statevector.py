@@ -101,6 +101,14 @@ class TestMergePrimitive:
             run_dense(c, seed=0, forced_outcomes=[0, bad])
         assert info.type is ValueError
 
+    def test_more_forced_outcomes_than_events_raises(self):
+        c = merge_circuit(1, 1)  # its MeasureZ and its Reset
+        assert run_dense(c, seed=0, forced_outcomes=[1, 1]).outcome_log == [1, 1]
+        with pytest.raises(
+            ValueError, match=r"^forced_outcomes: 3 entries for 2 measurement events$"
+        ):
+            run_dense(c, seed=0, forced_outcomes=[1, 1, 0])
+
 
 class TestResetSemantics:
     def test_reset_entangled_pair(self):
