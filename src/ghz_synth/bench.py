@@ -30,7 +30,7 @@ from .merging import (
 from .metrics import (
     counts_to_distribution, ghz_ideal_distribution, hellinger_fidelity, summarize,
 )
-from .rng import derive_seed
+from .rng import check_seed, derive_seed
 from .stabilizer import MAX_QUBITS, CapacityError, NoiseModel, sample_counts
 
 __all__ = [
@@ -136,6 +136,7 @@ class SweepConfig:
             schema.check_max_n(self.shots, name="shots")
         if not 0.0 <= self.er_p <= 1.0:
             raise schema.InputError(f"er_p: must lie in [0, 1], got {self.er_p}")
+        check_seed(self.seed, schema.InputError)
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":

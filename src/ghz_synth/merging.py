@@ -73,7 +73,8 @@ class ScalingFactor:
             raise ValueError(f"scaling factor must be positive and finite, got {self.f}")
 
     def target(self, g: LayoutGraph) -> int:
-        return _round_half_away(self.f * average_degree(g))
+        # f > 0 and the average degree >= 0, so halves round up (away from 0)
+        return math.floor(self.f * average_degree(g) + 0.5)
 
 
 @dataclass(frozen=True)
@@ -168,10 +169,6 @@ class Star:
     def prepare(self, last: list[int]) -> list[Operation]:
         """The star's GHZ preparation, as a piece of `_assemble`; it reads no layers."""
         return build_star_ghz(self)
-
-
-def _round_half_away(x: float) -> int:
-    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
 def select_stars(g: LayoutGraph, strategy: StarSelectionStrategy) -> list[Star]:

@@ -44,10 +44,10 @@ _HALF = 2**63  # a draw's z is below this iff its uniform is below 1/2
 _FEW_LANES = 8
 
 
-def check_seed(seed: int) -> int:
-    """The seed itself, if it is a 64-bit unsigned integer; else ValueError."""
+def check_seed(seed: int, error: type = ValueError) -> int:
+    """The seed itself, if it is a 64-bit unsigned integer; else error (ValueError unless given)."""
     if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed: must be a 64-bit unsigned integer, got {seed}")
+        raise error(f"seed: must be a 64-bit unsigned integer, got {seed}")
     return seed
 
 
@@ -67,32 +67,11 @@ def derive_seed(master: int, *labels: object) -> int:
     return int.from_bytes(digest, "big")
 
 
-# the decimal forms of 0..999 (shot s < 1000 ends in one) and their
-# three-digit zero-padded forms (shot s >= 1000 ends in one after s // 1000)
-_PLAIN = [str(r).encode("utf-8") for r in range(1000)]
-_PADDED = [f"{r:03d}".encode("utf-8") for r in range(1000)]
-
-
 def shot_keys(master: int, shots: int) -> np.ndarray:
-    """[derive_seed(master, "shot", s) for s in range(shots)] as a uint64 vector.
-
-    The common prefix is hashed once, and once more with each thousands
-    block s // 1000; each key continues a copy of its block's hasher with
-    the last three digits of s, taken from a fixed table.
-    """
-    prefix = hashlib.blake2b(f"{int(master)}:shot:".encode("utf-8"), digest_size=8)
-    digests = []
-    for block in range(-(-shots // 1000)):
-        if block:
-            head, suffixes = prefix.copy(), _PADDED
-            head.update(str(block).encode("utf-8"))
-        else:
-            head, suffixes = prefix, _PLAIN
-        for suffix in suffixes[: shots - 1000 * block]:
-            h = head.copy()
-            h.update(suffix)
-            digests.append(h.digest())
-    return np.frombuffer(b"".join(digests), dtype=">u8").astype(np.uint64)
+    """Shot s's key (derive_seed(master, "shot") + s) mod 2**64, for s in range(shots),
+    as a uint64 vector: one hash per call. CounterStream mixes each key before its
+    first draw, so consecutive keys give unrelated streams."""
+    return np.arange(shots, dtype=np.uint64) + np.uint64(derive_seed(master, "shot"))
 
 
 def _mix(z: int) -> int:

@@ -110,7 +110,8 @@ def check_tableau_vs_dense() -> bool:
 
 
 def check_shot_replay() -> bool:
-    """Shot s of a heavy-noise sample_counts is run() with key derive_seed(m, "shot", s).
+    """Shot s of a heavy-noise sample_counts is run() with key shot_keys(m, shots)[s],
+    that is (derive_seed(m, "shot") + s) mod 2**64.
 
     70 shots cross a 64-shot word; the merging circuit has mid-circuit
     measurements, corrections and resets, and the noise flips readouts and
@@ -123,8 +124,8 @@ def check_shot_replay() -> bool:
     counts = sample_counts(circ, shots, SEED, noise)
     readout = Circuit(n, k + n, circ.ops + tuple(MeasureZ(q, k + q) for q in range(n)))
     replay = Counter(
-        "".join(map(str, run(readout, derive_seed(SEED, "shot", s), noise).cbits[k:]))
-        for s in range(shots)
+        "".join(map(str, run(readout, key, noise).cbits[k:]))
+        for key in shot_keys(SEED, shots).tolist()
     )
     return count_measurements(circ) > 0 and counts == replay
 

@@ -48,8 +48,9 @@ qubit q is (1 - t.expectation(0, e_q)) // 2, e_q the unit vector of q.
 Randomness contract (part of the reproducibility guarantee): each shot
 owns one 64-bit key and reads the counter-based stream of rng.CounterStream,
 whose draw t is a fixed function of (key, t). Shot s of
-sample_counts(seed=m) has key derive_seed(m, "shot", s) and run(c, seed) has
-key seed, so shot s equals the single-shot run of the ops and readout.
+sample_counts(seed=m) has key (derive_seed(m, "shot") + s) mod 2**64
+(rng.shot_keys: one hash per call) and run(c, seed) has key seed, so shot s
+equals the single-shot run of the ops and readout with that key.
 
 - The coin of measurement event e (each MeasureZ and each Reset, the n
   MeasureZ of the readout too, in program order) is draw e, with or without
@@ -309,8 +310,7 @@ class Tableau:
         p_bits = bits[:, supp]
         rows = col.copy()
         rows[w] ^= _ONE << b
-        if np.count_nonzero(rows):
-            self._rowmult(rows, p, supp, p_bits)
+        self._rowmult(rows, p, supp, p_bits)
         # row p - n := row p, then row p := Z_q with the coin as its sign
         d = p - self.n
         dw, db = d >> 6, np.uint64(d & 63)
@@ -737,8 +737,8 @@ def sample_counts(
 
     Simulates the ops and then MeasureZ(q, cbit_count + q) for every qubit q
     (the leftmost bit of the keys is qubit 0) in the loop of run(), for `shots`
-    shots; shot s draws from the stream keyed by derive_seed(seed, "shot", s),
-    so it equals the single-shot run of those ops with that seed.
+    shots; shot s draws from the stream keyed by (derive_seed(seed, "shot") + s)
+    mod 2**64, so it equals the single-shot run of those ops with that key.
     """
     check_shots(shots)
     _check_capacity(c)

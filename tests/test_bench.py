@@ -20,6 +20,7 @@ from ghz_synth.bench import (
     write_outputs,
 )
 from ghz_synth.merging import AbsoluteSize, HighestDegree, ScalingFactor
+from ghz_synth.rng import MAX_SEED
 from ghz_synth.schema import InputError
 from ghz_synth.stabilizer import MAX_QUBITS, CapacityError, NoiseModel
 
@@ -156,6 +157,10 @@ class TestRunSweep:
                          ProtocolSpec("merging", ScalingFactor(0.7000001)))),
          r"^protocols\[1\]: repeats protocols\[0\] \(merging, scaling_factor=0.7\)$"),
         (dict(protocols=()), r"^protocols: must list at least one protocol$"),
+        # a master seed outside 64 bits, as every other seed entry point refuses
+        (dict(seed=-5), r"^seed: must be a 64-bit unsigned integer, got -5$"),
+        (dict(seed=MAX_SEED + 1),
+         rf"^seed: must be a 64-bit unsigned integer, got {MAX_SEED + 1}$"),
     ])
     def test_duplicate_or_no_cells_rejected(self, overrides, message):
         # sizes [5, 5] with growing twice once gave 8 records, each agg count 8
@@ -169,6 +174,11 @@ class TestRunSweep:
             SweepConfig.from_json(json.dumps(doc))
         doc["sizes"] = [5, 100]
         assert SweepConfig.from_json(json.dumps(doc)).sizes == (5, 100)
+
+    def test_seed_bounds_accepted_on_load(self):
+        doc = {"family": "erdos_renyi", "sizes": [5], "protocols": [{"protocol": "growing"}]}
+        for doc["seed"] in (0, MAX_SEED):
+            assert SweepConfig.from_json(json.dumps(doc)).seed == doc["seed"]
 
     def test_fidelity_opt_in(self):
         cfg = SweepConfig(
@@ -198,9 +208,11 @@ PINNED_CONFIGS = (
 # SHA-256 of raw.csv + agg.csv of each config in turn, in two digests. The
 # noiseless configs' digest was computed just before the engine began drawing
 # its errors by geometric skipping, which left those bytes as they were; the
-# noisy ER config's digest was re-pinned then, since its samples changed.
+# noisy ER config's digest was re-pinned then, since its samples changed, and
+# again when shot s's key became derive_seed(m, "shot") + s. The noiseless
+# configs sample nothing, so that change left their digest as it was.
 PINNED_CSV_SHA256 = "d8d74a9a34a67076770398378037c9f9accc89c1127c8c20036df46940efe967"
-PINNED_NOISY_CSV_SHA256 = "331ce2758a1d9b14477288f9a4d4e25e52fe80dda07dc02ec711fb0f4613bb03"
+PINNED_NOISY_CSV_SHA256 = "0f7b18d826e0de121c9518bd7ac315bca46a4f6fe4320da3c719bff4cb8002c8"
 
 
 class TestCsv:

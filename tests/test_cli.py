@@ -446,6 +446,8 @@ def test_bench_malformed_config_runtime_error(tmp_path, capsys):
         ({**base, "samples": 2**24 + 1}, "samples: must be <= 16777216, got 16777217"),
         ({**base, "shots": 10**11, "compute_fidelity": True},
          "shots: must be <= 16777216, got 100000000000"),
+        ({**base, "seed": -5}, "seed: must be a 64-bit unsigned integer, got -5"),
+        ({**base, "seed": 2**64}, f"seed: must be a 64-bit unsigned integer, got {2**64}"),
     ]
     for i, (doc, message) in enumerate(cases):
         path = tmp_path / f"sweep{i}.json"

@@ -32,6 +32,10 @@ circuit with runs of consecutive mid-circuit MeasureZ; it was computed while
 the readout of `sample_counts` was still a path of its own, before it became
 ordinary MeasureZ events and mid-circuit runs of deterministic MeasureZ began
 to take their outcomes from one product.
+
+Every `sample_counts` digest was re-pinned once more when shot s's key became
+(derive_seed(m, "shot") + s) mod 2**64 instead of derive_seed(m, "shot", s);
+every `run` digest stayed the one pinned before.
 """
 
 import hashlib
@@ -423,47 +427,50 @@ SIM_NOISE = NoiseModel(0.001, 0.01, 0.01, 0.01)
 # has seed derive_seed(92, circuit), the samples derive_seed(93, circuit). The
 # noisy digests were re-pinned when the engine began drawing its errors by
 # geometric skipping, one skip sampler per error class: the same error law,
-# other draws. Every run and noiseless digest is the one pinned before.
+# other draws. Every sample_counts digest was re-pinned again when shot s's
+# key became derive_seed(m, "shot") + s (the noiseless eagle_127/growing one
+# came out equal: the same 526/498 split of other shots). Every run digest is
+# the one pinned before.
 SIM_GOLDEN = {
     "eagle_127/growing": (
         "c27d5cf5a7af26a48488936a4091251f0682e5b8bb30b685a0bcac213dae3fb6",
         "cb186d6abde0cec469fdd31b3514d78d421bdfb08942d9956b1dc9412b850841",
-        "6ba85dcf704bc93cb9526ad5e2ea3e5bfced24748b916d8ec21e5aa5dc767103",
+        "ffcbc8c384765013a152741a2a8e3a4462dc461289dfc11a9e0ff2e7ea4f4f1e",
     ),
     "eagle_127/highest_degree": (
         "31526a849988e86e7427d50b1325513276036d03e79501c88dbaf27bcc7f90d1",
-        "77c7401d8c9f6fc581f344fea19193957dcf31ed85eb8c40193e58521fb0dca3",
-        "ac0efe41196b86423123bc5c03c5f6fc30fbba14ffe1f80b237aa2a8ed2c6a35",
+        "1205f5a373002b03db660fefa6168bd6fb75b8c41d461088efff6febbfc656e5",
+        "9b49e430d8071b6bf5141278148f9f29ef956bead77d146c8a13134e50845ef9",
     ),
     "grid_16x32/growing": (
         "6cd28711149c5cd1e25567ec21f364decbd16b347d47c9b517d97de8915461b4",
-        "3eea0aefd850f4399bacb0c82a471a7198b47cce7be72e6ddaefbb4e295d9fb8",
-        "84b699db88e09b1817dc198a661d283472e20a9b2c57a4655a3b93f97d37aad7",
+        "c4b3076c5f77d6911c37ae281b6172f5b0695a8801f2cae5e29cf4427a10b930",
+        "e179d2b62abd7a440bfbb3800af18251c6d1c0bb1fa59d4abce191fff6cae1d3",
     ),
     "grid_16x32/highest_degree": (
         "d0c97e66a354ff87712391bbe2d674c29d169230f89ad57e2e8ac72a3d289142",
-        "4c08a23e481cad29976d2d79dec4d10eaa60d3d8d5f7844a5f65877ffe38fda4",
-        "fd361b2a97b6b5e983f01f834bf9c708068724db9f171be79eff3882e8a1c31a",
+        "5c80786483ebb1ad4d90cc0acc6c4bb9c6bf98a02e4ea5b8bfc529a8f42f948a",
+        "e2179cde6e09a594bd738dbea95a0bdfe4574712d3432b9dbc0c072970397ccb",
     ),
     "random_63": (
         "853043692644d7591121f3076891bf341cd558080665d9318e00e53e555ed482",
-        "8dd93aa6f681aa751174982c62edae227bb63d75633cc335cb946b4d090a565f",
-        "cf60e83cac8dacb758c70bc8d4c197b758616e11cdb9af98bbf5c2889fbc4f7d",
+        "e6350521b091824ebd212457d5de3da2ba7687cfd80667bcfd8e1ec7a2297eb1",
+        "ec296110c8a07b2745526fe545f03b40e4508e1ea4fd4235aa0561aa95ed68d9",
     ),
     "random_64": (
         "2627ff955a9f45d012d41ba0efb35f7465333dedacbb45a24b5980b31a7dc2a1",
-        "c431183bbc087be674e5868226730385a3a8abbe305910288627ae830db5073d",
-        "4d3e12b21dc813232f35a53397a18a5ba3f5d5024d8fbe779ee7ca6711643fc1",
+        "3e605f88fb02f7e40023a9aaad4b1d2c314ac818aacacdf0b59a14bde47cb7bb",
+        "2231c683bfc21b3e2793965a76f1abdb8260ecbf160e30044a655c9e9826e73a",
     ),
     "random_65": (
         "72b706fe09ff870f44fccd2a3e6b35a0d572269f8ebd6f38046b1caaeb684154",
-        "0ead3e0a48650e6505c7eb5b3388a9368d6416b42160dc5404c60bb12aeb4ee5",
-        "b6dcf52f9af835da91ea951d0f5328dfffb6e40a5cb43b2988d62b465280dabb",
+        "f6a31108b555c1ca8f52dbea1c58774e778986c639b63ac0e355912969b80e77",
+        "5d0a4fc8f783ee199bf7a622b0c5e4cd11c1a462c5899b80f123c04b408a5fcf",
     ),
     "random_129": (
         "80f1b1b2801c3cf368a46ef65922ee798279c78a41df567fd66d9aefb923a459",
-        "fd9e53110cfd92ffbde9034f6fecda8fa864e1656c59eb4a936a5a047b5e959d",
-        "b4e04bfbe10c26554595c86478f250895be9fa44ec29c3f5d2db6dbf92d20ae2",
+        "dd79fdb929ba95077484dda3aa091a51c76c7a4ff88648c14213755d1b5156b6",
+        "4d9781da541ba45d7c4f56ecccb3661e2967691be7616a0e9de1f53755366ec1",
     ),
 }
 
@@ -503,21 +510,23 @@ def test_simulator_digest(name):
 # the padding lanes of the last word all occur. circuit: (noisy run, noisy
 # sample_counts) digests; the run has seed derive_seed(94, circuit), the
 # samples derive_seed(95, circuit). Both digests are noisy, so both were
-# re-pinned when the engine began drawing its errors by geometric skipping.
+# re-pinned when the engine began drawing its errors by geometric skipping,
+# and the sample_counts digests again when shot s's key became
+# derive_seed(m, "shot") + s.
 HEAVY_SHOTS = 1000
 HEAVY_NOISE = NoiseModel(0.1, 0.2, 0.1, 0.1)
 HEAVY_GOLDEN = {
     "eagle_127/highest_degree": (
         "0e8445b650a766a0e7598007c28e5254bb4b6b3bea5f4fbe9e68717a07a7a878",
-        "626ce26fa755039b45eab63c0bfa37352dec30967925e3feade19bb5fb0f3cc8",
+        "d125518b6d4c6a4d14a50bfda753414828269fa29e86b584c3d66245c6ac476a",
     ),
     "random_65": (
         "4f53c8413e12b879acf92e212f4c1079fcaaa31d777e014c9e825a2e0ea073d6",
-        "acfd9a50c68d3b12ce96f089c93bbbc1e784468c3c2422c1885b8aa3552cd9fa",
+        "a0b7a7711c7ea1fcf09d7062bd32f448a122bd4fd5113508666d8872a519884c",
     ),
     "random_129": (
         "67f694a8123926c24e5669b3811704d631cf7e406b6e1acb2ff634cc68f28d6c",
-        "636d7c7e5be93aa2ec6bdb4c8d20aa6d491018d3336c3ff0419c55588df0c4da",
+        "c44d517e79665f9cc38bcfd99784917c348f43e1e4f4eab9106f970dc6acae44",
     ),
 }
 
@@ -567,11 +576,13 @@ def _measurement_runs_circuit() -> Circuit:
 # of the circuit above at four seeds (cbits, outcome log, x/z bits and all 2n
 # signs), and 1000 noiseless and 1000 heavy-noise shots of sample_counts. The
 # heavy-noise digest was re-pinned when the engine began drawing its errors by
-# geometric skipping; the other two are the ones pinned before.
+# geometric skipping, and both sample_counts digests were re-pinned when shot
+# s's key became derive_seed(m, "shot") + s; the run digest is the one pinned
+# before.
 MEASUREMENT_RUNS_GOLDEN = (
     "1c730cb1081b76b3a25d658fbb56fc683e8748c6ae68a92e8ddb6c22f20d1318",
-    "32669fb6186f2a6985e1684d431414a0b5b7dab18fe45dd09b7e4021d8a609c0",
-    "9b7fc8829efbecae9567d4238cecdd39c18545914e0c9e9d595273fd4726ef91",
+    "b565b15cbd18d26a6fa92f554b7291d49714209e4d24a9f45b14a650d6845005",
+    "8b81f1f43a623b7a5fe5f656acd483515e4f9745ccec3da664754fccd7cece2b",
 )
 
 

@@ -105,6 +105,15 @@ class TestSelectStars:
         stars = select_stars(g, ScalingFactor(1.0))
         assert all(len(s.leaves) <= 2 for s in stars)
 
+    @pytest.mark.parametrize("g, f, target", [
+        # K4 minus one edge: average degree 10/4 = 2.5
+        (LayoutGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))), 1.0, 3),
+        (path_graph(2), 0.5, 1),  # average degree 1
+    ])
+    def test_scaling_factor_rounds_halves_up(self, g, f, target):
+        # not round(), which takes 2.5 to 2 and 0.5 to 0
+        assert ScalingFactor(f).target(g) == target
+
     def test_absolute_size_targets_size(self):
         g = path_graph(9)
         stars = select_stars(g, AbsoluteSize(3))

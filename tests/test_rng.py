@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -171,16 +173,20 @@ class TestSkips:
 class TestShotKeys:
     @pytest.mark.parametrize("master", [0, 1, MAX_SEED])
     def test_equals_derive_seed(self, master):
+        # shot s's key is the call's one derived seed plus s, wrapping
         keys = shot_keys(master, 4096)
         assert keys.dtype == np.uint64
-        assert keys.tolist() == [derive_seed(master, "shot", s) for s in range(4096)]
+        base = derive_seed(master, "shot")
+        assert keys.tolist() == [(base + s) % 2**64 for s in range(4096)]
 
-    @pytest.mark.parametrize("shots", [999, 1000, 1001, 12345])
-    def test_thousands_blocks_equal_derive_seed(self, shots):
-        # shots past 999 continue a hasher of their thousands block with a
-        # zero-padded three-digit suffix
-        keys = shot_keys(7, shots)
-        assert keys.tolist() == [derive_seed(7, "shot", s) for s in range(shots)]
+    def test_keys_wrap_modulo_2_64(self, monkeypatch):
+        monkeypatch.setattr(rng, "derive_seed", lambda master, *labels: MAX_SEED - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            keys = shot_keys(3, 4)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [MAX_SEED - 1, MAX_SEED, 0, 1]
 
     def test_empty(self):
-        assert shot_keys(3, 0).size == 0
+        keys = shot_keys(3, 0)
+        assert keys.dtype == np.uint64 and keys.size == 0

@@ -389,8 +389,8 @@ class TestSampleCounts:
             c.ops + tuple(MeasureZ(q, c.cbit_count + q) for q in range(c.qubit_count)),
         )
         replay = Counter()
-        for s in range(48):
-            out = run(ext, derive_seed(55, "shot", s), noise=noise)
+        for key in shot_keys(55, 48).tolist():
+            out = run(ext, key, noise=noise)
             replay["".join(map(str, out.cbits[c.cbit_count:]))] += 1
         assert counts == replay
 
@@ -416,8 +416,8 @@ class TestSampleCounts:
             c.ops + tuple(MeasureZ(q, c.cbit_count + q) for q in range(c.qubit_count)),
         )
         replay = Counter()
-        for s in range(shots):
-            out = run(ext, derive_seed(seed, "shot", s), noise=noise)
+        for key in shot_keys(seed, shots).tolist():
+            out = run(ext, key, noise=noise)
             replay["".join(map(str, out.cbits[c.cbit_count:]))] += 1
         assert counts == replay
 
