@@ -34,10 +34,10 @@ _SUM_TOL = 1e-9
 def _validate_distribution(d: Distribution, name: str) -> None:
     total = 0.0
     for key, p in d.items():
-        if p < 0:
-            raise ValueError(f"{name}[{key!r}] is negative: {p}")
+        if not p >= 0:  # NaN too
+            raise ValueError(f"{name}[{key!r}] must be >= 0, got {p}")
         total += p
-    if abs(total - 1.0) > _SUM_TOL:
+    if not abs(total - 1.0) <= _SUM_TOL:
         raise ValueError(f"{name} sums to {total}, expected 1")
 
 

@@ -103,7 +103,11 @@ def field(rec, key: str, path: str, kind: type, default=_REQUIRED, error: type =
     if kind is float:
         if not (is_int(value) or isinstance(value, float)):
             raise error(f"{where}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # JSON integers are exact, so one may pass float range
+            raise error(f"{where}: expected a number, "
+                        "got an integer too large for a float") from None
     if not (is_int(value) if kind is int else isinstance(value, kind)):
         raise error(f"{where}: expected {kind.__name__}, got {value!r}")
     return value

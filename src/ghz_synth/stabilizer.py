@@ -37,7 +37,8 @@ tableau unchanged, so it and the MeasureZ right after it, up to the first
 random one, mid-circuit or in the readout, take their outcomes from one GF(2)
 matrix product. Bits past the last row or shot are padding and stay zero.
 Only the API edge unpacks per-shot bits (SimOutcome, the histogram) or rows
-(stabilizer_rows).
+(Tableau.rows, the one row-major view, and its stabilizer half
+stabilizer_rows).
 
 Tableau.expectation gives the expectation (+1, -1 or 0) of any Hermitian
 Pauli by the destabilizer method. It is the single Pauli-membership
@@ -229,24 +230,24 @@ class Tableau:
 
     # -- Pauli gates: sign flips only --
 
-    def flip(self, qs: Sequence[int], x: bool, z: bool) -> None:
-        """X (x), Z (z) or Y (both) on every qubit of qs.
+    def flip(self, xs: Sequence[int], zs: Sequence[int]) -> None:
+        """The Pauli with X parts on the qubits xs and Z parts on zs (Y on both).
 
         X on q flips the sign of every row with a Z part on q, Z of every row
-        with an X part, so a row's sign flips iff it has such a part on an
-        odd number of the qubits, for X and Z each.
+        with an X part, so a row's sign flips iff it anticommutes with the
+        Pauli. xs and zs may be any sequences or index arrays.
         """
-        qs = list(qs)
-        self.r ^= self._anticommuting(qs if x else [], qs if z else [])
+        # index arrays, since x[(q,)] would be qubit q's word row and x[()] every qubit
+        self.r ^= self._anticommuting(np.asarray(xs, dtype=np.intp), np.asarray(zs, dtype=np.intp))
 
     def _anticommuting(self, xs, zs) -> np.ndarray:
         """Packed mask of the rows that anticommute with a Pauli with X parts
-        on the qubits xs and Z parts on zs (lists or index arrays).
+        on the qubits xs and Z parts on zs (index arrays).
 
         Row j anticommutes iff x_P . z_j + z_P . x_j is odd: XOR the z columns
         on xs and the x columns on zs, for all rows at once. A side that is
-        empty is not reduced, as in flip's one-sided reference flips on run's
-        path.
+        empty is not reduced, as in the engine's X-only flips (flip_x) and
+        the Z-only Paulis that expectation asks for.
         """
         if not len(xs):
             return np.bitwise_xor.reduce(self.x[zs], axis=0)
@@ -389,15 +390,18 @@ class Tableau:
         phase = ((a @ y - y_p) % 4) // 2 + ((a @ upper) * a).sum(axis=1)
         return (signs + phase.astype(np.int64)) & 1
 
-    def stabilizer_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x, z, sign) of the n stabilizer generators.
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, z, sign) of all 2n rows, the tableau's one row-major view.
 
-        x and z are (n, n) uint8 with one row per generator, one column per
-        qubit.
+        x and z are (2n, n) uint8 with one row per destabilizer (0..n-1) and
+        stabilizer (n..2n-1), one column per qubit; sign is the 2n sign bits.
         """
-        n = self.n
-        x, z = np.ascontiguousarray(_unpack(self.xz, 2 * n)[:, :, n:].transpose(0, 2, 1))
-        return x, z, _unpack(self.r, 2 * n)[n:]
+        x, z = np.ascontiguousarray(_unpack(self.xz, 2 * self.n).transpose(0, 2, 1))
+        return x, z, _unpack(self.r, 2 * self.n)
+
+    def stabilizer_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, z, sign) of the n stabilizer generators: the lower half of rows()."""
+        return tuple(a[self.n:] for a in self.rows())
 
 
 class PauliFrame:
@@ -443,7 +447,7 @@ class PauliFrame:
     def flip_x(self, qs: Sequence[int], words: np.ndarray, ref_bit: int) -> None:
         """X on every qubit of qs in the shots set in words, and in the reference iff ref_bit."""
         if ref_bit:
-            self.ref.flip(qs, True, False)
+            self.ref.flip(qs, ())
         delta = words ^ self.all_or_none(ref_bit)
         if np.count_nonzero(delta):
             self.fx[list(qs)] ^= delta
@@ -467,8 +471,7 @@ class PauliFrame:
     def fold(self, shot: int) -> Tableau:
         """The tableau of one shot: the reference with the shot's frame folded into its signs."""
         t = self.ref.copy()
-        fx, fz = _bits_at(self.f, shot)
-        t.r ^= t._anticommuting(np.flatnonzero(fx), np.flatnonzero(fz))
+        t.flip(*map(np.flatnonzero, _bits_at(self.f, shot)))
         return t
 
 
@@ -492,15 +495,15 @@ def _check_capacity(c: Circuit) -> None:
         raise CapacityError(f"{c.qubit_count} qubits exceeds the maximum of {MAX_QUBITS}")
 
 
-def _check_forced(forced: Sequence[Optional[int]], events: int) -> Sequence[Optional[int]]:
-    """The forced outcomes themselves, if there are at most `events` of them
-    (the circuit's measurement events) and each is None, 0 or 1; else ValueError."""
+def _check_forced(forced: Sequence[Optional[int]], ops: Sequence[Operation]) -> None:
+    """ValueError unless there are at most as many forced outcomes as ops has
+    measurement events (MeasureZ and Reset) and each is None, 0 or 1."""
+    events = sum(isinstance(op, (MeasureZ, Reset)) for op in ops)
     if len(forced) > events:
         raise ValueError(f"forced_outcomes: {len(forced)} entries for {events} measurement events")
     for i, bit in enumerate(forced):
         if bit is not None and bit not in (0, 1):
             raise ValueError(f"forced_outcomes[{i}]: must be None, 0 or 1, got {bit!r}")
-    return forced
 
 
 # B_c = _SKIP_BASE + c * _SKIP_STRIDE, the first skip draw of error class c
@@ -708,10 +711,10 @@ def run(
     probability zero raises InvalidForcingError.
     """
     _check_capacity(c)
-    events = sum(isinstance(op, (MeasureZ, Reset)) for op in c.ops)
-    forced = _check_forced(forced_outcomes, events)
+    _check_forced(forced_outcomes, c.ops)
     stream = CounterStream(np.array([check_seed(seed)], dtype=np.uint64))
-    frame, cbits, log = _simulate(c.qubit_count, c.cbit_count, c.ops, stream, 1, noise, forced)
+    frame, cbits, log = _simulate(c.qubit_count, c.cbit_count, c.ops, stream, 1, noise,
+                                  forced_outcomes)
     return SimOutcome(
         tableau=frame.fold(0),
         cbits=_unpack(cbits, 1)[:, 0].tolist(),

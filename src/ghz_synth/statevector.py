@@ -115,8 +115,7 @@ def run_dense(
         raise CapacityError(
             f"{c.qubit_count} qubits exceeds the dense maximum of {MAX_DENSE_QUBITS}"
         )
-    events = sum(isinstance(op, (MeasureZ, Reset)) for op in c.ops)
-    forced_outcomes = _check_forced(forced_outcomes, events)
+    _check_forced(forced_outcomes, c.ops)
     rng = make_rng(seed)
     st = _DenseState(c.qubit_count)
     cbits = [0] * c.cbit_count

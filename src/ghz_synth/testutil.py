@@ -1,8 +1,8 @@
 """Helpers for randomized cross-validation: of the two simulators, of the
 array-drawn Erdős–Rényi generator and of the vectorized skip sampler against
-their scalar references; plus the tableau's structural check and masked
-Paulis, which only tests use. A dense Pauli is applied by the dense oracle's
-own gates (`statevector._DenseState`), the package's only dense Pauli code."""
+their scalar references; plus the tableau's structural check, which only
+tests use. A dense Pauli is applied by the dense oracle's own gates
+(`statevector._DenseState`), the package's only dense Pauli code."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset, X
 from .layouts import LayoutGraph
 from .rng import CounterStream, _draw, _mix, make_rng
-from .stabilizer import Tableau, _unpack
+from .stabilizer import Tableau
 from .statevector import _DenseState
 
 __all__ = [
@@ -21,9 +21,7 @@ __all__ = [
     "scalar_erdos_renyi",
     "scalar_skips",
     "sorted_skips",
-    "tableau_bits",
     "check_invariants",
-    "apply_pauli",
 ]
 
 
@@ -106,18 +104,6 @@ def stabilizers_fix_state(tab: Tableau, state: np.ndarray, atol: float = 1e-10) 
     return True
 
 
-def tableau_bits(tab: Tableau) -> tuple[np.ndarray, np.ndarray]:
-    """The tableau's x and z bits row-major: two (2n, n) uint8 arrays, one row per
-    destabilizer (0..n-1) and stabilizer (n..2n-1), one column per qubit."""
-    x, z = np.ascontiguousarray(_unpack(tab.xz, 2 * tab.n).transpose(0, 2, 1))
-    return x, z
-
-
-def apply_pauli(tab: Tableau, q: int, pauli: str) -> None:
-    """Pauli "x", "y" or "z" on qubit q: one `Tableau.flip`."""
-    tab.flip((q,), pauli in "xy", pauli in "yz")
-
-
 def check_invariants(tab: Tableau) -> None:
     """Assert the symplectic commutation structure of the tableau's rows.
 
@@ -127,7 +113,7 @@ def check_invariants(tab: Tableau) -> None:
     c_j = <sum_i c_i S_i, D_j> = 0 for every j.
     """
     n = tab.n
-    x, z = tableau_bits(tab)
+    x, z, _ = tab.rows()
     # symplectic product of rows a, b: x_a.z_b + z_a.x_b mod 2
     sym = (x @ z.T + z @ x.T) % 2
     expected = np.zeros((2 * n, 2 * n), dtype=np.uint8)

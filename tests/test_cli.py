@@ -448,6 +448,14 @@ def test_bench_malformed_config_runtime_error(tmp_path, capsys):
          "shots: must be <= 16777216, got 100000000000"),
         ({**base, "seed": -5}, "seed: must be a 64-bit unsigned integer, got -5"),
         ({**base, "seed": 2**64}, f"seed: must be a 64-bit unsigned integer, got {2**64}"),
+        # exact JSON integers past float range
+        ({**base, "er_p": 10**400},
+         "er_p: expected a number, got an integer too large for a float"),
+        ({**base, "protocols": [{"protocol": "merging",
+                                 "strategy": {"strategy": "scaling_factor", "f": 10**400}}]},
+         "protocols[0].strategy.f: expected a number, got an integer too large for a float"),
+        ({**base, "noise": {"p1": 10**400}},
+         "noise.p1: expected a number, got an integer too large for a float"),
     ]
     for i, (doc, message) in enumerate(cases):
         path = tmp_path / f"sweep{i}.json"

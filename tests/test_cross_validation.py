@@ -11,11 +11,10 @@ from ghz_synth.stabilizer import InvalidForcingError, Tableau, sample_counts
 from ghz_synth.stabilizer import run
 from ghz_synth.statevector import run_dense
 from ghz_synth.testutil import (
-    apply_pauli,
     apply_pauli_dense,
     check_invariants,
     random_clifford_circuit,
-    tableau_bits,
+    stabilizers_fix_state,
 )
 
 
@@ -31,7 +30,7 @@ class TestTableauInvariantsPerOp:
                 if kind == "h":
                     tab.apply_h(int(rng.integers(0, n)))
                 elif kind == "x":
-                    apply_pauli(tab, int(rng.integers(0, n)), "x")
+                    tab.flip([int(rng.integers(0, n))], [])
                 elif kind == "cx":
                     a, b = rng.choice(n, size=2, replace=False)
                     tab.apply_cx(int(a), int(b))
@@ -40,6 +39,21 @@ class TestTableauInvariantsPerOp:
                     if np.count_nonzero(tab.x[q] & tab.stab_mask):  # only a random one collapses
                         tab.measure(q, int(rng.integers(0, 2)))
                 check_invariants(tab)
+
+
+class TestFlipAgainstDense:
+    def test_mixed_multi_qubit_flip_matches_dense_pauli(self):
+        # a flip with X, Y and Z parts on several qubits at once must turn the
+        # tableau into the stabilizers of the dense state the same Pauli gives
+        for i in range(24):
+            n = 4 + i % 3
+            c = random_clifford_circuit(n, 30, seed=derive_seed(47, i))
+            out = run(c, derive_seed(48, i))
+            state = run_dense(c, 0, forced_outcomes=out.outcome_log).state
+            x, z = make_rng(derive_seed(49, i)).integers(0, 2, size=(2, n), dtype=np.uint8)
+            tab = out.tableau
+            tab.flip(np.flatnonzero(x), np.flatnonzero(z))
+            assert stabilizers_fix_state(tab, apply_pauli_dense(state, x, z, 0)), i
 
 
 class TestHelpersKnownAnswers:
@@ -72,7 +86,7 @@ class TestHelpersKnownAnswers:
         bit = (tab.xz[..., 0] >> np.uint64(n)) & one
         tab.xz[..., 0] &= ~(one << np.uint64(n + 1))
         tab.xz[..., 0] |= bit << np.uint64(n + 1)
-        x, z = tableau_bits(tab)
+        x, z, _ = tab.rows()
         assert np.array_equal(x[n], x[n + 1]) and np.array_equal(z[n], z[n + 1])
         with pytest.raises(AssertionError, match="commutation relations violated"):
             check_invariants(tab)
@@ -98,7 +112,7 @@ class TestExpectationAgainstDense:
                     pick = rng.integers(0, 2, size=2 * n).astype(bool)
                     if k % 3 == 1:
                         pick[:n] = False
-                    x, z = tableau_bits(tab)
+                    x, z, _ = tab.rows()
                     px = np.bitwise_xor.reduce(x[pick], axis=0)
                     pz = np.bitwise_xor.reduce(z[pick], axis=0)
                 want = np.vdot(state, apply_pauli_dense(state, px, pz, 0))

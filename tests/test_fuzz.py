@@ -13,12 +13,13 @@ from ghz_synth.circuit import Circuit
 from ghz_synth.schema import MAX_N
 
 # Counts between 10**4 and MAX_N would build an n-element schedule; the ints
-# skip them, so no example allocates much. Past MAX_N they reach 2**70.
+# skip them, so no example allocates much. Past MAX_N they reach 2**70, and
+# the numbers reach past float range.
 INTS = st.one_of(
     st.integers(-2, 12), st.integers(-10**4, 10**4),
     st.integers(MAX_N + 1, 2**70), st.integers(-2**70, -1),
 )
-NUMBERS = INTS | st.floats()  # NaN and the infinities included
+NUMBERS = INTS | st.integers(2**1024, 2**1100) | st.floats()  # NaN and the infinities included
 JUNK = st.recursive(
     st.none() | st.booleans() | NUMBERS | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,

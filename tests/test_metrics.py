@@ -50,6 +50,11 @@ class TestHellinger:
             hellinger_fidelity({"0": 0.7}, {"0": 1.0})
         with pytest.raises(ValueError):
             hellinger_fidelity({"0": -0.1, "1": 1.1}, {"0": 1.0})
+        for bad in ({"0": float("nan"), "1": 1.0}, {"0": float("nan"), "1": 0.5}):
+            with pytest.raises(ValueError):
+                hellinger_fidelity(bad, {"0": 0.5, "1": 0.5})
+            with pytest.raises(ValueError):
+                hellinger_fidelity({"0": 0.5, "1": 0.5}, bad)
 
 
 class TestGhzIdeal:

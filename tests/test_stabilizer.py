@@ -24,10 +24,8 @@ from ghz_synth.stabilizer import (
     sample_counts,
 )
 from ghz_synth.testutil import (
-    apply_pauli,
     check_invariants,
     random_clifford_circuit,
-    tableau_bits,
 )
 
 
@@ -67,6 +65,36 @@ class TestGates:
             check_invariants(out.tableau)
 
 
+class TestFlipAndRows:
+    def test_one_qubit_tuple_flips_like_a_list(self):
+        # a tuple side must index qubits, never x/z's whole word rows
+        for n in (3, 40):
+            t = run(random_clifford_circuit(n, 60, seed=derive_seed(51, n)), seed=n).tableau
+            for q in range(n):
+                by_tuple, by_list = t.copy(), t.copy()
+                by_tuple.flip((q,), ())
+                by_list.flip([q], [])
+                assert np.array_equal(by_tuple.r, by_list.r), (n, q)
+                by_tuple.flip((), (q,))
+                by_list.flip([], [q])
+                assert np.array_equal(by_tuple.r, by_list.r), (n, q)
+
+    def test_fresh_tableau_rows(self):
+        # destabilizer i = X_i and stabilizer i = Z_i, all signs +
+        for n in (1, 5, 40):
+            x, z, sign = Tableau(n).rows()
+            eye, zero = np.eye(n, dtype=np.uint8), np.zeros((n, n), dtype=np.uint8)
+            assert np.array_equal(x, np.vstack([eye, zero]))
+            assert np.array_equal(z, np.vstack([zero, eye]))
+            assert np.array_equal(sign, np.zeros(2 * n, dtype=np.uint8))
+
+    def test_stabilizer_rows_are_the_lower_half_of_rows(self):
+        for i, n in enumerate((2, 7, 33, 40)):
+            t = run(random_clifford_circuit(n, 80, seed=derive_seed(52, i)), seed=i).tableau
+            for half, whole in zip(t.stabilizer_rows(), t.rows()):
+                assert np.array_equal(half, whole[n:])
+
+
 def frame_pauli(frame, q, pauli, mask):
     """Pauli "x", "y" or "z" on qubit q in the shots where the 0/1 mask is 1."""
     words = _pack(mask, frame.every.size)
@@ -93,7 +121,7 @@ class TestExpectation:
             t.apply_h(0)
             t.apply_cx(0, 1)
         frame_pauli(frame, 1, "x", [1, 0])
-        apply_pauli(singles[0], 1, "x")
+        singles[0].flip([1], [])
         shots = shot_tableaus(frame, singles)
         zz = [t.expectation(0, np.array([1, 1], dtype=np.uint8)) for t in shots]
         xx = [t.expectation(np.array([1, 1], dtype=np.uint8), 0) for t in shots]
@@ -114,7 +142,7 @@ class TestExpectation:
         mask[make_rng(3).random(130) < 0.3] = 1
         frame_pauli(frame, 1, "x", mask)
         for s in np.flatnonzero(mask):
-            apply_pauli(singles[s], 1, "x")
+            singles[s].flip([1], [])
         shots = shot_tableaus(frame, singles)
 
         def expect(px, pz):
@@ -151,7 +179,7 @@ class TestExpectation:
                     pauli = "xyz"[kind - 2]
                     frame_pauli(frame, q, pauli, mask)
                     for s in np.flatnonzero(mask):
-                        apply_pauli(singles[s], q, pauli)
+                        singles[s].flip([q] * (pauli in "xy"), [q] * (pauli in "yz"))
                 else:
                     coins = rng.integers(0, 2, size=shots).astype(np.uint8)
                     if np.count_nonzero(frame.ref.x[q] & frame.ref.stab_mask):
@@ -243,7 +271,7 @@ class TestMeasurement:
         for n, q in ((2, 0), (40, 39)):
             t = Tableau(n)
             t.apply_h(1)
-            t.flip([q], True, False)
+            t.flip([q], [])
             xz, r = t.xz.copy(), t.r.copy()
             message = (
                 rf"^measurement of qubit {q} is deterministic; "
