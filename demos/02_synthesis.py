@@ -36,7 +36,8 @@ for name, c in (("merging", merge), ("growing", grow)):
     print(f"{name:12} {depth(c):>6} {count_2q(c):>4} {count_measurements(c):>13}")
 
 # The count identities hold by construction: growing uses exactly N-1 CX;
-# each merge costs one measurement and two extra CX (fuse + re-add).
+# each merge costs one measurement and one CX over those N-1, since its fuse
+# and re-add CX take the place of one tree edge.
 n = g.node_count
 assert count_2q(grow) == n - 1
 assert count_2q(merge) == n - 1 + count_measurements(merge)

@@ -14,6 +14,7 @@ import json
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 from itertools import repeat
 from typing import Optional
 
@@ -110,9 +111,11 @@ class SweepConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise schema.InputError(f"family: unknown family {self.family!r}")
-        if not self.sizes or any(s < 1 for s in self.sizes):
+        if not self.sizes:
+            raise schema.InputError("sizes: must list at least one size")
+        if any(s < 1 for s in self.sizes):
             raise schema.InputError("sizes: every size must be >= 1")
-        schema.check_max_n(max(self.sizes), name="sizes")
+        schema.check_count(max(self.sizes), "sizes")
         twice = sorted(s for s, k in Counter(self.sizes).items() if k > 1)
         if twice:
             raise schema.InputError(f"sizes: {twice} listed more than once")
@@ -131,9 +134,9 @@ class SweepConfig:
         if self.family == "rect_grid_subgraph" and self.grid_rows * self.grid_cols > schema.MAX_N:
             raise schema.InputError(f"grid_rows: grid_rows x grid_cols must be <= {schema.MAX_N},"
                                     f" got {self.grid_rows}x{self.grid_cols}")
-        schema.check_max_n(self.samples, name="samples")
+        schema.check_count(self.samples, "samples")
         if self.compute_fidelity:  # only a fidelity sweep draws its shots
-            schema.check_max_n(self.shots, name="shots")
+            schema.check_count(self.shots, "shots")
         if not 0.0 <= self.er_p <= 1.0:
             raise schema.InputError(f"er_p: must lie in [0, 1], got {self.er_p}")
         check_seed(self.seed, schema.InputError)
@@ -180,11 +183,13 @@ class BenchmarkRecord:
     fidelity: Optional[float]
 
 
-def _source_graph(cfg: SweepConfig) -> Optional[layouts.LayoutGraph]:
-    if cfg.family == "eagle_subgraph":
+@lru_cache(maxsize=1)  # a sweep's cells share one source, built once per process
+def _source_graph(family: str, rows: int, cols: int) -> Optional[layouts.LayoutGraph]:
+    """The layout a subgraph family samples from (rows x cols for the grid); else None."""
+    if family == "eagle_subgraph":
         return layouts.eagle_127()
-    if cfg.family == "rect_grid_subgraph":
-        return layouts.rect_grid(cfg.grid_rows, cfg.grid_cols)
+    if family == "rect_grid_subgraph":
+        return layouts.rect_grid(rows, cols)
     return None
 
 
@@ -192,7 +197,8 @@ def _make_layout(cfg: SweepConfig, n: int, sample: int) -> layouts.LayoutGraph:
     layout_seed = derive_seed(cfg.seed, cfg.family, n, "layout", sample)
     if cfg.family == "erdos_renyi":
         return layouts.connected_erdos_renyi(n, cfg.er_p, layout_seed)
-    sub, _ = layouts.random_connected_subgraph(_source_graph(cfg), n, layout_seed)
+    source = _source_graph(cfg.family, cfg.grid_rows, cfg.grid_cols)
+    sub, _ = layouts.random_connected_subgraph(source, n, layout_seed)
     return sub
 
 
@@ -257,7 +263,7 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> list[Benchmark
     sweep cannot run, larger than the source layout or, when fidelity is
     sampled, than the simulator, is refused before any item runs.
     """
-    source = _source_graph(cfg)
+    source = _source_graph(cfg.family, cfg.grid_rows, cfg.grid_cols)
     if source is not None:
         too_big = [s for s in cfg.sizes if s > source.node_count]
         if too_big:

@@ -125,12 +125,8 @@ class Circuit:
         before the next is drawn, so the source may read the layers of the
         ops it has yielded so far.
         """
-        if self.qubit_count < 1:
-            raise MalformedCircuitError(f"n: must be >= 1, got {self.qubit_count}")
-        schema.check_max_n(self.qubit_count, MalformedCircuitError)
-        if self.cbit_count < 0:
-            raise MalformedCircuitError(f"cbits: must be >= 0, got {self.cbit_count}")
-        schema.check_max_n(self.cbit_count, MalformedCircuitError, "cbits")
+        schema.check_count(self.qubit_count, error=MalformedCircuitError)
+        schema.check_count(self.cbit_count, "cbits", 0, MalformedCircuitError)
         schedule = Schedule(self.qubit_count, self.cbit_count)
         ops = self.ops(schedule.last) if callable(self.ops) else self.ops
         object.__setattr__(self, "ops", tuple(map(schedule.emit, ops)))

@@ -10,7 +10,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from . import layouts, selfcheck
+from . import layouts, schema, selfcheck
 from .bench import ProtocolSpec, SweepConfig, run_sweep, write_outputs
 from .circuit import Circuit, count_2q, count_measurements, depth, export_qasm
 from .merging import strategy_from_label
@@ -21,8 +21,7 @@ from .metrics import (
     is_ghz,
 )
 from .rng import check_seed
-from .schema import InputError
-from .stabilizer import NoiseModel, check_shots, run, sample_counts
+from .stabilizer import NoiseModel, run, sample_counts
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,22 +40,19 @@ def _parse_noise(text: str) -> NoiseModel:
     parts = text.split(",")
     if len(parts) != 4:
         raise _UsageError("--noise expects four comma-separated values: p1,p2,pm,pr")
-    try:
-        return NoiseModel(*map(float, parts))
-    except ValueError as exc:
-        raise _UsageError(f"--noise: {exc}") from None
+    return _usage("--noise: ", lambda: NoiseModel(*map(float, parts)))
 
 
-def _check_flags(check, *values):
-    """check(*values), whose range errors start with the bad parameter's name.
+def _usage(prefix: str, make, *args):
+    """make(*args); a ValueError it raises is a usage error, its message after prefix.
 
-    The parameters are named as their flags, so such an error is a usage
-    error about that flag.
+    A range error of a layout or simulation parameter starts with the
+    parameter's name, which is its flag's name, so "--" names the flag.
     """
     try:
-        return check(*values)
+        return make(*args)
     except ValueError as exc:
-        raise _UsageError(f"--{exc}") from None
+        raise _UsageError(f"{prefix}{exc}") from None
 
 
 def _build_parser() -> _Parser:
@@ -105,11 +101,11 @@ def _cmd_layout(args) -> int:
     if args.family == "eagle":
         g = layouts.eagle_127()
     elif args.family == "grid":
-        g = _check_flags(layouts.rect_grid, args.rows, args.cols)
+        g = _usage("--", layouts.rect_grid, args.rows, args.cols)
     else:
         if args.n is None:
             raise _UsageError("--n is required for the er family")
-        g = _check_flags(layouts.connected_erdos_renyi, args.n, args.p, args.seed)
+        g = _usage("--", layouts.connected_erdos_renyi, args.n, args.p, args.seed)
     text = g.to_json()
     if args.out:
         with open(args.out, "w") as f:
@@ -123,13 +119,10 @@ def _cmd_synth(args) -> int:
     label = args.strategy
     if label is None and args.protocol == "merge":
         label = "highest_degree"
-    try:
-        strategy = None if label is None else strategy_from_label(label)
-        spec = ProtocolSpec("merging" if args.protocol == "merge" else "growing", strategy)
-    except InputError as exc:  # names the label already
-        raise _UsageError(f"--strategy: {exc}") from None
-    except ValueError as exc:
-        raise _UsageError(f"--strategy: {label!r}: {exc}") from None
+    # a bad label's error names it already
+    strategy = None if label is None else _usage("--strategy: ", strategy_from_label, label)
+    protocol = "merging" if args.protocol == "merge" else "growing"
+    spec = _usage(f"--strategy: {label!r}: ", ProtocolSpec, protocol, strategy)
     with open(args.layout) as f:
         g = layouts.LayoutGraph.from_json(f.read())
     circ = spec.synthesize(g)
@@ -148,8 +141,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_simulate(args) -> int:
     noise = _parse_noise(args.noise) if args.noise else None
-    _check_flags(check_shots, args.shots)
-    _check_flags(check_seed, args.seed)
+    _usage("--", schema.check_count, args.shots, "shots")
+    _usage("--", check_seed, args.seed)
     with open(args.circuit) as f:
         circ = Circuit.from_json(f.read())
     counts = sample_counts(circ, args.shots, args.seed, noise)

@@ -46,7 +46,7 @@ class LayoutGraph:
         n = self.node_count
         if n < 1:
             raise schema.InputError(f"n: node count must be >= 1, got {n}")
-        schema.check_max_n(n)
+        schema.check_count(n)
         edges = tuple(sorted(self.edges))
         prev = None  # sorted, so a duplicate sits right after its twin
         for e in edges:
@@ -242,9 +242,7 @@ def connected_erdos_renyi(n: int, p: float, seed: int) -> LayoutGraph:
 
     A range error's message starts with the bad parameter's name.
     """
-    if n < 1:
-        raise ValueError(f"n: must be >= 1, got {n}")
-    schema.check_max_n(n, ValueError)  # before any draw
+    schema.check_count(n, error=ValueError)  # before any draw
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p: must lie in [0, 1], got {p}")
     rng = make_rng(seed)

@@ -145,10 +145,8 @@ def strategy_from_label(label: str) -> StarSelectionStrategy:
     kind, eq, value = label.partition("=")
     cls = _STRATEGIES.get(kind)
     if cls is not None and (_PARAMETERS[cls] or not eq):  # no "=" without a parameter
-        try:
-            return cls(*(type_(value) for type_ in _PARAMETERS[cls].values()))
-        except ValueError as exc:
-            raise schema.InputError(f"{label!r}: {exc}") from None
+        return schema.construct(
+            repr(label), lambda: cls(*(type_(value) for type_ in _PARAMETERS[cls].values())))
     forms = [k + "".join(f"=<{p}>" for p in _PARAMETERS[c]) for k, c in _STRATEGIES.items()]
     raise schema.InputError(
         f"unknown strategy {label!r}; expected {', '.join(forms[:-1])}, or {forms[-1]}"

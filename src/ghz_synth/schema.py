@@ -10,7 +10,9 @@ by `read_tagged`. So a missing, mistyped or unknown field raises InputError
 such as `ops[0].target` or `protocols[1].strategy.f`. A value out of range
 names its field too: the top-level constructors start their messages with
 it, and nested objects are built through `construct`, which prefixes their
-path.
+path. `check_count` is the one bound on a count, such as a node, qubit, cbit,
+size, sample or shot count, whether it comes from a document, a command-line
+flag or the Python API.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 
 __all__ = ["InputError", "parse", "read", "read_tagged", "field", "construct", "is_int",
-           "MAX_N", "check_max_n"]
+           "MAX_N", "check_count"]
 
 
 class InputError(ValueError):
@@ -127,10 +129,13 @@ def construct(path: str, make, *args, **kwargs):
 MAX_N = 1 << 24
 
 
-def check_max_n(n: int, error: type = InputError, name: str = "n") -> None:
-    """Raise error, naming the field (n unless given), if n exceeds MAX_N."""
+def check_count(n: int, name: str = "n", low: int = 1, error: type = InputError) -> int:
+    """n itself if it lies in [low, MAX_N]; else error, whose message starts with name."""
+    if n < low:
+        raise error(f"{name}: must be >= {low}, got {n}")
     if n > MAX_N:
         raise error(f"{name}: must be <= {MAX_N}, got {n}")
+    return n
 
 
 def is_int(value) -> bool:

@@ -106,7 +106,6 @@ __all__ = [
     "InvalidForcingError",
     "run",
     "sample_counts",
-    "check_shots",
     "MAX_QUBITS",
 ]
 
@@ -722,14 +721,6 @@ def run(
     )
 
 
-def check_shots(shots: int) -> int:
-    """The shot count itself, if it lies in [1, schema.MAX_N]; else ValueError."""
-    if shots < 1:
-        raise ValueError(f"shots: must be >= 1, got {shots}")
-    schema.check_max_n(shots, name="shots")
-    return shots
-
-
 def sample_counts(
     c: Circuit,
     shots: int,
@@ -743,7 +734,7 @@ def sample_counts(
     shots; shot s draws from the stream keyed by (derive_seed(seed, "shot") + s)
     mod 2**64, so it equals the single-shot run of those ops with that key.
     """
-    check_shots(shots)
+    schema.check_count(shots, "shots")
     _check_capacity(c)
     stream = CounterStream(shot_keys(check_seed(seed), shots))
     n, m = c.qubit_count, c.cbit_count

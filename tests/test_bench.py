@@ -97,6 +97,21 @@ class TestRunSweep:
         assert len(records) == len(cfg.sizes) * len(cfg.protocols) * cfg.samples
         assert sorted(calls) == [(n, s) for n in cfg.sizes for s in range(cfg.samples)]
 
+    def test_grid_source_built_once_per_sweep(self, monkeypatch):
+        calls = []
+        rect_grid = bench.layouts.rect_grid
+
+        def counting(rows, cols):
+            calls.append((rows, cols))
+            return rect_grid(rows, cols)
+
+        bench._source_graph.cache_clear()
+        monkeypatch.setattr(bench.layouts, "rect_grid", counting)
+        cfg = small_config(family="rect_grid_subgraph", samples=3, grid_rows=5, grid_cols=4)
+        records = run_sweep(cfg, workers=1)
+        assert len(records) == len(cfg.sizes) * len(cfg.protocols) * cfg.samples
+        assert calls == [(5, 4)]
+
     def test_import_leaves_the_process_pool_unloaded(self):
         # only a run with workers > 1 imports concurrent.futures
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -420,6 +420,7 @@ def test_bench_malformed_config_runtime_error(tmp_path, capsys):
          "grid_rows: grid_rows x grid_cols must be <= 16777216, got 5000x5000"),
         ({**base, "family": "foo"}, "family: unknown family 'foo'"),
         ({**base, "sizes": [0]}, "sizes: every size must be >= 1"),
+        ({**base, "sizes": []}, "sizes: must list at least one size"),
         ({**base, "protocols": [{"protocol": "merging",
                                  "strategy": {"strategy": "absolute_size", "s": 0}}]},
          "protocols[0].strategy: absolute star size must be >= 1"),

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghz_synth import InputError, LayoutGraph, SweepConfig
-from ghz_synth.circuit import Circuit
-from ghz_synth.schema import MAX_N
+from ghz_synth.circuit import Circuit, MalformedCircuitError
+from ghz_synth.schema import MAX_N, check_count
 
 # Counts between 10**4 and MAX_N would build an n-element schedule; the ints
 # skip them, so no example allocates much. Past MAX_N they reach 2**70, and
@@ -115,3 +115,27 @@ def test_count_past_the_bound_is_rejected(n):
         Circuit.from_json(json.dumps({"n": n, "cbits": 0, "ops": []}))
     with pytest.raises(InputError, match=message):
         LayoutGraph.from_json(json.dumps({"n": n, "edges": []}))
+
+
+class _Refused(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n, low, error, refused", [
+    (-1, 0, _Refused, "k: must be >= 0, got -1"),
+    (0, 0, _Refused, None),
+    (0, 1, ValueError, "k: must be >= 1, got 0"),
+    (1, 1, ValueError, None),
+    (MAX_N, 1, MalformedCircuitError, None),
+    (MAX_N + 1, 1, MalformedCircuitError, f"k: must be <= {MAX_N}, got {MAX_N + 1}"),
+    (MAX_N + 1, 0, None, f"k: must be <= {MAX_N}, got {MAX_N + 1}"),  # InputError by default
+])
+def test_check_count_bounds_both_ends(n, low, error, refused):
+    kwargs = {} if error is None else {"error": error}
+    if refused is None:
+        assert check_count(n, "k", low, **kwargs) == n
+        return
+    with pytest.raises(Exception) as info:
+        check_count(n, "k", low, **kwargs)
+    assert type(info.value) is (error or InputError)
+    assert str(info.value) == refused

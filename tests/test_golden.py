@@ -66,7 +66,7 @@ from ghz_synth.layouts import (
 )
 from ghz_synth.merging import AbsoluteSize, HighestDegree, ScalingFactor, synthesize_merging
 from ghz_synth.rng import derive_seed
-from ghz_synth.stabilizer import NoiseModel, _unpack, run, sample_counts
+from ghz_synth.stabilizer import NoiseModel, run, sample_counts
 from ghz_synth.testutil import random_clifford_circuit
 
 LAYOUTS = {
@@ -591,8 +591,7 @@ def test_measurement_runs_digest():
     digest = hashlib.sha256()
     for s in range(4):
         out = run(c, seed=derive_seed(97, s))
-        x, z, _ = out.tableau.rows()
-        signs = _unpack(out.tableau.r, 2 * c.qubit_count)
+        x, z, signs = out.tableau.rows()
         for part in (repr(out.cbits).encode(), repr(out.outcome_log).encode(), x, z, signs):
             digest.update(bytes(part))
     got = [digest.hexdigest()]
