@@ -47,10 +47,6 @@ __all__ = [
 
 FAMILIES = ("eagle_subgraph", "rect_grid_subgraph", "erdos_renyi")
 
-RAW_COLUMNS = [
-    "family", "N", "protocol", "strategy", "sample", "seed",
-    "depth", "n_2q", "n_meas", "mean_star_size", "scaling_factor", "fidelity",
-]
 AGG_COLUMNS = ["family", "N", "protocol", "strategy", "metric", "mean", "std", "max", "count"]
 
 
@@ -113,8 +109,7 @@ class SweepConfig:
             raise schema.InputError(f"family: unknown family {self.family!r}")
         if not self.sizes:
             raise schema.InputError("sizes: must list at least one size")
-        if any(s < 1 for s in self.sizes):
-            raise schema.InputError("sizes: every size must be >= 1")
+        schema.check_count(min(self.sizes), "sizes")
         schema.check_count(max(self.sizes), "sizes")
         twice = sorted(s for s, k in Counter(self.sizes).items() if k > 1)
         if twice:
@@ -127,19 +122,19 @@ class SweepConfig:
             if key in keys[:i]:
                 raise schema.InputError(f"protocols[{i}]: repeats protocols[{keys.index(key)}]"
                                         f" ({', '.join(filter(None, key))})")
-        for name in ("samples", "shots", "grid_rows", "grid_cols"):
-            if getattr(self, name) < 1:
-                raise schema.InputError(f"{name}: must be >= 1, got {getattr(self, name)}")
+        schema.check_count(self.samples, "samples")
+        # every sweep bounds its shots below; only a fidelity sweep, which draws them, above
+        schema.check_count(self.shots if self.compute_fidelity else min(self.shots, schema.MAX_N),
+                           "shots")
+        schema.check_count(self.grid_rows, "grid_rows")
+        schema.check_count(self.grid_cols, "grid_cols")
         # only a grid family builds the grid
         if self.family == "rect_grid_subgraph" and self.grid_rows * self.grid_cols > schema.MAX_N:
             raise schema.InputError(f"grid_rows: grid_rows x grid_cols must be <= {schema.MAX_N},"
                                     f" got {self.grid_rows}x{self.grid_cols}")
-        schema.check_count(self.samples, "samples")
-        if self.compute_fidelity:  # only a fidelity sweep draws its shots
-            schema.check_count(self.shots, "shots")
         if not 0.0 <= self.er_p <= 1.0:
             raise schema.InputError(f"er_p: must lie in [0, 1], got {self.er_p}")
-        check_seed(self.seed, schema.InputError)
+        check_seed(self.seed)
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
@@ -303,6 +298,7 @@ def _fmt(value) -> str:
 
 
 _RECORD_FIELDS = [f.name for f in fields(BenchmarkRecord)]
+RAW_COLUMNS = ["N" if name == "n" else name for name in _RECORD_FIELDS]
 # the figures of merit: every record field after the seed
 _METRICS = _RECORD_FIELDS[_RECORD_FIELDS.index("seed") + 1 :]
 

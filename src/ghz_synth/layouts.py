@@ -43,10 +43,7 @@ class LayoutGraph:
     adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.node_count
-        if n < 1:
-            raise schema.InputError(f"n: node count must be >= 1, got {n}")
-        schema.check_count(n)
+        n = schema.check_count(self.node_count)
         edges = tuple(sorted(self.edges))
         prev = None  # sorted, so a duplicate sits right after its twin
         for e in edges:
@@ -148,11 +145,11 @@ def heavy_hex(rows: int, cols: int) -> LayoutGraph:
     row by row: each chain left to right, then the bridges below it. This is
     the IBM numbering: heavy_hex(7, 15) equals eagle_127() edge for edge.
 
-    rows x cols is checked against MAX_N before anything is built, with the
-    message of rect_grid; LayoutGraph bounds the exact node count.
+    rows, cols and rows x cols are checked before anything is built, with the
+    messages of rect_grid; LayoutGraph bounds the exact node count.
     """
-    if rows < 1 or cols < 3:
-        raise ValueError(f"heavy-hex needs rows >= 1 and cols >= 3, got {rows}x{cols}")
+    schema.check_count(rows, "rows")
+    schema.check_count(cols, "cols", 3)
     _check_area(rows, cols)
 
     def bridged(r: int, c: int) -> bool:
@@ -186,7 +183,7 @@ def heavy_hex(rows: int, cols: int) -> LayoutGraph:
 def _check_area(rows: int, cols: int) -> None:
     """Refuse a rows x cols lattice above MAX_N cells before any edge is built."""
     if rows * cols > schema.MAX_N:
-        raise ValueError(f"rows: rows x cols must be <= {schema.MAX_N}, got {rows}x{cols}")
+        raise schema.InputError(f"rows: rows x cols must be <= {schema.MAX_N}, got {rows}x{cols}")
 
 
 def rect_grid(rows: int, cols: int) -> LayoutGraph:
@@ -194,9 +191,8 @@ def rect_grid(rows: int, cols: int) -> LayoutGraph:
 
     A range error's message starts with the bad parameter's name.
     """
-    for name, size in (("rows", rows), ("cols", cols)):
-        if size < 1:
-            raise ValueError(f"{name}: must be >= 1, got {size}")
+    schema.check_count(rows, "rows")
+    schema.check_count(cols, "cols")
     _check_area(rows, cols)
     edges = []
     for r in range(rows):
@@ -242,9 +238,9 @@ def connected_erdos_renyi(n: int, p: float, seed: int) -> LayoutGraph:
 
     A range error's message starts with the bad parameter's name.
     """
-    schema.check_count(n, error=ValueError)  # before any draw
+    schema.check_count(n)  # before any draw
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p: must lie in [0, 1], got {p}")
+        raise schema.InputError(f"p: must lie in [0, 1], got {p}")
     rng = make_rng(seed)
     parent = _tree_parents(rng, n)
     rows = np.arange(n)
@@ -276,7 +272,7 @@ def random_connected_subgraph(
     -> original node index.
     """
     if not 1 <= k <= g.node_count:
-        raise ValueError(f"k must lie in [1, {g.node_count}], got {k}")
+        raise schema.InputError(f"k must lie in [1, {g.node_count}], got {k}")
     rng = make_rng(seed)
     start = int(rng.integers(0, g.node_count))
     chosen = {start}

@@ -63,7 +63,7 @@ class HighestDegree:
 
 @dataclass(frozen=True)
 class ScalingFactor:
-    """Target star degree = round(f * average degree of the input graph)."""
+    """Target star degree = round(f * average degree of the input graph), at most n."""
 
     kind: ClassVar[str] = "scaling_factor"
     f: float
@@ -73,8 +73,10 @@ class ScalingFactor:
             raise ValueError(f"scaling factor must be positive and finite, got {self.f}")
 
     def target(self, g: LayoutGraph) -> int:
-        # f > 0 and the average degree >= 0, so halves round up (away from 0)
-        return math.floor(self.f * average_degree(g) + 0.5)
+        # f > 0 and the average degree >= 0, so halves round up (away from 0);
+        # a target of n or more picks HighestDegree's stars, so a product past
+        # n, an infinite one included, is capped there before it is rounded
+        return math.floor(min(self.f * average_degree(g), g.node_count) + 0.5)
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,7 @@ class AbsoluteSize:
     s: int
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("absolute star size must be >= 1")
+        schema.check_count(self.s, "s")
 
     def target(self, g: LayoutGraph) -> int:
         return self.s - 1

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import schema
 from .stabilizer import Tableau
 
 __all__ = [
@@ -53,14 +54,12 @@ def hellinger_fidelity(p: Distribution, q: Distribution) -> float:
 
 def ghz_ideal_distribution(n: int) -> Distribution:
     """Measurement statistics of the n-qubit GHZ state in the Z basis."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    schema.check_count(n)
     return {"0" * n: 0.5, "1" * n: 0.5}
 
 
 def counts_to_distribution(counts: dict[str, int], shots: int) -> Distribution:
-    if shots <= 0:
-        raise ValueError("shots must be positive")
+    schema.check_count(shots, "shots")
     total = sum(counts.values())
     if total != shots:
         raise ValueError(f"counts sum to {total}, expected {shots}")

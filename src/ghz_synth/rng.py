@@ -36,6 +36,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .schema import InputError
+
 MAX_SEED = 2**64 - 1
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -44,10 +46,10 @@ _HALF = 2**63  # a draw's z is below this iff its uniform is below 1/2
 _FEW_LANES = 8
 
 
-def check_seed(seed: int, error: type = ValueError) -> int:
-    """The seed itself, if it is a 64-bit unsigned integer; else error (ValueError unless given)."""
+def check_seed(seed: int) -> int:
+    """The seed itself, if it is a 64-bit unsigned integer; else InputError."""
     if not 0 <= seed <= MAX_SEED:
-        raise error(f"seed: must be a 64-bit unsigned integer, got {seed}")
+        raise InputError(f"seed: must be a 64-bit unsigned integer, got {seed}")
     return seed
 
 
@@ -185,9 +187,11 @@ class Skips:
         self._table = np.concatenate(([0.0], powers[::-1], [1.0]))
         # (1 - p)**g = u at g = log(u) / log(1 - p), a guess of the gap that the table checks
         self._slope = 1 / math.log1p(-p) if 0 < p < 1 else 0.0
-        # per lane: its next hit and the number of skips it has drawn, from the first until() on
-        self._at: Optional[np.ndarray] = None
-        self._j = np.empty(0, dtype=np.int32)
+        # per lane: its next hit and the number of skips it has drawn
+        self._at = np.zeros(self._lanes, dtype=np.int32)
+        self._j = np.ones(self._lanes, dtype=np.int32)
+        if self._lanes:  # every lane's first skip, from location 0
+            self._skip(np.arange(self._lanes), -1, t0)
 
     def until(self, stop: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The hits at locations below stop that were not yielded yet, skip by skip.
@@ -197,11 +201,6 @@ class Skips:
         draw after the skip that found it, which the stream leaves for the
         caller.
         """
-        if self._at is None:  # every lane's first skip, from location 0
-            lanes = self._lanes
-            self._at, self._j = np.zeros(lanes, dtype=np.int32), np.ones(lanes, dtype=np.int32)
-            if lanes:
-                self._skip(np.arange(lanes), -1, self._t0)
         while True:
             lanes = np.flatnonzero(self._at < stop)
             if not lanes.size:

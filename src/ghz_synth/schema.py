@@ -11,8 +11,9 @@ such as `ops[0].target` or `protocols[1].strategy.f`. A value out of range
 names its field too: the top-level constructors start their messages with
 it, and nested objects are built through `construct`, which prefixes their
 path. `check_count` is the one bound on a count, such as a node, qubit, cbit,
-size, sample or shot count, whether it comes from a document, a command-line
-flag or the Python API.
+size, sample, shot or star-size count, whether it comes from a document, a
+command-line flag or the Python API, and `rng.check_seed` the one bound on a
+seed; both raise InputError, whose message starts with the bad value's name.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ __all__ = ["InputError", "parse", "read", "read_tagged", "field", "construct", "
 
 
 class InputError(ValueError):
-    """A JSON document lacks a field or has one of the wrong kind or range."""
+    """Bad input, from a document, a command-line flag or a Python argument: a
+    missing field, or a value of the wrong kind or out of range."""
 
 
 _REQUIRED = object()

@@ -110,6 +110,37 @@ def test_bench_subcommand(tmp_path, capsys):
     assert (out_dir / "agg.csv").exists()
 
 
+def test_synth_huge_scaling_factor_picks_highest_degree_stars(tmp_path, capsys):
+    # f * average degree overflows to inf; a target past n is capped at n,
+    # which picks HighestDegree's stars
+    layout = tmp_path / "grid.json"
+    cli_main(["layout", "--family", "grid", "--rows", "3", "--cols", "3", "--out", str(layout)])
+    for strategy in ("scaling_factor=1e308", "highest_degree"):
+        code = cli_main(["synth", "--protocol", "merge", "--strategy", strategy,
+                         "--layout", str(layout), "--out", str(tmp_path / f"{strategy}.json")])
+        assert code == 0
+    capsys.readouterr()
+    assert ((tmp_path / "scaling_factor=1e308.json").read_text()
+            == (tmp_path / "highest_degree.json").read_text())
+
+
+def test_bench_huge_scaling_factor_runs(tmp_path):
+    rows = {}
+    for strategy in ({"strategy": "scaling_factor", "f": 1e308}, {"strategy": "highest_degree"}):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({
+            "family": "erdos_renyi", "sizes": [6, 9], "samples": 2, "seed": 4,
+            "protocols": [{"protocol": "merging", "strategy": strategy}],
+        }))
+        out_dir = tmp_path / strategy["strategy"]
+        assert cli_main(["bench", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+        raw = [line.split(",") for line in (out_dir / "raw.csv").read_text().splitlines()[1:]]
+        # family, N, sample and the figures of merit; the label and its seed differ
+        rows[strategy["strategy"]] = [[r[0], r[1], *r[4:5], *r[6:]] for r in raw]
+    assert len(rows["scaling_factor"]) == 4
+    assert rows["scaling_factor"] == rows["highest_degree"]
+
+
 def test_verify_subcommand(capsys):
     assert cli_main(["verify"]) == 0
     out = capsys.readouterr().out
@@ -252,7 +283,7 @@ def test_bad_strategy_usage_error(tmp_path, capsys):
                           "scaling_factor=<f>, or absolute_size=<s>"),
     ("merge", "scaling_factor=abc",
      "'scaling_factor=abc': could not convert string to float: 'abc'"),
-    ("merge", "absolute_size=0", "'absolute_size=0': absolute star size must be >= 1"),
+    ("merge", "absolute_size=0", "'absolute_size=0': s: must be >= 1, got 0"),
     ("merge", "scaling_factor=-1",
      "'scaling_factor=-1': scaling factor must be positive and finite, got -1.0"),
     ("merge", "scaling_factor", "'scaling_factor': could not convert string to float: ''"),
@@ -372,7 +403,7 @@ def test_synth_malformed_layout_runtime_error(tmp_path, capsys):
         ({"n": 3}, "edges: missing field"),
         ({"n": 3, "edges": [[0, 1], [1]]}, "edges[1]: expected a pair of integers, got [1]"),
         ([], "layout: expected an object"),
-        ({"n": 0, "edges": []}, "n: node count must be >= 1, got 0"),
+        ({"n": 0, "edges": []}, "n: must be >= 1, got 0"),
         ({"n": 3, "edges": [[1, 1]]}, "edges: self-loop on node 1"),
         ({"n": 4, "edges": [[0, 1], [2, 3]]},
          "edges: layout graph must be connected; 4 nodes need at least 3 edges, got 2"),
@@ -419,11 +450,11 @@ def test_bench_malformed_config_runtime_error(tmp_path, capsys):
         ({**base, "family": "rect_grid_subgraph", "grid_rows": 5000, "grid_cols": 5000},
          "grid_rows: grid_rows x grid_cols must be <= 16777216, got 5000x5000"),
         ({**base, "family": "foo"}, "family: unknown family 'foo'"),
-        ({**base, "sizes": [0]}, "sizes: every size must be >= 1"),
+        ({**base, "sizes": [0]}, "sizes: must be >= 1, got 0"),
         ({**base, "sizes": []}, "sizes: must list at least one size"),
         ({**base, "protocols": [{"protocol": "merging",
                                  "strategy": {"strategy": "absolute_size", "s": 0}}]},
-         "protocols[0].strategy: absolute star size must be >= 1"),
+         "protocols[0].strategy: s: must be >= 1, got 0"),
         ({**base, "noise": {"p1": 2}}, "noise: p1 must lie in [0, 1], got 2.0"),
         ({**base, "sizes": [5, 7, 5]}, "sizes: [5] listed more than once"),
         ({**base, "protocols": []}, "protocols: must list at least one protocol"),

@@ -1,6 +1,7 @@
 """Fuzzing the JSON loaders: whatever document they are given, they raise
 only InputError, and a node or qubit count past the bound fails before
-anything of that size is built."""
+anything of that size is built. Every public entry point refuses a bad
+count or seed with InputError, in the words of check_count or check_seed."""
 
 import json
 
@@ -9,8 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghz_synth import InputError, LayoutGraph, SweepConfig
+from ghz_synth.bench import ProtocolSpec
 from ghz_synth.circuit import Circuit, MalformedCircuitError
+from ghz_synth.layouts import connected_erdos_renyi, heavy_hex, rect_grid
+from ghz_synth.merging import AbsoluteSize
+from ghz_synth.metrics import counts_to_distribution, ghz_ideal_distribution
+from ghz_synth.rng import make_rng
 from ghz_synth.schema import MAX_N, check_count
+from ghz_synth.stabilizer import run, sample_counts
 
 # Counts between 10**4 and MAX_N would build an n-element schedule; the ints
 # skip them, so no example allocates much. Past MAX_N they reach 2**70, and
@@ -138,4 +145,42 @@ def test_check_count_bounds_both_ends(n, low, error, refused):
     with pytest.raises(Exception) as info:
         check_count(n, "k", low, **kwargs)
     assert type(info.value) is (error or InputError)
+    assert str(info.value) == refused
+
+
+def _sweep(**overrides):
+    fields = dict(family="erdos_renyi", sizes=(5,), protocols=(ProtocolSpec("growing"),))
+    return SweepConfig(**{**fields, **overrides})
+
+
+_SEED = "seed: must be a 64-bit unsigned integer, got -1"
+_REFUSALS = {
+    "rect_grid-rows": (lambda: rect_grid(0, 3), "rows: must be >= 1, got 0"),
+    "rect_grid-cols": (lambda: rect_grid(3, 0), "cols: must be >= 1, got 0"),
+    "heavy_hex-rows": (lambda: heavy_hex(0, 5), "rows: must be >= 1, got 0"),
+    "heavy_hex-cols": (lambda: heavy_hex(3, 2), "cols: must be >= 3, got 2"),
+    "LayoutGraph": (lambda: LayoutGraph(0, ()), "n: must be >= 1, got 0"),
+    "connected_erdos_renyi": (lambda: connected_erdos_renyi(0, 0.5, 1), "n: must be >= 1, got 0"),
+    "AbsoluteSize": (lambda: AbsoluteSize(0), "s: must be >= 1, got 0"),
+    "ghz_ideal_distribution": (lambda: ghz_ideal_distribution(0), "n: must be >= 1, got 0"),
+    "counts_to_distribution": (lambda: counts_to_distribution({}, 0),
+                               "shots: must be >= 1, got 0"),
+    "SweepConfig-sizes": (lambda: _sweep(sizes=(0, 5)), "sizes: must be >= 1, got 0"),
+    "SweepConfig-samples": (lambda: _sweep(samples=0), "samples: must be >= 1, got 0"),
+    "SweepConfig-grid_rows": (lambda: _sweep(grid_rows=-2), "grid_rows: must be >= 1, got -2"),
+    "SweepConfig-shots": (lambda: _sweep(shots=0), "shots: must be >= 1, got 0"),
+    "SweepConfig-seed": (lambda: _sweep(seed=-1), _SEED),
+    "run-seed": (lambda: run(Circuit(1, 0, ()), -1), _SEED),
+    "sample_counts-seed": (lambda: sample_counts(Circuit(1, 0, ()), 8, -1), _SEED),
+    "make_rng-seed": (lambda: make_rng(-1), _SEED),
+}
+
+
+@pytest.mark.parametrize("call, refused", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_every_count_and_seed_refusal_is_one_input_error(call, refused):
+    # from the Python API as from a document or a flag: check_count's or
+    # check_seed's words, and InputError itself, not a ValueError of its own
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is InputError
     assert str(info.value) == refused

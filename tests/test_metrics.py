@@ -69,7 +69,7 @@ class TestGhzIdeal:
             assert len(ghz_ideal_distribution(n)) == 2
 
     def test_n0_rejected(self):
-        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        with pytest.raises(ValueError, match=r"^n: must be >= 1, got 0$"):
             ghz_ideal_distribution(0)
 
 
@@ -90,7 +90,7 @@ class TestCountsToDistribution:
             counts_to_distribution({"0": 10}, 11)
 
     def test_no_shots_rejected(self):
-        with pytest.raises(ValueError, match=r"^shots must be positive$"):
+        with pytest.raises(ValueError, match=r"^shots: must be >= 1, got 0$"):
             counts_to_distribution({}, 0)
 
 
