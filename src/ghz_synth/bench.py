@@ -57,11 +57,11 @@ class ProtocolSpec:
 
     def __post_init__(self):
         if self.protocol not in ("growing", "merging"):
-            raise ValueError(f"unknown protocol {self.protocol!r}")
+            raise schema.InputError(f"unknown protocol {self.protocol!r}")
         if self.protocol == "merging" and self.strategy is None:
-            raise ValueError("merging requires a star selection strategy")
+            raise schema.InputError("merging requires a star selection strategy")
         if self.protocol == "growing" and self.strategy is not None:
-            raise ValueError("growing takes no star selection strategy")
+            raise schema.InputError("growing takes no star selection strategy")
 
     @property
     def label(self) -> str:

@@ -44,8 +44,7 @@ def synthesize_growing(g: LayoutGraph) -> Circuit:
         while layer:
             frontier = sorted({v for w in layer for v in adj[w] if not included[v]})
             for v in frontier:
-                parents = [w for w in adj[v] if included[w]]
-                yield CX(min(parents, key=lambda w: (last[w], w)), v)
+                yield CX(min([(last[w], w) for w in adj[v] if included[w]])[1], v)
             for v in frontier:
                 included[v] = 1
             layer = frontier

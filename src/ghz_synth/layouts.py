@@ -272,7 +272,7 @@ def random_connected_subgraph(
     -> original node index.
     """
     if not 1 <= k <= g.node_count:
-        raise schema.InputError(f"k must lie in [1, {g.node_count}], got {k}")
+        raise schema.InputError(f"k: must lie in [1, {g.node_count}], got {k}")
     rng = make_rng(seed)
     start = int(rng.integers(0, g.node_count))
     chosen = {start}

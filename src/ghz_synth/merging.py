@@ -70,7 +70,7 @@ class ScalingFactor:
 
     def __post_init__(self):
         if not 0 < self.f < math.inf:
-            raise ValueError(f"scaling factor must be positive and finite, got {self.f}")
+            raise schema.InputError(f"scaling factor must be positive and finite, got {self.f}")
 
     def target(self, g: LayoutGraph) -> int:
         # f > 0 and the average degree >= 0, so halves round up (away from 0);
@@ -256,9 +256,13 @@ def _assemble(g: LayoutGraph, pieces: list) -> tuple[tuple[tuple[_Fused, ...], .
     Per round, components are matched greedily (scanned by smallest member,
     each pairing its unmatched neighbor with the smallest member) and
     contracted. The absorbed side is the smaller component (ties: lower
-    minimum node index). The bridge is the cross edge whose endpoints free
-    up earliest under ASAP scheduling (ties: lexicographic), which lets
-    consecutive merge rounds pipeline instead of serializing on hot qubits.
+    minimum node index). The bridge is the crossing edge whose later end is
+    free earliest under ASAP scheduling (ties: lexicographic as (keeper end,
+    absorbed end)), which lets consecutive merge rounds pipeline instead of
+    serializing on hot qubits. Each merge reads its pair's bucket twice:
+    once for that earliest layer, as a minimum over plain ints, and once to
+    orient only the edges whose two ends are free by that layer, whose
+    lexicographic minimum is the bridge.
     Merge k measures into cbit k, and the connected layout takes
     len(pieces) - 1 merges, so the circuit has exactly that many cbits.
 
@@ -321,10 +325,10 @@ def _assemble(g: LayoutGraph, pieces: list) -> tuple[tuple[tuple[_Fused, ...], .
                     absorbed, keeper = i, j
                 else:
                     absorbed, keeper = j, i
-                bridges = [
-                    (x, y) if comp_of[x] == keeper else (y, x) for x, y in buckets[i][j]
-                ]
-                bridge = min(bridges, key=lambda e: (max(last[e[0]], last[e[1]]), e))
+                crossing = buckets[i][j]
+                free = min([last[x] if last[x] > last[y] else last[y] for x, y in crossing])
+                bridge = min([(x, y) if comp_of[x] == keeper else (y, x) for x, y in crossing
+                              if last[x] <= free and last[y] <= free])
                 u, v = bridge
                 correction = sorted(members[absorbed])
                 correction.remove(v)

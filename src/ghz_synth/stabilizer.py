@@ -142,9 +142,9 @@ class NoiseModel:
         for f in fields(self):
             v = getattr(self, f.name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{f.name} must lie in [0, 1], got {v}")
+                raise schema.InputError(f"{f.name} must lie in [0, 1], got {v}")
             if 0.0 < v < 2.0**-53:
-                raise ValueError(f"{f.name} must be 0 or at least 2**-53, got {v}")
+                raise schema.InputError(f"{f.name} must be 0 or at least 2**-53, got {v}")
 
 
 _ONE = np.uint64(1)

@@ -309,6 +309,16 @@ class TestCsv:
             if f.default is not MISSING:
                 assert getattr(cfg, f.name) == f.default, f.name
 
+    @pytest.mark.parametrize("protocol, strategy, message", [
+        ("bogus", None, "unknown protocol 'bogus'"),
+        ("merging", None, "merging requires a star selection strategy"),
+        ("growing", HighestDegree(), "growing takes no star selection strategy"),
+    ])
+    def test_bad_protocol_spec_is_an_input_error(self, protocol, strategy, message):
+        with pytest.raises(InputError) as refused:
+            ProtocolSpec(protocol, strategy)
+        assert str(refused.value) == message
+
     def test_protocol_spec_json_round_trip(self):
         for spec in PROTOCOLS:
             assert ProtocolSpec.from_json(spec.to_json(), "protocols[0]") == spec

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings
 
-from ghz_synth.circuit import CX, H, count_2q, count_measurements, depth
+from ghz_synth.circuit import CX, H, Schedule, count_2q, count_measurements, depth
 from ghz_synth.growing import synthesize_growing
 from ghz_synth.layouts import (
     LayoutGraph,
@@ -13,9 +14,10 @@ from ghz_synth.metrics import is_ghz
 from ghz_synth.rng import derive_seed
 from ghz_synth.schema import InputError
 from ghz_synth.stabilizer import run
+from test_merging import connected_graphs
 
 
-def eccentricity(g: LayoutGraph, start: int) -> int:
+def bfs_distances(g: LayoutGraph, start: int) -> dict[int, int]:
     dist = {start: 0}
     frontier = [start]
     d = 0
@@ -28,7 +30,29 @@ def eccentricity(g: LayoutGraph, start: int) -> int:
                     dist[v] = d
                     nxt.append(v)
         frontier = nxt
-    return max(dist.values())
+    return dist
+
+
+def eccentricity(g: LayoutGraph, start: int) -> int:
+    return max(bfs_distances(g, start).values())
+
+
+def assert_parents_free_earliest(g: LayoutGraph):
+    """Each CX(w, v) of the growing circuit takes as w the neighbor of v one
+    breadth-first layer nearer the start that is free earliest, ties broken
+    by index, under the layers of the ops before it."""
+    n = g.node_count
+    start = max(range(n), key=lambda u: (g.degree(u), -u))
+    dist = bfs_distances(g, start)
+    c = synthesize_growing(g)
+    assert c.ops[0] == H(start)
+    schedule = Schedule(n, 0)
+    for op in c.ops:
+        if isinstance(op, CX):
+            v, last = op.target, schedule.last
+            parents = [w for w in g.neighbors(v) if dist[w] == dist[v] - 1]
+            assert op.control == min(parents, key=lambda w: (last[w], w)), op
+        schedule.emit(op)
 
 
 class TestGrowing:
@@ -83,6 +107,18 @@ class TestGrowing:
                 g, _ = random_connected_subgraph(rect_grid(6, 6), 4 + s % 20, derive_seed(14, s))
             c = synthesize_growing(g)
             assert is_ghz(run(c, s).tableau, g.node_count)
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=connected_graphs())
+    def test_parent_is_free_earliest(self, g):
+        assert_parents_free_earliest(g)
+
+    # dense layouts, where many previous-layer neighbors tie on the layer
+    @pytest.mark.parametrize("n", [10, 30, 60])
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_parent_is_free_earliest_on_erdos_renyi(self, n, p, seed):
+        assert_parents_free_earliest(connected_erdos_renyi(n, p, derive_seed(16, n, seed)))
 
     def test_start_node_highest_degree_lowest_index(self):
         # degrees: 1:2, 2:2, 3:2 on a path of 5 -> start at 1

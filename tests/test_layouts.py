@@ -221,6 +221,12 @@ class TestRandomConnectedSubgraph:
         with pytest.raises(ValueError):
             random_connected_subgraph(rect_grid(2, 2), 0, seed=0)
 
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_out_of_range_k_message(self, k):
+        with pytest.raises(schema.InputError) as refused:
+            random_connected_subgraph(rect_grid(2, 2), k, seed=0)
+        assert str(refused.value) == f"k: must lie in [1, 4], got {k}"
+
 
 class TestAverageDegree:
     def test_two_by_two(self):

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghz_synth.circuit import CX, CondX, H, MeasureZ, count_2q, count_measurements, depth
+from ghz_synth.circuit import (
+    CX, CondX, H, MeasureZ, Schedule, count_2q, count_measurements, depth,
+)
 from ghz_synth.growing import synthesize_growing
 from ghz_synth.layouts import LayoutGraph, connected_erdos_renyi, eagle_127, rect_grid
 from ghz_synth.merging import (
@@ -71,6 +73,31 @@ def replay(stars, rounds):
             replayed[-1].append((frozenset(nodes[keeper]), frozenset(nodes[absorbed]), bridge))
             nodes[keeper] |= nodes[absorbed]
     return replayed
+
+
+def assert_bridges_free_earliest(g, strategy):
+    """Each bridge of the merging circuit is the crossing edge whose later end
+    is free earliest, ties broken by (keeper end, absorbed end).
+
+    Merge k's bridge is the CX just before the measurement into cbit k, and
+    the layers it was chosen by are those of a fresh schedule that emits the
+    ops before that CX; the candidates are every layout edge from the keeper
+    side to the absorbed side of the merge.
+    """
+    stars = select_stars(g, strategy)
+    c = synthesize_merging(g, strategy)
+    merges = [m for rnd in replay(stars, plan_merges(g, stars)) for m in rnd]
+    assert len(merges) == c.cbit_count
+    for k, (keeper, absorbed, (u, v)) in enumerate(merges):
+        i = c.ops.index(MeasureZ(v, k)) - 1
+        assert c.ops[i] == CX(u, v)
+        schedule = Schedule(c.qubit_count, c.cbit_count)
+        for op in c.ops[:i]:
+            schedule.emit(op)
+        last = schedule.last
+        crossing = [(x, y) for a, b in g.edges for x, y in ((a, b), (b, a))
+                    if x in keeper and y in absorbed]
+        assert (u, v) == min(crossing, key=lambda e: (max(last[e[0]], last[e[1]]), e)), k
 
 
 def assert_cx_on_edges(g, c):
@@ -150,6 +177,11 @@ class TestSelectStars:
             ScalingFactor(0.0)
         with pytest.raises(ValueError):
             AbsoluteSize(0)
+
+    def test_bad_scaling_factor_is_an_input_error(self):
+        with pytest.raises(InputError) as refused:
+            ScalingFactor(-1)
+        assert str(refused.value) == "scaling factor must be positive and finite, got -1"
 
 
 class TestBuildStarGhz:
@@ -397,6 +429,21 @@ class TestRandomConnectedGraphs:
             for k, (_, _, (u, v)) in enumerate(merges):
                 i = c.ops.index(MeasureZ(v, k))
                 assert c.ops[i - 1] == CX(u, v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=connected_graphs(), f=st.floats(0.1, 3.0), size=st.integers(1, 8))
+    def test_bridge_is_free_earliest(self, g, f, size):
+        for strategy in (HighestDegree(), ScalingFactor(f), AbsoluteSize(size)):
+            assert_bridges_free_earliest(g, strategy)
+
+    # dense layouts, where many crossing edges tie on the layer
+    @pytest.mark.parametrize("n", [10, 30, 60])
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bridge_is_free_earliest_on_erdos_renyi(self, n, p, seed):
+        g = connected_erdos_renyi(n, p, derive_seed(15, n, seed))
+        for strategy in (HighestDegree(), ScalingFactor(0.7), ScalingFactor(1.3), AbsoluteSize(4)):
+            assert_bridges_free_earliest(g, strategy)
 
     @settings(max_examples=100, deadline=None)
     @given(g=connected_graphs(), size=st.integers(1, 8))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghz_synth import schema
 from ghz_synth.circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset, X
 from ghz_synth.rng import CounterStream, shot_keys
 from ghz_synth.rng import derive_seed, make_rng
@@ -478,6 +479,10 @@ class TestNoiseChannels:
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
             NoiseModel(p1=1.5)
+
+    def test_bad_probability_is_an_input_error(self):
+        with pytest.raises(schema.InputError, match=r"^p1 must lie in \[0, 1\], got 2$"):
+            NoiseModel(2, 0, 0, 0)
 
     def test_probability_below_the_sampler_resolution(self):
         # 1 - p would round to 1: the errors would silently never happen
