@@ -32,7 +32,7 @@ from .metrics import (
     counts_to_distribution, ghz_ideal_distribution, hellinger_fidelity, summarize,
 )
 from .rng import check_seed, derive_seed
-from .stabilizer import MAX_QUBITS, CapacityError, NoiseModel, sample_counts
+from .stabilizer import MAX_QUBITS, NoiseModel, sample_counts
 
 __all__ = [
     "ProtocolSpec",
@@ -90,7 +90,14 @@ class ProtocolSpec:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One sweep; the field defaults are the defaults of its JSON form too."""
+    """One sweep; the field defaults are the defaults of its JSON form too.
+
+    A config is valid by construction: a bad field raises InputError that
+    names it when the config is built, from Python or from JSON. Each size
+    is bounded by the layout the family samples from (127 for Eagle,
+    grid_rows x grid_cols for the grid) and, when fidelity is sampled, by the
+    simulator's MAX_QUBITS, so every config built can be run.
+    """
 
     family: str
     sizes: tuple[int, ...]
@@ -110,7 +117,6 @@ class SweepConfig:
         if not self.sizes:
             raise schema.InputError("sizes: must list at least one size")
         schema.check_count(min(self.sizes), "sizes")
-        schema.check_count(max(self.sizes), "sizes")
         twice = sorted(s for s, k in Counter(self.sizes).items() if k > 1)
         if twice:
             raise schema.InputError(f"sizes: {twice} listed more than once")
@@ -128,12 +134,20 @@ class SweepConfig:
                            "shots")
         schema.check_count(self.grid_rows, "grid_rows")
         schema.check_count(self.grid_cols, "grid_cols")
-        # only a grid family builds the grid
-        if self.family == "rect_grid_subgraph" and self.grid_rows * self.grid_cols > schema.MAX_N:
-            raise schema.InputError(f"grid_rows: grid_rows x grid_cols must be <= {schema.MAX_N},"
-                                    f" got {self.grid_rows}x{self.grid_cols}")
-        if not 0.0 <= self.er_p <= 1.0:
-            raise schema.InputError(f"er_p: must lie in [0, 1], got {self.er_p}")
+        # a size is bounded by the layout it is sampled from (the grid is
+        # counted, not built) and, when fidelity is sampled, by the simulator
+        high = schema.MAX_N
+        if self.family == "eagle_subgraph":
+            high = layouts.eagle_127().node_count
+        elif self.family == "rect_grid_subgraph":
+            high = self.grid_rows * self.grid_cols
+            if high > schema.MAX_N:  # only a grid family builds the grid
+                raise schema.InputError(f"grid_rows: grid_rows x grid_cols must be <="
+                                        f" {schema.MAX_N}, got {self.grid_rows}x{self.grid_cols}")
+        if self.compute_fidelity:
+            high = min(high, MAX_QUBITS)
+        schema.check_count(max(self.sizes), "sizes", high=high)
+        schema.check_probability(self.er_p, "er_p")
         check_seed(self.seed)
 
     @classmethod
@@ -254,23 +268,9 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> list[Benchmark
     A (size, sample) cell builds its layout once and runs every protocol
     variant on it, so protocols are compared on identical graphs. Records
     come back in canonical order regardless of worker count, and no more
-    workers start than there are cells. A size the
-    sweep cannot run, larger than the source layout or, when fidelity is
-    sampled, than the simulator, is refused before any item runs.
+    workers start than there are cells. cfg was checked when it was built,
+    so no config is refused here.
     """
-    source = _source_graph(cfg.family, cfg.grid_rows, cfg.grid_cols)
-    if source is not None:
-        too_big = [s for s in cfg.sizes if s > source.node_count]
-        if too_big:
-            raise ValueError(
-                f"sizes {too_big} exceed the {source.node_count}-node source layout"
-            )
-    if cfg.compute_fidelity:
-        too_big = [s for s in cfg.sizes if s > MAX_QUBITS]
-        if too_big:
-            raise CapacityError(
-                f"sizes {too_big} exceed the simulator's maximum of {MAX_QUBITS} qubits"
-            )
     # the cells, as the parallel arguments of _run_cell
     sizes = [n for n in cfg.sizes for _ in range(cfg.samples)]
     cells = (repeat(cfg), sizes, [*range(cfg.samples)] * len(cfg.sizes))

@@ -239,8 +239,7 @@ def connected_erdos_renyi(n: int, p: float, seed: int) -> LayoutGraph:
     A range error's message starts with the bad parameter's name.
     """
     schema.check_count(n)  # before any draw
-    if not 0.0 <= p <= 1.0:
-        raise schema.InputError(f"p: must lie in [0, 1], got {p}")
+    schema.check_probability(p, "p")
     rng = make_rng(seed)
     parent = _tree_parents(rng, n)
     rows = np.arange(n)
@@ -271,8 +270,7 @@ def random_connected_subgraph(
     Returns the relabeled subgraph together with the list mapping new index
     -> original node index.
     """
-    if not 1 <= k <= g.node_count:
-        raise schema.InputError(f"k: must lie in [1, {g.node_count}], got {k}")
+    schema.check_count(k, "k", high=g.node_count)
     rng = make_rng(seed)
     start = int(rng.integers(0, g.node_count))
     chosen = {start}

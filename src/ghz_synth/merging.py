@@ -70,7 +70,7 @@ class ScalingFactor:
 
     def __post_init__(self):
         if not 0 < self.f < math.inf:
-            raise schema.InputError(f"scaling factor must be positive and finite, got {self.f}")
+            raise schema.InputError(f"f: must be positive and finite, got {self.f}")
 
     def target(self, g: LayoutGraph) -> int:
         # f > 0 and the average degree >= 0, so halves round up (away from 0);

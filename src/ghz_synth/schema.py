@@ -12,8 +12,10 @@ names its field too: the top-level constructors start their messages with
 it, and nested objects are built through `construct`, which prefixes their
 path. `check_count` is the one bound on a count, such as a node, qubit, cbit,
 size, sample, shot or star-size count, whether it comes from a document, a
-command-line flag or the Python API, and `rng.check_seed` the one bound on a
-seed; both raise InputError, whose message starts with the bad value's name.
+command-line flag or the Python API: at most MAX_N, or a tighter `high` such
+as a source layout's node count. `check_probability` is the one bound on a
+probability and `rng.check_seed` the one bound on a seed; all three raise
+InputError, whose message starts with the bad value's name.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 
 __all__ = ["InputError", "parse", "read", "read_tagged", "field", "construct", "is_int",
-           "MAX_N", "check_count"]
+           "MAX_N", "check_count", "check_probability"]
 
 
 class InputError(ValueError):
@@ -131,13 +133,26 @@ def construct(path: str, make, *args, **kwargs):
 MAX_N = 1 << 24
 
 
-def check_count(n: int, name: str = "n", low: int = 1, error: type = InputError) -> int:
-    """n itself if it lies in [low, MAX_N]; else error, whose message starts with name."""
+def check_count(n: int, name: str = "n", low: int = 1, error: type = InputError,
+                high: int | None = None) -> int:
+    """n itself if it lies in [low, high]; else error, whose message starts with name.
+
+    high defaults to MAX_N, read when the check runs.
+    """
     if n < low:
         raise error(f"{name}: must be >= {low}, got {n}")
-    if n > MAX_N:
-        raise error(f"{name}: must be <= {MAX_N}, got {n}")
+    if high is None:
+        high = MAX_N
+    if n > high:
+        raise error(f"{name}: must be <= {high}, got {n}")
     return n
+
+
+def check_probability(p: float, name: str) -> float:
+    """p itself if it lies in [0, 1]; else InputError, whose message starts with name."""
+    if not 0.0 <= p <= 1.0:  # NaN fails both comparisons
+        raise InputError(f"{name}: must lie in [0, 1], got {p}")
+    return p
 
 
 def is_int(value) -> bool:

@@ -140,11 +140,9 @@ class NoiseModel:
 
     def __post_init__(self):
         for f in fields(self):
-            v = getattr(self, f.name)
-            if not 0.0 <= v <= 1.0:
-                raise schema.InputError(f"{f.name} must lie in [0, 1], got {v}")
+            v = schema.check_probability(getattr(self, f.name), f.name)
             if 0.0 < v < 2.0**-53:
-                raise schema.InputError(f"{f.name} must be 0 or at least 2**-53, got {v}")
+                raise schema.InputError(f"{f.name}: must be 0 or at least 2**-53, got {v}")
 
 
 _ONE = np.uint64(1)

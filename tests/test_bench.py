@@ -22,7 +22,7 @@ from ghz_synth.bench import (
 from ghz_synth.merging import AbsoluteSize, HighestDegree, ScalingFactor
 from ghz_synth.rng import MAX_SEED
 from ghz_synth.schema import InputError
-from ghz_synth.stabilizer import MAX_QUBITS, CapacityError, NoiseModel
+from ghz_synth.stabilizer import MAX_QUBITS, NoiseModel
 
 
 def small_config(**overrides):
@@ -130,25 +130,23 @@ class TestRunSweep:
         assert serial == parallel
 
     def test_oversized_request_rejected(self):
-        cfg = SweepConfig(
-            family="eagle_subgraph", sizes=(128,),
-            protocols=(ProtocolSpec("growing"),), samples=1,
-        )
-        with pytest.raises(ValueError):
-            run_sweep(cfg, workers=1)
+        with pytest.raises(InputError, match=r"^sizes: must be <= 127, got 128$"):
+            SweepConfig(
+                family="eagle_subgraph", sizes=(128,),
+                protocols=(ProtocolSpec("growing"),), samples=1,
+            )
 
     def test_fidelity_beyond_simulator_refused_before_any_item(self, monkeypatch):
         calls = []
         monkeypatch.setattr(bench, "_make_layout", lambda *args: calls.append(args))
-        cfg = SweepConfig(
-            family="erdos_renyi", sizes=(8, MAX_QUBITS + 1),
-            protocols=(ProtocolSpec("growing"),), samples=2, er_p=0.001,
-            compute_fidelity=True, shots=64,
-        )
-        with pytest.raises(CapacityError, match=(
-            rf"^sizes \[{MAX_QUBITS + 1}\] exceed the simulator's maximum of {MAX_QUBITS} qubits$"
+        with pytest.raises(InputError, match=(
+            rf"^sizes: must be <= {MAX_QUBITS}, got {MAX_QUBITS + 1}$"
         )):
-            run_sweep(cfg, workers=1)
+            SweepConfig(
+                family="erdos_renyi", sizes=(8, MAX_QUBITS + 1),
+                protocols=(ProtocolSpec("growing"),), samples=2, er_p=0.001,
+                compute_fidelity=True, shots=64,
+            )
         assert calls == []
 
     def test_eagle_full_size_allowed(self):
@@ -189,6 +187,14 @@ class TestRunSweep:
             SweepConfig.from_json(json.dumps(doc))
         doc["sizes"] = [5, 100]
         assert SweepConfig.from_json(json.dumps(doc)).sizes == (5, 100)
+
+    def test_size_above_the_grid_rejected_on_load_without_building_it(self, monkeypatch):
+        # the grid's cell count is under MAX_N, so only the grid bounds the size
+        monkeypatch.setattr(bench.layouts, "rect_grid", lambda *args: pytest.fail("grid built"))
+        doc = {"family": "rect_grid_subgraph", "grid_rows": 4096, "grid_cols": 4095,
+               "sizes": [16773121], "protocols": [{"protocol": "growing"}]}
+        with pytest.raises(InputError, match=r"^sizes: must be <= 16773120, got 16773121$"):
+            SweepConfig.from_json(json.dumps(doc))
 
     def test_seed_bounds_accepted_on_load(self):
         doc = {"family": "erdos_renyi", "sizes": [5], "protocols": [{"protocol": "growing"}]}

@@ -285,7 +285,7 @@ def test_bad_strategy_usage_error(tmp_path, capsys):
      "'scaling_factor=abc': could not convert string to float: 'abc'"),
     ("merge", "absolute_size=0", "'absolute_size=0': s: must be >= 1, got 0"),
     ("merge", "scaling_factor=-1",
-     "'scaling_factor=-1': scaling factor must be positive and finite, got -1.0"),
+     "'scaling_factor=-1': f: must be positive and finite, got -1.0"),
     ("merge", "scaling_factor", "'scaling_factor': could not convert string to float: ''"),
     ("merge", "highest_degree=1", "unknown strategy 'highest_degree=1'; expected "
                                   "highest_degree, scaling_factor=<f>, or absolute_size=<s>"),
@@ -321,8 +321,8 @@ def test_bad_noise_usage_error(tmp_path, capsys):
     capsys.readouterr()
     for noise, message in (
         ("a,0,0,0", "error: --noise: could not convert string to float: 'a'"),
-        ("2,0,0,0", "error: --noise: p1 must lie in [0, 1], got 2.0"),
-        ("0,0,nan,0", "error: --noise: pm must lie in [0, 1], got nan"),
+        ("2,0,0,0", "error: --noise: p1: must lie in [0, 1], got 2.0"),
+        ("0,0,nan,0", "error: --noise: pm: must lie in [0, 1], got nan"),
         ("0,0,0", "error: --noise expects four comma-separated values: p1,p2,pm,pr"),
     ):
         code = cli_main(["simulate", "--circuit", str(circ), "--noise", noise])
@@ -455,7 +455,7 @@ def test_bench_malformed_config_runtime_error(tmp_path, capsys):
         ({**base, "protocols": [{"protocol": "merging",
                                  "strategy": {"strategy": "absolute_size", "s": 0}}]},
          "protocols[0].strategy: s: must be >= 1, got 0"),
-        ({**base, "noise": {"p1": 2}}, "noise: p1 must lie in [0, 1], got 2.0"),
+        ({**base, "noise": {"p1": 2}}, "noise: p1: must lie in [0, 1], got 2.0"),
         ({**base, "sizes": [5, 7, 5]}, "sizes: [5] listed more than once"),
         ({**base, "protocols": []}, "protocols: must list at least one protocol"),
         ({**base, "protocols": [{"protocol": "growing"}, {"protocol": "growing"}]},

@@ -1,7 +1,8 @@
 """Fuzzing the JSON loaders: whatever document they are given, they raise
 only InputError, and a node or qubit count past the bound fails before
 anything of that size is built. Every public entry point refuses a bad
-count or seed with InputError, in the words of check_count or check_seed."""
+count, probability or seed with InputError, in the words of check_count,
+check_probability or check_seed."""
 
 import json
 
@@ -12,12 +13,14 @@ from hypothesis import strategies as st
 from ghz_synth import InputError, LayoutGraph, SweepConfig
 from ghz_synth.bench import ProtocolSpec
 from ghz_synth.circuit import Circuit, MalformedCircuitError
-from ghz_synth.layouts import connected_erdos_renyi, heavy_hex, rect_grid
-from ghz_synth.merging import AbsoluteSize
+from ghz_synth.layouts import (
+    connected_erdos_renyi, heavy_hex, random_connected_subgraph, rect_grid,
+)
+from ghz_synth.merging import AbsoluteSize, ScalingFactor
 from ghz_synth.metrics import counts_to_distribution, ghz_ideal_distribution
 from ghz_synth.rng import make_rng
 from ghz_synth.schema import MAX_N, check_count
-from ghz_synth.stabilizer import run, sample_counts
+from ghz_synth.stabilizer import MAX_QUBITS, NoiseModel, run, sample_counts
 
 # Counts between 10**4 and MAX_N would build an n-element schedule; the ints
 # skip them, so no example allocates much. Past MAX_N they reach 2**70, and
@@ -173,13 +176,31 @@ _REFUSALS = {
     "run-seed": (lambda: run(Circuit(1, 0, ()), -1), _SEED),
     "sample_counts-seed": (lambda: sample_counts(Circuit(1, 0, ()), 8, -1), _SEED),
     "make_rng-seed": (lambda: make_rng(-1), _SEED),
+    # a size past the family's source layout or, when fidelity is sampled, the simulator
+    "SweepConfig-sizes-eagle": (lambda: _sweep(family="eagle_subgraph", sizes=(128,)),
+                                "sizes: must be <= 127, got 128"),
+    "SweepConfig-sizes-grid": (lambda: _sweep(family="rect_grid_subgraph", sizes=(109,)),
+                               "sizes: must be <= 108, got 109"),
+    "SweepConfig-sizes-fidelity": (lambda: _sweep(sizes=(MAX_QUBITS + 1,), compute_fidelity=True),
+                                   f"sizes: must be <= {MAX_QUBITS}, got {MAX_QUBITS + 1}"),
+    "random_connected_subgraph-k-low": (lambda: random_connected_subgraph(rect_grid(2, 2), 0, 0),
+                                        "k: must be >= 1, got 0"),
+    "random_connected_subgraph-k-high": (lambda: random_connected_subgraph(rect_grid(2, 2), 5, 0),
+                                         "k: must be <= 4, got 5"),
+    "NoiseModel-p1": (lambda: NoiseModel(p1=2), "p1: must lie in [0, 1], got 2"),
+    "NoiseModel-p2-resolution": (lambda: NoiseModel(p2=2.0**-54),
+                                 f"p2: must be 0 or at least 2**-53, got {2.0**-54}"),
+    "connected_erdos_renyi-p": (lambda: connected_erdos_renyi(5, 2, 1),
+                                "p: must lie in [0, 1], got 2"),
+    "SweepConfig-er_p": (lambda: _sweep(er_p=3), "er_p: must lie in [0, 1], got 3"),
+    "ScalingFactor": (lambda: ScalingFactor(-1), "f: must be positive and finite, got -1"),
 }
 
 
 @pytest.mark.parametrize("call, refused", _REFUSALS.values(), ids=_REFUSALS.keys())
 def test_every_count_and_seed_refusal_is_one_input_error(call, refused):
-    # from the Python API as from a document or a flag: check_count's or
-    # check_seed's words, and InputError itself, not a ValueError of its own
+    # from the Python API as from a document or a flag: InputError itself, not
+    # a ValueError of its own, with a message that starts with the bad value's name
     with pytest.raises(Exception) as info:
         call()
     assert type(info.value) is InputError

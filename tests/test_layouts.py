@@ -225,7 +225,8 @@ class TestRandomConnectedSubgraph:
     def test_out_of_range_k_message(self, k):
         with pytest.raises(schema.InputError) as refused:
             random_connected_subgraph(rect_grid(2, 2), k, seed=0)
-        assert str(refused.value) == f"k: must lie in [1, 4], got {k}"
+        bound = ">= 1" if k < 1 else "<= 4"
+        assert str(refused.value) == f"k: must be {bound}, got {k}"
 
 
 class TestAverageDegree:

@@ -181,7 +181,7 @@ class TestSelectStars:
     def test_bad_scaling_factor_is_an_input_error(self):
         with pytest.raises(InputError) as refused:
             ScalingFactor(-1)
-        assert str(refused.value) == "scaling factor must be positive and finite, got -1"
+        assert str(refused.value) == "f: must be positive and finite, got -1"
 
 
 class TestBuildStarGhz:

@@ -481,12 +481,12 @@ class TestNoiseChannels:
             NoiseModel(p1=1.5)
 
     def test_bad_probability_is_an_input_error(self):
-        with pytest.raises(schema.InputError, match=r"^p1 must lie in \[0, 1\], got 2$"):
+        with pytest.raises(schema.InputError, match=r"^p1: must lie in \[0, 1\], got 2$"):
             NoiseModel(2, 0, 0, 0)
 
     def test_probability_below_the_sampler_resolution(self):
         # 1 - p would round to 1: the errors would silently never happen
-        with pytest.raises(ValueError, match="p2 must be 0 or at least 2"):
+        with pytest.raises(ValueError, match=r"^p2: must be 0 or at least 2\*\*-53, got "):
             NoiseModel(p2=2.0**-54)
         assert NoiseModel(p2=2.0**-53).p2 == 2.0**-53
 
