@@ -10,6 +10,7 @@ initial star, then breadth-first CX expansion.
 from ghz_synth import (
     HighestDegree,
     ScalingFactor,
+    certify,
     count_2q,
     count_measurements,
     depth,
@@ -35,12 +36,13 @@ print(f"\n{'':12} {'depth':>6} {'CX':>4} {'measurements':>13}")
 for name, c in (("merging", merge), ("growing", grow)):
     print(f"{name:12} {depth(c):>6} {count_2q(c):>4} {count_measurements(c):>13}")
 
-# The count identities hold by construction: growing uses exactly N-1 CX;
-# each merge costs one measurement and one CX over those N-1, since its fuse
-# and re-add CX take the place of one tree edge.
-n = g.node_count
-assert count_2q(grow) == n - 1
-assert count_2q(merge) == n - 1 + count_measurements(merge)
+# certify raises unless a circuit fits its layout: every CX on an edge, the
+# count identity CX = N - 1 + measurements (growing measures nothing; each
+# merge costs one measurement and one CX over the N - 1, since its fuse and
+# re-add CX take the place of one tree edge), and exact GHZ output.
+certify(grow, g)
+certify(merge, g)
+print("\nboth circuits certified on the layout")
 
 # Different star-size targets trade depth against measurement overhead.
 print("\nscaling-factor trade-off on a denser random graph:")

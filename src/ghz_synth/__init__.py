@@ -49,6 +49,7 @@ from .merging import (
 from .metrics import (
     Distribution,
     SummaryStats,
+    certify,
     counts_to_distribution,
     ghz_ideal_distribution,
     hellinger_fidelity,

@@ -252,14 +252,19 @@ def _run_protocol(cfg: SweepConfig, n: int, sample: int, spec: ProtocolSpec,
 
 
 def worker_count() -> int:
-    """Worker processes for run_sweep: GHZ_SYNTH_THREADS if set, else the CPU count."""
+    """Worker processes for run_sweep: GHZ_SYNTH_THREADS if set, else the CPU count.
+
+    A value that is not a count is an InputError whose message starts
+    `GHZ_SYNTH_THREADS: `.
+    """
     env = os.environ.get("GHZ_SYNTH_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"GHZ_SYNTH_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        threads = int(env)
+    except ValueError:
+        raise schema.InputError(f"GHZ_SYNTH_THREADS: expected an integer, got {env!r}") from None
+    return schema.check_count(threads, "GHZ_SYNTH_THREADS")
 
 
 def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> list[BenchmarkRecord]:
@@ -269,12 +274,14 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> list[Benchmark
     variant on it, so protocols are compared on identical graphs. Records
     come back in canonical order regardless of worker count, and no more
     workers start than there are cells. cfg was checked when it was built,
-    so no config is refused here.
+    so no config is refused here; workers goes through the one count bound,
+    as GHZ_SYNTH_THREADS does.
     """
     # the cells, as the parallel arguments of _run_cell
     sizes = [n for n in cfg.sizes for _ in range(cfg.samples)]
     cells = (repeat(cfg), sizes, [*range(cfg.samples)] * len(cfg.sizes))
-    workers = min(worker_count() if workers is None else workers, len(sizes))
+    workers = min(worker_count() if workers is None else schema.check_count(workers, "workers"),
+                  len(sizes))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 

@@ -1,10 +1,12 @@
-"""Distribution metrics and GHZ verification.
+"""Distribution metrics, GHZ verification and the certificate of a GHZ circuit.
 
 hellinger_fidelity implements the product-sum form (sum_i sqrt(p_i q_i))^2,
 which is numerically stable on sparse supports. is_ghz decides whether a
 tableau's state is exactly the n-qubit GHZ state by uncomputing it: it
 applies the inverse of the canonical preparation to a copy of the tableau
-and checks that the result is |0...0> (see is_ghz for the proof).
+and checks that the result is |0...0> (see is_ghz for the proof). certify
+is the one check of a synthesized circuit against its layout: qubit count,
+every CX on an edge, the count identity and exact GHZ output.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schema
-from .stabilizer import Tableau
+from .circuit import CX, Circuit, count_2q, count_measurements
+from .layouts import LayoutGraph
+from .stabilizer import Tableau, run
 
 __all__ = [
     "Distribution",
@@ -24,6 +28,7 @@ __all__ = [
     "ghz_ideal_distribution",
     "counts_to_distribution",
     "is_ghz",
+    "certify",
     "summarize",
 ]
 
@@ -111,3 +116,26 @@ def is_ghz(t: Tableau, n: int) -> bool:
         u.apply_cx(i, i + 1)
     u.apply_h(0)
     return not np.count_nonzero(u.x & u.stab_mask) and not np.count_nonzero(u.r & u.stab_mask)
+
+
+def certify(c: Circuit, g: LayoutGraph, seed: int = 0) -> None:
+    """None if c prepares GHZ on layout g; else ValueError naming the first property that fails.
+
+    In order: c has g.node_count qubits; every CX acts across an edge of g
+    (a CondX is classically controlled, so it needs none); the CX count is
+    N - 1 + the measurement count, which both protocols meet (growing with
+    no measurement, merging with one CX per merge over a spanning tree);
+    and run(c, seed) leaves exactly the N-qubit GHZ state.
+    """
+    n = g.node_count
+    if c.qubit_count != n:
+        raise ValueError(f"qubit count: circuit has {c.qubit_count} qubits, layout has {n} nodes")
+    for i, op in enumerate(c.ops):
+        if isinstance(op, CX) and not g.has_edge(op.control, op.target):
+            raise ValueError(f"layout edge: op {i}, {op}, is not on an edge of the layout")
+    n_2q, n_meas = count_2q(c), count_measurements(c)
+    if n_2q != n - 1 + n_meas:
+        raise ValueError(f"count identity: {n_2q} CX, expected N - 1 + {n_meas} measurements "
+                         f"= {n - 1 + n_meas}")
+    if not is_ghz(run(c, seed).tableau, n):
+        raise ValueError(f"exact GHZ: run with seed {seed} does not leave the {n}-qubit GHZ state")

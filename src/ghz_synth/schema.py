@@ -11,9 +11,9 @@ such as `ops[0].target` or `protocols[1].strategy.f`. A value out of range
 names its field too: the top-level constructors start their messages with
 it, and nested objects are built through `construct`, which prefixes their
 path. `check_count` is the one bound on a count, such as a node, qubit, cbit,
-size, sample, shot or star-size count, whether it comes from a document, a
-command-line flag or the Python API: at most MAX_N, or a tighter `high` such
-as a source layout's node count. `check_probability` is the one bound on a
+size, sample, shot, star-size or worker count, whether it comes from a
+document, a command-line flag, an environment variable or the Python API:
+at most MAX_N, or a tighter `high` such as a source layout's node count. `check_probability` is the one bound on a
 probability and `rng.check_seed` the one bound on a seed; all three raise
 InputError, whose message starts with the bad value's name.
 """

@@ -1,12 +1,13 @@
 """Built-in property suite over small instances, behind `ghz-synth verify`.
 
 Every check is deterministic and fast; together they cover the layout
-generators' documented sizes, synthesis count identities, exact GHZ
-preparation for both protocols, merge corrections on both measurement
-branches, agreement between the stabilizer tableau and the dense state
-vector, noisy sampling that replays shot for shot as single runs, the noise
-sampler against its scalar reference, and the rejection of malformed
-circuits when they are built.
+generators' documented sizes, the certificate of both protocols' circuits
+on small layouts (`metrics.certify`: qubit count, every CX on a layout
+edge, the count identity and exact GHZ output), merge corrections on both
+measurement branches, agreement between the stabilizer tableau and the
+dense state vector, noisy sampling that replays shot for shot as single
+runs, the noise sampler against its scalar reference, and the rejection of
+malformed circuits when they are built.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from collections import Counter
 from . import layouts
 from .bench import ProtocolSpec
 from .circuit import CX, Circuit, CondX, H, MalformedCircuitError, MeasureZ
-from .circuit import count_2q, count_measurements, depth
+from .circuit import count_measurements, depth
 from .merging import HighestDegree, ScalingFactor, select_stars, synthesize_merging
-from .metrics import is_ghz
+from .metrics import certify
 from .rng import CounterStream, derive_seed, shot_keys
 from .stabilizer import NoiseModel, run, sample_counts
 from .statevector import ghz_state, run_dense, state_fidelity
@@ -62,24 +63,16 @@ def check_layout_invariants() -> bool:
     return all(layouts.rect_grid(r, c).edge_count == r * (c - 1) + c * (r - 1) for r, c in grids)
 
 
-def check_count_identities() -> bool:
-    # select_stars is the independent reference for the measurement count
-    for _, g in _small_layouts():
-        for spec in _PROTOCOLS:
-            circ = spec.synthesize(g)
-            n_meas = 0 if spec.strategy is None else len(select_stars(g, spec.strategy)) - 1
-            if count_measurements(circ) != n_meas or count_2q(circ) != g.node_count - 1 + n_meas:
-                return False
-    return True
-
-
-def check_exact_ghz() -> bool:
+def check_certified_synthesis() -> bool:
+    # select_stars is the independent reference for the measurement count;
+    # certify's refusal propagates, so the failure reason names its property
     for name, g in _small_layouts():
         for spec in _PROTOCOLS:
             circ = spec.synthesize(g)
-            outcome = run(circ, derive_seed(SEED, "ghz", name))
-            if not is_ghz(outcome.tableau, g.node_count):
+            n_meas = 0 if spec.strategy is None else len(select_stars(g, spec.strategy)) - 1
+            if count_measurements(circ) != n_meas:
                 return False
+            certify(circ, g, derive_seed(SEED, "ghz", name))
     return True
 
 
@@ -165,8 +158,7 @@ def run_all() -> list[tuple[str, bool, str]]:
     """
     checks = [
         ("layout generators have their documented sizes", check_layout_invariants),
-        ("synthesis count identities", check_count_identities),
-        ("noiseless synthesis yields exact GHZ", check_exact_ghz),
+        ("synthesized circuits are certified on their layouts", check_certified_synthesis),
         ("merge corrections on both branches", check_merge_branches),
         ("tableau agrees with dense state vector", check_tableau_vs_dense),
         ("noisy sampled shots replay as single runs", check_shot_replay),

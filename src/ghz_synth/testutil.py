@@ -1,7 +1,6 @@
-"""Helpers for randomized cross-validation: of the two simulators, of the
-array-drawn Erdős–Rényi generator and of the vectorized skip sampler against
-their scalar references; plus the tableau's structural check, which only
-tests use. A dense Pauli is applied by the dense oracle's own gates
+"""Helpers for randomized cross-validation, which `selfcheck` runs: of the
+two simulators, and of the vectorized skip sampler against its scalar
+reference. A dense Pauli is applied by the dense oracle's own gates
 (`statevector._DenseState`), the package's only dense Pauli code."""
 
 from __future__ import annotations
@@ -9,7 +8,6 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset, X
-from .layouts import LayoutGraph
 from .rng import CounterStream, _draw, _mix, make_rng
 from .stabilizer import Tableau
 from .statevector import _DenseState
@@ -18,10 +16,8 @@ __all__ = [
     "random_clifford_circuit",
     "apply_pauli_dense",
     "stabilizers_fix_state",
-    "scalar_erdos_renyi",
     "scalar_skips",
     "sorted_skips",
-    "check_invariants",
 ]
 
 
@@ -102,43 +98,6 @@ def stabilizers_fix_state(tab: Tableau, state: np.ndarray, atol: float = 1e-10) 
         if not np.allclose(transformed, state, atol=atol):
             return False
     return True
-
-
-def check_invariants(tab: Tableau) -> None:
-    """Assert the symplectic commutation structure of the tableau's rows.
-
-    Stabilizer i must anticommute with destabilizer i and commute with
-    every other row. That alone makes the stabilizer rows independent: with
-    <S_i, D_j> = delta_ij, a combination sum_i c_i S_i = 0 gives
-    c_j = <sum_i c_i S_i, D_j> = 0 for every j.
-    """
-    n = tab.n
-    x, z, _ = tab.rows()
-    # symplectic product of rows a, b: x_a.z_b + z_a.x_b mod 2
-    sym = (x @ z.T + z @ x.T) % 2
-    expected = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-    idx = np.arange(n)
-    expected[idx, idx + n] = 1
-    expected[idx + n, idx] = 1
-    if not np.array_equal(sym, expected):
-        raise AssertionError("tableau commutation relations violated")
-
-
-def scalar_erdos_renyi(n: int, p: float, seed: int) -> LayoutGraph:
-    """Reference for layouts.connected_erdos_renyi: one scalar draw per pair.
-
-    The same draw order, written as the plain loop: n-1 tree draws, then one
-    `random()` per non-tree pair in row-major u < v order.
-    """
-    rng = make_rng(seed)
-    edges = set()
-    for i in range(1, n):
-        edges.add((int(rng.integers(0, i)), i))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) not in edges and rng.random() < p:
-                edges.add((u, v))
-    return LayoutGraph(n, tuple(edges))
 
 
 def scalar_skips(keys, t0: int, p: float, m: int) -> list[tuple[int, int, int]]:

@@ -39,10 +39,10 @@ from ghz_synth.merging import (
     synthesize_merging,
 )
 from ghz_synth.metrics import (
+    certify,
     counts_to_distribution,
     ghz_ideal_distribution,
     hellinger_fidelity,
-    is_ghz,
 )
 from ghz_synth.rng import derive_seed
 from ghz_synth.stabilizer import NoiseModel, run, sample_counts
@@ -87,50 +87,39 @@ def _exactness_layouts():
 
 @pytest.fixture(scope="module")
 def exactness_runs():
-    """Shared synthesis + noiseless simulation for criteria 1 and 2."""
+    """Shared synthesis + certificate for criteria 1 and 2: each run's certify
+    refusal (None if certified) and whether its measurement count is the protocol's."""
     t0 = time.monotonic()
     results = []
     for family, n, s, g in _exactness_layouts():
-        variants = [("growing", None, synthesize_growing(g))]
-        for strategy in MERGING_STRATEGIES:
-            variants.append(
-                ("merging", strategy, synthesize_merging(g, strategy))
-            )
-        for protocol, strategy, circ in variants:
-            out = run(circ, derive_seed(MASTER, "sim", family, n, s, str(strategy)))
-            n_stars = len(select_stars(g, strategy)) if strategy is not None else None
-            results.append(
-                dict(
-                    family=family, n=n, protocol=protocol,
-                    ghz=is_ghz(out.tableau, n),
-                    n_2q=count_2q(circ), n_meas=count_measurements(circ),
-                    n_stars=n_stars,
-                )
-            )
+        for strategy in (None, *MERGING_STRATEGIES):
+            circ = synthesize_growing(g) if strategy is None else synthesize_merging(g, strategy)
+            try:
+                certify(circ, g, derive_seed(MASTER, "sim", family, n, s, str(strategy)))
+                refusal = None
+            except ValueError as exc:
+                refusal = f"{family} n={n} s={s} {strategy}: {exc}"
+            # certify holds n_2q = N - 1 + n_meas; the protocol fixes n_meas:
+            # none for growing, one per merge of the stars
+            n_meas = 0 if strategy is None else len(select_stars(g, strategy)) - 1
+            results.append((refusal, count_measurements(circ) == n_meas))
     return results, time.monotonic() - t0
 
 
 def test_c1_exact_ghz_correctness(exactness_runs):
     results, elapsed = exactness_runs
-    failures = [r for r in results if not r["ghz"]]
-    ok = not failures and elapsed < 300.0
+    refusals = [refusal for refusal, _ in results if refusal]
     _report(
-        "criterion 1: exact GHZ on eagle/grid/ER, both protocols, all strategies",
-        ok,
-        f"{len(results)} runs, {elapsed:.1f}s",
+        "criterion 1: certified on eagle/grid/ER, both protocols, all strategies",
+        not refusals and elapsed < 300.0,
+        f"{len(results)} runs, {elapsed:.1f}s" + (f"; first: {refusals[0]}" if refusals else ""),
     )
 
 
 def test_c2_count_identities(exactness_runs):
     results, _ = exactness_runs
-    ok = True
-    for r in results:
-        if r["protocol"] == "growing":
-            ok &= r["n_2q"] == r["n"] - 1 and r["n_meas"] == 0
-        else:
-            ok &= r["n_meas"] == r["n_stars"] - 1
-            ok &= r["n_2q"] == r["n"] - 1 + r["n_meas"]
-    _report("criterion 2: gate/measurement count identities on every run", ok)
+    ok = all(meas_ok for _, meas_ok in results)
+    _report("criterion 2: one measurement per merge, none for growing, on every run", ok)
 
 
 def _merge_primitive(n: int, m: int) -> Circuit:

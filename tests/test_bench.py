@@ -356,7 +356,8 @@ class TestWorkerCount:
         monkeypatch.setenv("GHZ_SYNTH_THREADS", "3")
         assert worker_count() == 3
         monkeypatch.setenv("GHZ_SYNTH_THREADS", "0")
-        assert worker_count() == 1
+        with pytest.raises(InputError, match=r"^GHZ_SYNTH_THREADS: must be >= 1, got 0$"):
+            worker_count()
 
     @pytest.mark.parametrize("threads, started", [("10000", [8]), ("3", [3]), ("1", [])])
     def test_pool_capped_by_cell_count(self, monkeypatch, threads, started):
@@ -388,6 +389,8 @@ class TestWorkerCount:
         assert sizes == [8]
 
     def test_bad_env_names_variable_and_value(self, monkeypatch):
-        monkeypatch.setenv("GHZ_SYNTH_THREADS", "abc")
-        with pytest.raises(ValueError, match=r"GHZ_SYNTH_THREADS must be an integer, got 'abc'"):
-            worker_count()
+        for env, message in (("abc", "expected an integer, got 'abc'"),
+                             ("-3", "must be >= 1, got -3")):
+            monkeypatch.setenv("GHZ_SYNTH_THREADS", env)
+            with pytest.raises(InputError, match=f"^GHZ_SYNTH_THREADS: {message}$"):
+                worker_count()

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from ghz_synth import bench, selfcheck
+from ghz_synth import bench, layouts, selfcheck
 from ghz_synth.circuit import CX, Circuit, CondX, Schedule, X
 from ghz_synth.cli import cli_main
 from ghz_synth.growing import synthesize_growing
@@ -149,8 +150,6 @@ def test_verify_subcommand(capsys):
 
 
 def test_verify_prints_failure_reason(monkeypatch, capsys):
-    from ghz_synth import selfcheck
-
     def boom():
         raise RuntimeError("tableau exploded")
 
@@ -158,11 +157,10 @@ def test_verify_prints_failure_reason(monkeypatch, capsys):
     assert cli_main(["verify"]) == 2
     out = capsys.readouterr().out
     assert "FAIL  ASAP depth hand-scheduled examples: RuntimeError: tableau exploded" in out
-    assert "1 of 9 checks failed" in out
+    assert "1 of 8 checks failed" in out
 
 
 def test_noise_sampler_check_fails_on_a_wrong_sampler(monkeypatch):
-    from ghz_synth import selfcheck
     from ghz_synth.rng import CounterStream
 
     assert selfcheck.check_skip_sampler()
@@ -174,8 +172,6 @@ def test_noise_sampler_check_fails_on_a_wrong_sampler(monkeypatch):
 
 @pytest.mark.parametrize("generator", ["eagle_127", "heavy_hex", "rect_grid"])
 def test_layout_check_fails_on_a_wrong_generator(generator, monkeypatch):
-    from ghz_synth import layouts, selfcheck
-
     assert selfcheck.check_layout_invariants()
     wrong = {
         "eagle_127": lambda: layouts.heavy_hex(7, 11),
@@ -212,33 +208,45 @@ def _cx_without_signs(self, a, b):
     self.z[a] ^= self.z[b]
 
 
-# each `verify` check that returns False, beside a fault it exists to catch:
-# (check name, object to patch, attribute, stand-in)
+def _grown_on_complete_graph(g):
+    """A growing synthesizer that ignores the layout's edges: N - 1 CX, exact GHZ."""
+    n = g.node_count
+    return synthesize_growing(layouts.LayoutGraph(n, tuple(combinations(range(n), 2))))
+
+
+CERTIFIED = "synthesized circuits are certified on their layouts"
+
+# each `verify` check that fails, beside a fault it exists to catch:
+# (check name, object to patch, attribute, stand-in, reason). The certificate
+# check fails with certify's refusal, whose message names the property that
+# fails; every other check returns False and raises nothing.
 CHECK_FAULTS = [
     # a redundant CX pair keeps the GHZ state but breaks the CX count
-    pytest.param("synthesis count identities", bench, "synthesize_growing",
-                 _grown_then(CX(0, 1), CX(0, 1)), id="extra-cx-pair"),
-    pytest.param("noiseless synthesis yields exact GHZ", bench, "synthesize_growing",
-                 _grown_then(X(0)), id="appended-x"),
+    pytest.param(CERTIFIED, bench, "synthesize_growing", _grown_then(CX(0, 1), CX(0, 1)),
+                 "ValueError: count identity: ", id="extra-cx-pair"),
+    pytest.param(CERTIFIED, bench, "synthesize_growing", _grown_then(X(0)),
+                 "ValueError: exact GHZ: ", id="appended-x"),
+    pytest.param(CERTIFIED, bench, "synthesize_growing", _grown_on_complete_graph,
+                 "ValueError: layout edge: op ", id="off-layout-cx"),
     # a merging that fuses nothing leaves no measurement branch to check
     pytest.param("merge corrections on both branches", selfcheck, "synthesize_merging",
-                 lambda g, strategy: synthesize_growing(g), id="merging-without-measurement"),
+                 lambda g, strategy: synthesize_growing(g), "", id="merging-without-measurement"),
     pytest.param("merge corrections on both branches", selfcheck, "synthesize_merging",
-                 _merged_without_condx, id="dropped-condx"),
+                 _merged_without_condx, "", id="dropped-condx"),
     pytest.param("tableau agrees with dense state vector", Tableau, "apply_cx",
-                 _cx_without_signs, id="cx-without-signs"),
+                 _cx_without_signs, "", id="cx-without-signs"),
     # a schedule that checks no rule, so no malformed circuit raises
     pytest.param("malformed circuits are rejected when built", Schedule, "emit",
-                 lambda self, op: op, id="unchecked-schedule"),
+                 lambda self, op: op, "", id="unchecked-schedule"),
 ]
 
 
-@pytest.mark.parametrize("check, owner, attr, fault", CHECK_FAULTS)
-def test_verify_check_fails_on_its_fault(check, owner, attr, fault, monkeypatch):
+@pytest.mark.parametrize("check, owner, attr, fault, reason", CHECK_FAULTS)
+def test_verify_check_fails_on_its_fault(check, owner, attr, fault, reason, monkeypatch):
     monkeypatch.setattr(owner, attr, fault)
-    results = {name: (passed, reason) for name, passed, reason in selfcheck.run_all()}
-    # the check returned its verdict: it failed, and raised nothing
-    assert results[check] == (False, "")
+    results = {name: (passed, why) for name, passed, why in selfcheck.run_all()}
+    passed, why = results[check]
+    assert not passed and (why.startswith(reason) if reason else why == "")
 
 
 def test_unknown_flag_usage_error(capsys):
@@ -394,7 +402,7 @@ def test_bench_bad_threads_env_runtime_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GHZ_SYNTH_THREADS", "abc")
     code = cli_main(["bench", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
     assert code == 2
-    assert "GHZ_SYNTH_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: GHZ_SYNTH_THREADS: expected an integer, got 'abc'\n"
 
 
 def test_synth_malformed_layout_runtime_error(tmp_path, capsys):

@@ -10,12 +10,8 @@ from ghz_synth.rng import derive_seed, make_rng
 from ghz_synth.stabilizer import InvalidForcingError, Tableau, sample_counts
 from ghz_synth.stabilizer import run
 from ghz_synth.statevector import run_dense
-from ghz_synth.testutil import (
-    apply_pauli_dense,
-    check_invariants,
-    random_clifford_circuit,
-    stabilizers_fix_state,
-)
+from ghz_synth.testutil import apply_pauli_dense, random_clifford_circuit, stabilizers_fix_state
+from helpers import check_invariants
 
 
 class TestTableauInvariantsPerOp:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghz_synth import InputError, LayoutGraph, SweepConfig
-from ghz_synth.bench import ProtocolSpec
+from ghz_synth.bench import ProtocolSpec, run_sweep
 from ghz_synth.circuit import Circuit, MalformedCircuitError
 from ghz_synth.layouts import (
     connected_erdos_renyi, heavy_hex, random_connected_subgraph, rect_grid,
@@ -173,6 +173,7 @@ _REFUSALS = {
     "SweepConfig-grid_rows": (lambda: _sweep(grid_rows=-2), "grid_rows: must be >= 1, got -2"),
     "SweepConfig-shots": (lambda: _sweep(shots=0), "shots: must be >= 1, got 0"),
     "SweepConfig-seed": (lambda: _sweep(seed=-1), _SEED),
+    "run_sweep-workers": (lambda: run_sweep(_sweep(), workers=0), "workers: must be >= 1, got 0"),
     "run-seed": (lambda: run(Circuit(1, 0, ()), -1), _SEED),
     "sample_counts-seed": (lambda: sample_counts(Circuit(1, 0, ()), 8, -1), _SEED),
     "make_rng-seed": (lambda: make_rng(-1), _SEED),

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from ghz_synth.circuit import CX, H, Schedule, count_2q, count_measurements, depth
+from ghz_synth.circuit import CX, H, Schedule, depth
 from ghz_synth.growing import synthesize_growing
 from ghz_synth.layouts import (
     LayoutGraph,
@@ -10,10 +10,9 @@ from ghz_synth.layouts import (
     random_connected_subgraph,
     rect_grid,
 )
-from ghz_synth.metrics import is_ghz
+from ghz_synth.metrics import certify
 from ghz_synth.rng import derive_seed
 from ghz_synth.schema import InputError
-from ghz_synth.stabilizer import run
 from test_merging import connected_graphs
 
 
@@ -67,14 +66,13 @@ class TestGrowing:
         g = LayoutGraph(k + 1, tuple((0, i) for i in range(1, k + 1)))
         c = synthesize_growing(g)
         assert depth(c) == k + 1
-        assert count_2q(c) == k
+        certify(c, g)
 
     def test_counts_forced(self):
         for seed in range(10):
             g = connected_erdos_renyi(25, 0.2, seed)
             c = synthesize_growing(g)
-            assert count_2q(c) == 24
-            assert count_measurements(c) == 0
+            certify(c, g)
             assert all(isinstance(op, (H, CX)) for op in c.ops)
 
     def test_parent_relation_is_spanning_tree(self):
@@ -105,8 +103,7 @@ class TestGrowing:
                 g, _ = random_connected_subgraph(eagle_127(), 4 + s % 20, derive_seed(13, s))
             else:
                 g, _ = random_connected_subgraph(rect_grid(6, 6), 4 + s % 20, derive_seed(14, s))
-            c = synthesize_growing(g)
-            assert is_ghz(run(c, s).tableau, g.node_count)
+            certify(synthesize_growing(g), g, s)
 
     @settings(max_examples=100, deadline=None)
     @given(g=connected_graphs())

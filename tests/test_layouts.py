@@ -15,7 +15,7 @@ from ghz_synth.layouts import (
     rect_grid,
 )
 from ghz_synth.rng import make_rng
-from ghz_synth.testutil import scalar_erdos_renyi
+from helpers import scalar_erdos_renyi
 
 
 def bfs_connected(g: LayoutGraph) -> bool:

@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghz_synth.circuit import (
-    CX, CondX, H, MeasureZ, Schedule, count_2q, count_measurements, depth,
+    CX, Circuit, CondX, H, MeasureZ, Schedule, count_measurements, depth,
 )
 from ghz_synth.growing import synthesize_growing
 from ghz_synth.layouts import LayoutGraph, connected_erdos_renyi, eagle_127, rect_grid
+from ghz_synth.layouts import random_connected_subgraph
 from ghz_synth.merging import (
     AbsoluteSize,
     HighestDegree,
@@ -24,10 +25,9 @@ from ghz_synth.merging import (
     strategy_to_json,
     synthesize_merging,
 )
-from ghz_synth.metrics import is_ghz
+from ghz_synth.metrics import certify
 from ghz_synth.rng import derive_seed
 from ghz_synth.schema import InputError
-from ghz_synth.stabilizer import run
 
 
 # one example of each registered strategy kind, with its JSON form and its label
@@ -98,13 +98,6 @@ def assert_bridges_free_earliest(g, strategy):
         crossing = [(x, y) for a, b in g.edges for x, y in ((a, b), (b, a))
                     if x in keeper and y in absorbed]
         assert (u, v) == min(crossing, key=lambda e: (max(last[e[0]], last[e[1]]), e)), k
-
-
-def assert_cx_on_edges(g, c):
-    """Every CX of c acts across an edge of the layout g."""
-    for op in c.ops:
-        if isinstance(op, CX):
-            assert g.has_edge(op.control, op.target), op
 
 
 class TestSelectStars:
@@ -191,8 +184,6 @@ class TestBuildStarGhz:
     def test_two_leaves_order_and_depth(self):
         ops = build_star_ghz(Star(1, (0, 2)))
         assert ops == [H(1), CX(1, 0), CX(1, 2)]
-        from ghz_synth.circuit import Circuit
-
         assert depth(Circuit(3, 0, tuple(ops))) == 3
 
     def test_degree_k_gives_k_cx(self):
@@ -267,21 +258,16 @@ class TestSynthesizeMerging:
         g = star_graph(4)
         c = synthesize_merging(g, HighestDegree())
         assert count_measurements(c) == 0
-        assert count_2q(c) == 4
+        certify(c, g)
 
     def test_two_star_merge_exact_ghz(self):
         g = path_graph(5)
-        c = synthesize_merging(g, HighestDegree())
-        out = run(c, seed=13)
-        assert is_ghz(out.tableau, 5)
+        certify(synthesize_merging(g, HighestDegree()), g, seed=13)
 
     def test_gate_count_identity_eagle_subgraphs(self):
-        from ghz_synth.layouts import random_connected_subgraph
-
         for s in range(100):
             g, _ = random_connected_subgraph(eagle_127(), 50, derive_seed(6, s))
-            c = synthesize_merging(g, HighestDegree())
-            assert count_2q(c) - count_measurements(c) == 49
+            certify(synthesize_merging(g, HighestDegree()), g)
 
     def test_measurement_count_is_stars_minus_one(self):
         for seed in range(10):
@@ -292,8 +278,6 @@ class TestSynthesizeMerging:
                 assert count_measurements(c) == len(stars) - 1
 
     def test_exact_ghz_across_families_and_strategies(self):
-        from ghz_synth.layouts import random_connected_subgraph
-
         cases = []
         for s in range(3):
             cases.append(random_connected_subgraph(eagle_127(), 15, derive_seed(7, s))[0])
@@ -303,9 +287,7 @@ class TestSynthesizeMerging:
             for strategy in (
                 HighestDegree(), ScalingFactor(0.7), ScalingFactor(1.3), AbsoluteSize(3),
             ):
-                c = synthesize_merging(g, strategy)
-                out = run(c, seed=21)
-                assert is_ghz(out.tableau, g.node_count)
+                certify(synthesize_merging(g, strategy), g, seed=21)
 
     def test_deterministic(self):
         g = connected_erdos_renyi(20, 0.3, seed=5)
@@ -409,19 +391,14 @@ class TestRandomConnectedGraphs:
     def test_count_identities_and_ghz(self, g, f, size, seed):
         # each merge adds one CX and one measurement, and its reset is a
         # deterministic event of run()
-        n = g.node_count
         c = synthesize_growing(g)
-        assert count_2q(c) == n - 1 and count_measurements(c) == 0
-        assert is_ghz(run(c, seed).tableau, n)
-        assert_cx_on_edges(g, c)
+        certify(c, g, seed)
+        assert count_measurements(c) == 0
         for strategy in (HighestDegree(), ScalingFactor(f), AbsoluteSize(size)):
             c = synthesize_merging(g, strategy)
-            assert_cx_on_edges(g, c)
+            certify(c, g, seed)
             stars = select_stars(g, strategy)
-            n_meas = len(stars) - 1
-            assert count_measurements(c) == n_meas
-            assert count_2q(c) == n - 1 + n_meas
-            assert is_ghz(run(c, seed).tableau, n), strategy
+            assert count_measurements(c) == len(stars) - 1
             # the plan is the circuit's: merge k measures its bridge's
             # absorbed end into cbit k, right after the CX across the bridge
             merges = [m for rnd in plan_merges(g, stars) for m in rnd]

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from ghz_synth.circuit import CX, Circuit, H, X
+from ghz_synth.circuit import CX, Circuit, CondX, H, X
+from ghz_synth.growing import synthesize_growing
+from ghz_synth.layouts import eagle_127, random_connected_subgraph, rect_grid
+from ghz_synth.merging import HighestDegree, synthesize_merging
 from ghz_synth.metrics import (
+    certify,
     counts_to_distribution,
     ghz_ideal_distribution,
     hellinger_fidelity,
@@ -121,9 +125,6 @@ class TestIsGhz:
         assert not is_ghz(out.tableau, 4)
 
     def test_grown_eagle_subgraph(self):
-        from ghz_synth.growing import synthesize_growing
-        from ghz_synth.layouts import eagle_127, random_connected_subgraph
-
         g, _ = random_connected_subgraph(eagle_127(), 20, seed=2)
         out = run(synthesize_growing(g), seed=0)
         assert is_ghz(out.tableau, 20)
@@ -163,10 +164,6 @@ class TestIsGhz:
 
 def _check_grid(rows: int, cols: int, protocol: str, flip: int) -> None:
     """is_ghz holds on the synthesized grid circuit and fails after one more X."""
-    from ghz_synth.growing import synthesize_growing
-    from ghz_synth.layouts import rect_grid
-    from ghz_synth.merging import HighestDegree, synthesize_merging
-
     n = rows * cols
     g = rect_grid(rows, cols)
     if protocol == "growing":
@@ -210,3 +207,28 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+
+_PATH = rect_grid(1, 5)
+_GROWN = synthesize_growing(_PATH).ops  # H(1), CX(1, 0), CX(1, 2), CX(2, 3), CX(3, 4)
+_MERGED = synthesize_merging(rect_grid(2, 4), HighestDegree())
+_CONDX = next(i for i, op in enumerate(_MERGED.ops) if isinstance(op, CondX))
+
+
+@pytest.mark.parametrize("c, g, seed, message", [
+    # N - 1 CX and exact GHZ, but qubit 4 joins from qubit 2, off the path
+    (Circuit(5, 0, _GROWN[:4] + (CX(2, 4),)), _PATH, 0,
+     "layout edge: op 4, CX(control=2, target=4), is not on an edge of the layout"),
+    # seed 2 measures 1 where the dropped correction would fire
+    (Circuit(8, 2, _MERGED.ops[:_CONDX] + _MERGED.ops[_CONDX + 1:]), rect_grid(2, 4), 2,
+     "exact GHZ: run with seed 2 does not leave the 8-qubit GHZ state"),
+    # the pair cancels, so the state stays GHZ, but the CX count is 2 too many
+    (Circuit(5, 0, _GROWN + (CX(0, 1), CX(0, 1))), _PATH, 0,
+     "count identity: 6 CX, expected N - 1 + 0 measurements = 4"),
+    (Circuit(5, 0, _GROWN), rect_grid(2, 3), 0,
+     "qubit count: circuit has 5 qubits, layout has 6 nodes"),
+], ids=["off-layout-cx", "dropped-condx", "extra-cx-pair", "other-layout-size"])
+def test_certify_names_the_first_failing_property(c, g, seed, message):
+    with pytest.raises(ValueError) as refused:
+        certify(c, g, seed)
+    assert str(refused.value) == message

@@ -24,10 +24,8 @@ from ghz_synth.stabilizer import (
     run,
     sample_counts,
 )
-from ghz_synth.testutil import (
-    check_invariants,
-    random_clifford_circuit,
-)
+from ghz_synth.testutil import random_clifford_circuit
+from helpers import check_invariants
 
 
 def circ(n, cbits, *ops):
