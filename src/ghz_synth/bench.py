@@ -116,7 +116,8 @@ class SweepConfig:
             raise schema.InputError(f"family: unknown family {self.family!r}")
         if not self.sizes:
             raise schema.InputError("sizes: must list at least one size")
-        schema.check_count(min(self.sizes), "sizes")
+        for size in self.sizes:  # every one, so none between the least and greatest slips by
+            schema.check_count(size, "sizes")
         twice = sorted(s for s, k in Counter(self.sizes).items() if k > 1)
         if twice:
             raise schema.InputError(f"sizes: {twice} listed more than once")

@@ -1,6 +1,13 @@
 """Connectivity-graph layouts: the IBM Eagle chip, procedural heavy-hex
 lattices, rectangular grids, and connected Erdős–Rényi random graphs, plus
 random connected subgraph sampling.
+
+`LayoutGraph(n, edges)` checks its input, since it is where a graph from the
+Python API or a JSON document enters. `rect_grid`, `connected_erdos_renyi`
+and `random_connected_subgraph` build graphs that are valid by construction
+and skip those checks; `heavy_hex` and `eagle_127` take the checked path.
+The random generators document their draw order, which is part of their
+contract.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from . import schema
-from .rng import make_rng
+from .rng import BoundedDraws, make_rng
 
 __all__ = [
     "LayoutGraph",
@@ -32,10 +39,14 @@ class LayoutGraph:
 
     Edges are stored as a sorted tuple of (u, v) pairs with u < v, and
     adjacency as one sorted tuple of neighbors per node. Instances are
-    immutable and connected: the constructor builds the adjacency once and
-    searches it from node 0, so no consumer checks or rebuilds either. A bad
-    graph, a disconnected one included, raises InputError whose message
-    starts with the JSON field, n or edges.
+    immutable and connected, so no consumer checks or rebuilds either.
+
+    The constructor is where outside input enters, from the Python API and
+    from `from_json`, so it checks every edge, sorts them, builds the
+    adjacency once and searches it from node 0. A bad graph, a disconnected
+    one included, raises InputError whose message starts with the JSON
+    field, n or edges. The generators whose graphs are valid by
+    construction build through `_valid` instead, which only indexes them.
     """
 
     node_count: int
@@ -44,7 +55,7 @@ class LayoutGraph:
 
     def __post_init__(self):
         n = schema.check_count(self.node_count)
-        edges = tuple(sorted(self.edges))
+        edges = tuple(sorted(map(_pair, self.edges)))
         prev = None  # sorted, so a duplicate sits right after its twin
         for e in edges:
             u, v = e
@@ -61,12 +72,7 @@ class LayoutGraph:
                 f"edges: layout graph must be connected; {n} nodes need at least "
                 f"{n - 1} edges, got {len(edges)}"
             )
-        adj = [[] for _ in range(n)]
-        # in sorted edge order, node u meets its lower neighbors (a, u) in
-        # ascending a before its higher ones (u, b) in ascending b
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
+        adj = self._index()
         seen = bytearray(n)
         seen[0] = 1
         todo = [0]
@@ -82,7 +88,31 @@ class LayoutGraph:
                 f"edges: layout graph must be connected; node {seen.index(0)} "
                 "is not reached from node 0"
             )
+
+    @classmethod
+    def _valid(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "LayoutGraph":
+        """The graph of n nodes and these edges, built without a check.
+
+        The caller guarantees what the constructor would check: n is a
+        count, the edges are sorted pairs of ints u < v < n with no
+        duplicate, and the graph is connected.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "node_count", n)
+        object.__setattr__(g, "edges", edges)
+        g._index()
+        return g
+
+    def _index(self) -> list[list[int]]:
+        """Set the adjacency from the sorted edges; return it as lists."""
+        adj = [[] for _ in range(self.node_count)]
+        # in sorted edge order, node u meets its lower neighbors (a, u) in
+        # ascending a before its higher ones (u, b) in ascending b
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
         object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
+        return adj
 
     @property
     def edge_count(self) -> int:
@@ -116,6 +146,16 @@ class LayoutGraph:
             if not (isinstance(e, list) and len(e) == 2 and all(map(schema.is_int, e))):
                 raise schema.InputError(f"edges[{i}]: expected a pair of integers, got {e!r}")
         return cls(n, tuple(map(tuple, edges)))
+
+
+def _pair(e) -> tuple[int, int]:
+    """The edge e as a pair of ints; else InputError naming it."""
+    if type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is int:
+        return e  # the common case, checked by type alone
+    if not (isinstance(e, (tuple, list)) and len(e) == 2 and all(map(schema.is_int, e))):
+        raise schema.InputError(f"edges: edge {e!r} is not a pair of integers")
+    u, v = e
+    return int(u), int(v)
 
 
 @lru_cache(maxsize=None)
@@ -202,7 +242,7 @@ def rect_grid(rows: int, cols: int) -> LayoutGraph:
                 edges.append((i, i + 1))
             if r + 1 < rows:
                 edges.append((i, i + cols))
-    return LayoutGraph(rows * cols, tuple(edges))
+    return LayoutGraph._valid(rows * cols, tuple(edges))  # sorted, and connected by its rows
 
 
 # Pairs per array draw in connected_erdos_renyi: bounds its working memory
@@ -257,7 +297,7 @@ def connected_erdos_renyi(n: int, p: float, seed: int) -> LayoutGraph:
         hit[free] = rng.random(np.count_nonzero(free)) < p
         edges += zip(u[hit].tolist(), v[hit].tolist())
         u0 = u1
-    return LayoutGraph(n, tuple(edges))
+    return LayoutGraph._valid(n, tuple(edges))  # row-major, and connected by the tree
 
 
 def random_connected_subgraph(
@@ -269,16 +309,25 @@ def random_connected_subgraph(
     neighbor of the current node set, so the result is always connected.
     Returns the relabeled subgraph together with the list mapping new index
     -> original node index.
+
+    The draw order is part of the contract. The draws are those of
+    `make_rng(seed).integers(0, m)`, read by `rng.BoundedDraws` from one
+    block of raw PCG64 words: first the start, m = n; then, for each node
+    added, the index into the boundary list, m = its length. The boundary
+    starts as the start's neighbors in ascending order. The node drawn at
+    index i leaves it, the list's last entry taking its place, and the
+    added node's neighbors that are neither chosen nor on the boundary are
+    appended in ascending order.
     """
     schema.check_count(k, "k", high=g.node_count)
-    rng = make_rng(seed)
-    start = int(rng.integers(0, g.node_count))
+    draws = BoundedDraws(seed, k // 2 + 1)  # k draws of one 32-bit half each, and a spare
+    start = draws.below(g.node_count)
     chosen = {start}
     adj = g.adjacency
     boundary = list(adj[start])
     in_boundary = set(boundary)
     while len(chosen) < k:
-        idx = int(rng.integers(0, len(boundary)))
+        idx = draws.below(len(boundary))
         v = boundary[idx]
         # swap-remove keeps the draw O(1); the draw is uniform over the
         # distinct boundary nodes regardless of list order
@@ -297,7 +346,9 @@ def random_connected_subgraph(
         for u, v in g.edges
         if u in chosen and v in chosen
     ]
-    return LayoutGraph(k, tuple(edges)), mapping
+    # the source's sorted edges under the ascending relabel stay sorted, and
+    # accretion keeps the node set connected
+    return LayoutGraph._valid(k, tuple(edges)), mapping
 
 
 def average_degree(g: LayoutGraph) -> float:

@@ -4,7 +4,9 @@ Derived seeds are computed by hashing a label tuple with BLAKE2b, so adding
 new consumers never perturbs the streams of existing ones.
 
 Two kinds of stream consume them. Layout sampling, the dense oracle and the
-test helpers draw from numpy's PCG64 generator (make_rng). The stabilizer
+test helpers draw from numpy's PCG64 generator (make_rng); BoundedDraws
+reproduces that generator's integers(0, m) from raw words, draw for draw,
+for subgraph accretion, which makes one such draw per node. The stabilizer
 engine draws from a counter-based stream (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11): draw t of a 64-bit key K is
 
@@ -36,7 +38,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .schema import InputError
+from .schema import InputError, is_int
 
 MAX_SEED = 2**64 - 1
 
@@ -47,15 +49,61 @@ _FEW_LANES = 8
 
 
 def check_seed(seed: int) -> int:
-    """The seed itself, if it is a 64-bit unsigned integer; else InputError."""
-    if not 0 <= seed <= MAX_SEED:
-        raise InputError(f"seed: must be a 64-bit unsigned integer, got {seed}")
+    """The seed itself, if it is a 64-bit unsigned integer (an int or a numpy
+    integer, not a bool); else InputError."""
+    if not (is_int(seed) and 0 <= seed <= MAX_SEED):
+        raise InputError(f"seed: must be a 64-bit unsigned integer, got {seed!r}")
     return seed
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """PCG64 generator for a 64-bit unsigned seed."""
     return np.random.Generator(np.random.PCG64(check_seed(seed)))
+
+
+_LOW = 0xFFFFFFFF
+
+
+class BoundedDraws:
+    """The draws `make_rng(seed).integers(0, m)` of a sequence of bounds, draw for
+    draw, read from raw PCG64 words rather than one Generator call per draw.
+
+    numpy draws a bound 2 <= m < 2**32 from the 32-bit halves of the raw
+    64-bit words, the low half of a word first, by Lemire's method: a half x
+    gives (x * m) >> 32, unless (x * m) mod 2**32 is below (2**32 - m) mod m,
+    when the next half is read instead. A bound of 1 reads no half. The words
+    are read `block` at a time with one `random_raw` call, and a block more
+    whenever the halves run out, which leaves the values unchanged.
+    """
+
+    def __init__(self, seed: int, block: int):
+        self._bitgen = make_rng(seed).bit_generator
+        self._block = max(block, 1)
+        self._halves: list[int] = []
+        self._next = 0
+
+    def below(self, m: int) -> int:
+        """The next draw of integers(0, m), for 1 <= m < 2**32; else ValueError."""
+        if not 1 < m < 2**32:
+            if m == 1:
+                return 0
+            raise ValueError(f"m: must lie in [1, 2**32), got {m}")
+        x = self._half() * m
+        if (x & _LOW) < m:  # m bounds the threshold, so this skips its modulo
+            threshold = (2**32 - m) % m
+            while (x & _LOW) < threshold:
+                x = self._half() * m
+        return x >> 32
+
+    def _half(self) -> int:
+        j = self._next
+        if j == len(self._halves):
+            # '<u8' then '<u4' gives each word's low half before its high one on any host
+            words = self._bitgen.random_raw(self._block).astype("<u8")
+            self._halves = words.view("<u4").tolist()
+            j = 0
+        self._next = j + 1
+        return self._halves[j]
 
 
 def derive_seed(master: int, *labels: object) -> int:

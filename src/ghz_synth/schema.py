@@ -13,14 +13,17 @@ it, and nested objects are built through `construct`, which prefixes their
 path. `check_count` is the one bound on a count, such as a node, qubit, cbit,
 size, sample, shot, star-size or worker count, whether it comes from a
 document, a command-line flag, an environment variable or the Python API:
-at most MAX_N, or a tighter `high` such as a source layout's node count. `check_probability` is the one bound on a
-probability and `rng.check_seed` the one bound on a seed; all three raise
-InputError, whose message starts with the bad value's name.
+an integer (not a bool), at most MAX_N, or a tighter `high` such as a source
+layout's node count. `check_probability` is the one bound on a probability,
+a number that is not a bool, and `rng.check_seed` the one bound on a seed,
+an integer that is not a bool; all three raise InputError, whose message
+starts with the bad value's name.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 
 __all__ = ["InputError", "parse", "read", "read_tagged", "field", "construct", "is_int",
            "MAX_N", "check_count", "check_probability"]
@@ -135,10 +138,14 @@ MAX_N = 1 << 24
 
 def check_count(n: int, name: str = "n", low: int = 1, error: type = InputError,
                 high: int | None = None) -> int:
-    """n itself if it lies in [low, high]; else error, whose message starts with name.
+    """n itself if it is an integer in [low, high]; else error, whose message starts with name.
 
-    high defaults to MAX_N, read when the check runs.
+    An integer is an int or a numpy integer, not a bool; anything else is
+    refused as `field` refuses it in a document. high defaults to MAX_N,
+    read when the check runs.
     """
+    if not is_int(n):
+        raise error(f"{name}: expected int, got {n!r}")
     if n < low:
         raise error(f"{name}: must be >= {low}, got {n}")
     if high is None:
@@ -149,11 +156,17 @@ def check_count(n: int, name: str = "n", low: int = 1, error: type = InputError,
 
 
 def check_probability(p: float, name: str) -> float:
-    """p itself if it lies in [0, 1]; else InputError, whose message starts with name."""
+    """p itself if it is a number in [0, 1]; else InputError, whose message starts with name.
+
+    A number is a real number, int, float or numpy scalar, but not a bool.
+    """
+    if not isinstance(p, numbers.Real) or isinstance(p, bool):
+        raise InputError(f"{name}: expected a number, got {p!r}")
     if not 0.0 <= p <= 1.0:  # NaN fails both comparisons
         raise InputError(f"{name}: must lie in [0, 1], got {p}")
     return p
 
 
 def is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Whether value is an integer: an int or a numpy integer, not a bool."""
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)

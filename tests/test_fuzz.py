@@ -6,6 +6,7 @@ check_probability or check_seed."""
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,6 +140,11 @@ class _Refused(Exception):
     (MAX_N, 1, MalformedCircuitError, None),
     (MAX_N + 1, 1, MalformedCircuitError, f"k: must be <= {MAX_N}, got {MAX_N + 1}"),
     (MAX_N + 1, 0, None, f"k: must be <= {MAX_N}, got {MAX_N + 1}"),  # InputError by default
+    # an integer is an int or a numpy integer, never a bool or a float
+    (np.int64(7), 1, None, None),
+    (np.uint8(0), 0, None, None),
+    (True, 0, None, "k: expected int, got True"),
+    (2.0, 1, MalformedCircuitError, "k: expected int, got 2.0"),
 ])
 def test_check_count_bounds_both_ends(n, low, error, refused):
     kwargs = {} if error is None else {"error": error}
@@ -195,6 +201,35 @@ _REFUSALS = {
                                 "p: must lie in [0, 1], got 2"),
     "SweepConfig-er_p": (lambda: _sweep(er_p=3), "er_p: must lie in [0, 1], got 3"),
     "ScalingFactor": (lambda: ScalingFactor(-1), "f: must be positive and finite, got -1"),
+    # a float, a bool or a string where an integer or a number belongs, from the Python API
+    "SweepConfig-samples-float": (lambda: _sweep(samples=2.5), "samples: expected int, got 2.5"),
+    "SweepConfig-sizes-float": (lambda: _sweep(sizes=(20.0,)), "sizes: expected int, got 20.0"),
+    "SweepConfig-sizes-between": (lambda: _sweep(sizes=(5, 7.5, 9)),
+                                  "sizes: expected int, got 7.5"),
+    "rect_grid-rows-float": (lambda: rect_grid(2.0, 3), "rows: expected int, got 2.0"),
+    "connected_erdos_renyi-n-float": (lambda: connected_erdos_renyi(5.0, 0.5, 1),
+                                      "n: expected int, got 5.0"),
+    "run-seed-float": (lambda: run(Circuit(1, 0, ()), 2.5),
+                       "seed: must be a 64-bit unsigned integer, got 2.5"),
+    "make_rng-seed-float": (lambda: make_rng(1.5),
+                            "seed: must be a 64-bit unsigned integer, got 1.5"),
+    "AbsoluteSize-bool": (lambda: AbsoluteSize(True), "s: expected int, got True"),
+    "rect_grid-rows-bool": (lambda: rect_grid(True, 3), "rows: expected int, got True"),
+    "random_connected_subgraph-k-bool": (lambda: random_connected_subgraph(rect_grid(2, 2), True, 0),
+                                         "k: expected int, got True"),
+    "SweepConfig-seed-bool": (lambda: _sweep(seed=True),
+                              "seed: must be a 64-bit unsigned integer, got True"),
+    "NoiseModel-p1-bool": (lambda: NoiseModel(p1=True), "p1: expected a number, got True"),
+    "SweepConfig-samples-str": (lambda: _sweep(samples="3"), "samples: expected int, got '3'"),
+    "LayoutGraph-n-str": (lambda: LayoutGraph("3", ((0, 1), (1, 2))), "n: expected int, got '3'"),
+    "ghz_ideal_distribution-str": (lambda: ghz_ideal_distribution("3"),
+                                   "n: expected int, got '3'"),
+    "sample_counts-shots-str": (lambda: sample_counts(Circuit(1, 0, ()), "8", 0),
+                                "shots: expected int, got '8'"),
+    "run-seed-str": (lambda: run(Circuit(1, 0, ()), "1"),
+                     "seed: must be a 64-bit unsigned integer, got '1'"),
+    "connected_erdos_renyi-p-str": (lambda: connected_erdos_renyi(5, "0.5", 1),
+                                    "p: expected a number, got '0.5'"),
 }
 
 

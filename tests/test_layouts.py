@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,6 +241,28 @@ class TestAverageDegree:
         assert average_degree(eagle_127()) == 288 / 127
 
 
+_SEEDS = st.integers(0, 2**64 - 1)
+_SUBGRAPH_SOURCES = {
+    "eagle_127": eagle_127,
+    "grid_12x9": lambda: rect_grid(12, 9),
+    "er_60_p0.2": lambda: connected_erdos_renyi(60, 0.2, 7),
+}
+
+
+@st.composite
+def _generated_layouts(draw):
+    """A layout of connected_erdos_renyi, random_connected_subgraph or rect_grid."""
+    kind = draw(st.sampled_from(["erdos_renyi", "subgraph", "rect_grid"]))
+    if kind == "erdos_renyi":
+        return connected_erdos_renyi(draw(st.integers(1, 60)), draw(st.floats(0, 1)),
+                                     draw(_SEEDS))
+    if kind == "rect_grid":
+        return rect_grid(draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    source = _SUBGRAPH_SOURCES[draw(st.sampled_from(sorted(_SUBGRAPH_SOURCES)))]()
+    return random_connected_subgraph(source, draw(st.integers(1, source.node_count)),
+                                     draw(_SEEDS))[0]
+
+
 class TestLayoutGraphInvariants:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -258,10 +281,22 @@ class TestLayoutGraphInvariants:
         (((0, 3),), r"edges: edge \(0, 3\) out of range or unordered"),
         (((2, 1),), r"edges: edge \(2, 1\) out of range or unordered"),
         (((0, 2), (0, 1), (1, 2), (0, 2)), r"edges: duplicate edge \(0, 2\)"),
+        # a malformed edge is refused before the edges are sorted
+        (((0, 1.0), (1, 2)), r"^edges: edge \(0, 1\.0\) is not a pair of integers$"),
+        (((0, 1), (1, "2")), r"^edges: edge \(1, '2'\) is not a pair of integers$"),
+        (((0, 1, 2),), r"^edges: edge \(0, 1, 2\) is not a pair of integers$"),
+        (((0, True), (1, 2)), r"^edges: edge \(0, True\) is not a pair of integers$"),
+        (((0, 1), 2), r"^edges: edge 2 is not a pair of integers$"),
     ])
     def test_error_messages_name_the_edge(self, edges, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(schema.InputError, match=message):
             LayoutGraph(3, edges)
+
+    def test_numpy_and_list_pairs_are_read_as_int_pairs(self):
+        g = LayoutGraph(3, ([np.int64(1), 2], (0, np.uint8(1))))
+        assert g == rect_grid(1, 3)
+        assert all(type(x) is int for e in g.edges for x in e)
+        assert LayoutGraph.from_json(g.to_json()) == g
 
     def test_edges_stored_sorted(self):
         assert LayoutGraph(4, ((2, 3), (0, 1), (1, 3))).edges == ((0, 1), (1, 3), (2, 3))
@@ -298,17 +333,19 @@ class TestLayoutGraphInvariants:
         obj = json.loads(g.to_json())
         assert obj["n"] == 12 and all(len(e) == 2 for e in obj["edges"])
 
-    def test_generators_all_satisfy_invariants(self):
-        cases = [
-            eagle_127(),
-            rect_grid(6, 5),
-            connected_erdos_renyi(20, 0.15, seed=2),
-            random_connected_subgraph(eagle_127(), 40, seed=11)[0],
-        ]
-        for g in cases:
-            assert bfs_connected(g)
-            assert all(0 <= u < v < g.node_count for u, v in g.edges)
-            assert len(set(g.edges)) == g.edge_count
+    # the generators build through LayoutGraph._valid, which checks nothing;
+    # the checked constructor must accept every graph they build, as built
+    @settings(max_examples=150, deadline=None)
+    @given(g=_generated_layouts())
+    def test_generators_all_satisfy_invariants(self, g):
+        checked = LayoutGraph(g.node_count, g.edges)
+        assert checked == g
+        assert checked.adjacency == g.adjacency
+        assert list(g.edges) == sorted(g.edges)
+        assert bfs_connected(g)
+        assert all(0 <= u < v < g.node_count for u, v in g.edges)
+        assert len(set(g.edges)) == g.edge_count
+        assert all(type(x) is int for e in g.edges for x in e)
 
 
 class TestNodeIndex:

@@ -2,9 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghz_synth import rng
-from ghz_synth.rng import MAX_SEED, CounterStream, derive_seed, shot_keys
+from ghz_synth import layouts, rng
+from ghz_synth.rng import MAX_SEED, BoundedDraws, CounterStream, derive_seed, make_rng, shot_keys
 from ghz_synth.testutil import scalar_skips, sorted_skips
 
 # u_t * 2**53 for t = 0..7, from the SplitMix64 definition; the first entry
@@ -190,3 +192,42 @@ class TestShotKeys:
     def test_empty(self):
         keys = shot_keys(3, 0)
         assert keys.dtype == np.uint64 and keys.size == 0
+
+
+# bounds of every kind: 1, which reads no half; small ones; and ones above
+# 2**31, which reject close to half of all halves
+_BOUNDS = st.one_of(st.just(1), st.integers(2, 200), st.integers(1, 2**32 - 1),
+                    st.integers(2**31 + 1, 2**32 - 1))
+
+
+class TestBoundedDraws:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, MAX_SEED), bounds=st.lists(_BOUNDS, max_size=60),
+           block=st.integers(1, 40))
+    def test_equals_generator_integers_draw_for_draw(self, seed, bounds, block):
+        draws, generator = BoundedDraws(seed, block), make_rng(seed)
+        assert [draws.below(m) for m in bounds] == [int(generator.integers(0, m)) for m in bounds]
+
+    @pytest.mark.parametrize("m", [0, -1, 2**32, 2**40])
+    def test_refuses_a_bound_outside_1_to_2_to_the_32(self, m):
+        with pytest.raises(ValueError, match=rf"^m: must lie in \[1, 2\*\*32\), got {m}$"):
+            BoundedDraws(0, 4).below(m)
+
+
+class _NoIntegers(np.random.Generator):
+    def integers(self, *args, **kwargs):
+        raise AssertionError("Generator.integers called")
+
+
+def test_random_connected_subgraph_makes_no_integers_call(monkeypatch):
+    from test_golden import SUBGRAPH_GOLDEN, SUBGRAPH_SOURCES, _sha256
+
+    sources = {name: make() for name, make in SUBGRAPH_SOURCES.items()}  # built unpatched
+    no_integers = lambda seed: _NoIntegers(np.random.PCG64(rng.check_seed(seed)))
+    monkeypatch.setattr(rng, "make_rng", no_integers)
+    monkeypatch.setattr(layouts, "make_rng", no_integers)
+    with pytest.raises(AssertionError, match="Generator.integers called"):
+        rng.make_rng(0).integers(0, 2)  # the patch is in place
+    for (source, k, seed), digest in SUBGRAPH_GOLDEN.items():
+        sub, mapping = layouts.random_connected_subgraph(sources[source], k, seed)
+        assert _sha256(sub.to_json() + repr(mapping)) == digest
