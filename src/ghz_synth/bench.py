@@ -11,10 +11,11 @@ and re-running a config reproduces the CSV byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from typing import Optional
 
@@ -114,10 +115,11 @@ class SweepConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise schema.InputError(f"family: unknown family {self.family!r}")
+        keep = partial(object.__setattr__, self)  # each bound's plain value
         if not self.sizes:
             raise schema.InputError("sizes: must list at least one size")
-        for size in self.sizes:  # every one, so none between the least and greatest slips by
-            schema.check_count(size, "sizes")
+        # every one, so none between the least and greatest slips by
+        keep("sizes", tuple(schema.check_count(size, "sizes") for size in self.sizes))
         twice = sorted(s for s, k in Counter(self.sizes).items() if k > 1)
         if twice:
             raise schema.InputError(f"sizes: {twice} listed more than once")
@@ -129,12 +131,12 @@ class SweepConfig:
             if key in keys[:i]:
                 raise schema.InputError(f"protocols[{i}]: repeats protocols[{keys.index(key)}]"
                                         f" ({', '.join(filter(None, key))})")
-        schema.check_count(self.samples, "samples")
+        keep("samples", schema.check_count(self.samples, "samples"))
         # every sweep bounds its shots below; only a fidelity sweep, which draws them, above
-        schema.check_count(self.shots if self.compute_fidelity else min(self.shots, schema.MAX_N),
-                           "shots")
-        schema.check_count(self.grid_rows, "grid_rows")
-        schema.check_count(self.grid_cols, "grid_cols")
+        keep("shots", schema.check_count(self.shots, "shots",
+                                         high=None if self.compute_fidelity else math.inf))
+        keep("grid_rows", schema.check_count(self.grid_rows, "grid_rows"))
+        keep("grid_cols", schema.check_count(self.grid_cols, "grid_cols"))
         # a size is bounded by the layout it is sampled from (the grid is
         # counted, not built) and, when fidelity is sampled, by the simulator
         high = schema.MAX_N
@@ -148,8 +150,8 @@ class SweepConfig:
         if self.compute_fidelity:
             high = min(high, MAX_QUBITS)
         schema.check_count(max(self.sizes), "sizes", high=high)
-        schema.check_probability(self.er_p, "er_p")
-        check_seed(self.seed)
+        keep("er_p", schema.check_probability(self.er_p, "er_p"))
+        keep("seed", check_seed(self.seed))
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
@@ -194,13 +196,9 @@ class BenchmarkRecord:
 
 
 @lru_cache(maxsize=1)  # a sweep's cells share one source, built once per process
-def _source_graph(family: str, rows: int, cols: int) -> Optional[layouts.LayoutGraph]:
-    """The layout a subgraph family samples from (rows x cols for the grid); else None."""
-    if family == "eagle_subgraph":
-        return layouts.eagle_127()
-    if family == "rect_grid_subgraph":
-        return layouts.rect_grid(rows, cols)
-    return None
+def _source_graph(family: str, rows: int, cols: int) -> layouts.LayoutGraph:
+    """The layout a subgraph family samples from: Eagle, or else the rows x cols grid."""
+    return layouts.eagle_127() if family == "eagle_subgraph" else layouts.rect_grid(rows, cols)
 
 
 def _make_layout(cfg: SweepConfig, n: int, sample: int) -> layouts.LayoutGraph:

@@ -125,8 +125,10 @@ class Circuit:
         before the next is drawn, so the source may read the layers of the
         ops it has yielded so far.
         """
-        schema.check_count(self.qubit_count, error=MalformedCircuitError)
-        schema.check_count(self.cbit_count, "cbits", 0, MalformedCircuitError)
+        object.__setattr__(self, "qubit_count",
+                           schema.check_count(self.qubit_count, error=MalformedCircuitError))
+        object.__setattr__(self, "cbit_count",
+                           schema.check_count(self.cbit_count, "cbits", 0, MalformedCircuitError))
         schedule = Schedule(self.qubit_count, self.cbit_count)
         ops = self.ops(schedule.last) if callable(self.ops) else self.ops
         object.__setattr__(self, "ops", tuple(map(schedule.emit, ops)))

@@ -3,9 +3,8 @@ lattices, rectangular grids, and connected Erdős–Rényi random graphs, plus
 random connected subgraph sampling.
 
 `LayoutGraph(n, edges)` checks its input, since it is where a graph from the
-Python API or a JSON document enters. `rect_grid`, `connected_erdos_renyi`
-and `random_connected_subgraph` build graphs that are valid by construction
-and skip those checks; `heavy_hex` and `eagle_127` take the checked path.
+Python API or a JSON document enters. Every generator builds a graph that is
+valid by construction and skips those checks; Eagle is `heavy_hex(7, 15)`.
 The random generators document their draw order, which is part of their
 contract.
 """
@@ -15,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
+from itertools import starmap
 
 import numpy as np
 
@@ -42,11 +41,12 @@ class LayoutGraph:
     immutable and connected, so no consumer checks or rebuilds either.
 
     The constructor is where outside input enters, from the Python API and
-    from `from_json`, so it checks every edge, sorts them, builds the
+    from `from_json`, so it checks every edge once, sorts them, builds the
     adjacency once and searches it from node 0. A bad graph, a disconnected
     one included, raises InputError whose message starts with the JSON
-    field, n or edges. The generators whose graphs are valid by
-    construction build through `_valid` instead, which only indexes them.
+    field: n, edges[i] for a malformed edge i, or edges. The generators,
+    whose graphs are valid by construction, build through `_valid` instead,
+    which only indexes them.
     """
 
     node_count: int
@@ -55,7 +55,8 @@ class LayoutGraph:
 
     def __post_init__(self):
         n = schema.check_count(self.node_count)
-        edges = tuple(sorted(map(_pair, self.edges)))
+        object.__setattr__(self, "node_count", n)
+        edges = tuple(sorted(starmap(_pair, enumerate(self.edges))))
         prev = None  # sorted, so a duplicate sits right after its twin
         for e in edges:
             u, v = e
@@ -142,38 +143,21 @@ class LayoutGraph:
     def from_json(cls, text: str) -> "LayoutGraph":
         """Parse a layout; InputError names the missing, mistyped or bad field."""
         n, edges = schema.read(schema.parse(text, "layout"), {"n": int, "edges": list}).values()
-        for i, e in enumerate(edges):
-            if not (isinstance(e, list) and len(e) == 2 and all(map(schema.is_int, e))):
-                raise schema.InputError(f"edges[{i}]: expected a pair of integers, got {e!r}")
-        return cls(n, tuple(map(tuple, edges)))
+        return cls(n, edges)
 
 
-def _pair(e) -> tuple[int, int]:
-    """The edge e as a pair of ints; else InputError naming it."""
-    if type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is int:
-        return e  # the common case, checked by type alone
+def _pair(i: int, e) -> tuple[int, int]:
+    """Edge i, e, as a pair of ints; else InputError naming it by its index."""
     if not (isinstance(e, (tuple, list)) and len(e) == 2 and all(map(schema.is_int, e))):
-        raise schema.InputError(f"edges: edge {e!r} is not a pair of integers")
+        raise schema.InputError(f"edges[{i}]: expected a pair of integers, got {e!r}")
     u, v = e
     return int(u), int(v)
 
 
 @lru_cache(maxsize=None)
 def eagle_127() -> LayoutGraph:
-    """The 127-qubit IBM Eagle heavy-hex coupling map.
-
-    Loaded from the edge list shipped with the package (one "u v" pair per
-    line, u < v), taken from the published Eagle r3 coupling map.
-    """
-    text = resources.files("ghz_synth.data").joinpath("eagle_r3_edges.txt").read_text()
-    edges = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        u, v = line.split()
-        edges.append((int(u), int(v)))
-    return LayoutGraph(127, tuple(edges))
+    """The 127-qubit IBM Eagle r3 heavy-hex coupling map: heavy_hex(7, 15), built once."""
+    return heavy_hex(7, 15)
 
 
 def heavy_hex(rows: int, cols: int) -> LayoutGraph:
@@ -183,13 +167,16 @@ def heavy_hex(rows: int, cols: int) -> LayoutGraph:
     c = 0 (mod 4) when r is even and c = 2 (mod 4) when r is odd. Corner
     qubits that no bridge reaches (degree 1) are dropped. Qubits are numbered
     row by row: each chain left to right, then the bridges below it. This is
-    the IBM numbering: heavy_hex(7, 15) equals eagle_127() edge for edge.
+    the IBM numbering: heavy_hex(7, 15) is the published Eagle r3 coupling
+    map edge for edge.
 
-    rows, cols and rows x cols are checked before anything is built, with the
-    messages of rect_grid; LayoutGraph bounds the exact node count.
+    The graph has no duplicate edge, and its bridges connect its chains, so
+    it is built without the constructor's checks. rows, cols and rows x cols
+    are checked before anything is built, with the messages of rect_grid,
+    and the exact node count before the graph is indexed.
     """
-    schema.check_count(rows, "rows")
-    schema.check_count(cols, "cols", 3)
+    rows = schema.check_count(rows, "rows")
+    cols = schema.check_count(cols, "cols", 3)
     _check_area(rows, cols)
 
     def bridged(r: int, c: int) -> bool:
@@ -217,7 +204,7 @@ def heavy_hex(rows: int, cols: int) -> LayoutGraph:
                 bridges.append((c, n))
                 n += 1
         above = chain
-    return LayoutGraph(n, tuple(edges))
+    return LayoutGraph._valid(schema.check_count(n), tuple(sorted(edges)))
 
 
 def _check_area(rows: int, cols: int) -> None:
@@ -231,8 +218,8 @@ def rect_grid(rows: int, cols: int) -> LayoutGraph:
 
     A range error's message starts with the bad parameter's name.
     """
-    schema.check_count(rows, "rows")
-    schema.check_count(cols, "cols")
+    rows = schema.check_count(rows, "rows")
+    cols = schema.check_count(cols, "cols")
     _check_area(rows, cols)
     edges = []
     for r in range(rows):
@@ -278,8 +265,8 @@ def connected_erdos_renyi(n: int, p: float, seed: int) -> LayoutGraph:
 
     A range error's message starts with the bad parameter's name.
     """
-    schema.check_count(n)  # before any draw
-    schema.check_probability(p, "p")
+    n = schema.check_count(n)  # before any draw
+    p = schema.check_probability(p, "p")
     rng = make_rng(seed)
     parent = _tree_parents(rng, n)
     rows = np.arange(n)
@@ -319,7 +306,7 @@ def random_connected_subgraph(
     added node's neighbors that are neither chosen nor on the boundary are
     appended in ascending order.
     """
-    schema.check_count(k, "k", high=g.node_count)
+    k = schema.check_count(k, "k", high=g.node_count)
     draws = BoundedDraws(seed, k // 2 + 1)  # k draws of one 32-bit half each, and a spare
     start = draws.below(g.node_count)
     chosen = {start}

@@ -71,6 +71,7 @@ class ScalingFactor:
     def __post_init__(self):
         if not 0 < self.f < math.inf:
             raise schema.InputError(f"f: must be positive and finite, got {self.f}")
+        object.__setattr__(self, "f", schema.plain(self.f))
 
     def target(self, g: LayoutGraph) -> int:
         # f > 0 and the average degree >= 0, so halves round up (away from 0);
@@ -87,7 +88,7 @@ class AbsoluteSize:
     s: int
 
     def __post_init__(self):
-        schema.check_count(self.s, "s")
+        object.__setattr__(self, "s", schema.check_count(self.s, "s"))
 
     def target(self, g: LayoutGraph) -> int:
         return self.s - 1

@@ -38,7 +38,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .schema import InputError, is_int
+from .schema import InputError, is_int, plain
 
 MAX_SEED = 2**64 - 1
 
@@ -49,11 +49,11 @@ _FEW_LANES = 8
 
 
 def check_seed(seed: int) -> int:
-    """The seed itself, if it is a 64-bit unsigned integer (an int or a numpy
-    integer, not a bool); else InputError."""
+    """The seed as a plain int, if it is a 64-bit unsigned integer (an int or a
+    numpy integer, not a bool); else InputError."""
     if not (is_int(seed) and 0 <= seed <= MAX_SEED):
         raise InputError(f"seed: must be a 64-bit unsigned integer, got {seed!r}")
-    return seed
+    return plain(seed)
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -17,7 +17,9 @@ an integer (not a bool), at most MAX_N, or a tighter `high` such as a source
 layout's node count. `check_probability` is the one bound on a probability,
 a number that is not a bool, and `rng.check_seed` the one bound on a seed,
 an integer that is not a bool; all three raise InputError, whose message
-starts with the bad value's name.
+starts with the bad value's name. Each returns the value it admits as a plain
+Python number (`plain`), which is what an object built from it keeps, so a
+numpy scalar never reaches a JSON document.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from __future__ import annotations
 import json
 import numbers
 
+import numpy as np
+
 __all__ = ["InputError", "parse", "read", "read_tagged", "field", "construct", "is_int",
-           "MAX_N", "check_count", "check_probability"]
+           "MAX_N", "check_count", "check_probability", "plain"]
 
 
 class InputError(ValueError):
@@ -138,7 +142,7 @@ MAX_N = 1 << 24
 
 def check_count(n: int, name: str = "n", low: int = 1, error: type = InputError,
                 high: int | None = None) -> int:
-    """n itself if it is an integer in [low, high]; else error, whose message starts with name.
+    """plain(n) if n is an integer in [low, high]; else error, whose message starts with name.
 
     An integer is an int or a numpy integer, not a bool; anything else is
     refused as `field` refuses it in a document. high defaults to MAX_N,
@@ -152,11 +156,11 @@ def check_count(n: int, name: str = "n", low: int = 1, error: type = InputError,
         high = MAX_N
     if n > high:
         raise error(f"{name}: must be <= {high}, got {n}")
-    return n
+    return plain(n)
 
 
 def check_probability(p: float, name: str) -> float:
-    """p itself if it is a number in [0, 1]; else InputError, whose message starts with name.
+    """plain(p) if p is a number in [0, 1]; else InputError, whose message starts with name.
 
     A number is a real number, int, float or numpy scalar, but not a bool.
     """
@@ -164,7 +168,12 @@ def check_probability(p: float, name: str) -> float:
         raise InputError(f"{name}: expected a number, got {p!r}")
     if not 0.0 <= p <= 1.0:  # NaN fails both comparisons
         raise InputError(f"{name}: must lie in [0, 1], got {p}")
-    return p
+    return plain(p)
+
+
+def plain(x):
+    """The plain Python number of a numpy scalar, by its `item()`; any other x itself."""
+    return x.item() if isinstance(x, np.generic) else x
 
 
 def is_int(value) -> bool:

@@ -1,17 +1,18 @@
 """Built-in property suite over small instances, behind `ghz-synth verify`.
 
 Every check is deterministic and fast; together they cover the layout
-generators' documented sizes, the certificate of both protocols' circuits
-on small layouts (`metrics.certify`: qubit count, every CX on a layout
-edge, the count identity and exact GHZ output), merge corrections on both
-measurement branches, agreement between the stabilizer tableau and the
-dense state vector, noisy sampling that replays shot for shot as single
-runs, the noise sampler against its scalar reference, and the rejection of
-malformed circuits when they are built.
+generators' documented layouts, Eagle's pinned by a digest, the certificate
+of both protocols' circuits on small layouts (`metrics.certify`: qubit
+count, every CX on a layout edge, the count identity and exact GHZ output),
+merge corrections on both measurement branches, agreement between the
+stabilizer tableau and the dense state vector, noisy sampling that replays
+shot for shot as single runs, the noise sampler against its scalar
+reference, and the rejection of malformed circuits when they are built.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 from . import layouts
@@ -26,6 +27,8 @@ from .statevector import ghz_state, run_dense, state_fidelity
 from .testutil import random_clifford_circuit, scalar_skips, sorted_skips, stabilizers_fix_state
 
 SEED = 20250601
+# SHA-256 of the JSON of the published 127-qubit Eagle r3 coupling map
+EAGLE_SHA256 = "4fcc915ef5b6f8234fff967ffad7426eac9cf9934ba9960ff159b618c49029e2"
 # the protocol variants that the synthesis checks synthesize on every small layout
 _PROTOCOLS = (
     ProtocolSpec("growing"),
@@ -51,13 +54,13 @@ def _small_layouts() -> list[tuple[str, layouts.LayoutGraph]]:
 
 
 def check_layout_invariants() -> bool:
-    """The generators' documented sizes: Eagle has 127 nodes, 144 edges and degree at
-    most 3 and is heavy_hex(7, 15); an r x c grid has r(c - 1) + c(r - 1) edges."""
-    eagle = layouts.eagle_127()
-    degrees = [eagle.degree(u) for u in range(eagle.node_count)]
-    if (eagle.node_count, eagle.edge_count, max(degrees)) != (127, 144, 3):
+    """The generators' documented layouts: heavy_hex(7, 15) is the published Eagle r3
+    coupling map, by the SHA-256 of its JSON, and eagle_127() is that graph; an r x c
+    grid has r(c - 1) + c(r - 1) edges."""
+    eagle = layouts.heavy_hex(7, 15)
+    if hashlib.sha256(eagle.to_json().encode()).hexdigest() != EAGLE_SHA256:
         return False
-    if layouts.heavy_hex(7, 15) != eagle:
+    if layouts.eagle_127() != eagle:
         return False
     grids = ((1, 1), (1, 5), (4, 3), (6, 6))
     return all(layouts.rect_grid(r, c).edge_count == r * (c - 1) + c * (r - 1) for r, c in grids)

@@ -143,6 +143,7 @@ class NoiseModel:
             v = schema.check_probability(getattr(self, f.name), f.name)
             if 0.0 < v < 2.0**-53:
                 raise schema.InputError(f"{f.name}: must be 0 or at least 2**-53, got {v}")
+            object.__setattr__(self, f.name, v)
 
 
 _ONE = np.uint64(1)

@@ -1,11 +1,17 @@
-"""Helpers that only tests use: the scalar reference of the array-drawn
-Erdős–Rényi generator, and the tableau's structural check."""
+"""Helpers that only tests use: a circuit from its ops, the scalar reference of
+the array-drawn Erdős–Rényi generator, and the tableau's structural check."""
 
 import numpy as np
 
+from ghz_synth.circuit import Circuit
 from ghz_synth.layouts import LayoutGraph
 from ghz_synth.rng import make_rng
 from ghz_synth.stabilizer import Tableau
+
+
+def circ(n, cbits, *ops):
+    """The circuit of n qubits and cbits classical bits that runs ops in order."""
+    return Circuit(n, cbits, tuple(ops))
 
 
 def check_invariants(tab: Tableau) -> None:

@@ -6,6 +6,7 @@ import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ghz_synth import bench, schema
@@ -40,6 +41,29 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return SweepConfig(**base)
+
+
+# each object from numpy scalars, and from the plain numbers they hold: it keeps
+# its bounds' plain values, so its JSON is the same
+_NUMPY_BUILT = {
+    "AbsoluteSize": lambda num: ProtocolSpec("merging", AbsoluteSize(num(np.int64, 3))).to_json(),
+    "ScalingFactor": lambda num: ProtocolSpec("merging",
+                                              ScalingFactor(num(np.float32, 0.7))).to_json(),
+    "NoiseModel": lambda num: small_config(noise=NoiseModel(
+        num(np.float32, 0.01), num(np.float64, 0.02), num(np.float16, 0.5), num(np.int64, 0)
+    )).to_json(),
+    "SweepConfig": lambda num: small_config(
+        sizes=(num(np.int64, 6), num(np.uint8, 9)), samples=num(np.int32, 4),
+        shots=num(np.int64, 64), er_p=num(np.float32, 0.3), grid_rows=num(np.int64, 3),
+        grid_cols=num(np.uint16, 4), seed=num(np.uint64, 2**63 + 1),
+    ).to_json(),
+}
+
+
+@pytest.mark.parametrize("build", _NUMPY_BUILT.values(), ids=_NUMPY_BUILT)
+def test_numpy_scalar_arguments_give_plain_json(build):
+    assert json.dumps(build(lambda kind, x: kind(x))) == json.dumps(
+        build(lambda kind, x: kind(x).item()))
 
 
 class TestRunSweep:

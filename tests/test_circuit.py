@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from ghz_synth import circuit
@@ -26,10 +27,7 @@ from ghz_synth.rng import make_rng
 from ghz_synth.schema import MAX_N
 from ghz_synth.stabilizer import run, sample_counts
 from ghz_synth.statevector import run_dense
-
-
-def circ(n, cbits, *ops):
-    return Circuit(n, cbits, tuple(ops))
+from helpers import circ
 
 
 class TestDepth:
@@ -334,6 +332,11 @@ class TestJson:
     def test_malformed_document_names_field(self, doc, path):
         with pytest.raises(MalformedCircuitError, match=f"^{path}: "):
             Circuit.from_json(json.dumps(doc))
+
+    def test_numpy_counts_give_plain_json(self):
+        c = Circuit(np.int64(2), np.uint8(1), (H(0), MeasureZ(0, 0)))
+        assert c.to_json() == Circuit(2, 1, (H(0), MeasureZ(0, 0))).to_json()
+        assert type(c.qubit_count) is type(c.cbit_count) is int
 
     def test_from_json_validates(self):
         text = json.dumps({"n": 2, "cbits": 0, "ops": [{"tag": "h", "q": 2}]})

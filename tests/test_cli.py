@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from ghz_synth import bench, layouts, selfcheck
 from ghz_synth.circuit import CX, Circuit, CondX, Schedule, X
 from ghz_synth.cli import cli_main
 from ghz_synth.growing import synthesize_growing
-from ghz_synth.merging import synthesize_merging
+from ghz_synth.merging import select_stars, synthesize_merging
 from ghz_synth.stabilizer import Tableau
 
 
@@ -28,6 +29,15 @@ def test_layout_stdout(capsys):
     assert cli_main(["layout", "--family", "grid", "--rows", "1", "--cols", "3"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["n"] == 3
+
+
+def test_layout_eagle_is_the_published_map(capsys):
+    # the SHA-256 of the published Eagle r3 coupling map's JSON
+    assert cli_main(["layout", "--family", "eagle"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("}\n")
+    assert hashlib.sha256(out[:-1].encode()).hexdigest() == (
+        "4fcc915ef5b6f8234fff967ffad7426eac9cf9934ba9960ff159b618c49029e2")
 
 
 def test_layout_er_requires_n(capsys):
@@ -219,7 +229,8 @@ CERTIFIED = "synthesized circuits are certified on their layouts"
 # each `verify` check that fails, beside a fault it exists to catch:
 # (check name, object to patch, attribute, stand-in, reason). The certificate
 # check fails with certify's refusal, whose message names the property that
-# fails; every other check returns False and raises nothing.
+# fails, or, when a circuit's measurements disagree with the star count, with
+# no reason; every other check returns False and raises nothing.
 CHECK_FAULTS = [
     # a redundant CX pair keeps the GHZ state but breaks the CX count
     pytest.param(CERTIFIED, bench, "synthesize_growing", _grown_then(CX(0, 1), CX(0, 1)),
@@ -228,6 +239,9 @@ CHECK_FAULTS = [
                  "ValueError: exact GHZ: ", id="appended-x"),
     pytest.param(CERTIFIED, bench, "synthesize_growing", _grown_on_complete_graph,
                  "ValueError: layout edge: op ", id="off-layout-cx"),
+    # a star reference one star short, which no merging's measurement count matches
+    pytest.param(CERTIFIED, selfcheck, "select_stars",
+                 lambda g, strategy: select_stars(g, strategy)[1:], "", id="one-star-short"),
     # a merging that fuses nothing leaves no measurement branch to check
     pytest.param("merge corrections on both branches", selfcheck, "synthesize_merging",
                  lambda g, strategy: synthesize_growing(g), "", id="merging-without-measurement"),

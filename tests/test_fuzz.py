@@ -221,6 +221,9 @@ _REFUSALS = {
                               "seed: must be a 64-bit unsigned integer, got True"),
     "NoiseModel-p1-bool": (lambda: NoiseModel(p1=True), "p1: expected a number, got True"),
     "SweepConfig-samples-str": (lambda: _sweep(samples="3"), "samples: expected int, got '3'"),
+    # a sweep that samples no fidelity bounds its shots only below, but as an integer
+    "SweepConfig-shots-float": (lambda: _sweep(shots=1e30), "shots: expected int, got 1e+30"),
+    "SweepConfig-shots-str": (lambda: _sweep(shots="64"), "shots: expected int, got '64'"),
     "LayoutGraph-n-str": (lambda: LayoutGraph("3", ((0, 1), (1, 2))), "n: expected int, got '3'"),
     "ghz_ideal_distribution-str": (lambda: ghz_ideal_distribution("3"),
                                    "n: expected int, got '3'"),

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,11 +46,11 @@ class TestEagle:
         assert max(g.degree(u) for u in range(g.node_count)) == 3
 
     def test_edge_count_matches_data_file(self):
-        from importlib import resources
-
-        text = resources.files("ghz_synth.data").joinpath("eagle_r3_edges.txt").read_text()
-        n_lines = sum(1 for line in text.splitlines() if line.strip())
-        assert eagle_127().edge_count == n_lines == 144
+        # the published Eagle r3 coupling map, one "u v" pair per line, u < v
+        text = (Path(__file__).parent / "data" / "eagle_r3_edges.txt").read_text()
+        published = [tuple(map(int, line.split())) for line in text.splitlines() if line.strip()]
+        assert len(published) == 144
+        assert list(eagle_127().edges) == published
 
     def test_connected(self):
         assert bfs_connected(eagle_127())
@@ -251,13 +252,15 @@ _SUBGRAPH_SOURCES = {
 
 @st.composite
 def _generated_layouts(draw):
-    """A layout of connected_erdos_renyi, random_connected_subgraph or rect_grid."""
-    kind = draw(st.sampled_from(["erdos_renyi", "subgraph", "rect_grid"]))
+    """A layout of connected_erdos_renyi, random_connected_subgraph, rect_grid or heavy_hex."""
+    kind = draw(st.sampled_from(["erdos_renyi", "subgraph", "rect_grid", "heavy_hex"]))
     if kind == "erdos_renyi":
         return connected_erdos_renyi(draw(st.integers(1, 60)), draw(st.floats(0, 1)),
                                      draw(_SEEDS))
     if kind == "rect_grid":
         return rect_grid(draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    if kind == "heavy_hex":
+        return heavy_hex(draw(st.integers(1, 9)), draw(st.integers(3, 23)))
     source = _SUBGRAPH_SOURCES[draw(st.sampled_from(sorted(_SUBGRAPH_SOURCES)))]()
     return random_connected_subgraph(source, draw(st.integers(1, source.node_count)),
                                      draw(_SEEDS))[0]
@@ -281,12 +284,12 @@ class TestLayoutGraphInvariants:
         (((0, 3),), r"edges: edge \(0, 3\) out of range or unordered"),
         (((2, 1),), r"edges: edge \(2, 1\) out of range or unordered"),
         (((0, 2), (0, 1), (1, 2), (0, 2)), r"edges: duplicate edge \(0, 2\)"),
-        # a malformed edge is refused before the edges are sorted
-        (((0, 1.0), (1, 2)), r"^edges: edge \(0, 1\.0\) is not a pair of integers$"),
-        (((0, 1), (1, "2")), r"^edges: edge \(1, '2'\) is not a pair of integers$"),
-        (((0, 1, 2),), r"^edges: edge \(0, 1, 2\) is not a pair of integers$"),
-        (((0, True), (1, 2)), r"^edges: edge \(0, True\) is not a pair of integers$"),
-        (((0, 1), 2), r"^edges: edge 2 is not a pair of integers$"),
+        # a malformed edge is refused before the edges are sorted, by its input index
+        (((0, 1.0), (1, 2)), r"^edges\[0\]: expected a pair of integers, got \(0, 1\.0\)$"),
+        (((0, 1), (1, "2")), r"^edges\[1\]: expected a pair of integers, got \(1, '2'\)$"),
+        (((0, 1, 2),), r"^edges\[0\]: expected a pair of integers, got \(0, 1, 2\)$"),
+        (((0, True), (1, 2)), r"^edges\[0\]: expected a pair of integers, got \(0, True\)$"),
+        (((0, 1), 2), r"^edges\[1\]: expected a pair of integers, got 2$"),
     ])
     def test_error_messages_name_the_edge(self, edges, message):
         with pytest.raises(schema.InputError, match=message):
@@ -346,6 +349,28 @@ class TestLayoutGraphInvariants:
         assert all(0 <= u < v < g.node_count for u, v in g.edges)
         assert len(set(g.edges)) == g.edge_count
         assert all(type(x) is int for e in g.edges for x in e)
+
+
+# each generator from numpy scalars, and from the plain numbers they hold: the
+# graph keeps its bounds' plain values, so its JSON is the same
+_NUMPY_BUILT = {
+    "LayoutGraph": lambda num: LayoutGraph(num(np.int64, 3), ((0, 1), (1, 2))),
+    "rect_grid": lambda num: rect_grid(num(np.int64, 2), num(np.int64, 3)),
+    # 16 x 17 overflows uint8, so the area must be checked in plain ints
+    "heavy_hex": lambda num: heavy_hex(num(np.uint8, 16), num(np.uint8, 17)),
+    "connected_erdos_renyi": lambda num: connected_erdos_renyi(
+        num(np.int64, 12), num(np.float32, 0.25), num(np.uint64, 3)),
+    "random_connected_subgraph": lambda num: random_connected_subgraph(
+        rect_grid(4, 5), num(np.int64, 7), num(np.uint64, 9))[0],
+}
+
+
+@pytest.mark.parametrize("build", _NUMPY_BUILT.values(), ids=_NUMPY_BUILT)
+def test_numpy_scalar_arguments_give_plain_json(build):
+    from_numpy = build(lambda kind, x: kind(x))
+    plain = build(lambda kind, x: kind(x).item())
+    assert from_numpy.to_json() == plain.to_json()
+    assert type(from_numpy.node_count) is int
 
 
 class TestNodeIndex:

@@ -25,11 +25,7 @@ from ghz_synth.stabilizer import (
     sample_counts,
 )
 from ghz_synth.testutil import random_clifford_circuit
-from helpers import check_invariants
-
-
-def circ(n, cbits, *ops):
-    return Circuit(n, cbits, tuple(ops))
+from helpers import check_invariants, circ
 
 
 def decode_stabilizers(tab):

@@ -6,10 +6,7 @@ import pytest
 from ghz_synth.circuit import CX, Circuit, CondX, H, MeasureZ, Reset, X
 from ghz_synth.stabilizer import CapacityError, InvalidForcingError
 from ghz_synth.statevector import ghz_state, run_dense, state_fidelity
-
-
-def circ(n, cbits, *ops):
-    return Circuit(n, cbits, tuple(ops))
+from helpers import circ
 
 
 class TestBasics:
