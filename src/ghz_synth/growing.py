@@ -35,7 +35,8 @@ def synthesize_growing(g: LayoutGraph) -> Circuit:
     adj = g.adjacency
 
     def walk(last: list[int]) -> Iterator[Operation]:
-        start = max(range(n), key=lambda u: (len(adj[u]), -u))
+        degrees = [len(ns) for ns in adj]
+        start = degrees.index(max(degrees))  # the lowest of the highest-degree nodes
         layer = adj[start]
         yield from build_star_ghz(Star(start, layer))
         included = bytearray(n)

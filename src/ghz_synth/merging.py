@@ -29,7 +29,7 @@ from itertools import chain
 from typing import ClassVar, Optional, Union, get_args, get_type_hints
 
 from . import schema
-from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset
+from .circuit import CX, Circuit, CondX, H, MeasureZ, Operation, Reset, init_through_slots
 from .layouts import LayoutGraph, average_degree
 
 __all__ = [
@@ -155,6 +155,7 @@ def strategy_from_label(label: str) -> StarSelectionStrategy:
     )
 
 
+@init_through_slots
 @dataclass(frozen=True, slots=True)
 class Star:
     """A center and its leaves, the leaves in ascending order."""
@@ -184,13 +185,22 @@ def select_stars(g: LayoutGraph, strategy: StarSelectionStrategy) -> list[Star]:
     node gets a fresh entry whenever its residual degree drops, and popped
     entries of removed nodes or with an outdated key are discarded. Each
     edge lowers a residual degree at most twice, so the selection runs in
-    O((N + E) log N).
+    O((N + E) log N). A star that lowers the degree of more than half of
+    the nodes left, as on a dense graph, would flood the heap with entries
+    that go stale at the next star, so the heap is rebuilt instead, from
+    the nodes left (a list compacted at each rebuild, so a rebuild costs
+    what is left, not N) with their current keys. Either way every live
+    node has an entry with its current key and no entry sorts below it
+    unseen: each pop that is taken is the least (key, node) over the live
+    nodes, so the stars are the same.
     """
     n = g.node_count
     target = strategy.target(g)
     adj = g.adjacency
     alive = [True] * n
     residual_deg = [len(ns) for ns in adj]
+    remaining = list(range(n))
+    left = n
     heap = [(abs(d - target), u) for u, d in enumerate(residual_deg)]
     heapq.heapify(heap)
     stars: list[Star] = []
@@ -203,20 +213,27 @@ def select_stars(g: LayoutGraph, strategy: StarSelectionStrategy) -> list[Star]:
         alive[center] = False
         for v in leaves:
             alive[v] = False
+        left -= 1 + len(leaves)
         touched = set()
         for u in (center, *leaves):
             for w in adj[u]:
                 if alive[w]:
                     residual_deg[w] -= 1
                     touched.add(w)
-        for w in touched:
-            heapq.heappush(heap, (abs(residual_deg[w] - target), w))
+        if 2 * len(touched) > left:
+            remaining = [u for u in remaining if alive[u]]
+            heap = [(abs(residual_deg[u] - target), u) for u in remaining]
+            heapq.heapify(heap)
+        else:
+            for w in touched:
+                heapq.heappush(heap, (abs(residual_deg[w] - target), w))
     return stars
 
 
 def build_star_ghz(star: Star) -> list[Operation]:
     """H on the center, then CX onto each leaf, in the ascending order of star.leaves."""
-    return [H(star.center), *(CX(star.center, leaf) for leaf in star.leaves)]
+    center = star.center
+    return [H(center)] + [CX(center, leaf) for leaf in star.leaves]
 
 
 def _fuse(u: int, v: int, correction: tuple[int, ...], cbit: int) -> list[Operation]:
@@ -227,11 +244,12 @@ def _fuse(u: int, v: int, correction: tuple[int, ...], cbit: int) -> list[Operat
     the sorted rest of the absorbed component, then reset and re-entangle
     the measured qubit via the same bridge edge.
     """
-    ops: list[Operation] = [CX(u, v), MeasureZ(v, cbit)]
+    bridge = CX(u, v)
+    ops: list[Operation] = [bridge, MeasureZ(v, cbit)]
     if correction:
         ops.append(CondX(correction, cbit))
     ops.append(Reset(v))
-    ops.append(CX(u, v))
+    ops.append(bridge)
     return ops
 
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghz_synth import circuit
 from ghz_synth.circuit import (
@@ -27,7 +29,7 @@ from ghz_synth.rng import make_rng
 from ghz_synth.schema import MAX_N
 from ghz_synth.stabilizer import run, sample_counts
 from ghz_synth.statevector import run_dense
-from helpers import circ
+from helpers import ReferenceSchedule, circ
 
 
 class TestDepth:
@@ -205,13 +207,13 @@ class TestValidByConstruction:
 class TestOneWalk:
     def test_depth_found_when_built_and_not_rescheduled(self, monkeypatch):
         calls = []
-        touched = circuit.touched_qubits
+        emit = Schedule.emit
 
-        def counting(op):
+        def counting(self, op):
             calls.append(op)
-            return touched(op)
+            return emit(self, op)
 
-        monkeypatch.setattr(circuit, "touched_qubits", counting)
+        monkeypatch.setattr(Schedule, "emit", counting)
         ops = (H(0), CX(0, 1), MeasureZ(1, 0), CondX((2,), 0), Reset(1))
         c = Circuit(3, 1, ops)
         assert calls == list(ops)
@@ -221,7 +223,31 @@ class TestOneWalk:
     def test_depth_stays_out_of_equality_and_repr(self):
         c = circ(2, 0, H(0), CX(0, 1))
         assert c == Circuit(2, 0, (H(0), CX(0, 1)))
-        assert "_depth" not in repr(c)
+        for kept in ("_depth", "_n_2q", "_n_meas"):
+            assert kept not in repr(c)
+            object.__setattr__(c, kept, -1)
+            assert c == Circuit(2, 0, (H(0), CX(0, 1)))
+
+    def test_counts_kept_from_the_walk(self):
+        c = circ(3, 2, H(0), CX(0, 1), MeasureZ(1, 0), CondX((2,), 0), Reset(1), CX(0, 1),
+                 MeasureZ(2, 1))
+        assert (count_2q(c), count_measurements(c)) == (2, 2)
+
+    def test_inline_branches_never_touch_the_qubit_table(self, monkeypatch):
+        calls = []
+        touched = circuit.touched_qubits
+
+        def counting(op):
+            calls.append(op)
+            return touched(op)
+
+        monkeypatch.setattr(circuit, "touched_qubits", counting)
+        schedule = Schedule(3, 1)
+        for op in (H(0), X(1), CX(0, 1), MeasureZ(1, 0), Reset(1)):
+            schedule.emit(op)
+        assert calls == []
+        schedule.emit(CondX((2,), 0))
+        assert calls == [CondX((2,), 0)]
 
     def test_schedule_rejects_negative_qubit(self):
         with pytest.raises(MalformedCircuitError, match=r"^op 0: qubit -1 out of range$"):
@@ -253,6 +279,60 @@ class TestOneWalk:
         else:
             c = synthesize_merging(g, HighestDegree())
         assert emitted == list(c.ops)
+
+
+_NON_OPS = ("cx 0 1", ("h", 0), None, 7)
+
+
+@st.composite
+def _op_sequences(draw):
+    """n <= 6 qubits, cbits <= 3 and up to 12 ops, with indices in -1..n and -1..cbits.
+
+    Hypothesis favours the ends of an integer range, so an index is drawn
+    from a list that holds each in-range value four times, and a MeasureZ is
+    often followed by a CondX on the same bit, as in a fuse, so that enough
+    CondX find their bit written once.
+    """
+    n, cbits = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    q = st.sampled_from([*range(n)] * 4 + [-1, n])
+    b = st.sampled_from([*range(cbits)] * 4 + [-1, cbits])
+    targets, corrected = (st.lists(q, min_size=k, max_size=4).map(tuple) for k in (0, 1))
+    op = st.one_of(
+        st.builds(H, q), st.builds(X, q), st.builds(CX, q, q), st.builds(MeasureZ, q, b),
+        st.builds(Reset, q), st.builds(CondX, targets, b), st.sampled_from(_NON_OPS),
+    )
+    fuse = b.flatmap(lambda bit: st.tuples(st.builds(MeasureZ, q, st.just(bit)),
+                                           st.builds(CondX, corrected, st.just(bit))))
+    pieces = draw(st.lists(op.map(lambda one: (one,)) | fuse, max_size=12))
+    return n, cbits, [op for piece in pieces for op in piece][:12]
+
+
+def _emit_outcome(schedule, op):
+    """(exception type, message) if schedule refuses op, else the op it returns."""
+    try:
+        return schedule.emit(op)
+    except (MalformedCircuitError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestScheduleBranches:
+    @settings(max_examples=600, deadline=None)
+    @given(_op_sequences())
+    def test_matches_the_generic_loop(self, case):
+        # a refused op leaves both schedules as they were, so each goes on
+        # with the next op, and the rules of later ops are compared as well
+        n, cbits, ops = case
+        schedule, reference = Schedule(n, cbits), ReferenceSchedule(n, cbits)
+        placed = []
+        for op in ops:
+            got = _emit_outcome(schedule, op)
+            assert got == _emit_outcome(reference, op)
+            assert schedule.last == reference.last
+            if got is op:
+                placed.append(op)
+        assert schedule.emitted == reference.emitted == len(placed)
+        assert schedule.n_2q == sum(type(op) is CX for op in placed)
+        assert schedule.n_meas == sum(type(op) is MeasureZ for op in placed)
 
 
 class TestOpSource:
@@ -332,6 +412,15 @@ class TestJson:
     def test_malformed_document_names_field(self, doc, path):
         with pytest.raises(MalformedCircuitError, match=f"^{path}: "):
             Circuit.from_json(json.dumps(doc))
+
+    def test_numpy_index_ops_give_plain_json(self):
+        i = np.int64
+        ops = (H(i(0)), X(np.uint8(1)), CX(i(0), 1), MeasureZ(i(1), i(0)),
+               CondX((i(2), np.int32(3)), i(0)), Reset(i(1)))
+        plain = (H(0), X(1), CX(0, 1), MeasureZ(1, 0), CondX((2, 3), 0), Reset(1))
+        text = Circuit(4, 1, ops).to_json()
+        assert text == Circuit(4, 1, plain).to_json()
+        assert Circuit.from_json(text) == Circuit(4, 1, ops)
 
     def test_numpy_counts_give_plain_json(self):
         c = Circuit(np.int64(2), np.uint8(1), (H(0), MeasureZ(0, 0)))

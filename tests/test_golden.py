@@ -54,6 +54,8 @@ from ghz_synth.circuit import (
     MeasureZ,
     Reset,
     X,
+    count_2q,
+    count_measurements,
     depth,
     export_qasm,
 )
@@ -339,6 +341,16 @@ def test_export_qasm_digest(layout):
         for variant, synth in VARIANTS.items()
     }
     assert got == {variant: QASM_GOLDEN[layout, variant] for variant in VARIANTS}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_kept_counts_match_the_ops(layout):
+    g = LAYOUTS[layout]()
+    for variant, synth in VARIANTS.items():
+        built = synth(g)
+        for c in (built, Circuit.from_json(built.to_json())):
+            assert count_2q(c) == sum(isinstance(op, CX) for op in c.ops), variant
+            assert count_measurements(c) == sum(isinstance(op, MeasureZ) for op in c.ops), variant
 
 
 # SHA-256 of the outcome lines of VALIDATION_CORPUS_SIZE random op sequences,

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import pytest
@@ -100,7 +101,61 @@ def assert_bridges_free_earliest(g, strategy):
         assert (u, v) == min(crossing, key=lambda e: (max(last[e[0]], last[e[1]]), e)), k
 
 
+def reference_stars(g, strategy):
+    """The quadratic form of select_stars: each step scans every live node for its center."""
+    target, adj = strategy.target(g), g.adjacency
+    live = set(range(g.node_count))
+    stars = []
+    while live:
+        center = min(live, key=lambda u: (abs(sum(v in live for v in adj[u]) - target), u))
+        leaves = tuple([v for v in adj[center] if v in live][:target])
+        stars.append(Star(center, leaves))
+        live.difference_update((center, *leaves))
+    return stars
+
+
+@st.composite
+def _star_cases(draw):
+    """An ER graph (n <= 60), a grid up to 12x12 or an Eagle subgraph, and a strategy."""
+    kind = draw(st.sampled_from(["erdos_renyi", "rect_grid", "eagle_sub"]))
+    if kind == "erdos_renyi":
+        g = connected_erdos_renyi(draw(st.integers(1, 60)), draw(st.floats(0.05, 0.95)),
+                                  draw(st.integers(0, 2**32)))
+    elif kind == "rect_grid":
+        g = rect_grid(draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    else:
+        g = random_connected_subgraph(eagle_127(), draw(st.integers(1, 127)),
+                                      draw(st.integers(0, 2**32)))[0]
+    strategy = draw(st.one_of(
+        st.just(HighestDegree()),
+        st.floats(0.2, 2).map(ScalingFactor),
+        st.integers(1, 8).map(AbsoluteSize),
+    ))
+    return g, strategy
+
+
 class TestSelectStars:
+    @settings(max_examples=200, deadline=None)
+    @given(_star_cases())
+    def test_matches_the_quadratic_reference(self, case):
+        g, strategy = case
+        assert select_stars(g, strategy) == reference_stars(g, strategy)
+
+    def test_dense_graph_rebuilds_the_heap(self, monkeypatch):
+        calls = []
+        heapify = heapq.heapify
+
+        def counting(heap):
+            calls.append(len(heap))
+            heapify(heap)
+
+        monkeypatch.setattr(heapq, "heapify", counting)
+        g = connected_erdos_renyi(60, 0.5, 0)
+        stars = select_stars(g, AbsoluteSize(4))
+        assert len(calls) > 1
+        assert stars == reference_stars(g, AbsoluteSize(4))
+
+
     def test_star_graph_single_star(self):
         g = star_graph(6)
         stars = select_stars(g, HighestDegree())
