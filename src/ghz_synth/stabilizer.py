@@ -30,12 +30,16 @@ reference's outcome XOR the frame's x bit. The reference takes shot 0's
 coins, so a noiseless single shot never touches its frame. run is this
 engine over one shot with the frame folded into the reference's signs at
 the end; sample_counts appends a MeasureZ of every qubit to the ops, so each
-sampled shot equals the run of those ops, down to all 2n signs. The engine
-tests each measurement event once, by its own column (x[q] & stab_mask), and
-only a random one reaches Tableau.measure. A deterministic one leaves the
-tableau unchanged, so it and the MeasureZ right after it, up to the first
-random one, mid-circuit or in the readout, take their outcomes from one GF(2)
-matrix product. Bits past the last row or shot are padding and stay zero.
+sampled shot equals the run of those ops, down to all 2n signs. A qubit
+measured since its last reset stays in that measurement's Z eigenstate, since
+a valid circuit touches it with nothing but its reset, so its next event (the
+reset, or a readout re-measure) takes the reference's outcome of that
+measurement untested. The engine tests every other measurement event once, by
+its own column (x[q] & stab_mask), and only a random one reaches
+Tableau.measure. A deterministic one leaves the tableau unchanged, so it and
+the MeasureZ right after it, up to the first random one, mid-circuit or in the
+readout, take their outcomes from one GF(2) matrix product. Bits past the
+last row or shot are padding and stay zero.
 Only the API edge unpacks per-shot bits (SimOutcome, the histogram) or rows
 (Tableau.rows, the one row-major view, and its stabilizer half
 stabilizer_rows).
@@ -243,16 +247,9 @@ class Tableau:
         on the qubits xs and Z parts on zs (index arrays).
 
         Row j anticommutes iff x_P . z_j + z_P . x_j is odd: XOR the z columns
-        on xs and the x columns on zs, for all rows at once. A side that is
-        empty is not reduced, as in the engine's X-only flips (flip_x) and
-        the Z-only Paulis that expectation asks for.
+        on xs and the x columns on zs, for all rows at once.
         """
-        if not len(xs):
-            return np.bitwise_xor.reduce(self.x[zs], axis=0)
-        anti = np.bitwise_xor.reduce(self.z[xs], axis=0)
-        if len(zs):
-            anti ^= np.bitwise_xor.reduce(self.x[zs], axis=0)
-        return anti
+        return np.bitwise_xor.reduce(np.concatenate((self.z[xs], self.x[zs])), axis=0)
 
     # -- Pauli products with phase tracking --
 
@@ -359,18 +356,8 @@ class Tableau:
         (none once every qubit is deterministic, as in a GHZ readout after
         its first outcome: then P is a Z-product and there is no phase).
         They are float64, exact since every entry stays below n^2 < 2^53.
-        When the Paulis select one row j between them, as the Z of a qubit
-        that is one stabilizer generator does, each is the identity or +/-
-        that row, without phase: its sign is 0 or bit n + j of r, read
-        without unpacking.
         """
         n = self.n
-        union = np.bitwise_or.reduce(anti, axis=0)
-        word = union.nonzero()[0]
-        v = int(union[word[0]]) if word.size == 1 else 0
-        if word.size < 2 and not v & (v - 1):  # at most one row
-            row = n + 64 * int(word[0]) + v.bit_length() - 1 if v else 0
-            return anti.any(axis=1).astype(np.uint8) * ((int(self.r[row >> 6]) >> (row & 63)) & 1)
         a = _unpack(anti, n)
         sel = a.any(axis=0).nonzero()[0]
         rows = n + sel
@@ -597,14 +584,19 @@ def _simulate(
 ) -> tuple[PauliFrame, np.ndarray, list[np.ndarray]]:
     """Shared engine for run() and sample_counts(): ops on n qubits and cbit_count bits.
 
-    ops need not form a valid Circuit: the sample_counts readout may re-measure
-    a qubit. stream has one lane per shot. Each op takes its noise masks
-    from its error class's stream (see _noise), which the walk XORs in, and
-    the walk reads only the coins of the random measurements. The walk is the only
-    code that decides determinism: it tests every measurement event once, and
-    a deterministic one waits in a pending list, which settle() gives its
-    outcomes from one _signs product before any op that is not a
-    deterministic MeasureZ, and at the end.
+    ops are a valid Circuit's, followed in sample_counts by its readout,
+    which may re-measure a qubit: apart from that readout, only its Reset
+    touches a qubit measured since its last reset. stream has one lane per
+    shot. Each op takes its noise masks from its error class's stream (see
+    _noise), which the walk XORs in, and the walk reads only the coins of
+    the random measurements. The walk is the only code that decides
+    determinism. A measured qubit's next event, its Reset or a readout
+    re-measure, takes the reference's outcome of that measurement, kept in
+    `measured`: by the precondition the reference is still in that Z
+    eigenstate, and each shot in it XOR the frame's x bit. The walk tests
+    every other measurement event once, and a deterministic one waits in a
+    pending list, which settle() gives its outcomes from one _signs product
+    before any op that is not a deterministic MeasureZ, and at the end.
     Returns (frame, classical bits, outcome log) with every per-shot value in
     packed words: cbits has one row per classical bit and the log one word
     vector per measurement event.
@@ -613,10 +605,10 @@ def _simulate(
     ref = frame.ref
     cbits = np.zeros((cbit_count, frame.every.size), np.uint64)
     ref_cbits = [0] * cbit_count  # the reference's (noiseless) classical bits
+    measured: dict[int, int] = {}  # qubit -> the reference's outcome, until its reset
     log: list[np.ndarray] = []
     words = frame.every.size
     draw = _noise(ops, stream, words, noise, max(2 * n, _WINDOW_BYTES // (8 * words)))
-    gate_noise = noise is not None and noise.p1 + noise.p2 > 0
 
     def event(i: int, ref_bit: Optional[int]) -> None:
         """Coin, forcing and log entry of the event ops[i], then its cbit (after any
@@ -639,9 +631,10 @@ def _simulate(
         noisy = outcome if flip is None else outcome ^ flip
         if isinstance(op, MeasureZ):
             cbits[op.cbit] = noisy
-            ref_cbits[op.cbit] = ref_bit
+            ref_cbits[op.cbit] = measured[op.q] = ref_bit
         else:  # an X where the outcome is 1 resets to |0>, a reset error adds one more
             frame.flip_x((op.q,), noisy, ref_bit)
+            measured.pop(op.q, None)
 
     pending: list[int] = []  # deterministic events, their outcomes not yet taken
 
@@ -655,10 +648,15 @@ def _simulate(
 
     for i, op in enumerate(ops):
         if isinstance(op, (MeasureZ, Reset)):
-            # tested once, by its own column; a deterministic event leaves the
-            # tableau as it is, so its outcome can wait, but a reset's X may
-            # change the signs, so a deterministic reset settles at once
-            if np.count_nonzero(ref.x[op.q] & ref.stab_mask):
+            # a measured qubit's event takes that measurement's outcome; any
+            # other is tested once, by its own column. A deterministic event
+            # leaves the tableau as it is, so its outcome can wait, but a
+            # reset's X may change the signs, so a deterministic reset settles
+            # at once
+            if op.q in measured:
+                settle()
+                event(i, measured[op.q])
+            elif np.count_nonzero(ref.x[op.q] & ref.stab_mask):
                 settle()
                 event(i, None)
             else:
@@ -677,8 +675,6 @@ def _simulate(
             # the X corrections commute, so all targets flip at once before their errors
             fire = cbits[op.cbit]
             frame.flip_x(op.targets, fire, ref_cbits[op.cbit])
-        if not gate_noise:
-            continue
         if isinstance(op, CX):  # one location over both qubits
             xz = draw[1]()
             if xz is not None:

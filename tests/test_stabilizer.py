@@ -323,6 +323,56 @@ class TestMeasurement:
         assert out.outcome_log[0] == out.outcome_log[1] == out.cbits[0]
 
 
+class TestMeasuredQubitKeepsItsOutcome:
+    """A qubit measured since its last reset takes that outcome at its reset or readout."""
+
+    def test_merging_resets_reach_no_sign_product(self, monkeypatch):
+        # every merge's reset follows its qubit's measurement, so a run asks
+        # _signs for nothing and a sampling only for its readout batch
+        from ghz_synth.layouts import eagle_127, rect_grid
+        from ghz_synth.merging import AbsoluteSize, HighestDegree, synthesize_merging
+
+        calls = []
+        signs = Tableau._signs
+
+        def counted(self, anti, y_p):
+            calls.append(len(anti))
+            return signs(self, anti, y_p)
+
+        monkeypatch.setattr(Tableau, "_signs", counted)
+        for g in (eagle_127(), rect_grid(16, 16)):
+            for strategy in (HighestDegree(), AbsoluteSize(4)):
+                c = synthesize_merging(g, strategy)
+                calls.clear()
+                run(c, seed=5)
+                assert calls == [], (g.node_count, strategy)
+                for noise in (None, NoiseModel(0.001, 0.01, 0.01, 0.01)):
+                    calls.clear()
+                    sample_counts(c, 128, seed=5, noise=noise)
+                    assert len(calls) == 1, (g.node_count, strategy, noise)
+
+    def test_forcing_the_reset_of_a_random_measurement(self):
+        c = circ(1, 1, H(0), MeasureZ(0, 0), Reset(0))
+        with pytest.raises(
+            InvalidForcingError,
+            match=r"^measurement event 1 on qubit 0 is deterministically 1, cannot force 0$",
+        ):
+            run(c, 0, forced_outcomes=[1, 0])
+        assert run(c, 0, forced_outcomes=[1, 1]).outcome_log == [1, 1]
+
+    def test_reset_error_after_a_random_measurement(self):
+        c = circ(1, 1, H(0), MeasureZ(0, 0), Reset(0))
+        assert sample_counts(c, 200, seed=4, noise=NoiseModel(pr=1.0)) == Counter({"1": 200})
+
+    @pytest.mark.parametrize("noise", [None, NoiseModel(pm=1.0)])
+    def test_readout_re_measures_an_unreset_qubit(self, noise):
+        # the readout re-measures qubit 0 with its physical outcome, not with
+        # its flipped cbit, so with every readout flipped both bits still agree
+        c = circ(2, 1, H(0), CX(0, 1), MeasureZ(0, 0))
+        counts = sample_counts(c, 400, seed=6, noise=noise)
+        assert set(counts) == {"00", "11"} and sum(counts.values()) == 400
+
+
 class TestCondXAndReset:
     def test_condx_fires_on_one(self):
         c = circ(2, 1, X(0), MeasureZ(0, 0), CondX((1,), 0))
@@ -597,9 +647,9 @@ class TestSignsOneRow:
     @given(n=st.integers(1, 70), n_ops=st.integers(0, 160), seed=st.integers(0, 2**32))
     def test_matches_general_path(self, n, n_ops, seed):
         # stabilizer generator j, as a Pauli, anticommutes with destabilizer
-        # j alone: the one-row read of its sign, alone or beside the
+        # j alone: the product's sign of that one row, alone or beside the
         # identity, must equal the row's sign as stabilizer_rows unpacks it
-        # and the general product's, which generators j and l take together
+        # and the sign of generators j and l taken together
         t = run(random_clifford_circuit(n, n_ops, seed), seed).tableau
         sx, sz, sr = t.stabilizer_rows()
         masks, y = [], []
@@ -610,7 +660,7 @@ class TestSignsOneRow:
             masks.append(anti)
             y.append(int(np.count_nonzero(sx[j] & sz[j])))
             assert t._signs(anti[None], y[j]).tolist() == [sr[j]]
-            assert t._signs(np.stack([0 * anti, anti]), y[j]).tolist() == [0, sr[j]]
+            assert t._signs(np.stack([0 * anti, anti]), np.array([0, y[j]])).tolist() == [0, sr[j]]
         for j, l in zip(range(n), range(1, n)):
             general = t._signs(np.stack([masks[j], masks[l]]), np.array([y[j], y[l]]))
             assert general.tolist() == [sr[j], sr[l]]
